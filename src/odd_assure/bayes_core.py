@@ -15,6 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import _base
 from .hara_fta import Fta, GateOp, validate_fta
 
 PROB_TOL = 1e-9
@@ -29,7 +30,7 @@ class BayesError(Exception):
     """Base class for Bayesian network errors."""
 
 
-class DocumentError(BayesError):
+class DocumentError(BayesError, _base.DocumentError):
     pass
 
 
@@ -156,12 +157,6 @@ class BayesNet:
     cpts: dict[str, Cpt]
     objective: str | None = None
 
-    def parents(self, node_id: str) -> tuple[str, ...]:
-        return self.cpts[node_id].parent_order
-
-    def children(self, node_id: str) -> tuple[str, ...]:
-        return tuple(dst for src, dst in self.edges if src == node_id)
-
     def node(self, node_id: str) -> BnNode:
         try:
             return self.nodes[node_id]
@@ -186,21 +181,22 @@ def build_net(
     if len(cpt_map) != len(cpts):
         raise DocumentError("a node has more than one CPT")
 
+    in_edges: dict[str, set[str]] = {nid: set() for nid in node_map}
     for src, dst in edge_list:
         for ref in (src, dst):
             if ref not in node_map:
                 raise UnknownNode(f"edge references unknown node {ref!r}")
+        in_edges[dst].add(src)
     for nid in node_map:
         if nid not in cpt_map:
             raise DocumentError(f"node {nid!r} has no CPT")
     for cpt in cpt_map.values():
         if cpt.node not in node_map:
             raise UnknownNode(f"cpt for unknown node {cpt.node!r}")
-        in_edges = {src for src, dst in edge_list if dst == cpt.node}
-        if set(cpt.parent_order) != in_edges:
+        if set(cpt.parent_order) != in_edges[cpt.node]:
             raise DocumentError(
                 f"cpt parents {cpt.parent_order} of {cpt.node!r} do not match "
-                f"in-edges {sorted(in_edges)}"
+                f"in-edges {sorted(in_edges[cpt.node])}"
             )
         expected_rows = 1
         for p in cpt.parent_order:
@@ -213,7 +209,7 @@ def build_net(
             if len(row) != len(node_map[cpt.node].states):
                 raise BadCpt(f"cpt row width mismatch for {cpt.node!r}")
 
-    if _topological_order(node_map, edge_list) is None:
+    if _base.dag_order(in_edges)[1]:
         raise DocumentError("edge set contains a cycle")
     if objective is not None:
         if objective not in node_map:
@@ -224,27 +220,9 @@ def build_net(
     return BayesNet(nodes=node_map, edges=edge_list, cpts=cpt_map, objective=objective)
 
 
-def _topological_order(nodes: Mapping[str, BnNode], edges) -> list[str] | None:
-    indeg = {nid: 0 for nid in nodes}
-    for _, dst in edges:
-        indeg[dst] += 1
-    ready = sorted(nid for nid, d in indeg.items() if d == 0)
-    order = []
-    while ready:
-        nid = ready.pop(0)
-        order.append(nid)
-        for src, dst in edges:
-            if src == nid:
-                indeg[dst] -= 1
-                if indeg[dst] == 0:
-                    ready.append(dst)
-        ready.sort()
-    return order if len(order) == len(nodes) else None
-
-
 def topological_order(net: BayesNet) -> list[str]:
-    order = _topological_order(net.nodes, net.edges)
-    assert order is not None  # build_net rejects cycles
+    # build_net rejects cycles and ties every CPT's parents to the in-edges
+    order, _ = _base.dag_order({nid: cpt.parent_order for nid, cpt in net.cpts.items()})
     return order
 
 
@@ -404,13 +382,11 @@ def gate_cpt(op: GateOp, n_parents: int) -> tuple[tuple[float, ...], ...]:
     """
     if n_parents < 1:
         raise BayesError("a gate needs at least one parent")
-    rows = []
-    for r in range(2**n_parents):
-        digits = [(r >> (n_parents - 1 - j)) & 1 for j in range(n_parents)]
-        occurs_flags = [d == 0 for d in digits]
-        fired = all(occurs_flags) if op is GateOp.AND else any(occurs_flags)
-        rows.append((1.0, 0.0) if fired else (0.0, 1.0))
-    return tuple(rows)
+    # Row 0 is every parent occurring and the last row is none occurring, so
+    # AND fires only in row 0 and OR in every row but the last.
+    fired, idle = ((1.0, 0.0),), ((0.0, 1.0),)
+    quiet_rows = 2**n_parents - 1
+    return fired + idle * quiet_rows if op is GateOp.AND else fired * quiet_rows + idle
 
 
 def compile_fta_to_bn(fta: Fta, leaf_priors: Mapping[str, float]) -> BayesNet:

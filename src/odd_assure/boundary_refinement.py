@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import _base
 from .odd_model import Interval, OddSpec, format_interval
 
 YES = "Yes"
@@ -31,11 +32,11 @@ class RefinementError(Exception):
     pass
 
 
-class DocumentError(RefinementError):
+class DocumentError(RefinementError, _base.DocumentError):
     pass
 
 
-class TooFewRecords(RefinementError):
+class TooFewRecords(RefinementError, _base.DocumentError):
     pass
 
 

@@ -20,6 +20,7 @@ import os
 import sys
 
 from . import (
+    _base,
     bayes_core,
     boundary_refinement,
     confidence_templates,
@@ -35,18 +36,7 @@ EXIT_OK = 0
 EXIT_DEFECTS = 1
 EXIT_UNREADABLE = 2
 
-_PARSE_FAILURES = (
-    OSError,
-    json.JSONDecodeError,
-    odd_model.DocumentError,
-    hara_fta.DocumentError,
-    bayes_core.DocumentError,
-    boundary_refinement.DocumentError,
-    boundary_refinement.TooFewRecords,
-    runtime_monitor.DocumentError,
-    runtime_monitor.BadScript,
-    safety_ontology.ParseError,
-)
+_PARSE_FAILURES = (OSError, json.JSONDecodeError, _base.DocumentError)
 
 _MODEL_ERRORS = (
     odd_model.OddModelError,
@@ -88,6 +78,16 @@ def _configure_logging() -> None:
 def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def _read_scenario(path) -> confidence_templates.ScenarioSpec:
+    doc = _read_json(path)
+    try:
+        conditions = tuple((c[0], c[1]) for c in doc["conditions"])
+        scenario_id = doc.get("id", "scenario")
+    except (IndexError, KeyError, TypeError) as exc:
+        raise _base.DocumentError(f"malformed scenario document: {exc!r}") from exc
+    return confidence_templates.ScenarioSpec(scenario_id, conditions)
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +189,7 @@ def _cmd_coverage(args) -> int:
     with open(args.dataset, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
     if args.scenario_file:
-        doc = _load(_read_json, args.scenario_file)
-        scenario = confidence_templates.ScenarioSpec(
-            doc.get("id", "scenario"), tuple((c[0], c[1]) for c in doc["conditions"])
-        )
+        scenario = _load(_read_scenario, args.scenario_file)
     else:
         conditions = tuple(_parse_assignments(args.scenario, "--scenario").items())
         scenario = confidence_templates.ScenarioSpec("scenario", conditions)

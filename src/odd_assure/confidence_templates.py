@@ -193,21 +193,12 @@ def _preset_rows(node: str, parents: Sequence[str]) -> tuple[tuple[float, ...], 
         if node in _ROOT_PRIORS:
             return (_ROOT_PRIORS[node],)
         return (_FEATURE_PRIOR,)
-    parent_goodness = []
-    for p in parents:
-        _, goodness = _node_states_goodness(p)
-        parent_goodness.append(goodness)
-    cards = [len(g) for g in parent_goodness]
+    # One axis per parent, first parent outermost: the grid flattens in
+    # Cpt row order. Summing in parent order matches a per-row sum exactly.
+    grids = np.ix_(*(np.asarray(_node_states_goodness(p)[1]) for p in parents))
+    avg = sum(grids) / len(parents)
     rows = []
-    for flat in range(int(np.prod(cards))):
-        digits = []
-        rem = flat
-        for card in reversed(cards):
-            digits.append(rem % card)
-            rem //= card
-        digits.reverse()
-        avg = sum(g[d] for g, d in zip(parent_goodness, digits)) / len(digits)
-        p_good = 0.05 + 0.9 * avg
+    for p_good in (0.05 + 0.9 * avg).ravel().tolist():
         if len(states) == 2:
             rows.append((p_good, 1.0 - p_good))
         else:

@@ -13,14 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
+
+from . import _base
 
 
 class HaraError(Exception):
     """Base class for hazard analysis errors."""
 
 
-class DocumentError(HaraError):
+class DocumentError(HaraError, _base.DocumentError):
     pass
 
 
@@ -177,35 +179,14 @@ class FtaDefect:
         return f"{self.kind}{list(self.event_ids)}: {self.message}"
 
 
-def _check_acyclic(start: str, relation: CausalRelation) -> None:
-    """Three-state depth-first search for cycles reachable from ``start``."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-
-    def visit(node: str, path: list[str]) -> None:
-        color[node] = GREY
-        path.append(node)
-        entry = relation.get(node)
-        for child in entry.children if entry else ():
-            state = color.get(child, WHITE)
-            if state == GREY:
-                cycle = path[path.index(child):] + [child]
-                raise CyclicCausality(" -> ".join(cycle))
-            if state == WHITE:
-                visit(child, path)
-        path.pop()
-        color[node] = BLACK
-
-    visit(start, [])
-
-
 def compute_fta(hazard: Event, events: Iterable[Event], causal_relation: CausalRelation) -> Fta:
     """Construct the fault tree rooted at ``hazard``.
 
     Worklist traversal with stack semantics: pop an event, look up its cause
     events, gate non-atomic ones, push the causes. Each event is expanded
     exactly once and appended to the event set at most once, preserving the
-    child order given by the causal relation.
+    child order given by the causal relation. A cycle among the expanded
+    events raises CyclicCausality; one the hazard cannot reach does not.
     """
     by_id = {e.id: e for e in events}
     if hazard.id not in by_id:
@@ -216,9 +197,8 @@ def compute_fta(hazard: Event, events: Iterable[Event], causal_relation: CausalR
                 raise DanglingReference(f"causal relation references unknown event {ref!r}")
         if by_id[parent].atomic:
             raise DocumentError(f"atomic event {parent!r} cannot have cause events")
-    _check_acyclic(hazard.id, causal_relation)
 
-    collected = [hazard.id]
+    collected = {hazard.id: None}
     gates: list[Gate] = []
     expanded: set[str] = set()
     stack = [hazard.id]
@@ -232,10 +212,12 @@ def compute_fta(hazard: Event, events: Iterable[Event], causal_relation: CausalR
             continue
         gates.append(Gate(parent=current, children=entry.children, op=entry.op))
         for child in entry.children:
-            if child not in collected:
-                collected.append(child)
+            collected.setdefault(child)
         stack.extend(entry.children)
 
+    _, cycle = _base.dag_order(_cause_edges(collected, gates))
+    if cycle:
+        raise CyclicCausality(" -> ".join(cycle))
     return Fta(
         top=hazard.id,
         events=tuple(by_id[eid] for eid in collected),
@@ -243,16 +225,26 @@ def compute_fta(hazard: Event, events: Iterable[Event], causal_relation: CausalR
     )
 
 
-def _role_candidates(out_kinds: set[DependsKind]) -> set[EventRole]:
-    """Closed-world evaluation of the three classification axioms.
+def _cause_edges(event_ids: Iterable[str], gates: Iterable[Gate]) -> dict[str, set[str]]:
+    """Event -> cause events, the direction of the compiled network's edges."""
+    causes: dict[str, set[str]] = {eid: set() for eid in event_ids}
+    for gate in gates:
+        if gate.parent in causes:
+            causes[gate.parent].update(c for c in gate.children if c in causes)
+    return causes
+
+
+def role_candidates(out_predicates: Collection[str]) -> set[EventRole]:
+    """Closed-world evaluation of the three classification axioms (A21-A23)
+    over the names of an event's outgoing dependency predicates.
 
     Occurrence: lacks a dependsOnHazardous edge or lacks a dependsOnConsequence
     edge. Consequence: lacks a dependsOnOccurrence edge. Hazardous: lacks a
     dependsOnConsequence edge.
     """
-    on_occ = DependsKind.ON_OCCURRENCE in out_kinds
-    on_haz = DependsKind.ON_HAZARDOUS in out_kinds
-    on_con = DependsKind.ON_CONSEQUENCE in out_kinds
+    on_occ = DependsKind.ON_OCCURRENCE.value in out_predicates
+    on_haz = DependsKind.ON_HAZARDOUS.value in out_predicates
+    on_con = DependsKind.ON_CONSEQUENCE.value in out_predicates
     candidates = set()
     if (not on_haz) or (not on_con):
         candidates.add(EventRole.OCCURRENCE)
@@ -271,10 +263,7 @@ def classify_event(chain: HazardChain, event_id: str) -> EventRole:
     inconsistency, not a reclassification.
     """
     declared = chain.declared_role(event_id)
-    out_kinds = {
-        e.kind for e in chain.edges if e.src == event_id and e.kind is not DependsKind.TRIGGER
-    }
-    candidates = _role_candidates(out_kinds)
+    candidates = role_candidates({e.kind.value for e in chain.edges if e.src == event_id})
     if not candidates:
         raise InconsistentChain(f"event {event_id!r} satisfies no role axiom")
     if declared not in candidates:
@@ -347,27 +336,14 @@ def validate_fta(fta: Fta) -> list[FtaDefect]:
                 FtaDefect("UnreachableEvent", (event.id,), "no path from the top event")
             )
 
-    # Cycle detection over gate edges restricted to known ids.
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = {eid: WHITE for eid in by_id}
-
-    def visit(node: str) -> bool:
-        color[node] = GREY
-        for gate in gates_by_parent.get(node, []):
-            for child in gate.children:
-                if child not in color:
-                    continue
-                if color[child] == GREY:
-                    return True
-                if color[child] == WHITE and visit(child):
-                    return True
-        color[node] = BLACK
-        return False
-
-    for eid in by_id:
-        if color[eid] == WHITE and visit(eid):
-            defects.append(FtaDefect("CyclicStructure", (eid,), "gate edges form a cycle"))
-            break
+    # Cycle detection over gate edges restricted to known ids. The walker
+    # orders every event that reaches no cycle through its gates, so the
+    # first event left out is the first one that does.
+    order, cycle = _base.dag_order(_cause_edges(by_id, fta.gates))
+    if cycle:
+        acyclic = set(order)
+        eid = next(e for e in by_id if e not in acyclic)
+        defects.append(FtaDefect("CyclicStructure", (eid,), "gate edges form a cycle"))
 
     return defects
 
@@ -418,54 +394,57 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     if not isinstance(document, dict) or not isinstance(document.get("events"), list):
         raise DocumentError("document must be an object with an 'events' list")
 
-    events: dict[str, Event] = {}
-    for entry in document["events"]:
-        if not isinstance(entry, dict) or "id" not in entry:
-            raise DocumentError(f"event entry missing 'id': {entry!r}")
-        if entry["id"] in events:
-            raise DocumentError(f"event {entry['id']!r} declared twice")
-        role = entry.get("role")
-        events[entry["id"]] = Event(
-            id=entry["id"],
-            text=entry.get("text", entry["id"]),
-            atomic=bool(entry.get("atomic", False)),
-            oper_conditions=tuple(
-                (c[0], c[1]) for c in entry.get("oper_conditions", [])
-            ),
-            role=EventRole(role) if role else None,
-        )
-
-    mapping = {}
-    for entry in document.get("causal", []):
-        if not {"parent", "op", "children"} <= entry.keys():
-            raise DocumentError(f"causal entry needs parent/op/children: {entry!r}")
-        if entry["parent"] in mapping:
-            raise DocumentError(f"two causal entries for {entry['parent']!r}")
-        try:
-            op = GateOp(entry["op"].upper())
-        except ValueError:
-            raise DocumentError(f"gate op must be AND or OR, got {entry['op']!r}") from None
-        mapping[entry["parent"]] = CausalEntry(tuple(entry["children"]), op)
-    relation = CausalRelation(mapping)
-
-    hazards = list(document.get("hazards", []))
-    for hid in hazards:
-        if hid not in events:
-            raise DanglingReference(f"hazard {hid!r} not declared in events")
-
-    chains = []
-    for entry in document.get("chains", []):
-        chains.append(
-            HazardChain(
-                hazardous_event=entry["hazardous"],
-                occurrence_events=tuple(entry.get("occurrence", [])),
-                consequence_events=tuple(entry.get("consequence", [])),
-                edges=tuple(
-                    ChainEdge(DependsKind(e["kind"]), e["from"], e["to"])
-                    for e in entry.get("edges", [])
+    try:
+        events: dict[str, Event] = {}
+        for entry in document["events"]:
+            if not isinstance(entry, dict) or "id" not in entry:
+                raise DocumentError(f"event entry missing 'id': {entry!r}")
+            if entry["id"] in events:
+                raise DocumentError(f"event {entry['id']!r} declared twice")
+            role = entry.get("role")
+            events[entry["id"]] = Event(
+                id=entry["id"],
+                text=entry.get("text", entry["id"]),
+                atomic=bool(entry.get("atomic", False)),
+                oper_conditions=tuple(
+                    (c[0], c[1]) for c in entry.get("oper_conditions", [])
                 ),
+                role=EventRole(role) if role else None,
             )
-        )
+
+        mapping = {}
+        for entry in document.get("causal", []):
+            if not {"parent", "op", "children"} <= entry.keys():
+                raise DocumentError(f"causal entry needs parent/op/children: {entry!r}")
+            if entry["parent"] in mapping:
+                raise DocumentError(f"two causal entries for {entry['parent']!r}")
+            try:
+                op = GateOp(entry["op"].upper())
+            except ValueError:
+                raise DocumentError(f"gate op must be AND or OR, got {entry['op']!r}") from None
+            mapping[entry["parent"]] = CausalEntry(tuple(entry["children"]), op)
+        relation = CausalRelation(mapping)
+
+        hazards = list(document.get("hazards", []))
+        for hid in hazards:
+            if hid not in events:
+                raise DanglingReference(f"hazard {hid!r} not declared in events")
+
+        chains = []
+        for entry in document.get("chains", []):
+            chains.append(
+                HazardChain(
+                    hazardous_event=entry["hazardous"],
+                    occurrence_events=tuple(entry.get("occurrence", [])),
+                    consequence_events=tuple(entry.get("consequence", [])),
+                    edges=tuple(
+                        ChainEdge(DependsKind(e["kind"]), e["from"], e["to"])
+                        for e in entry.get("edges", [])
+                    ),
+                )
+            )
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise DocumentError(f"malformed HARA document: {exc!r}") from exc
     return hazards, events, relation, chains
 
 

@@ -18,12 +18,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
+from . import _base
+
 
 class OddModelError(Exception):
     """Base class for ODD spec errors."""
 
 
-class DocumentError(OddModelError):
+class DocumentError(OddModelError, _base.DocumentError):
     """The document is structurally unreadable (not a schema-shaped object)."""
 
 

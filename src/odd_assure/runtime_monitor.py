@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
-from . import bayes_core, odd_model
+from . import _base, bayes_core, odd_model
 from .bayes_core import BayesNet, EvidenceSet, Posterior
 from .confidence_templates import AcpBinding
 from .odd_model import Observation, OddSpec, OUT_OF_ODD
@@ -37,7 +37,7 @@ class MonitorError(Exception):
     pass
 
 
-class DocumentError(MonitorError):
+class DocumentError(MonitorError, _base.DocumentError):
     pass
 
 
@@ -49,7 +49,7 @@ class OutOfOrderTimestamp(MonitorError):
     pass
 
 
-class BadScript(MonitorError):
+class BadScript(MonitorError, _base.DocumentError):
     pass
 
 

@@ -18,6 +18,9 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from . import _base
+from .hara_fta import EventRole, role_candidates
+
 Term = Union[str, "Literal"]
 
 
@@ -33,7 +36,7 @@ class TypeViolation(OntologyError):
     pass
 
 
-class ParseError(OntologyError):
+class ParseError(OntologyError, _base.DocumentError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
@@ -293,34 +296,18 @@ def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
 
 
 _EVENT_AXIOMS = {
-    "OccurrenceEvent": "A21",
-    "ConsequenceEvent": "A22",
-    "HazardousEvent": "A23",
+    EventRole.OCCURRENCE: ("OccurrenceEvent", "A21"),
+    EventRole.CONSEQUENCE: ("ConsequenceEvent", "A22"),
+    EventRole.HAZARDOUS: ("HazardousEvent", "A23"),
 }
-
-
-def _event_candidates(graph: TripleGraph, term: Term) -> set[str]:
-    out = {
-        t.predicate
-        for t in graph.triples
-        if t.subject == term
-        and t.predicate in ("dependsOnOccurrence", "dependsOnHazardous", "dependsOnConsequence")
-    }
-    candidates = set()
-    if "dependsOnHazardous" not in out or "dependsOnConsequence" not in out:
-        candidates.add("OccurrenceEvent")
-    if "dependsOnOccurrence" not in out:
-        candidates.add("ConsequenceEvent")
-    if "dependsOnConsequence" not in out:
-        candidates.add("HazardousEvent")
-    return candidates
 
 
 def _check_event_classification(graph: TripleGraph) -> list[AxiomViolation]:
     violations = []
-    for cls, axiom in _EVENT_AXIOMS.items():
+    for role, (cls, axiom) in _EVENT_AXIOMS.items():
         for term in sorted(graph.individuals_of(cls), key=_term_key):
-            if cls not in _event_candidates(graph, term):
+            out = {t.predicate for t in graph.triples if t.subject == term}
+            if role not in role_candidates(out):
                 violations.append(
                     AxiomViolation(
                         axiom,

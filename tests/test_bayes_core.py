@@ -295,7 +295,7 @@ class TestGateCpt:
         assert rows[0] == (1.0, 0.0)
 
     @pytest.mark.parametrize("op", [GateOp.AND, GateOp.OR])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", list(range(1, 11)))
     def test_truth_table_oracle(self, op, n):
         rows = gate_cpt(op, n)
         assert len(rows) == 2**n

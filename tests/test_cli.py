@@ -1,10 +1,15 @@
 import csv
 import io
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import odd_assure
 from odd_assure import cli
 from odd_assure.fixtures import (
     AVP_LEAF_PRIORS,
@@ -14,6 +19,7 @@ from odd_assure.fixtures import (
 )
 
 from .oracles import enumerate_posterior, gate_formula_top_probability
+from .test_hara_fta import malformed_hara_document
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +31,24 @@ def bundle_dir(tmp_path_factory):
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def run_cli_process(*argv):
+    """Run the CLI in a fresh interpreter so stderr is exactly what a user sees."""
+    src = str(Path(odd_assure.__file__).resolve().parents[1])
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    return subprocess.run(
+        [sys.executable, "-m", "odd_assure.cli", *(str(a) for a in argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_malformed(result, path):
+    assert result.returncode == 2
+    assert f"{path}: malformed" in result.stderr
+    assert "Traceback" not in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 class TestValidate:
@@ -62,6 +86,30 @@ class TestValidate:
         path = tmp_path / "odd.json"
         path.write_text("{not json", encoding="utf-8")
         assert run_cli("validate", path) == 2
+
+    def test_deep_causal_chain_validates(self, bundle_dir, tmp_path, capsys):
+        n = 3000  # well past the interpreter's default recursion limit
+        ids = [f"e{i}" for i in range(n)]
+        doc = {
+            "hazards": [ids[0]],
+            "events": [{"id": i, "atomic": i == ids[-1]} for i in ids],
+            "causal": [
+                {"parent": ids[i], "op": "OR", "children": [ids[i + 1]]} for i in range(n - 1)
+            ],
+        }
+        hara = tmp_path / "deep.json"
+        hara.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("validate", bundle_dir / "avp_odd.json", "--hara", hara) == 0
+        assert capsys.readouterr().out.strip() == "ok"
+
+    @pytest.mark.parametrize(
+        "malformed", ["unknown_role", "chain_without_hazardous", "unknown_edge_kind"]
+    )
+    def test_malformed_hara_exits_two_naming_file(self, bundle_dir, tmp_path, malformed):
+        hara = tmp_path / f"{malformed}.json"
+        hara.write_text(json.dumps(malformed_hara_document(malformed)), encoding="utf-8")
+        result = run_cli_process("validate", bundle_dir / "avp_odd.json", "--hara", hara)
+        assert_malformed(result, hara)
 
 
 class TestCompileFta:
@@ -188,6 +236,14 @@ class TestCoverage:
         )
         assert run_cli("coverage", data, "--scenario-file", scenario) == 0
         assert json.loads(capsys.readouterr().out)["m"] == 0.5
+
+    def test_scenario_file_without_conditions_exits_two_naming_file(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_text("Rain\nRain_Heavy\n", encoding="utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"id": "s1"}), encoding="utf-8")
+        result = run_cli_process("coverage", data, "--scenario-file", scenario)
+        assert_malformed(result, scenario)
 
 
 class TestRefine:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -99,6 +100,31 @@ class TestTestingAdequacyTemplate:
     def test_unknown_override_rejected(self):
         with pytest.raises(InvalidConfig):
             build_testing_adequacy_bn(TemplateConfig(cpts={"Ghost": [[0.5, 0.5]]}))
+
+    @pytest.mark.parametrize("n_features", [1, 2, 12])
+    def test_preset_rows_match_per_row_formula(self, n_features):
+        # goodness of each state, written out independently of the module
+        goodness = {
+            "Feat_i": (1.0, 0.0), "ObjFun": (1.0, 0.0), "OddFC": (1.0, 0.0),
+            "OddSuff": (1.0, 0.0), "DataMetric": (0.0, 0.5, 1.0), "DataComp": (1.0, 0.0),
+            "BnModelUnc": (1.0, 0.5, 0.0), "ModelUnc": (1.0, 0.0),
+            "TestDist": (1.0, 0.5, 0.0), "TestUnc": (1.0, 0.0),
+        }
+        features = tuple(f"F{i}" for i in range(n_features))
+        goodness.update({f: (1.0, 0.0) for f in features})
+        net = build_testing_adequacy_bn(TemplateConfig(feature_names=features))
+        for nid, cpt in net.cpts.items():
+            if not cpt.parent_order:
+                continue
+            expected = []
+            # first parent most significant, matching Cpt.row_index
+            for combo in itertools.product(*(goodness[p] for p in cpt.parent_order)):
+                p_good = 0.05 + 0.9 * (sum(combo) / len(combo))
+                if len(goodness[nid]) == 2:
+                    expected.append((p_good, 1.0 - p_good))
+                else:
+                    expected.append((p_good, (1.0 - p_good) * 0.6, (1.0 - p_good) * 0.4))
+            assert cpt.table == tuple(expected), nid
 
     def test_posterior_runs_end_to_end(self):
         net = build_testing_adequacy_bn()

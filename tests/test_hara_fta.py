@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -84,7 +85,7 @@ class TestComputeFta:
                 "b": CausalEntry(("a",), GateOp.OR),
             }
         )
-        with pytest.raises(CyclicCausality):
+        with pytest.raises(CyclicCausality, match="^a -> b -> a$"):
             compute_fta(events[0], events, rel)
 
     def test_dangling_reference(self):
@@ -301,6 +302,44 @@ class TestValidateFta:
             assert (defects == []) == ok
 
 
+class TestDepthAndCycles:
+    def test_deep_chain_has_no_depth_limit(self):
+        n = 3000  # well past the interpreter's default recursion limit
+        ids = [f"e{i}" for i in range(n)]
+        events = [Event(i, i, atomic=i == ids[-1]) for i in ids]
+        rel = CausalRelation(
+            {ids[i]: CausalEntry((ids[i + 1],), GateOp.OR) for i in range(n - 1)}
+        )
+        fta = compute_fta(events[0], events, rel)
+        assert [e.id for e in fta.events] == ids
+        assert len(fta.gates) == n - 1
+        assert validate_fta(fta) == []
+
+    def test_cycle_the_hazard_cannot_reach_is_not_an_error(self):
+        events = _events("top", "leaf", "x", "y", atomic=("leaf",))
+        rel = CausalRelation(
+            {
+                "top": CausalEntry(("leaf",), GateOp.OR),
+                "x": CausalEntry(("y",), GateOp.OR),
+                "y": CausalEntry(("x",), GateOp.OR),
+            }
+        )
+        fta = compute_fta(events[0], events, rel)
+        assert [e.id for e in fta.events] == ["top", "leaf"]
+
+    def test_gate_cycle_yields_one_cyclic_structure_defect(self):
+        events = tuple(_events("top", "a", "b", "c", atomic=("c",)))
+        gates = (
+            Gate("top", ("a",), GateOp.OR),
+            Gate("a", ("b",), GateOp.OR),
+            Gate("b", ("a", "c"), GateOp.AND),
+        )
+        defects = validate_fta(Fta(top="top", events=events, gates=gates))
+        cyclic = [d for d in defects if d.kind == "CyclicStructure"]
+        # the first event in event order from which the cycle is reachable
+        assert [d.event_ids for d in cyclic] == [("top",)]
+
+
 class TestHaraDocument:
     def test_roundtrip(self):
         hazards, events, relation, chains = avp_hara()
@@ -331,3 +370,28 @@ class TestHaraDocument:
         doc = dict(AVP_HARA_DOCUMENT, causal=[{"parent": HAZARD_ID, "op": "XOR", "children": ["Presence_of_object"]}])
         with pytest.raises(DocumentError):
             parse_hara(doc)
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            "unknown_role",
+            "chain_without_hazardous",
+            "unknown_edge_kind",
+        ],
+    )
+    def test_malformed_sections_raise_document_error(self, malformed):
+        doc = malformed_hara_document(malformed)
+        with pytest.raises(DocumentError):
+            parse_hara(doc)
+
+
+def malformed_hara_document(kind):
+    """The AVP HARA document with one defect planted."""
+    doc = copy.deepcopy(AVP_HARA_DOCUMENT)
+    if kind == "unknown_role":
+        doc["events"][0]["role"] = "bystander"
+    elif kind == "chain_without_hazardous":
+        del doc["chains"][0]["hazardous"]
+    else:
+        doc["chains"][0]["edges"][0]["kind"] = "dependsOnWeather"
+    return doc
