@@ -5,12 +5,21 @@ Inference is exact variable elimination over numpy-backed factors with a
 greedy min-fill ordering. The ordering only affects cost, never the result;
 the test suite holds every posterior against an independent enumeration of
 the full joint.
+
+Each CPT converts its table to a read-only array once, when it is built. A
+network caches one plan per (query, set of evidence variables): the
+elimination order and the layout of every product. Each plan serves repeated
+evidence from a bounded memo of finished posteriors. The caches only ever
+store identical values, so a network can still serve many threads.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -104,15 +113,30 @@ class Cpt:
     node: str
     parent_order: tuple[str, ...]
     table: tuple[tuple[float, ...], ...]
+    # the table as a read-only (rows, states) array, for inference
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for row in self.table:
-            if any(p < 0.0 or p > 1.0 for p in row):
-                raise BadCpt(f"cpt for {self.node!r} has entries outside [0, 1]")
-            if abs(sum(row) - 1.0) > PROB_TOL:
-                raise BadCpt(
-                    f"cpt row for {self.node!r} sums to {sum(row)!r}, not 1 within {PROB_TOL}"
-                )
+        try:
+            # one width for every row, or unpacking the set fails
+            (width,) = set(map(len, self.table)) or {0}
+            rows = np.fromiter(
+                itertools.chain.from_iterable(self.table), dtype=float,
+                count=len(self.table) * width,
+            ).reshape(len(self.table), width)
+        except (TypeError, ValueError):
+            raise BadCpt(f"cpt rows for {self.node!r} are not equal-length numbers") from None
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        # min and max are NaN if any entry is, and NaN fails both comparisons
+        if not (rows.min(initial=0.0) >= 0.0 and rows.max(initial=1.0) <= 1.0):
+            what = "entries outside [0, 1]" if np.isfinite(rows).all() else "non-finite entries"
+            raise BadCpt(f"cpt for {self.node!r} has {what}")
+        drift = rows.sum(axis=1)
+        drift -= 1.0
+        if np.abs(drift, out=drift).max(initial=0.0) > PROB_TOL:
+            total = sum(self.table[int(np.argmax(drift > PROB_TOL))])
+            raise BadCpt(f"cpt row for {self.node!r} sums to {total!r}, not 1 within {PROB_TOL}")
 
     def row_index(self, parent_states: Sequence[int], parent_cards: Sequence[int]) -> int:
         idx = 0
@@ -156,6 +180,9 @@ class BayesNet:
     edges: tuple[tuple[str, str], ...]
     cpts: dict[str, Cpt]
     objective: str | None = None
+    # Inference caches, filled on first use by posterior()
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> BnNode:
         try:
@@ -227,83 +254,178 @@ def topological_order(net: BayesNet) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Factors and variable elimination
+# Variable elimination, planned once per (query, evidence variables)
+
+_PLAN_LIMIT = 128  # plans kept per network; the cache is emptied when full
+_MEMO_LIMIT = 1024  # evidence assignments remembered per plan, likewise
 
 
-@dataclass(frozen=True)
-class _Factor:
-    vars: tuple[str, ...]
-    values: np.ndarray  # shape: one axis per var, in vars order
-
-    def multiply(self, other: "_Factor") -> "_Factor":
-        merged = self.vars + tuple(v for v in other.vars if v not in self.vars)
-        a = self._expand(merged)
-        b = other._expand(merged)
-        return _Factor(merged, a * b)
-
-    def _expand(self, target_vars: tuple[str, ...]) -> np.ndarray:
-        src = self.values
-        # Move existing axes into target positions, add length-1 axes for the rest.
-        shape = []
-        for v in target_vars:
-            shape.append(src.shape[self.vars.index(v)] if v in self.vars else 1)
-        perm = [self.vars.index(v) for v in target_vars if v in self.vars]
-        arranged = np.transpose(src, perm)
-        return arranged.reshape(shape)
-
-    def marginalize(self, var: str) -> "_Factor":
-        axis = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        return _Factor(rest, self.values.sum(axis=axis))
-
-    def restrict(self, var: str, index: int) -> "_Factor":
-        axis = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        return _Factor(rest, np.take(self.values, index, axis=axis))
-
-
-def _cpt_factor(net: BayesNet, node_id: str) -> _Factor:
-    node = net.nodes[node_id]
-    cpt = net.cpts[node_id]
-    parent_cards = [len(net.nodes[p].states) for p in cpt.parent_order]
-    arr = np.asarray(cpt.table, dtype=float).reshape(parent_cards + [len(node.states)])
-    return _Factor(cpt.parent_order + (node_id,), arr)
-
-
-def _min_fill_order(factor_scopes: list[tuple[str, ...]], keep: set[str]) -> list[str]:
-    """Greedy elimination order minimizing fill-in edges; lexicographic tie-break."""
-    neighbors: dict[str, set[str]] = {}
-    for scope in factor_scopes:
-        for v in scope:
-            neighbors.setdefault(v, set()).update(u for u in scope if u != v)
-    remaining = sorted(v for v in neighbors if v not in keep)
-    order = []
-    while remaining:
-        best, best_fill = None, None
-        for v in remaining:
-            live = [u for u in neighbors[v] if u in remaining or u in keep]
-            fill = sum(
-                1
-                for i, a in enumerate(live)
-                for b in live[i + 1:]
-                if b not in neighbors.get(a, ())
+def _cpt_arrays(net: BayesNet) -> tuple[np.ndarray, ...]:
+    """Every CPT as an array with one axis per parent, then the node, in node
+    order; laid out on first use and kept on the network."""
+    arrays = net._arrays
+    if arrays is None:
+        arrays = tuple(
+            net.cpts[nid].rows.reshape(
+                [len(net.nodes[p].states) for p in net.cpts[nid].parent_order]
+                + [len(node.states)]
             )
-            if best_fill is None or fill < best_fill:
-                best, best_fill = v, fill
-        live = [u for u in neighbors[best] if u != best]
-        for a in live:
-            neighbors[a].update(u for u in live if u != a)
-            neighbors[a].discard(best)
-        order.append(best)
-        remaining.remove(best)
+            for nid, node in net.nodes.items()
+        )
+        object.__setattr__(net, "_arrays", arrays)
+    return arrays
+
+
+def _min_fill_order(scopes: Sequence[tuple[str, ...]], keep: set[str]) -> list[str]:
+    """Greedy elimination order over every variable not in ``keep``.
+
+    Each step eliminates the variable whose neighbours miss the fewest edges
+    of a clique (its fill), the smallest name first among ties. A heap holds
+    (fill, name) entries and skips those whose fill is out of date.
+    Eliminating v changes only the fill of v's neighbours, which are
+    recounted, and of the common neighbours of each new edge, which lose one.
+    """
+    neighbors: dict[str, set[str]] = {}
+    for scope in scopes:
+        for v in scope:
+            neighbors.setdefault(v, set()).update(scope)
+    for v, adj in neighbors.items():
+        adj.discard(v)
+
+    def count_fill(v: str) -> int:
+        adj = neighbors[v]
+        # each missing pair is seen from both ends; adj - neighbors[a] also
+        # holds a itself
+        return sum(len(adj - neighbors[a]) - 1 for a in adj) // 2
+
+    fill = {v: count_fill(v) for v in neighbors if v not in keep}
+    heap = [(f, v) for v, f in fill.items()]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        f, v = heapq.heappop(heap)
+        if fill.get(v) != f:
+            continue
+        del fill[v]
+        order.append(v)
+        adj = neighbors.pop(v)
+        lowered = set()
+        for a in adj:
+            for b in adj - neighbors[a]:
+                if a < b:  # a new edge; b == a is skipped too
+                    for w in (neighbors[a] & neighbors[b]) - adj - {v}:
+                        if w in fill:
+                            fill[w] -= 1
+                            lowered.add(w)
+        for a in adj:
+            neighbors[a] |= adj
+            neighbors[a].discard(a)
+            neighbors[a].discard(v)
+        for a in adj:
+            if a in fill:
+                fill[a] = count_fill(a)
+                heapq.heappush(heap, (fill[a], a))
+        for w in lowered:
+            heapq.heappush(heap, (fill[w], w))
     return order
 
 
-def _validate_evidence(net: BayesNet, evidence: EvidenceSet) -> dict[str, int]:
-    indexed = {}
-    for nid, state in evidence.assignments.items():
-        indexed[nid] = net.node(nid).state_index(state)
-    return indexed
+def _broadcast(src: tuple[str, ...], target: tuple[str, ...], cards: Mapping[str, int]):
+    """Axis permutation and shape that lay a factor over ``src`` out along
+    ``target``, with length-1 axes for the variables it lacks."""
+    perm = tuple(src.index(v) for v in target if v in src)
+    shape = tuple(cards[v] if v in src else 1 for v in target)
+    return perm, shape
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Everything about a query that depends only on which variables carry
+    evidence, not on their states.
+
+    ``takes`` gives, per CPT array, the evidence position indexing each axis
+    (-1 keeps the axis), or None when no axis carries evidence. Factors are
+    numbered in creation order, CPTs first. Each step multiplies a chain of
+    factors and sums one axis out of the product, which becomes the next
+    factor; ``final`` is the chain of the factors left, over the query. A
+    chain is its first factor plus (factor, its layout, the running
+    product's layout) links.
+    """
+
+    ev_vars: tuple[str, ...]
+    takes: tuple[tuple[int, ...] | None, ...]
+    steps: tuple[tuple[tuple, int], ...]
+    final: tuple
+    memo: dict = field(default_factory=dict)
+
+
+def _compile(net: BayesNet, query: str, ev_vars: tuple[str, ...]) -> _Plan:
+    position = {v: i for i, v in enumerate(ev_vars)}
+    cards = {nid: len(node.states) for nid, node in net.nodes.items()}
+    takes, scopes = [], []
+    for nid in net.nodes:
+        axes = net.cpts[nid].parent_order + (nid,)
+        take = tuple(position.get(v, -1) for v in axes)
+        takes.append(take if any(p >= 0 for p in take) else None)
+        scopes.append(tuple(v for v in axes if v not in position))
+
+    holders: dict[str, set[int]] = {}
+    for fid, scope in enumerate(scopes):
+        for v in scope:
+            holders.setdefault(v, set()).add(fid)
+    live = dict.fromkeys(range(len(scopes)))
+
+    def chain(fids: list[int]) -> tuple[tuple, tuple[str, ...]]:
+        # The same products, in the same order, as multiplying the factors
+        # pairwise left to right: merged scope = running scope + new vars.
+        merged = scopes[fids[0]]
+        links = []
+        for fid in fids[1:]:
+            target = merged + tuple(v for v in scopes[fid] if v not in merged)
+            links.append((fid, _broadcast(scopes[fid], target, cards),
+                          _broadcast(merged, target, cards)))
+            merged = target
+        return (fids[0], tuple(links)), merged
+
+    steps = []
+    for var in _min_fill_order(scopes, {query}):
+        fids = sorted(holders[var])
+        product, merged = chain(fids)
+        for fid in fids:
+            del live[fid]
+            for v in scopes[fid]:
+                holders[v].discard(fid)
+        scopes.append(tuple(v for v in merged if v != var))
+        new = len(scopes) - 1
+        for v in scopes[new]:
+            holders[v].add(new)
+        live[new] = None
+        steps.append((product, merged.index(var)))
+    final, _ = chain(list(live))
+    return _Plan(ev_vars, tuple(takes), tuple(steps), final)
+
+
+def _contract(values: list, chain: tuple) -> np.ndarray:
+    first, links = chain
+    product = values[first]
+    values[first] = None  # let intermediate factors go once used
+    for fid, (perm, shape), (acc_perm, acc_shape) in links:
+        product = (np.transpose(product, acc_perm).reshape(acc_shape)
+                   * np.transpose(values[fid], perm).reshape(shape))
+        values[fid] = None
+    return product
+
+
+def _run(plan: _Plan, arrays: tuple[np.ndarray, ...], key: tuple[int, ...]) -> np.ndarray:
+    """Unnormalized P(query, evidence) for the evidence states in ``key``."""
+    values = [
+        arr if take is None
+        else arr[tuple(slice(None) if p < 0 else key[p] for p in take)].copy()
+        for arr, take in zip(arrays, plan.takes)
+    ]
+    for product, axis in plan.steps:
+        values.append(_contract(values, product).sum(axis=axis))
+    return _contract(values, plan.final)
 
 
 def joint_probability(net: BayesNet, full_assignment: Mapping[str, str]) -> float:
@@ -331,43 +453,43 @@ def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) ->
     Evidence is sliced out of the factors first, every other variable is
     summed out along a min-fill order, and the surviving factor over the
     query is normalized by P(evidence).
+
+    The slicing, the order and every product's layout depend only on the
+    query and on which variables carry evidence, so they are planned once
+    per such pair and kept on the network. Each plan also remembers the
+    outcome for up to about a thousand evidence assignments, so a repeated
+    assignment is answered without arithmetic. Names are checked on every
+    call, and zero-probability evidence raises every time.
     """
-    evidence = evidence or EvidenceSet({})
+    assignments = evidence.assignments if evidence is not None else {}
     query_node = net.node(query)
-    if query in evidence.assignments:
+    if query in assignments:
         raise BayesError(f"query node {query!r} is part of the evidence")
-    ev_idx = _validate_evidence(net, evidence)
+    indexed = {nid: net.node(nid).state_index(s) for nid, s in assignments.items()}
 
-    factors = []
-    for nid in net.nodes:
-        f = _cpt_factor(net, nid)
-        for ev_var, idx in ev_idx.items():
-            if ev_var in f.vars:
-                f = f.restrict(ev_var, idx)
-        factors.append(f)
-
-    order = _min_fill_order([f.vars for f in factors], keep={query})
-    for var in order:
-        related = [f for f in factors if var in f.vars]
-        others = [f for f in factors if var not in f.vars]
-        product = related[0]
-        for f in related[1:]:
-            product = product.multiply(f)
-        factors = others + [product.marginalize(var)]
-
-    result = factors[0]
-    for f in factors[1:]:
-        result = result.multiply(f)
-    if result.vars != (query,):
-        result = _Factor((query,), result._expand((query,)).reshape(-1))
-    unnormalized = result.values
-    z = float(unnormalized.sum())
-    if z <= ZERO_EVIDENCE_TOL:
-        raise ZeroProbabilityEvidence(
-            f"evidence {dict(evidence.assignments)} has probability {z!r}"
-        )
-    probs = unnormalized / z
-    return Posterior(node=query, states=query_node.states, probs=tuple(float(p) for p in probs))
+    plans, plan_key = net._plans, (query, frozenset(indexed))
+    plan = plans.get(plan_key)
+    if plan is None:
+        plan = _compile(net, query, tuple(sorted(indexed)))
+        if len(plans) >= _PLAN_LIMIT:
+            plans.clear()
+        plans[plan_key] = plan
+    key = tuple(indexed[v] for v in plan.ev_vars)
+    outcome = plan.memo.get(key)
+    if outcome is None:
+        unnormalized = _run(plan, _cpt_arrays(net), key)
+        z = float(unnormalized.sum())
+        if z <= ZERO_EVIDENCE_TOL:
+            outcome = z
+        else:
+            probs = unnormalized / z
+            outcome = Posterior(query, query_node.states, tuple(float(p) for p in probs))
+        if len(plan.memo) >= _MEMO_LIMIT:
+            plan.memo.clear()
+        plan.memo[key] = outcome
+    if not isinstance(outcome, Posterior):
+        raise ZeroProbabilityEvidence(f"evidence {dict(assignments)} has probability {outcome!r}")
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -514,6 +636,8 @@ def parse_bn(document) -> BayesNet:
             rows = []
             for row in c["rows"]:
                 row = [float(p) for p in row]
+                if not all(map(math.isfinite, row)):
+                    raise BadCpt(f"cpt row for {c['node']!r} has non-finite entries")
                 total = sum(row)
                 if abs(total - 1.0) > PROB_TOL:
                     raise BadCpt(

@@ -90,6 +90,16 @@ def _read_scenario(path) -> confidence_templates.ScenarioSpec:
     return confidence_templates.ScenarioSpec(scenario_id, conditions)
 
 
+def _read_priors(path) -> dict[str, float]:
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise _base.DocumentError("malformed priors document: expected an object of probabilities")
+    try:
+        return {k: float(v) for k, v in doc.items()}
+    except (TypeError, ValueError) as exc:
+        raise _base.DocumentError(f"malformed priors document: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -137,14 +147,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compile_fta(args) -> int:
     hazards, events, relation, _ = _load(hara_fta.load_hara, args.hara_file)
-    priors = _load(_read_json, args.priors_file)
+    priors = _load(_read_priors, args.priors_file)
     if not hazards:
         raise hara_fta.DocumentError("HARA file declares no hazards")
     hazard_id = args.hazard or hazards[0]
     if hazard_id not in events:
         raise hara_fta.DanglingReference(f"no event {hazard_id!r}")
     fta = hara_fta.compute_fta(events[hazard_id], events.values(), relation)
-    net = bayes_core.compile_fta_to_bn(fta, {k: float(v) for k, v in priors.items()})
+    net = bayes_core.compile_fta_to_bn(fta, priors)
     bayes_core.save_bn(net, args.out_file)
     log.info("wrote %s (%d nodes)", args.out_file, len(net.nodes))
     return EXIT_OK

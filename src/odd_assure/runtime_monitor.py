@@ -112,6 +112,14 @@ def _check_bindings(bundle: ModelBundle) -> None:
         raise BindingMismatch(f"state values missing for objective states {sorted(missing)}")
 
 
+def _object(value, what: str, values: type = object) -> dict:
+    """``value`` if it is a JSON object whose values are all ``values``."""
+    if not isinstance(value, dict) or not all(isinstance(v, values) for v in value.values()):
+        kind = "an object" if values is object else f"an object of {values.__name__} values"
+        raise DocumentError(f"malformed bundle manifest: {what} must be {kind}")
+    return value
+
+
 def load_bundle(manifest_path) -> ModelBundle:
     """Load a bundle manifest and the files it references.
 
@@ -126,25 +134,31 @@ def load_bundle(manifest_path) -> ModelBundle:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON in {manifest_path}: {exc}") from exc
+    manifest = _object(manifest, "the manifest")
     try:
         odd_path = manifest_path.parent / manifest["odd"]
         net_path = manifest_path.parent / manifest["net"]
-        acp_doc = manifest["acp"]
+        acp_doc = _object(manifest["acp"], "acp")
+        state_values = _object(acp_doc["state_values"], "acp.state_values")
         acp = AcpBinding(
             solution_id=acp_doc["solution_id"],
             objective=acp_doc["objective"],
-            state_values={k: float(v) for k, v in acp_doc["state_values"].items()},
+            state_values={k: float(v) for k, v in state_values.items()},
         )
-        bundle = ModelBundle(
-            odd=odd_model.load_odd_spec(odd_path),
-            net=bayes_core.load_bn(net_path),
-            bindings=dict(manifest.get("bindings", {})),
-            acp=acp,
-            oodd_policy=manifest.get("oodd_policy", DROP),
-            worst_states=dict(manifest.get("worst_states", {})),
-        )
+        bindings = _object(manifest.get("bindings", {}), "bindings", str)
+        worst_states = _object(manifest.get("worst_states", {}), "worst_states", str)
     except KeyError as exc:
         raise DocumentError(f"bundle manifest misses key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"malformed bundle manifest: {exc}") from exc
+    bundle = ModelBundle(
+        odd=odd_model.load_odd_spec(odd_path),
+        net=bayes_core.load_bn(net_path),
+        bindings=dict(bindings),
+        acp=acp,
+        oodd_policy=manifest.get("oodd_policy", DROP),
+        worst_states=dict(worst_states),
+    )
     _check_bindings(bundle)
     return bundle
 

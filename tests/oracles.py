@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: joint probabilities by full
 enumeration, gate probabilities by the closed-form recursion, interval
-membership by a hand-rolled scan. None of it shares code with the inference
-or parsing paths it is used to verify.
+membership by a hand-rolled scan, min-fill orders by recounting every fill
+each round. None of it shares code with the inference or parsing paths it is
+used to verify.
 """
 
 from __future__ import annotations
@@ -59,9 +60,11 @@ def enumerate_posterior(net: BayesNet, query: str, evidence: dict[str, str]) -> 
 # Random network generation
 
 
-def random_net(rng: random.Random, n_nodes: int) -> BayesNet:
+def random_net(rng: random.Random, n_nodes: int, p_deterministic: float = 0.0) -> BayesNet:
     """Random DAG over binary nodes with random CPTs. Edges always point from
-    a lower to a higher index, which guarantees acyclicity."""
+    a lower to a higher index, which guarantees acyclicity. With
+    ``p_deterministic`` > 0, that share of rows is (1, 0) or (0, 1), so some
+    evidence has probability zero."""
     names = [f"n{i}" for i in range(n_nodes)]
     edges = []
     for j in range(1, n_nodes):
@@ -75,6 +78,8 @@ def random_net(rng: random.Random, n_nodes: int) -> BayesNet:
         rows = []
         for _ in range(2 ** len(parents)):
             p = rng.uniform(0.02, 0.98)
+            if p_deterministic and rng.random() < p_deterministic:
+                p = float(p < 0.5)
             rows.append((p, 1.0 - p))
         cpts.append(Cpt(name, parents, tuple(rows)))
     return build_net(nodes, edges, cpts)
@@ -85,6 +90,36 @@ def random_evidence(rng: random.Random, net: BayesNet, exclude: str, max_vars: i
     rng.shuffle(candidates)
     chosen = candidates[: rng.randint(0, min(max_vars, len(candidates)))]
     return {n: rng.choice(net.nodes[n].states) for n in chosen}
+
+
+def min_fill_order(factor_scopes: list[tuple[str, ...]], keep: set[str]) -> list[str]:
+    """Greedy elimination order minimizing fill-in edges, smallest name first
+    among ties: every round recounts every remaining variable's fill."""
+    neighbors: dict[str, set[str]] = {}
+    for scope in factor_scopes:
+        for v in scope:
+            neighbors.setdefault(v, set()).update(u for u in scope if u != v)
+    remaining = sorted(v for v in neighbors if v not in keep)
+    order = []
+    while remaining:
+        best, best_fill = None, None
+        for v in remaining:
+            live = [u for u in neighbors[v] if u in remaining or u in keep]
+            fill = sum(
+                1
+                for i, a in enumerate(live)
+                for b in live[i + 1:]
+                if b not in neighbors.get(a, ())
+            )
+            if best_fill is None or fill < best_fill:
+                best, best_fill = v, fill
+        live = [u for u in neighbors[best] if u != best]
+        for a in live:
+            neighbors[a].update(u for u in live if u != a)
+            neighbors[a].discard(best)
+        order.append(best)
+        remaining.remove(best)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
+import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odd_assure import bayes_core
 from odd_assure.bayes_core import (
@@ -35,6 +40,7 @@ from .oracles import (
     enumerate_posterior,
     forward_sample,
     gate_formula_top_probability,
+    min_fill_order,
     random_evidence,
     random_net,
     random_tree_fta,
@@ -68,6 +74,17 @@ class TestConstruction:
     def test_cpt_entries_in_range(self):
         with pytest.raises(BadCpt):
             Cpt("n", (), ((1.5, -0.5),))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cpt_entries_finite(self, bad):
+        with pytest.raises(BadCpt, match="non-finite"):
+            Cpt("Z", (), ((bad, 1.0),))
+        with pytest.raises(BadCpt, match="non-finite"):
+            Cpt("Z", ("a",), ((0.5, 0.5), (1.0, bad)))
+
+    def test_cpt_rows_equal_length(self):
+        with pytest.raises(BadCpt):
+            Cpt("n", ("a",), ((0.5, 0.5), (1.0,)))
 
     def test_node_needs_two_states(self):
         with pytest.raises(bayes_core.DocumentError):
@@ -257,16 +274,113 @@ class TestPosterior:
         assert post.as_dict()["t"] == pytest.approx(p_t, abs=1e-9)
 
     def test_concurrent_queries_share_a_net(self):
-        from concurrent.futures import ThreadPoolExecutor
+        # Eight threads start together on a net with cold caches, so they
+        # race to plan and to fill the memo for the same queries.
+        def outcome(net, query, evidence):
+            try:
+                return posterior(net, query, evidence)
+            except ZeroProbabilityEvidence:
+                return ZeroProbabilityEvidence
 
-        rng = random.Random(103)
-        net = random_net(rng, 9)
-        query = sorted(net.nodes)[0]
-        evidence = EvidenceSet({sorted(net.nodes)[-1]: "t"})
-        expected = posterior(net, query, evidence)
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(lambda _: posterior(net, query, evidence), range(32)))
-        assert all(r == expected for r in results)
+        def make_net():
+            return random_net(random.Random(103), 9, p_deterministic=0.5)
+
+        rng = random.Random(104)
+        names = sorted(make_net().nodes)
+        cases = []
+        for _ in range(12):
+            query = rng.choice(names)
+            cases.append((query, EvidenceSet(random_evidence(rng, make_net(), query, 4))))
+        serial_net = make_net()
+        expected = [outcome(serial_net, q, e) for q, e in cases]
+        assert ZeroProbabilityEvidence in expected
+        assert sum(isinstance(r, Posterior) for r in expected) >= 6
+
+        shared = make_net()
+        start = threading.Barrier(8, timeout=30)
+
+        def worker(offset):
+            start.wait()
+            turn = range(offset, offset + 2 * len(cases))  # every case twice
+            return [(i % len(cases), outcome(shared, *cases[i % len(cases)])) for i in turn]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [r for rs in pool.map(worker, range(8), timeout=60) for r in rs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8 * 2 * len(cases)
+        assert all(got == expected[i] for i, got in results)
+
+    def test_caches_stay_bounded(self, monkeypatch):
+        monkeypatch.setattr(bayes_core, "_PLAN_LIMIT", 2)
+        monkeypatch.setattr(bayes_core, "_MEMO_LIMIT", 3)
+        rng = random.Random(105)
+        net = random_net(rng, 6)
+        cases = [(q, random_evidence(rng, net, q, 3)) for q in sorted(net.nodes) * 3]
+        for _ in range(2):
+            for query, evidence in cases:
+                got = posterior(net, query, EvidenceSet(evidence)).as_dict()
+                expected = enumerate_posterior(net, query, evidence)
+                assert all(abs(got[s] - expected[s]) <= 1e-9 for s in expected)
+                assert len(net._plans) <= 2
+                assert all(len(plan.memo) <= 3 for plan in net._plans.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(2, 8),
+        p_deterministic=st.sampled_from([0.0, 0.4]),
+    )
+    def test_plans_match_enumeration_on_miss_and_hit(self, seed, n_nodes, p_deterministic):
+        rng = random.Random(seed)
+        net = random_net(rng, n_nodes, p_deterministic)
+        for _ in range(4):
+            query = rng.choice(sorted(net.nodes))
+            evidence = random_evidence(rng, net, query, max_vars=3)
+            p_evidence = sum(
+                enumerate_joint(net, a)
+                for a in all_assignments(net)
+                if all(a[k] == v for k, v in evidence.items())
+            )
+            reordered = dict(reversed(list(evidence.items())))
+            # the first call plans or runs, the second (in another dict
+            # order) is served from the plan's memo
+            if p_evidence <= bayes_core.ZERO_EVIDENCE_TOL:
+                for ev in (evidence, reordered):
+                    with pytest.raises(ZeroProbabilityEvidence):
+                        posterior(net, query, EvidenceSet(ev))
+                continue
+            expected = enumerate_posterior(net, query, evidence)
+            first = posterior(net, query, EvidenceSet(evidence))
+            again = posterior(net, query, EvidenceSet(reordered))
+            assert again is first
+            for state, prob in first.as_dict().items():
+                assert abs(prob - expected[state]) <= 1e-9
+
+    def test_names_checked_on_every_call(self):
+        net = chain_net()
+        posterior(net, "A", EvidenceSet({"B": "t"}))
+        with pytest.raises(UnknownState):
+            posterior(net, "A", EvidenceSet({"B": "maybe"}))
+        with pytest.raises(UnknownNode):
+            posterior(net, "A", EvidenceSet({"Z": "t"}))
+        with pytest.raises(bayes_core.BayesError):
+            posterior(net, "B", EvidenceSet({"B": "t"}))
+
+    def test_deep_chain_plans_without_recursion(self):
+        n = 3000  # well past the interpreter's default recursion limit
+        ids = [f"e{i:04d}" for i in range(n)]
+        events = [Event(eid, eid, atomic=eid == ids[-1]) for eid in ids]
+        relation = CausalRelation(
+            {ids[i]: CausalEntry((ids[i + 1],), GateOp.OR) for i in range(n - 1)}
+        )
+        net = compile_fta_to_bn(compute_fta(events[0], events, relation), {ids[-1]: 0.25})
+        post = posterior(net, net.objective, EvidenceSet({ids[n // 2]: "occurs"}))
+        assert post.as_dict() == {"occurs": 1.0, "not_occurs": 0.0}
+        assert posterior(net, net.objective).as_dict()["occurs"] == pytest.approx(0.25, abs=1e-12)
 
     def test_evidence_on_multistate_nodes(self):
         color = BnNode("color", ("red", "green", "blue"))
@@ -280,6 +394,31 @@ class TestPosterior:
         expected = enumerate_posterior(net, "color", {"alarm": "on"})
         for state in expected:
             assert got[state] == pytest.approx(expected[state], abs=1e-12)
+
+
+_VARS = [f"v{i}" for i in range(12)]
+
+
+class TestMinFillOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        scopes=st.lists(
+            st.lists(st.sampled_from(_VARS), max_size=5, unique=True).map(tuple), max_size=12
+        ),
+        keep=st.sets(st.sampled_from(_VARS), max_size=2),
+    )
+    def test_matches_reference(self, scopes, keep):
+        assert bayes_core._min_fill_order(scopes, keep) == min_fill_order(scopes, keep)
+
+    def test_polytree_orders_match_reference(self):
+        rng = random.Random(43)
+        for _ in range(20):
+            fta, _ = random_tree_fta(rng, max_events=40)
+            scopes = [(c, g.parent) for g in fta.gates for c in g.children]
+            scopes += [g.children + (g.parent,) for g in fta.gates]
+            assert bayes_core._min_fill_order(scopes, {fta.top}) == min_fill_order(
+                scopes, {fta.top}
+            )
 
 
 class TestGateCpt:
@@ -462,6 +601,15 @@ class TestBnDocument:
         }
         net = parse_bn(doc)
         assert sum(net.cpts["n"].table[0]) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_entries(self, bad):
+        text = (
+            '{"nodes": [{"id": "n", "states": ["t", "f"]}], "edges": [], '
+            f'"cpts": [{{"node": "n", "parents": [], "rows": [[{bad}, 1.0]]}}]}}'
+        )
+        with pytest.raises(BadCpt, match="non-finite"):
+            parse_bn(text)
 
     def test_rejects_large_drift(self):
         doc = {

@@ -133,6 +133,17 @@ class TestCompileFta:
         priors.write_text(json.dumps({"Presence_of_object": 0.5}), encoding="utf-8")
         assert run_cli("compile-fta", bundle_dir / "avp_hara.json", priors, tmp_path / "o.json") == 1
 
+    @pytest.mark.parametrize(
+        "priors_doc", [{"Presence_of_object": "x"}, [0.5], {"Presence_of_object": [0.5]}]
+    )
+    def test_malformed_priors_exit_two_naming_file(self, bundle_dir, tmp_path, priors_doc):
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps(priors_doc), encoding="utf-8")
+        result = run_cli_process(
+            "compile-fta", bundle_dir / "avp_hara.json", priors, tmp_path / "o.json"
+        )
+        assert_malformed(result, priors)
+
     def test_empty_hara_exits_two(self, tmp_path):
         hara = tmp_path / "hara.json"
         hara.write_text(json.dumps({"hazards": [], "events": [], "causal": []}), encoding="utf-8")
@@ -293,6 +304,22 @@ class TestMonitorAndSynth:
         stream = tmp_path / "stream.jsonl"
         stream.write_text('{"t": 0}\nnot json\n', encoding="utf-8")
         assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 2
+
+    @pytest.mark.parametrize(
+        "section, value", [("bindings", [1]), ("worst_states", [1]), ("state_values", "x")]
+    )
+    def test_monitor_non_object_manifest_section_exits_two(
+        self, bundle_dir, tmp_path, section, value
+    ):
+        manifest = json.loads((bundle_dir / "avp_bundle.json").read_text(encoding="utf-8"))
+        (manifest["acp"] if section == "state_values" else manifest)[section] = value
+        for key in ("odd", "net"):
+            manifest[key] = str(bundle_dir / manifest[key])
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"t": 0, "readings": {"Fog": 100.0}}\n', encoding="utf-8")
+        assert_malformed(run_cli_process("monitor", path, "--stream", stream), path)
 
     def test_worst_case_policy_with_states(self, bundle_dir, tmp_path, capsys):
         manifest = json.loads((bundle_dir / "avp_bundle.json").read_text(encoding="utf-8"))

@@ -1,5 +1,8 @@
 import json
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -45,6 +48,38 @@ class TestLoadBundle:
         assert bundle.acp.solution_id == "Sn8.1"
         assert bundle.odd.root == "ODD"
 
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("bindings", [1]),
+            ("bindings", [["Fog", "Fog"]]),
+            ("bindings", {"Fog": ["Fog"]}),
+            ("worst_states", {"Fog": None}),
+            ("worst_states", "Fog_Severity_5"),
+            ("acp.state_values", [1.0, 0.0]),
+            ("acp", ["Sn8.1"]),
+        ],
+    )
+    def test_non_object_sections_rejected(self, tmp_path, section, value):
+        manifest = write_avp_bundle(tmp_path)
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        *parents, key = section.split(".")
+        target = doc
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(rm.DocumentError, match=f"{key} must be an object"):
+            load_bundle(manifest)
+
+    def test_non_numeric_state_value_rejected(self, tmp_path):
+        manifest = write_avp_bundle(tmp_path)
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["acp"]["state_values"][next(iter(doc["acp"]["state_values"]))] = "high"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(rm.DocumentError, match="malformed bundle manifest"):
+            load_bundle(manifest)
+
     def test_binding_to_missing_node(self):
         with pytest.raises(BindingMismatch):
             make_bundle(avp_odd_spec(), avp_monitor_bn(), {"Fog": "FogBank"}, avp_acp())
@@ -65,6 +100,59 @@ class TestLoadBundle:
                 avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, avp_acp(),
                 oodd_policy=rm.WORST_CASE,
             )
+
+
+def light_bundle():
+    """Light level deterministically "Bright"; observing "Dark" is impossible
+    evidence and must flag the tick, not crash the stream."""
+    from odd_assure.bayes_core import BnNode, Cpt, build_net
+    from odd_assure.odd_model import parse_odd_spec
+
+    odd = parse_odd_spec(
+        {
+            "classes": [
+                {
+                    "name": "Light",
+                    "parent": None,
+                    "partition": True,
+                    "attributes": [
+                        {"name": "Dark", "unit": "Lux", "interval": "[0, 1["},
+                        {"name": "Bright", "unit": "Lux", "interval": "[1, +["},
+                    ],
+                }
+            ]
+        }
+    )
+    net = build_net(
+        [BnNode("Light", ("Dark", "Bright")), BnNode("ok", ("yes", "no"))],
+        [("Light", "ok")],
+        [
+            Cpt("Light", (), ((0.0, 1.0),)),
+            Cpt("ok", ("Light",), ((0.5, 0.5), (0.9, 0.1))),
+        ],
+        objective="ok",
+    )
+    return make_bundle(
+        odd, net, {"Light": "Light"}, AcpBinding("Sn1", "ok", {"yes": 1.0, "no": 0.0})
+    )
+
+
+def avp_observations(n=40, seed=61):
+    """Readings spread over every bound state, some out of the ODD."""
+    rng = random.Random(seed)
+    return [
+        Observation(float(t), 0.0, 0.0, {
+            "Fog": rng.uniform(0.0, 2500.0),
+            "Rain": rng.uniform(-0.5, 1.5),
+            "Ego_speed": rng.uniform(0.0, 80.0),
+        })
+        for t in range(n)
+    ]
+
+
+def light_observations():
+    return [Observation(float(t), 0.0, 0.0, {"Light": lux} if lux is not None else {})
+            for t, lux in enumerate([0.5, 5.0, None, -1.0, 0.2, 30.0])]
 
 
 class TestStep:
@@ -130,39 +218,7 @@ class TestStep:
         assert report.mean == mean and report.variance == variance
 
     def test_zero_probability_evidence_degenerate_tick(self):
-        # light level deterministically "Bright"; observing "Dark" is
-        # impossible evidence and must flag the tick, not crash the stream
-        from odd_assure.bayes_core import BnNode, Cpt, build_net
-        from odd_assure.odd_model import parse_odd_spec
-
-        odd = parse_odd_spec(
-            {
-                "classes": [
-                    {
-                        "name": "Light",
-                        "parent": None,
-                        "partition": True,
-                        "attributes": [
-                            {"name": "Dark", "unit": "Lux", "interval": "[0, 1["},
-                            {"name": "Bright", "unit": "Lux", "interval": "[1, +["},
-                        ],
-                    }
-                ]
-            }
-        )
-        net = build_net(
-            [BnNode("Light", ("Dark", "Bright")), BnNode("ok", ("yes", "no"))],
-            [("Light", "ok")],
-            [
-                Cpt("Light", (), ((0.0, 1.0),)),
-                Cpt("ok", ("Light",), ((0.5, 0.5), (0.9, 0.1))),
-            ],
-            objective="ok",
-        )
-        bundle = make_bundle(
-            odd, net, {"Light": "Light"}, AcpBinding("Sn1", "ok", {"yes": 1.0, "no": 0.0})
-        )
-        report = step(bundle, Observation(0.0, 0.0, 0.0, {"Light": 0.5}))
+        report = step(light_bundle(), Observation(0.0, 0.0, 0.0, {"Light": 0.5}))
         assert report.degenerate
         assert report.posterior is None and report.mean is None and report.variance is None
         assert report.evidence == {"Light": "Dark"}
@@ -183,6 +239,38 @@ class TestStep:
             report = step(bundle, obs)
             assert 0.0 <= report.mean <= 1.0
             assert 0.0 <= report.variance <= 0.25
+
+
+class TestSharedBundle:
+    @pytest.mark.parametrize(
+        "make, observations",
+        [(avp_bundle, avp_observations), (light_bundle, light_observations)],
+    )
+    def test_concurrent_steps_share_a_bundle(self, make, observations):
+        # Eight threads start together on a bundle whose network has cold
+        # caches; every report must equal the serial one on a twin bundle.
+        obs = observations()
+        expected = [step(make(), o) for o in obs]
+        shared = make()
+        start = threading.Barrier(8, timeout=30)
+
+        def worker(offset):
+            start.wait()
+            turn = range(offset, offset + 2 * len(obs))
+            return [(i % len(obs), step(shared, obs[i % len(obs)])) for i in turn]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = [r for rs in pool.map(worker, range(8), timeout=60) for r in rs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 8 * 2 * len(obs)
+        assert all(report == expected[i] for i, report in results)
+        assert len({tuple(sorted(r.evidence.items())) for r in expected}) >= min(len(obs) // 2, 4)
+        if make is light_bundle:
+            assert any(r.degenerate for r in expected)
 
 
 class TestRun:
