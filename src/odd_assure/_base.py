@@ -1,16 +1,48 @@
-"""Pieces several modules share: the malformed-document error base and the
-DAG walker. This module imports nothing from the package."""
+"""Pieces several modules share: the malformed-document rule and the DAG
+walker. This module imports nothing from the package."""
 
 from __future__ import annotations
 
+import functools
 import heapq
-from typing import Collection, Mapping
+import json
+from typing import Callable, Collection, Mapping
+
+#: What a reader raises when a document has the wrong shape: a missing key,
+#: a value of the wrong type or content, a short list. JSON syntax errors are
+#: ValueErrors too.
+MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
 class DocumentError(Exception):
     """Base of every error meaning an input document is unreadable or
     malformed. Each module's own document error also derives from its module
     base, so ``except <Module>Error`` still catches it."""
+
+
+def document_reader(what: str, error: type[DocumentError] = DocumentError):
+    """Decorate a function whose first argument is a document, given as JSON
+    text or as an already-parsed object; text is decoded before the call.
+
+    This is the one rule for what counts as malformed: any ``MALFORMED``
+    error raised while the document is read becomes ``error`` with the
+    message ``malformed <what>: ...``. Errors of the package pass unchanged.
+    """
+
+    def decorate(read: Callable) -> Callable:
+        @functools.wraps(read)
+        def read_document(document, *args, **kwargs):
+            try:
+                if isinstance(document, str):
+                    document = json.loads(document)
+                return read(document, *args, **kwargs)
+            except MALFORMED as exc:
+                detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+                raise error(f"malformed {what}: {detail}") from exc
+
+        return read_document
+
+    return decorate
 
 
 def dag_order(in_edges: Mapping[str, Collection[str]]) -> tuple[list[str], list[str]]:

@@ -614,6 +614,7 @@ def mean_variance(post: Posterior, state_values: Mapping[str, float]) -> tuple[f
 # File format
 
 
+@_base.document_reader("BN document", DocumentError)
 def parse_bn(document) -> BayesNet:
     """Parse a BN document (JSON text or parsed object).
 
@@ -621,37 +622,27 @@ def parse_bn(document) -> BayesNet:
     [{node, parents, rows}], "objective": id|null}``. Rows whose sum drifts
     from 1 by at most 1e-9 are renormalized; larger drift is rejected.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise DocumentError("document must be an object")
-    try:
-        nodes = [BnNode(n["id"], tuple(n["states"])) for n in document["nodes"]]
-        edges = [(e[0], e[1]) for e in document.get("edges", [])]
-        cpts = []
-        for c in document["cpts"]:
-            rows = []
-            for row in c["rows"]:
-                row = [float(p) for p in row]
-                if not all(map(math.isfinite, row)):
-                    raise BadCpt(f"cpt row for {c['node']!r} has non-finite entries")
-                total = sum(row)
-                if abs(total - 1.0) > PROB_TOL:
-                    raise BadCpt(
-                        f"cpt row for {c['node']!r} sums to {total!r}, drift exceeds {PROB_TOL}"
-                    )
-                if total != 1.0:
-                    # Renormalize, folding the residual ulp into the last
-                    # entry so that reloading the serialized row is a no-op.
-                    row = [p / total for p in row]
-                    row[-1] = max(0.0, 1.0 - sum(row[:-1]))
-                rows.append(tuple(row))
-            cpts.append(Cpt(c["node"], tuple(c.get("parents", [])), tuple(rows)))
-    except (KeyError, TypeError, IndexError) as exc:
-        raise DocumentError(f"malformed BN document: {exc!r}") from exc
+    nodes = [BnNode(n["id"], tuple(n["states"])) for n in document["nodes"]]
+    edges = [(e[0], e[1]) for e in document.get("edges", [])]
+    cpts = []
+    for c in document["cpts"]:
+        rows = []
+        for row in c["rows"]:
+            row = [float(p) for p in row]
+            if not all(map(math.isfinite, row)):
+                raise BadCpt(f"cpt row for {c['node']!r} has non-finite entries")
+            total = sum(row)
+            if abs(total - 1.0) > PROB_TOL:
+                raise BadCpt(
+                    f"cpt row for {c['node']!r} sums to {total!r}, drift exceeds {PROB_TOL}"
+                )
+            if total != 1.0:
+                # Renormalize, folding the residual ulp into the last
+                # entry so that reloading the serialized row is a no-op.
+                row = [p / total for p in row]
+                row[-1] = max(0.0, 1.0 - sum(row[:-1]))
+            rows.append(tuple(row))
+        cpts.append(Cpt(c["node"], tuple(c.get("parents", [])), tuple(rows)))
     return build_net(nodes, edges, cpts, objective=document.get("objective"))
 
 

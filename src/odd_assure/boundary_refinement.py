@@ -325,6 +325,8 @@ def parse_trace(text: str) -> list[TraceRecord]:
             values = {n: float(row[n]) for n in features}
         except (TypeError, ValueError) as exc:
             raise DocumentError(f"row {row_no}: bad numeric value ({exc})") from exc
+        if not all(map(math.isfinite, values.values())):
+            raise DocumentError(f"row {row_no}: feature values must be finite")
         records.append(TraceRecord(values, row["label"]))
     if not records:
         raise TooFewRecords("trace has no data rows")

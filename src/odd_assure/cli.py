@@ -16,6 +16,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 
@@ -36,7 +37,7 @@ EXIT_OK = 0
 EXIT_DEFECTS = 1
 EXIT_UNREADABLE = 2
 
-_PARSE_FAILURES = (OSError, json.JSONDecodeError, _base.DocumentError)
+_PARSE_FAILURES = (OSError, UnicodeDecodeError, _base.DocumentError)
 
 _MODEL_ERRORS = (
     odd_model.OddModelError,
@@ -75,29 +76,25 @@ def _configure_logging() -> None:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-def _read_json(path):
+def _read_json(path, reader):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return reader(fh.read())
 
 
-def _read_scenario(path) -> confidence_templates.ScenarioSpec:
-    doc = _read_json(path)
-    try:
-        conditions = tuple((c[0], c[1]) for c in doc["conditions"])
-        scenario_id = doc.get("id", "scenario")
-    except (IndexError, KeyError, TypeError) as exc:
-        raise _base.DocumentError(f"malformed scenario document: {exc!r}") from exc
-    return confidence_templates.ScenarioSpec(scenario_id, conditions)
+@_base.document_reader("scenario document")
+def _scenario(doc) -> confidence_templates.ScenarioSpec:
+    conditions = tuple((c[0], c[1]) for c in doc["conditions"])
+    return confidence_templates.ScenarioSpec(doc.get("id", "scenario"), conditions)
 
 
-def _read_priors(path) -> dict[str, float]:
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise _base.DocumentError("malformed priors document: expected an object of probabilities")
-    try:
-        return {k: float(v) for k, v in doc.items()}
-    except (TypeError, ValueError) as exc:
-        raise _base.DocumentError(f"malformed priors document: {exc}") from exc
+@_base.document_reader("priors document")
+def _priors(doc) -> dict[str, float]:
+    return {k: float(v) for k, v in doc.items()}
+
+
+def _read_rows(path) -> list[dict]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +144,16 @@ def _cmd_validate(args) -> int:
 
 def _cmd_compile_fta(args) -> int:
     hazards, events, relation, _ = _load(hara_fta.load_hara, args.hara_file)
-    priors = _load(_read_priors, args.priors_file)
-    if not hazards:
-        raise hara_fta.DocumentError("HARA file declares no hazards")
-    hazard_id = args.hazard or hazards[0]
-    if hazard_id not in events:
-        raise hara_fta.DanglingReference(f"no event {hazard_id!r}")
-    fta = hara_fta.compute_fta(events[hazard_id], events.values(), relation)
+    priors = _load(_read_json, args.priors_file, _priors)
+    try:
+        if not hazards:
+            raise hara_fta.DocumentError("no hazards declared")
+        hazard_id = args.hazard or hazards[0]
+        if hazard_id not in events:
+            raise hara_fta.DanglingReference(f"no event {hazard_id!r}")
+        fta = hara_fta.compute_fta(events[hazard_id], events.values(), relation)
+    except hara_fta.HaraError as exc:
+        raise FileContextError(args.hara_file, exc) from exc
     net = bayes_core.compile_fta_to_bn(fta, priors)
     bayes_core.save_bn(net, args.out_file)
     log.info("wrote %s (%d nodes)", args.out_file, len(net.nodes))
@@ -164,28 +164,34 @@ def _cmd_compile_fta(args) -> int:
 # infer
 
 
-def _parse_assignments(pairs, what: str) -> dict[str, str]:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise argparse.ArgumentTypeError(f"{what} must look like NAME=STATE, got {pair!r}")
-        name, _, state = pair.partition("=")
-        out[name] = state
-    return out
+def _assignment(text: str) -> tuple[str, str]:
+    """Argument type of a NAME=STATE option."""
+    name, sep, state = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected NAME=STATE, got {text!r}")
+    return name, state
+
+
+def _value_assignment(text: str) -> tuple[str, float]:
+    """Argument type of a STATE=VALUE option; the value is a finite number."""
+    name, value = _assignment(text)
+    try:
+        number = float(value)
+    except ValueError:
+        number = math.nan
+    if not math.isfinite(number):
+        raise argparse.ArgumentTypeError(f"expected STATE=NUMBER, got {text!r}")
+    return name, number
 
 
 def _cmd_infer(args) -> int:
     net = _load(bayes_core.load_bn, args.bn_file)
-    evidence = bayes_core.EvidenceSet(_parse_assignments(args.evidence, "--evidence"))
+    evidence = bayes_core.EvidenceSet(dict(args.evidence))
     post = bayes_core.posterior(net, args.query, evidence)
     for state, prob in zip(post.states, post.probs):
         print(f"{post.node}={state} {prob:.6f}")
     if args.values:
-        values = {
-            name: float(v)
-            for name, v in _parse_assignments(args.values, "--values").items()
-        }
-        mean, variance = bayes_core.mean_variance(post, values)
+        mean, variance = bayes_core.mean_variance(post, dict(args.values))
         print(f"mean {mean:.6f}")
         print(f"variance {variance:.6f}")
     return EXIT_OK
@@ -196,12 +202,11 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    with open(args.dataset, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _load(_read_rows, args.dataset)
     if args.scenario_file:
-        scenario = _load(_read_scenario, args.scenario_file)
+        scenario = _load(_read_json, args.scenario_file, _scenario)
     else:
-        conditions = tuple(_parse_assignments(args.scenario, "--scenario").items())
+        conditions = tuple(dict(args.scenario).items())
         scenario = confidence_templates.ScenarioSpec("scenario", conditions)
     result = confidence_templates.scenario_coverage(rows, scenario)
     print(
@@ -223,9 +228,12 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_refine(args) -> int:
     records = _load(boundary_refinement.load_trace, args.trace_file)
-    tree = boundary_refinement.fit_tree(
-        records, max_depth=args.max_depth, min_leaf=args.min_leaf
-    )
+    try:
+        tree = boundary_refinement.fit_tree(
+            records, max_depth=args.max_depth, min_leaf=args.min_leaf
+        )
+    except _base.DocumentError as exc:
+        raise FileContextError(args.trace_file, exc) from exc
     if tree.constant_features:
         log.warning("no separating split found; emitting a single majority rule")
     rules = boundary_refinement.extract_rules(tree)
@@ -266,16 +274,14 @@ def _cmd_monitor(args) -> int:
         writer.writerow(runtime_monitor.REPORT_CSV_COLUMNS)
 
     def observations():
-        for line_no, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield runtime_monitor.parse_observation(line)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise runtime_monitor.DocumentError(
-                    f"{args.stream} line {line_no}: {exc}"
-                ) from exc
+        try:
+            for line_no, line in enumerate(lines, start=1):
+                if line.strip():
+                    yield runtime_monitor.parse_observation(line)
+        except UnicodeDecodeError as exc:
+            raise FileContextError(args.stream, exc) from exc
+        except runtime_monitor.DocumentError as exc:
+            raise FileContextError(f"{args.stream} line {line_no}", exc) from exc
 
     try:
         reports = runtime_monitor.run(
@@ -297,12 +303,7 @@ def _cmd_monitor(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.script, "r", encoding="utf-8") as fh:
-        script = fh.read()
-    try:
-        trace = runtime_monitor.synth_trace(script, seed=args.seed)
-    except runtime_monitor.BadScript as exc:
-        raise FileContextError(args.script, exc) from exc
+    trace = _load(_read_json, args.script, lambda doc: runtime_monitor.synth_trace(doc, args.seed))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for obs in trace:
@@ -363,14 +364,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("infer", help="print a posterior distribution from a BN file")
     p.add_argument("bn_file")
     p.add_argument("--query", required=True, help="node to query")
-    p.add_argument("--evidence", action="append", default=[], metavar="NODE=STATE")
-    p.add_argument("--values", action="append", default=[], metavar="STATE=VALUE",
-                   help="state values; prints mean/variance when given")
+    p.add_argument("--evidence", action="append", default=[], type=_assignment,
+                   metavar="NODE=STATE")
+    p.add_argument("--values", action="append", default=[], type=_value_assignment,
+                   metavar="STATE=VALUE", help="state values; prints mean/variance when given")
     p.set_defaults(func=_cmd_infer)
 
     p = sub.add_parser("coverage", help="scenario coverage of an attribute-state dataset")
     p.add_argument("dataset", help="CSV with one column per ODD class, cells are states")
-    p.add_argument("--scenario", action="append", default=[], metavar="CLASS=STATE")
+    p.add_argument("--scenario", action="append", default=[], type=_assignment,
+                   metavar="CLASS=STATE")
     p.add_argument("--scenario-file", help="JSON scenario spec {id, conditions}")
     p.set_defaults(func=_cmd_coverage)
 

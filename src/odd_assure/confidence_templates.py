@@ -14,18 +14,21 @@ lower-inclusive bins.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import bayes_core
+from . import _base, bayes_core
 from .bayes_core import BayesNet, BnNode, Cpt, build_net
 
 
 class TemplateError(Exception):
+    pass
+
+
+class DocumentError(TemplateError, _base.DocumentError):
     pass
 
 
@@ -168,9 +171,8 @@ class TemplateConfig:
             raise InvalidConfig(f"unknown CPT preset {self.cpt_preset!r}")
 
     @staticmethod
+    @_base.document_reader("template config", DocumentError)
     def from_document(document) -> "TemplateConfig":
-        if isinstance(document, str):
-            document = json.loads(document)
         binding = None
         if "acp" in document:
             acp = document["acp"]
@@ -318,10 +320,9 @@ TEMPLATE_BUILDERS = {
 }
 
 
+@_base.document_reader("template config", DocumentError)
 def build_from_document(document) -> BayesNet:
     """Build the template a config document names (its ``template`` field)."""
-    if isinstance(document, str):
-        document = json.loads(document)
     name = document.get("template")
     if name not in TEMPLATE_BUILDERS:
         raise InvalidConfig(

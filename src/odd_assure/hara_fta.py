@@ -10,7 +10,6 @@ rather than a strict tree.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Collection, Iterable, Mapping
@@ -65,6 +64,8 @@ class Event:
             raise DocumentError(
                 f"event {self.id!r} is not atomic but declares operating conditions"
             )
+        if not all(isinstance(name, str) for pair in self.oper_conditions for name in pair):
+            raise DocumentError(f"event {self.id!r}: an operating condition names a non-string")
 
 
 @dataclass(frozen=True)
@@ -378,6 +379,7 @@ def check_oper_conditions(fta: Fta, spec) -> list[FtaDefect]:
     return defects
 
 
+@_base.document_reader("HARA document", DocumentError)
 def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, list[HazardChain]]:
     """Parse a HARA document (JSON text or parsed object).
 
@@ -386,65 +388,45 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     [{hazardous, occurrence, consequence, edges}]}``. The chains section is
     optional.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict) or not isinstance(document.get("events"), list):
-        raise DocumentError("document must be an object with an 'events' list")
+    events: dict[str, Event] = {}
+    for entry in document["events"]:
+        if entry["id"] in events:
+            raise DocumentError(f"event {entry['id']!r} declared twice")
+        role = entry.get("role")
+        events[entry["id"]] = Event(
+            id=entry["id"],
+            text=entry.get("text", entry["id"]),
+            atomic=bool(entry.get("atomic", False)),
+            oper_conditions=tuple((c[0], c[1]) for c in entry.get("oper_conditions", [])),
+            role=EventRole(role) if role else None,
+        )
 
-    try:
-        events: dict[str, Event] = {}
-        for entry in document["events"]:
-            if not isinstance(entry, dict) or "id" not in entry:
-                raise DocumentError(f"event entry missing 'id': {entry!r}")
-            if entry["id"] in events:
-                raise DocumentError(f"event {entry['id']!r} declared twice")
-            role = entry.get("role")
-            events[entry["id"]] = Event(
-                id=entry["id"],
-                text=entry.get("text", entry["id"]),
-                atomic=bool(entry.get("atomic", False)),
-                oper_conditions=tuple(
-                    (c[0], c[1]) for c in entry.get("oper_conditions", [])
+    mapping = {}
+    for entry in document.get("causal", []):
+        if entry["parent"] in mapping:
+            raise DocumentError(f"two causal entries for {entry['parent']!r}")
+        op = GateOp(entry["op"].upper())
+        mapping[entry["parent"]] = CausalEntry(tuple(entry["children"]), op)
+    relation = CausalRelation(mapping)
+
+    hazards = list(document.get("hazards", []))
+    for hid in hazards:
+        if hid not in events:
+            raise DanglingReference(f"hazard {hid!r} not declared in events")
+
+    chains = []
+    for entry in document.get("chains", []):
+        chains.append(
+            HazardChain(
+                hazardous_event=entry["hazardous"],
+                occurrence_events=tuple(entry.get("occurrence", [])),
+                consequence_events=tuple(entry.get("consequence", [])),
+                edges=tuple(
+                    ChainEdge(DependsKind(e["kind"]), e["from"], e["to"])
+                    for e in entry.get("edges", [])
                 ),
-                role=EventRole(role) if role else None,
             )
-
-        mapping = {}
-        for entry in document.get("causal", []):
-            if not {"parent", "op", "children"} <= entry.keys():
-                raise DocumentError(f"causal entry needs parent/op/children: {entry!r}")
-            if entry["parent"] in mapping:
-                raise DocumentError(f"two causal entries for {entry['parent']!r}")
-            try:
-                op = GateOp(entry["op"].upper())
-            except ValueError:
-                raise DocumentError(f"gate op must be AND or OR, got {entry['op']!r}") from None
-            mapping[entry["parent"]] = CausalEntry(tuple(entry["children"]), op)
-        relation = CausalRelation(mapping)
-
-        hazards = list(document.get("hazards", []))
-        for hid in hazards:
-            if hid not in events:
-                raise DanglingReference(f"hazard {hid!r} not declared in events")
-
-        chains = []
-        for entry in document.get("chains", []):
-            chains.append(
-                HazardChain(
-                    hazardous_event=entry["hazardous"],
-                    occurrence_events=tuple(entry.get("occurrence", [])),
-                    consequence_events=tuple(entry.get("consequence", [])),
-                    edges=tuple(
-                        ChainEdge(DependsKind(e["kind"]), e["from"], e["to"])
-                        for e in entry.get("edges", [])
-                    ),
-                )
-            )
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed HARA document: {exc!r}") from exc
+        )
     return hazards, events, relation, chains
 
 

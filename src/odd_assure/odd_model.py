@@ -65,6 +65,10 @@ class AmbiguousState(OddModelError):
     """A value falls inside more than one attribute interval of a class."""
 
 
+class NonFiniteReading(OddModelError):
+    """A reading is NaN or infinite: a sensor defect, not an ODD exit."""
+
+
 class OutOfOdd:
     """Singleton marker: a reading lies outside every interval of its class."""
 
@@ -274,6 +278,7 @@ def _overlap_witness(a: Interval, b: Interval) -> float:
     return (lo + hi) / 2.0
 
 
+@_base.document_reader("ODD document", DocumentError)
 def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
     """Parse and validate an ODD spec document (JSON text or parsed object).
 
@@ -283,26 +288,14 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
     single-rooted parent tree, non-empty leaf classes, and pairwise disjoint
     intervals for classes flagged ``partition: true``.
     """
-    if isinstance(document, str):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from exc
-    if not isinstance(document, dict) or not isinstance(document.get("classes"), list):
-        raise DocumentError("document must be an object with a 'classes' list")
-
     classes: dict[str, OddClass] = {}
     for entry in document["classes"]:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise DocumentError(f"class entry missing 'name': {entry!r}")
         name = entry["name"]
         if name in classes:
             raise DuplicateName(f"class {name!r} declared twice")
         attrs = []
         seen_attrs = set()
         for attr in entry.get("attributes", []):
-            if not isinstance(attr, dict) or not {"name", "unit", "interval"} <= attr.keys():
-                raise DocumentError(f"attribute entry needs name/unit/interval: {attr!r}")
             if attr["name"] in seen_attrs:
                 raise DuplicateName(f"attribute {attr['name']!r} declared twice in {name!r}")
             seen_attrs.add(attr["name"])
@@ -381,7 +374,8 @@ def discretize(spec: OddSpec, class_name: str, value: float) -> State:
 
     Returns OUT_OF_ODD when no interval contains the value. Raises
     AmbiguousState when more than one does, which signals a defect in a
-    non-partition class rather than a property of the value.
+    non-partition class rather than a property of the value, and
+    NonFiniteReading for a NaN or infinite value.
     """
     cls = spec.classes.get(class_name)
     if cls is None:
@@ -390,6 +384,9 @@ def discretize(spec: OddSpec, class_name: str, value: float) -> State:
         raise EmptyClass(f"class {class_name!r} has no attributes to discretize against")
     matches = [a.name for a in cls.attributes if a.bounds.contains(value)]
     if not matches:
+        # No interval holds NaN or an infinity, so only a miss needs the test.
+        if not math.isfinite(value):
+            raise NonFiniteReading(f"reading {value!r} of class {class_name!r} is not finite")
         return OUT_OF_ODD
     if len(matches) > 1:
         raise AmbiguousState(
@@ -413,8 +410,8 @@ def interpret(spec: OddSpec, obs: Observation) -> Interpretation:
 def in_odd(spec: OddSpec, obs: Observation) -> bool:
     """True iff no reading of the observation discretizes to OUT_OF_ODD.
 
-    Entries that raise (unknown class, ambiguous state) are authoring
-    defects, not ODD exits; they do not flip the flag.
+    Entries that raise (unknown class, ambiguous state, NaN or infinite
+    reading) are defects, not ODD exits; they do not flip the flag.
     """
     interp = interpret(spec, obs)
     return not any(state is OUT_OF_ODD for state in interp.states.values())

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,37 +131,30 @@ def load_bundle(manifest_path) -> ModelBundle:
     before the immutable bundle is returned.
     """
     manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON in {manifest_path}: {exc}") from exc
-    manifest = _object(manifest, "the manifest")
-    try:
-        odd_path = manifest_path.parent / manifest["odd"]
-        net_path = manifest_path.parent / manifest["net"]
-        acp_doc = _object(manifest["acp"], "acp")
-        state_values = _object(acp_doc["state_values"], "acp.state_values")
-        acp = AcpBinding(
+    odd_path, net_path, parts = _read_manifest(
+        manifest_path.read_text(encoding="utf-8"), manifest_path.parent
+    )
+    bundle = ModelBundle(odd_model.load_odd_spec(odd_path), bayes_core.load_bn(net_path), **parts)
+    _check_bindings(bundle)
+    return bundle
+
+
+@_base.document_reader("bundle manifest", DocumentError)
+def _read_manifest(manifest, directory: Path) -> tuple[Path, Path, dict]:
+    odd_path, net_path = directory / manifest["odd"], directory / manifest["net"]
+    acp_doc = _object(manifest["acp"], "acp")
+    state_values = _object(acp_doc["state_values"], "acp.state_values")
+    parts = dict(
+        bindings=dict(_object(manifest.get("bindings", {}), "bindings", str)),
+        acp=AcpBinding(
             solution_id=acp_doc["solution_id"],
             objective=acp_doc["objective"],
             state_values={k: float(v) for k, v in state_values.items()},
-        )
-        bindings = _object(manifest.get("bindings", {}), "bindings", str)
-        worst_states = _object(manifest.get("worst_states", {}), "worst_states", str)
-    except KeyError as exc:
-        raise DocumentError(f"bundle manifest misses key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DocumentError(f"malformed bundle manifest: {exc}") from exc
-    bundle = ModelBundle(
-        odd=odd_model.load_odd_spec(odd_path),
-        net=bayes_core.load_bn(net_path),
-        bindings=dict(bindings),
-        acp=acp,
+        ),
         oodd_policy=manifest.get("oodd_policy", DROP),
-        worst_states=dict(worst_states),
+        worst_states=dict(_object(manifest.get("worst_states", {}), "worst_states", str)),
     )
-    _check_bindings(bundle)
-    return bundle
+    return odd_path, net_path, parts
 
 
 def make_bundle(odd: OddSpec, net: BayesNet, bindings: Mapping[str, str], acp: AcpBinding,
@@ -232,13 +226,17 @@ def run(
 ) -> Iterator[ConfidenceReport]:
     """One report per observation, in input order; ticks are independent.
 
-    Timestamps must be non-decreasing; a violation raises OutOfOrderTimestamp
-    or, with ``on_out_of_order="warn"``, is passed through untouched.
+    Timestamps must be finite, or MonitorError is raised whatever
+    ``on_out_of_order`` says. They must also be non-decreasing; a violation
+    raises OutOfOrderTimestamp or, with ``on_out_of_order="warn"``, is passed
+    through untouched.
     """
     if on_out_of_order not in ("raise", "warn"):
         raise MonitorError(f"on_out_of_order must be 'raise' or 'warn', got {on_out_of_order!r}")
     last_time = None
     for obs in stream:
+        if not math.isfinite(obs.time):
+            raise MonitorError(f"timestamp must be finite, got {obs.time!r}")
         if last_time is not None and obs.time < last_time:
             if on_out_of_order == "raise":
                 raise OutOfOrderTimestamp(f"time {obs.time} after {last_time}")
@@ -251,10 +249,15 @@ def run(
 # Observation stream I/O
 
 
-def parse_observation(line: str) -> Observation:
-    doc = json.loads(line)
+@_base.document_reader("observation", DocumentError)
+def parse_observation(doc) -> Observation:
+    """Read one stream line ``{"t", "x", "y", "readings": {class: value}}``.
+    ``t`` must be finite; a non-finite reading is left for ``step`` to drop."""
+    time = float(doc["t"])
+    if not math.isfinite(time):
+        raise ValueError(f"t must be finite, got {time!r}")
     return Observation(
-        time=float(doc["t"]),
+        time=time,
         x=float(doc.get("x", 0.0)),
         y=float(doc.get("y", 0.0)),
         readings={k: float(v) for k, v in doc.get("readings", {}).items()},
@@ -312,6 +315,7 @@ def report_to_csv_row(report: ConfidenceReport) -> list[str]:
 # Synthetic traces (stands in for a live simulation feed)
 
 
+@_base.document_reader("scenario script", BadScript)
 def synth_trace(config, seed: int = 0) -> list[Observation]:
     """Generate a deterministic observation trace from a scenario script.
 
@@ -321,13 +325,6 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
     [-amplitude, amplitude] term drawn from the seeded generator. All
     channels must cover the same number of ticks.
     """
-    if isinstance(config, str):
-        try:
-            config = json.loads(config)
-        except json.JSONDecodeError as exc:
-            raise BadScript(f"invalid JSON: {exc}") from exc
-    if not isinstance(config, dict) or not isinstance(config.get("channels"), dict):
-        raise BadScript("script must be an object with a 'channels' map")
     if not config["channels"]:
         raise BadScript("script declares no channels")
 
@@ -341,8 +338,6 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
     series: dict[str, list[float]] = {}
     noise_amp: dict[str, float] = {}
     for class_name, channel in config["channels"].items():
-        if not isinstance(channel, dict):
-            raise BadScript(f"channel {class_name!r} must be an object")
         segments = channel.get("segments")
         if segments is None:
             segments = [dict(channel, ticks=channel.get("ticks"))]
@@ -353,12 +348,8 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
                 raise BadScript(f"channel {class_name!r}: segment needs integer ticks >= 1")
             mode = seg.get("mode", "const")
             if mode == "const":
-                if "value" not in seg:
-                    raise BadScript(f"channel {class_name!r}: const segment needs 'value'")
                 values.extend([float(seg["value"])] * ticks)
             elif mode == "ramp":
-                if "start" not in seg or "end" not in seg:
-                    raise BadScript(f"channel {class_name!r}: ramp segment needs start/end")
                 start, end = float(seg["start"]), float(seg["end"])
                 if ticks == 1:
                     values.append(start)

@@ -347,3 +347,8 @@ class TestTraceFormat:
     def test_bad_number(self):
         with pytest.raises(DocumentError):
             parse_trace("a,label\nfoo,Yes\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_feature_names_row(self, value):
+        with pytest.raises(DocumentError, match="row 3: feature values must be finite"):
+            parse_trace(f"a,b,label\n1,2,Yes\n1,{value},Yes\n")

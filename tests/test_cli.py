@@ -1,6 +1,8 @@
+import copy
 import csv
 import io
 import json
+import logging
 import os
 import random
 import subprocess
@@ -13,8 +15,10 @@ import odd_assure
 from odd_assure import cli
 from odd_assure.fixtures import (
     AVP_LEAF_PRIORS,
+    AVP_ODD_DOCUMENT,
     HAZARD_ID,
     avp_fta,
+    fog_ramp_script,
     write_avp_bundle,
 )
 
@@ -49,6 +53,77 @@ def assert_malformed(result, path):
     assert f"{path}: malformed" in result.stderr
     assert "Traceback" not in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def error_text(caplog) -> str:
+    return "\n".join(r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR)
+
+
+def _edited(doc, edit) -> bytes:
+    doc = copy.deepcopy(doc)
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _script(edit) -> bytes:
+    return _edited(fog_ramp_script(), edit)
+
+
+def _rain(edit) -> bytes:
+    """The AVP ODD document with its Rain class edited."""
+    return _edited(AVP_ODD_DOCUMENT, lambda doc: edit(doc["classes"][3]))
+
+
+NOT_UTF8 = b"\xff\xfe\x00bad"
+SYNTH = ("synth", "{file}")
+VALIDATE = ("validate", "{file}")
+
+# Inputs of the wrong shape for their reader, and files that are not UTF-8.
+MALFORMED_INPUTS = {
+    "stream_readings_list": (
+        b'{"t": 0, "readings": [1]}\n', ("monitor", "{bundle}", "--stream", "{file}")
+    ),
+    "script_segment_number": (_script(lambda s: s["channels"]["Fog"].update(segments=[1])), SYNTH),
+    "script_segments_number": (_script(lambda s: s["channels"]["Fog"].update(segments=5)), SYNTH),
+    "script_noise_text": (_script(lambda s: s["channels"]["Fog"].update(noise="x")), SYNTH),
+    "script_t0_text": (_script(lambda s: s.update(t0="x")), SYNTH),
+    "odd_interval_number": (_rain(lambda c: c["attributes"][0].update(interval=5)), VALIDATE),
+    "odd_class_name_list": (_rain(lambda c: c.update(name=["x"])), VALIDATE),
+    "odd_attributes_number": (_rain(lambda c: c.update(attributes=5)), VALIDATE),
+    "validate_not_utf8": (NOT_UTF8, VALIDATE),
+    "infer_not_utf8": (NOT_UTF8, ("infer", "{file}", "--query", HAZARD_ID)),
+    "monitor_not_utf8": (NOT_UTF8, ("monitor", "{file}")),
+    "onto_check_not_utf8": (NOT_UTF8, ("onto", "check", "{file}")),
+    "refine_not_utf8": (NOT_UTF8, ("refine", "{file}")),
+    "coverage_not_utf8": (NOT_UTF8, ("coverage", "{file}", "--scenario", "Rain=Rain_Heavy")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_two_naming_file(bundle_dir, tmp_path, caplog, case):
+    content, argv = MALFORMED_INPUTS[case]
+    path = tmp_path / case
+    path.write_bytes(content)
+    bundle = bundle_dir / "avp_bundle.json"
+    assert run_cli(*(a.format(file=path, bundle=bundle) for a in argv)) == 2
+    assert str(path) in error_text(caplog)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("infer", "{bn}", "--query", HAZARD_ID, "--evidence", "Fog"),
+        ("infer", "{bn}", "--query", HAZARD_ID, "--values", "occurs=x"),
+        ("infer", "{bn}", "--query", HAZARD_ID, "--values", "occurs=nan"),
+        ("coverage", "{states}", "--scenario", "Rain"),
+    ],
+)
+def test_malformed_assignment_is_a_usage_error(bundle_dir, capsys, argv):
+    paths = {"bn": bundle_dir / "avp_confidence_bn.json", "states": bundle_dir / "avp_states.csv"}
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*(a.format(**paths) for a in argv))
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -144,12 +219,13 @@ class TestCompileFta:
         )
         assert_malformed(result, priors)
 
-    def test_empty_hara_exits_two(self, tmp_path):
+    def test_empty_hara_exits_two(self, tmp_path, caplog):
         hara = tmp_path / "hara.json"
         hara.write_text(json.dumps({"hazards": [], "events": [], "causal": []}), encoding="utf-8")
         priors = tmp_path / "priors.json"
         priors.write_text("{}", encoding="utf-8")
         assert run_cli("compile-fta", hara, priors, tmp_path / "o.json") == 2
+        assert f"{hara}: no hazards declared" in error_text(caplog)
 
 
 class TestInfer:
@@ -304,6 +380,28 @@ class TestMonitorAndSynth:
         stream = tmp_path / "stream.jsonl"
         stream.write_text('{"t": 0}\nnot json\n', encoding="utf-8")
         assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 2
+
+    @pytest.mark.parametrize("t", ['"nan"', "NaN", "Infinity", '"-inf"'])
+    def test_monitor_non_finite_timestamp_exits_two_naming_line(
+        self, bundle_dir, tmp_path, caplog, capsys, t
+    ):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(
+            '{"t": 0, "readings": {"Fog": 100.0}}\n' f'{{"t": {t}, "readings": {{}}}}\n',
+            encoding="utf-8",
+        )
+        assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 2
+        assert f"{stream} line 2: malformed observation: t must be finite" in error_text(caplog)
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_monitor_drops_nan_reading_as_defective(self, bundle_dir, tmp_path, capsys):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"t": 0, "readings": {"Fog": "nan", "Rain": 0.1}}\n', encoding="utf-8")
+        assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["in_odd"] is True
+        assert report["dropped_readings"] == ["Fog"]
+        assert report["evidence"] == {"Rain": "Rain_light"}
 
     @pytest.mark.parametrize(
         "section, value", [("bindings", [1]), ("worst_states", [1]), ("state_values", "x")]

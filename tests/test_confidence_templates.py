@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from odd_assure import bayes_core, confidence_templates as ct
+from odd_assure import _base, bayes_core, confidence_templates as ct
 from odd_assure.confidence_templates import (
     AcpBinding,
     BadThresholds,
@@ -345,3 +345,19 @@ class TestAcpBinding:
             ct.build_from_document({"template": "mystery"})
         with pytest.raises(InvalidConfig):
             ct.build_from_document({"template": "testing_adequacy", "cpt_preset": "galactic"})
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "[1]",
+            "{bad",
+            {"template": "data_appropriateness", "feature_names": 5},
+            {
+                "template": "data_appropriateness",
+                "acp": {"solution_id": "Sn8.1", "state_values": {"complete": 1.0}},
+            },
+        ],
+    )
+    def test_malformed_document_raises_document_error(self, document):
+        with pytest.raises(_base.DocumentError, match="malformed template config"):
+            ct.build_from_document(document)

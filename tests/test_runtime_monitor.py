@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import sys
 import threading
@@ -6,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from odd_assure import bayes_core, runtime_monitor as rm
+from odd_assure import bayes_core, odd_model, runtime_monitor as rm
 from odd_assure.fixtures import (
     AVP_BINDINGS,
     AVP_STATE_VALUES,
@@ -195,6 +196,14 @@ class TestStep:
         assert report.dropped_readings == ("Ghost",)
         assert report.evidence == {"Fog": "Fog_Severity_5"}
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reading_dropped_as_defective(self, bundle, value):
+        obs = Observation(0.0, 0.0, 0.0, {"Fog": value, "Rain": 0.1})
+        report = step(bundle, obs)
+        assert report.in_odd and odd_model.in_odd(bundle.odd, obs)
+        assert report.dropped_readings == ("Fog",)
+        assert report.evidence == {"Rain": "Rain_light"}
+
     def test_unbound_class_not_evidence(self, bundle):
         report = step(bundle, Observation(0.0, 0.0, 0.0, {"Snow": 0.2, "Fog": 30.0}))
         assert report.evidence == {"Fog": "Fog_Severity_5"}
@@ -295,6 +304,13 @@ class TestRun:
         ]
         with pytest.raises(OutOfOrderTimestamp):
             list(run(bundle, stream))
+
+    @pytest.mark.parametrize("policy", ["raise", "warn"])
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_non_finite_time_raises(self, bundle, policy, time):
+        stream = [Observation(0.0, 0.0, 0.0, {}), Observation(time, 0.0, 0.0, {})]
+        with pytest.raises(rm.MonitorError, match="timestamp must be finite"):
+            list(run(bundle, stream, on_out_of_order=policy))
 
     def test_out_of_order_warn_passes_through(self, bundle):
         stream = [
