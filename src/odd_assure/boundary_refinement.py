@@ -102,10 +102,10 @@ class RefinementReport:
     exit_everywhere: bool
 
 
-def _gini(n_yes: int, n_no: int) -> float:
+def _gini(n_yes, n_no):
+    """Gini impurity of non-empty counts, for ints or element-wise for
+    integer arrays, with the same float operations either way."""
     total = n_yes + n_no
-    if total == 0:
-        return 0.0
     p_yes = n_yes / total
     p_no = n_no / total
     return 1.0 - p_yes * p_yes - p_no * p_no
@@ -138,32 +138,21 @@ def fit_tree(records: Sequence[TraceRecord], max_depth: int = 6, min_leaf: int =
     y = np.array([1 if r.label == YES else 0 for r in ordered], dtype=int)
 
     def grow(idx: np.ndarray, depth: int):
-        n_yes = int(y[idx].sum())
-        n_no = int(len(idx) - n_yes)
+        labels = y[idx]
+        n_yes = int(labels.sum())
+        n_no = len(idx) - n_yes
         impurity = _gini(n_yes, n_no)
         if impurity == 0.0 or depth >= max_depth:
             return Leaf(_majority(n_yes, n_no), n_yes, n_no)
-        best = None  # (weighted impurity, feature pos, threshold, mask)
-        for pos, name in enumerate(names):
-            col = x[idx, pos]
-            values = np.unique(col)
-            for lo, hi in zip(values, values[1:]):
-                threshold = (lo + hi) / 2.0
-                mask = col <= threshold
-                nl = int(mask.sum())
-                nr = len(idx) - nl
-                if nl < min_leaf or nr < min_leaf:
-                    continue
-                yl = int(y[idx][mask].sum())
-                yr = n_yes - yl
-                weighted = (nl * _gini(yl, nl - yl) + nr * _gini(yr, nr - yr)) / len(idx)
-                if weighted >= impurity:
-                    continue
-                if best is None or weighted < best[0]:
-                    best = (weighted, pos, threshold, mask)
+        best = None  # (weighted impurity, feature pos, threshold)
+        for pos in range(len(names)):
+            found = _best_threshold(x[idx, pos], labels, n_yes, impurity, min_leaf)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (found[0], pos, found[1])
         if best is None:
             return Leaf(_majority(n_yes, n_no), n_yes, n_no)
-        _, pos, threshold, mask = best
+        _, pos, threshold = best
+        mask = x[idx, pos] <= threshold
         return Split(
             feature=names[pos],
             threshold=float(threshold),
@@ -174,6 +163,38 @@ def fit_tree(records: Sequence[TraceRecord], max_depth: int = 6, min_leaf: int =
     root = grow(np.arange(len(ordered)), 0)
     constant = isinstance(root, Leaf) and _gini(root.n_yes, root.n_no) > 0.0
     return DecisionTree(root=root, feature_names=tuple(names), constant_features=constant)
+
+
+def _best_threshold(col: np.ndarray, labels: np.ndarray, n_yes: int, impurity: float,
+                    min_leaf: int) -> tuple[float, float] | None:
+    """The lowest weighted Gini over the midpoints between consecutive
+    distinct values of ``col``, as ``(weighted, threshold)``; the lowest
+    threshold wins a tie. Only splits that leave ``min_leaf`` records on each
+    side and lower ``impurity`` count; None if there is none.
+
+    One sort and one cumulative count of Yes labels score every midpoint.
+    The left count comes from ``searchsorted``, not from the position, since
+    a midpoint of adjacent floats can round onto the upper value, which then
+    also goes left.
+    """
+    n = len(col)
+    order = np.argsort(col, kind="stable")
+    values = col[order]
+    yes_upto = np.cumsum(labels[order])
+    last = np.flatnonzero(values[1:] != values[:-1])  # last of each run of equal values
+    thresholds = (values[last] + values[last + 1]) / 2.0
+    nl = np.searchsorted(values, thresholds, side="right")
+    nr = n - nl
+    keep = (nl >= min_leaf) & (nr >= min_leaf)
+    thresholds, nl, nr = thresholds[keep], nl[keep], nr[keep]
+    yl = yes_upto[nl - 1]
+    yr = n_yes - yl
+    weighted = (nl * _gini(yl, nl - yl) + nr * _gini(yr, nr - yr)) / n
+    below = np.flatnonzero(weighted < impurity)
+    if not len(below):
+        return None
+    at = below[np.argmin(weighted[below])]
+    return float(weighted[at]), thresholds[at]
 
 
 def predict(tree: DecisionTree, features: Mapping[str, float]) -> str:

@@ -134,9 +134,22 @@ def load_bundle(manifest_path) -> ModelBundle:
     odd_path, net_path, parts = _read_manifest(
         manifest_path.read_text(encoding="utf-8"), manifest_path.parent
     )
-    bundle = ModelBundle(odd_model.load_odd_spec(odd_path), bayes_core.load_bn(net_path), **parts)
+    bundle = ModelBundle(
+        _load_referenced(odd_model.load_odd_spec, odd_path),
+        _load_referenced(bayes_core.load_bn, net_path),
+        **parts,
+    )
     _check_bindings(bundle)
     return bundle
+
+
+def _load_referenced(load, path: Path):
+    """Load a file the manifest names; an unreadable or malformed one is
+    named in the error."""
+    try:
+        return load(path)
+    except (OSError, UnicodeDecodeError, _base.DocumentError) as exc:
+        raise DocumentError(f"{path}: {exc}") from exc
 
 
 @_base.document_reader("bundle manifest", DocumentError)
@@ -332,6 +345,8 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
     dt = float(config.get("dt", 1.0))
     x = float(config.get("x", 0.0))
     y = float(config.get("y", 0.0))
+    if not all(map(math.isfinite, (t0, dt, x, y))):
+        raise BadScript("t0, dt, x and y must be finite")
     if dt <= 0:
         raise BadScript("dt must be positive")
 
@@ -355,13 +370,14 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
                     values.append(start)
                 else:
                     step_size = (end - start) / (ticks - 1)
-                    values.extend(start + i * step_size for i in range(ticks))
+                    values.extend(start + i * step_size for i in range(ticks - 1))
+                    values.append(end)
             else:
                 raise BadScript(f"channel {class_name!r}: unknown mode {mode!r}")
         series[class_name] = values
         amp = float(channel.get("noise", 0.0))
-        if amp < 0:
-            raise BadScript(f"channel {class_name!r}: noise amplitude must be >= 0")
+        if not 0 <= amp < math.inf:
+            raise BadScript(f"channel {class_name!r}: noise amplitude must be finite and >= 0")
         noise_amp[class_name] = amp
 
     lengths = {len(v) for v in series.values()}

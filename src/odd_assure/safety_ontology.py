@@ -124,23 +124,28 @@ def assert_triple(graph: TripleGraph, triple: Triple) -> TripleGraph:
     hasEvidence are subsumed by supportedBy; the entailed facts are
     materialized on insert so pattern queries see them.
     """
-    if triple.predicate not in VOCABULARY | graph.extension_predicates:
-        raise UnknownPredicate(f"predicate {triple.predicate!r} is not in the vocabulary")
-    new = {triple}
-    if triple.predicate == "supportedBy":
-        new.add(Triple(triple.object, "supports", triple.subject))
-    elif triple.predicate == "supports":
-        new.add(Triple(triple.object, "supportedBy", triple.subject))
-    elif triple.predicate in ("hasInference", "hasEvidence"):
-        new.add(Triple(triple.subject, "supportedBy", triple.object))
-        new.add(Triple(triple.object, "supports", triple.subject))
-    return TripleGraph(graph.triples | new, graph.extension_predicates)
+    return assert_all(graph, (triple,))
 
 
 def assert_all(graph: TripleGraph, triples: Iterable[Triple]) -> TripleGraph:
-    for t in triples:
-        graph = assert_triple(graph, t)
-    return graph
+    """Insert every fact as :func:`assert_triple` would, into one new set.
+
+    Raises UnknownPredicate on the first triple outside the vocabulary.
+    """
+    allowed = VOCABULARY | graph.extension_predicates
+    new = set(graph.triples)
+    for triple in triples:
+        if triple.predicate not in allowed:
+            raise UnknownPredicate(f"predicate {triple.predicate!r} is not in the vocabulary")
+        new.add(triple)
+        if triple.predicate == "supportedBy":
+            new.add(Triple(triple.object, "supports", triple.subject))
+        elif triple.predicate == "supports":
+            new.add(Triple(triple.object, "supportedBy", triple.subject))
+        elif triple.predicate in ("hasInference", "hasEvidence"):
+            new.add(Triple(triple.subject, "supportedBy", triple.object))
+            new.add(Triple(triple.object, "supports", triple.subject))
+    return TripleGraph(frozenset(new), graph.extension_predicates)
 
 
 def retract_triple(graph: TripleGraph, triple: Triple) -> TripleGraph:
@@ -219,19 +224,47 @@ _DOMAIN_RULES: dict[str, tuple[str, frozenset[str]]] = {
 # checkable content; they are intentionally absent from the rule tables.
 
 
-def _check_typed(graph: TripleGraph, term: Term, allowed: frozenset[str]) -> bool:
-    return bool(graph.types_of(term) & allowed)
+class _GraphIndex:
+    """What the axiom rules ask of a graph, gathered in one pass over it."""
+
+    def __init__(self, graph: TripleGraph):
+        self.types: dict[Term, set[str]] = {}  # subject -> classes (identifiers only)
+        self.members: dict[Term, set[Term]] = {}  # class -> individuals
+        self.out_predicates: dict[Term, set[str]] = {}  # subject -> predicates
+        self.depends_sources: set[Term] = set()
+        self.depends_targets: set[Term] = set()
+        for t in graph.triples:
+            self.out_predicates.setdefault(t.subject, set()).add(t.predicate)
+            if t.predicate == RDF_TYPE:
+                self.members.setdefault(t.object, set()).add(t.subject)
+                if isinstance(t.object, str):
+                    self.types.setdefault(t.subject, set()).add(t.object)
+            elif t.predicate == "dependsOn":
+                self.depends_sources.add(t.subject)
+                self.depends_targets.add(t.object)
+
+    def types_of(self, term: Term) -> set[str]:
+        return self.types.get(term, set())
+
+    def sorted_members(self, cls: str) -> list[Term]:
+        """The individuals of ``cls``, in the order of the violation list."""
+        return sorted(self.members.get(cls, ()), key=_term_key)
 
 
 def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
-    """Closed-world integrity check; empty list means consistent."""
+    """Closed-world integrity check; empty list means consistent.
+
+    One pass indexes the graph, so the check is O(n log n) in the number of
+    triples (the sort of the violation order dominates).
+    """
+    index = _GraphIndex(graph)
     violations: list[AxiomViolation] = []
 
     for t in sorted(graph.triples, key=_sort_key):
         rule = _RANGE_RULES.get(t.predicate)
         if rule is not None:
             axiom, allowed = rule
-            if not _check_typed(graph, t.object, allowed):
+            if not index.types_of(t.object) & allowed:
                 violations.append(
                     AxiomViolation(
                         axiom,
@@ -243,7 +276,7 @@ def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
         rule = _DOMAIN_RULES.get(t.predicate)
         if rule is not None:
             axiom, allowed = rule
-            if not _check_typed(graph, t.subject, allowed):
+            if not index.types_of(t.subject) & allowed:
                 violations.append(
                     AxiomViolation(
                         axiom,
@@ -254,7 +287,7 @@ def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
                 )
         if t.predicate == "hasConfidence":
             # A37: the subject must be both a Goal and a Solution.
-            if not ({"Goal", "Solution"} <= graph.types_of(t.subject)):
+            if not ({"Goal", "Solution"} <= index.types_of(t.subject)):
                 violations.append(
                     AxiomViolation(
                         "A37",
@@ -290,8 +323,8 @@ def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
                     AxiomViolation(axiom, t, f"{t.predicate} fact lacks its supportedBy fact")
                 )
 
-    violations.extend(_check_event_classification(graph))
-    violations.extend(_check_objective_nodes(graph))
+    violations.extend(_check_event_classification(index))
+    violations.extend(_check_objective_nodes(index))
     return violations
 
 
@@ -302,12 +335,11 @@ _EVENT_AXIOMS = {
 }
 
 
-def _check_event_classification(graph: TripleGraph) -> list[AxiomViolation]:
+def _check_event_classification(index: _GraphIndex) -> list[AxiomViolation]:
     violations = []
     for role, (cls, axiom) in _EVENT_AXIOMS.items():
-        for term in sorted(graph.individuals_of(cls), key=_term_key):
-            out = {t.predicate for t in graph.triples if t.subject == term}
-            if role not in role_candidates(out):
+        for term in index.sorted_members(cls):
+            if role not in role_candidates(index.out_predicates[term]):
                 violations.append(
                     AxiomViolation(
                         axiom,
@@ -319,18 +351,14 @@ def _check_event_classification(graph: TripleGraph) -> list[AxiomViolation]:
     return violations
 
 
-def _check_objective_nodes(graph: TripleGraph) -> list[AxiomViolation]:
+def _check_objective_nodes(index: _GraphIndex) -> list[AxiomViolation]:
     """A48: an ObjNode is a Node that is the target of at least one dependsOn
     edge and the source of none (the terminal node of the dependency DAG)."""
     violations = []
-    for term in sorted(graph.individuals_of("ObjNode"), key=_term_key):
-        is_node = graph.has_type(term, "Node")
-        incoming = any(
-            t.predicate == "dependsOn" and t.object == term for t in graph.triples
-        )
-        outgoing = any(
-            t.predicate == "dependsOn" and t.subject == term for t in graph.triples
-        )
+    for term in index.sorted_members("ObjNode"):
+        is_node = "Node" in index.types_of(term)
+        incoming = term in index.depends_targets
+        outgoing = term in index.depends_sources
         if not (is_node and incoming and not outgoing):
             violations.append(
                 AxiomViolation(
@@ -346,13 +374,11 @@ def _check_objective_nodes(graph: TripleGraph) -> list[AxiomViolation]:
 def classify_goals(graph: TripleGraph) -> dict[Term, str]:
     """Partition Goal individuals: SupportGoal iff the goal supports
     something, TopLevelGoal otherwise."""
-    result = {}
-    for goal in graph.individuals_of("Goal"):
-        supports_something = any(
-            t.predicate == "supports" and t.subject == goal for t in graph.triples
-        )
-        result[goal] = "SupportGoal" if supports_something else "TopLevelGoal"
-    return result
+    index = _GraphIndex(graph)
+    return {
+        goal: "SupportGoal" if "supports" in index.out_predicates[goal] else "TopLevelGoal"
+        for goal in index.sorted_members("Goal")
+    }
 
 
 def attach_confidence(

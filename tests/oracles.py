@@ -3,8 +3,10 @@
 Everything here is deliberately naive: joint probabilities by full
 enumeration, gate probabilities by the closed-form recursion, interval
 membership by a hand-rolled scan, min-fill orders by recounting every fill
-each round. None of it shares code with the inference or parsing paths it is
-used to verify.
+each round, CART splits by a mask per candidate threshold, axiom checks by
+rescanning the graph for every term. None of it shares code with the
+inference, parsing, fitting or indexing paths it is used to verify; the axiom
+check reads only the rule tables and message helpers of the module.
 """
 
 from __future__ import annotations
@@ -13,8 +15,21 @@ import itertools
 import math
 import random
 
+import numpy as np
+
+from odd_assure import safety_ontology as so
 from odd_assure.bayes_core import BayesNet, BnNode, Cpt, build_net
-from odd_assure.hara_fta import CausalEntry, CausalRelation, Event, Fta, GateOp, compute_fta
+from odd_assure.boundary_refinement import NO, YES, DecisionTree, Leaf, Split
+from odd_assure.hara_fta import (
+    CausalEntry,
+    CausalRelation,
+    Event,
+    EventRole,
+    Fta,
+    GateOp,
+    compute_fta,
+    role_candidates,
+)
 
 
 def cpt_lookup(net: BayesNet, node_id: str, assignment: dict[str, str]) -> float:
@@ -227,3 +242,147 @@ def scan_interval_membership(text: str, value: float) -> bool:
     above = value >= lo if lo_inc else value > lo
     below = value <= hi if hi_inc else value < hi
     return above and below
+
+
+# ---------------------------------------------------------------------------
+# CART
+
+
+def _gini(n_yes: int, n_no: int) -> float:
+    total = n_yes + n_no
+    p_yes = n_yes / total
+    p_no = n_no / total
+    return 1.0 - p_yes * p_yes - p_no * p_no
+
+
+def _leaf(n_yes: int, n_no: int) -> Leaf:
+    return Leaf(YES if n_yes > n_no else NO, n_yes, n_no)
+
+
+def fit_tree(records, max_depth: int = 6, min_leaf: int = 20) -> DecisionTree:
+    """CART on valid records by brute force: every midpoint between
+    consecutive distinct values gets its own mask and its own counts. Ties go
+    to the earlier feature name, then the lower threshold."""
+    names = sorted(records[0].features)
+    ordered = sorted(records, key=lambda r: ([r.features[n] for n in names], r.label))
+    x = np.array([[r.features[n] for n in names] for r in ordered], dtype=float)
+    y = np.array([1 if r.label == YES else 0 for r in ordered], dtype=int)
+
+    def grow(idx, depth):
+        n_yes = int(y[idx].sum())
+        n_no = int(len(idx) - n_yes)
+        impurity = _gini(n_yes, n_no)
+        if impurity == 0.0 or depth >= max_depth:
+            return _leaf(n_yes, n_no)
+        best = None  # (weighted impurity, feature pos, threshold, mask)
+        for pos in range(len(names)):
+            col = x[idx, pos]
+            values = np.unique(col)
+            for lo, hi in zip(values, values[1:]):
+                threshold = (lo + hi) / 2.0
+                mask = col <= threshold
+                nl = int(mask.sum())
+                nr = len(idx) - nl
+                if nl < min_leaf or nr < min_leaf:
+                    continue
+                yl = int(y[idx][mask].sum())
+                yr = n_yes - yl
+                weighted = (nl * _gini(yl, nl - yl) + nr * _gini(yr, nr - yr)) / len(idx)
+                if weighted >= impurity:
+                    continue
+                if best is None or weighted < best[0]:
+                    best = (weighted, pos, threshold, mask)
+        if best is None:
+            return _leaf(n_yes, n_no)
+        _, pos, threshold, mask = best
+        return Split(names[pos], float(threshold), grow(idx[mask], depth + 1),
+                     grow(idx[~mask], depth + 1))
+
+    root = grow(np.arange(len(ordered)), 0)
+    constant = isinstance(root, Leaf) and _gini(root.n_yes, root.n_no) > 0.0
+    return DecisionTree(root, tuple(names), constant)
+
+
+# ---------------------------------------------------------------------------
+# Ontology axioms
+
+
+def _types_of(graph, term) -> set[str]:
+    return {
+        t.object
+        for t in graph.triples
+        if t.predicate == so.RDF_TYPE and t.subject == term and isinstance(t.object, str)
+    }
+
+
+def _individuals_of(graph, cls: str) -> list:
+    found = {t.subject for t in graph.triples if t.predicate == so.RDF_TYPE and t.object == cls}
+    return sorted(found, key=so._term_key)
+
+
+def check_axioms(graph) -> list:
+    """The closed-world axiom check with a full scan of the graph for every
+    type, edge and individual it looks up."""
+    fmt = so.format_term
+    out = []
+
+    def typed(rules, t, side):
+        rule = rules.get(t.predicate)
+        term = t.object if side == "object" else t.subject
+        if rule is not None and not _types_of(graph, term) & rule[1]:
+            out.append(so.AxiomViolation(
+                rule[0], t,
+                f"{side} of {t.predicate} must be typed "
+                f"{' or '.join(sorted(rule[1]))}, got {fmt(term)}",
+            ))
+
+    for t in sorted(graph.triples, key=so._sort_key):
+        typed(so._RANGE_RULES, t, "object")
+        typed(so._DOMAIN_RULES, t, "subject")
+        if t.predicate == "hasConfidence" and not {"Goal", "Solution"} <= _types_of(graph, t.subject):
+            out.append(so.AxiomViolation(
+                "A37", t,
+                f"subject of hasConfidence must be typed Goal and Solution, got {fmt(t.subject)}",
+            ))
+        is_literal = isinstance(t.object, so.Literal)
+        if t.predicate == "hasText" and not (is_literal and isinstance(t.object.value, str)):
+            out.append(so.AxiomViolation("A40", t, "object of hasText must be a string literal"))
+        if t.predicate == "hasACP" and not (
+            is_literal
+            and isinstance(t.object.value, (int, float))
+            and 0.0 <= float(t.object.value) <= 1.0
+        ):
+            out.append(so.AxiomViolation(
+                "A46", t, "object of hasACP must be a numeric literal in [0, 1]"
+            ))
+        if t.predicate == "supportedBy" and so.Triple(t.object, "supports", t.subject) not in graph.triples:
+            out.append(so.AxiomViolation("A28", t, "inverse supports fact is not materialized"))
+        if t.predicate in ("hasInference", "hasEvidence") and (
+            so.Triple(t.subject, "supportedBy", t.object) not in graph.triples
+        ):
+            axiom = "A32" if t.predicate == "hasInference" else "A35"
+            out.append(so.AxiomViolation(axiom, t, f"{t.predicate} fact lacks its supportedBy fact"))
+
+    for role, cls, axiom in (
+        (EventRole.OCCURRENCE, "OccurrenceEvent", "A21"),
+        (EventRole.CONSEQUENCE, "ConsequenceEvent", "A22"),
+        (EventRole.HAZARDOUS, "HazardousEvent", "A23"),
+    ):
+        for term in _individuals_of(graph, cls):
+            preds = {t.predicate for t in graph.triples if t.subject == term}
+            if role not in role_candidates(preds):
+                out.append(so.AxiomViolation(
+                    axiom, so.Triple(term, so.RDF_TYPE, cls),
+                    f"{fmt(term)} is typed {cls} but its dependency edges rule that out",
+                ))
+    for term in _individuals_of(graph, "ObjNode"):
+        is_node = so.Triple(term, so.RDF_TYPE, "Node") in graph.triples
+        edges = [t for t in graph.triples if t.predicate == "dependsOn"]
+        incoming = any(t.object == term for t in edges)
+        outgoing = any(t.subject == term for t in edges)
+        if not (is_node and incoming and not outgoing):
+            out.append(so.AxiomViolation(
+                "A48", so.Triple(term, so.RDF_TYPE, "ObjNode"),
+                f"{fmt(term)} must be a Node with incoming and no outgoing dependsOn edges",
+            ))
+    return out

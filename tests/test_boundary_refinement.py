@@ -2,7 +2,9 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odd_assure.boundary_refinement import (
     NO,
@@ -23,8 +25,10 @@ from odd_assure.boundary_refinement import (
     predict,
     refine_boundaries,
 )
-from odd_assure.fixtures import avp_odd_spec
+from odd_assure.fixtures import avp_odd_spec, example_trace_csv
 from odd_assure.odd_model import Interval
+
+from . import oracles
 
 RULE_LINE = re.compile(
     r"^IF [A-Za-z_][A-Za-z_0-9]* (<=|>) -?\d+\.\d{2}"
@@ -150,6 +154,73 @@ class TestFitTree:
                 check(node.right)
 
         check(tree.root)
+
+
+@st.composite
+def tie_heavy_traces(draw):
+    """Small traces whose values come from a few-value pool: a run of
+    adjacent floats (so some midpoints round onto the upper value), a few
+    other values and repeats of all of them; some features are constant."""
+    names = draw(st.lists(st.sampled_from(["Fog", "Rain", "a", "speed"]), min_size=1,
+                          max_size=3, unique=True))
+    base = draw(st.floats(-1e6, 1e6, allow_nan=False))
+    pool = [base]
+    for _ in range(4):
+        pool.append(float(np.nextafter(pool[-1], math.inf)))
+    pool += draw(st.lists(st.floats(-100, 100, allow_nan=False), max_size=3))
+    n = draw(st.integers(2, 60))
+    columns = {}
+    for name in names:
+        if draw(st.booleans()) and draw(st.booleans()):
+            columns[name] = [draw(st.sampled_from(pool))] * n
+        else:
+            columns[name] = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([YES, NO]), min_size=n, max_size=n))
+    records = [
+        TraceRecord({name: columns[name][i] for name in names}, labels[i]) for i in range(n)
+    ]
+    min_leaf = draw(st.integers(1, n // 2))
+    max_depth = draw(st.integers(0, 4))
+    return records, max_depth, min_leaf
+
+
+class TestFitTreeMatchesReference:
+    """fit_tree scores splits from one sort per feature and node; the oracle
+    builds a mask per candidate threshold. Trees must be equal, floats and
+    tie-breaks included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_heavy_traces())
+    def test_tie_heavy_traces(self, case):
+        records, max_depth, min_leaf = case
+        assert fit_tree(records, max_depth, min_leaf) == oracles.fit_tree(
+            records, max_depth, min_leaf
+        )
+
+    @pytest.mark.parametrize("max_depth,min_leaf", [(6, 20), (4, 5), (0, 1), (3, 200)])
+    def test_fixture_trace(self, max_depth, min_leaf):
+        records = parse_trace(example_trace_csv())
+        assert fit_tree(records, max_depth, min_leaf) == oracles.fit_tree(
+            records, max_depth, min_leaf
+        )
+
+    def test_planted_grid(self):
+        records = planted_grid(random.Random(4), 2000, 60.0, 40.0)
+        assert fit_tree(records) == oracles.fit_tree(records)
+
+    def test_midpoint_rounding_onto_upper_value(self):
+        # 1 + 2**-52 has an odd last bit, so its midpoint with the next
+        # float rounds up onto that float, and the records there go left:
+        # the first threshold already separates the labels and must win.
+        lo = 1.0 + 2.0**-52
+        mid = float(np.nextafter(lo, 2.0))
+        assert (lo + mid) / 2.0 == mid
+        values = [lo] * 2 + [mid] * 2 + [2.0] * 4
+        labels = [YES] * 4 + [NO] * 4
+        records = [TraceRecord({"v": v}, label) for v, label in zip(values, labels)]
+        tree = fit_tree(records, max_depth=1, min_leaf=1)
+        assert tree == oracles.fit_tree(records, max_depth=1, min_leaf=1)
+        assert tree.root == Split("v", mid, Leaf(YES, 4, 0), Leaf(NO, 0, 4))
 
 
 class TestPredict:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import random
 import subprocess
@@ -87,6 +88,8 @@ MALFORMED_INPUTS = {
     "script_segments_number": (_script(lambda s: s["channels"]["Fog"].update(segments=5)), SYNTH),
     "script_noise_text": (_script(lambda s: s["channels"]["Fog"].update(noise="x")), SYNTH),
     "script_t0_text": (_script(lambda s: s.update(t0="x")), SYNTH),
+    "script_dt_nan": (_script(lambda s: s.update(dt=math.nan)), SYNTH),
+    "script_t0_inf": (_script(lambda s: s.update(t0=math.inf)), SYNTH),
     "odd_interval_number": (_rain(lambda c: c["attributes"][0].update(interval=5)), VALIDATE),
     "odd_class_name_list": (_rain(lambda c: c.update(name=["x"])), VALIDATE),
     "odd_attributes_number": (_rain(lambda c: c.update(attributes=5)), VALIDATE),
@@ -393,6 +396,23 @@ class TestMonitorAndSynth:
         assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 2
         assert f"{stream} line 2: malformed observation: t must be finite" in error_text(caplog)
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["avp_odd.json", "avp_confidence_bn.json"])
+    @pytest.mark.parametrize("damage", ["not_utf8", "missing"])
+    def test_monitor_names_broken_referenced_file(
+        self, bundle_dir, tmp_path, caplog, name, damage
+    ):
+        for source in bundle_dir.iterdir():
+            (tmp_path / source.name).write_bytes(source.read_bytes())
+        broken = tmp_path / name
+        if damage == "missing":
+            broken.unlink()
+        else:
+            broken.write_bytes(NOT_UTF8)
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"t": 0, "readings": {"Fog": 100.0}}\n', encoding="utf-8")
+        assert run_cli("monitor", tmp_path / "avp_bundle.json", "--stream", stream) == 2
+        assert f"{tmp_path / 'avp_bundle.json'}: {broken}: " in error_text(caplog)
 
     def test_monitor_drops_nan_reading_as_defective(self, bundle_dir, tmp_path, capsys):
         stream = tmp_path / "stream.jsonl"

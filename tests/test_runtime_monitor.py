@@ -6,6 +6,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odd_assure import bayes_core, odd_model, runtime_monitor as rm
 from odd_assure.fixtures import (
@@ -389,6 +390,35 @@ class TestSynthTrace:
     def test_bad_scripts(self, script):
         with pytest.raises(BadScript):
             synth_trace(script, seed=0)
+
+    @pytest.mark.parametrize("key", ["t0", "dt", "x", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_script_parameter(self, key, value):
+        with pytest.raises(BadScript, match="must be finite"):
+            synth_trace(dict(fog_ramp_script(ticks=3), **{key: value}), seed=0)
+
+    @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
+    def test_bad_noise_amplitude(self, noise):
+        script = fog_ramp_script(ticks=3)
+        script["channels"]["Fog"]["noise"] = noise
+        with pytest.raises(BadScript, match="noise amplitude"):
+            synth_trace(script, seed=0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        start=st.floats(-1e9, 1e9, allow_nan=False),
+        end=st.floats(-1e9, 1e9, allow_nan=False),
+        ticks=st.integers(2, 300),
+    )
+    def test_ramp_endpoints_exact_and_monotone(self, start, end, ticks):
+        script = {
+            "channels": {"Fog": {"segments": [{"mode": "ramp", "start": start, "end": end, "ticks": ticks}]}}
+        }
+        values = [o.readings["Fog"] for o in synth_trace(script, seed=0)]
+        assert len(values) == ticks
+        assert values[0] == start and values[-1] == end
+        pairs = list(zip(values, values[1:]))
+        assert all(a <= b for a, b in pairs) if start <= end else all(a >= b for a, b in pairs)
 
 
 class TestObservationLines:

@@ -1,10 +1,13 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from odd_assure.fixtures import avp_ontology
 from odd_assure.safety_ontology import (
     RDF_TYPE,
+    VOCABULARY,
     Literal,
     ParseError,
     Triple,
@@ -21,6 +24,20 @@ from odd_assure.safety_ontology import (
     query,
     retract_triple,
 )
+
+from . import oracles
+
+TERMS = ["a", "b", "c", "G1", Literal("t"), Literal(0.5), Literal(2.0)]
+CLASSES = [
+    "OddClass", "OddAttribute", "Unit", "Constraint", "Event", "OccurrenceEvent",
+    "ConsequenceEvent", "HazardousEvent", "TopLevelGoal", "Goal", "Strategy", "Solution",
+    "Evidence", "ObjNode", "Node", "CptTable",
+]
+any_terms = st.sampled_from(TERMS)
+typings = st.builds(
+    Triple, any_terms, st.just(RDF_TYPE), st.sampled_from(CLASSES + [Literal("Goal")])
+)
+facts = st.builds(Triple, any_terms, st.sampled_from(sorted(VOCABULARY)), any_terms)
 
 
 class TestAssertTriple:
@@ -66,6 +83,35 @@ class TestAssertTriple:
                 g = retract_triple(g, t)
                 shadow.discard(t)
         assert g.triples == frozenset(shadow)
+
+
+class TestAssertAll:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        triples=st.lists(
+            st.builds(
+                Triple,
+                any_terms,
+                st.sampled_from(
+                    ["supportedBy", "supports", "hasInference", "hasEvidence", "dependsOn", "green"]
+                ),
+                any_terms,
+            ),
+            max_size=30,
+        ),
+        extensions=st.sampled_from([frozenset(), frozenset({"green"})]),
+    )
+    def test_equals_folding_assert_triple(self, triples, extensions):
+        start = TripleGraph(frozenset({Triple("a", "dependsOn", "b")}), extensions)
+        folded = start
+        try:
+            for t in triples:
+                folded = assert_triple(folded, t)
+        except UnknownPredicate as exc:
+            with pytest.raises(UnknownPredicate, match=re.escape(str(exc))):
+                assert_all(start, iter(triples))
+            return
+        assert assert_all(start, iter(triples)) == folded
 
 
 class TestQuery:
@@ -248,6 +294,43 @@ class TestCheckAxioms:
                     typed_table = Triple(t.object, RDF_TYPE, "CptTable") in triples
                     assert (("A45", t) in violations) == (not typed_node)
                     assert (("A44", t) in violations) == (not typed_table)
+
+
+class TestCheckAxiomsMatchesReference:
+    """check_axioms indexes the graph once; the oracle rescans it for every
+    lookup. The violation lists must be equal, order and messages included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(triples=st.frozensets(st.one_of(typings, facts), max_size=40))
+    def test_fuzzed_graphs(self, triples):
+        g = TripleGraph(triples)
+        assert check_axioms(g) == oracles.check_axioms(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_fixture(self, data):
+        fixture = sorted(avp_ontology().triples, key=repr)
+        kept = data.draw(st.lists(st.booleans(), min_size=len(fixture), max_size=len(fixture)))
+        extra = data.draw(st.frozensets(st.one_of(typings, facts), max_size=10))
+        g = TripleGraph(frozenset(t for t, keep in zip(fixture, kept) if keep) | extra)
+        assert check_axioms(g) == oracles.check_axioms(g)
+
+    def test_check_does_not_scan_the_graph(self, monkeypatch):
+        g = assert_all(
+            avp_ontology(),
+            [Triple("Rain_heavy", "hasAttribute", "Rain_light"), Triple("x", RDF_TYPE, "ObjNode")],
+        )
+        expected = oracles.check_axioms(g)
+        goals = classify_goals(g)
+        assert expected
+
+        def scan(*_):
+            raise AssertionError("a per-term scan of the graph")
+
+        monkeypatch.setattr(TripleGraph, "types_of", scan)
+        monkeypatch.setattr(TripleGraph, "individuals_of", scan)
+        assert check_axioms(g) == expected
+        assert classify_goals(g) == goals
 
 
 class TestClassifyGoals:
