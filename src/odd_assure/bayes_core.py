@@ -6,8 +6,8 @@ greedy min-fill ordering. The ordering only affects cost, never the result;
 the test suite holds every posterior against an independent enumeration of
 the full joint.
 
-Each CPT converts its table to a read-only array once, when it is built. A
-network caches one plan per (query, set of evidence variables): the
+Each CPT holds its table once, as a read-only array copied when it is
+built. A network caches one plan per (query, set of evidence variables): the
 elimination order and the layout of every product. Each plan serves repeated
 evidence from a bounded memo of finished posteriors. The caches only ever
 store identical values, so a network can still serve many threads.
@@ -16,10 +16,9 @@ store identical values, so a network can still serve many threads.
 from __future__ import annotations
 
 import heapq
-import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -101,31 +100,30 @@ class BnNode:
             raise UnknownState(f"node {self.id!r} has no state {state!r}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cpt:
     """Conditional probability table in row-major parent order.
 
     Row ``r`` covers the parent-state combination whose mixed-radix digits
     (first parent most significant) encode ``r``; each row is a probability
-    vector over the child's states.
+    vector over the child's states. ``rows`` accepts any nested sequence or
+    array of numbers and is kept as a read-only (rows, states) float array.
+    Two tables are equal when node, parent order and every entry are.
     """
 
     node: str
     parent_order: tuple[str, ...]
-    table: tuple[tuple[float, ...], ...]
-    # the table as a read-only (rows, states) array, for inference
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray
 
     def __post_init__(self) -> None:
         try:
-            # one width for every row, or unpacking the set fails
-            (width,) = set(map(len, self.table)) or {0}
-            rows = np.fromiter(
-                itertools.chain.from_iterable(self.table), dtype=float,
-                count=len(self.table) * width,
-            ).reshape(len(self.table), width)
+            rows = np.array(self.rows, dtype=float)
         except (TypeError, ValueError):
-            raise BadCpt(f"cpt rows for {self.node!r} are not equal-length numbers") from None
+            rows = np.empty(())  # fails the shape check below
+        if rows.shape == (0,):
+            rows = rows.reshape(0, 0)  # an empty table; build_net rejects it
+        if rows.ndim != 2:
+            raise BadCpt(f"cpt rows for {self.node!r} are not equal-length numbers")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         # min and max are NaN if any entry is, and NaN fails both comparisons
@@ -135,14 +133,15 @@ class Cpt:
         drift = rows.sum(axis=1)
         drift -= 1.0
         if np.abs(drift, out=drift).max(initial=0.0) > PROB_TOL:
-            total = sum(self.table[int(np.argmax(drift > PROB_TOL))])
+            total = sum(rows[int(np.argmax(drift > PROB_TOL))].tolist())
             raise BadCpt(f"cpt row for {self.node!r} sums to {total!r}, not 1 within {PROB_TOL}")
 
-    def row_index(self, parent_states: Sequence[int], parent_cards: Sequence[int]) -> int:
-        idx = 0
-        for digit, card in zip(parent_states, parent_cards):
-            idx = idx * card + digit
-        return idx
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Cpt):
+            return NotImplemented
+        return (self.node, self.parent_order) == (other.node, other.parent_order) and (
+            np.array_equal(self.rows, other.rows)
+        )
 
 
 @dataclass(frozen=True)
@@ -228,13 +227,11 @@ def build_net(
         expected_rows = 1
         for p in cpt.parent_order:
             expected_rows *= len(node_map[p].states)
-        if len(cpt.table) != expected_rows:
-            raise BadCpt(
-                f"cpt for {cpt.node!r} has {len(cpt.table)} rows, expected {expected_rows}"
-            )
-        for row in cpt.table:
-            if len(row) != len(node_map[cpt.node].states):
-                raise BadCpt(f"cpt row width mismatch for {cpt.node!r}")
+        n_rows, width = cpt.rows.shape
+        if n_rows != expected_rows:
+            raise BadCpt(f"cpt for {cpt.node!r} has {n_rows} rows, expected {expected_rows}")
+        if width != len(node_map[cpt.node].states):
+            raise BadCpt(f"cpt row width mismatch for {cpt.node!r}")
 
     if _base.dag_order(in_edges)[1]:
         raise DocumentError("edge set contains a cycle")
@@ -262,7 +259,11 @@ _MEMO_LIMIT = 1024  # evidence assignments remembered per plan, likewise
 
 def _cpt_arrays(net: BayesNet) -> tuple[np.ndarray, ...]:
     """Every CPT as an array with one axis per parent, then the node, in node
-    order; laid out on first use and kept on the network."""
+    order; laid out on first use and kept on the network.
+
+    The C-order reshape decodes the row layout: the first parent is the
+    outermost axis, as it is the most significant digit of a row number.
+    """
     arrays = net._arrays
     if arrays is None:
         arrays = tuple(
@@ -435,15 +436,9 @@ def joint_probability(net: BayesNet, full_assignment: Mapping[str, str]) -> floa
     if missing:
         raise IncompleteAssignment(f"assignment misses nodes {missing}")
     prob = 1.0
-    for nid, node in net.nodes.items():
-        cpt = net.cpts[nid]
-        state_idx = node.state_index(full_assignment[nid])
-        parent_idx = [
-            net.nodes[p].state_index(full_assignment[p]) for p in cpt.parent_order
-        ]
-        parent_cards = [len(net.nodes[p].states) for p in cpt.parent_order]
-        row = cpt.table[cpt.row_index(parent_idx, parent_cards)]
-        prob *= row[state_idx]
+    for (nid, node), arr in zip(net.nodes.items(), _cpt_arrays(net)):
+        index = [net.nodes[p].state_index(full_assignment[p]) for p in net.cpts[nid].parent_order]
+        prob *= float(arr[(*index, node.state_index(full_assignment[nid]))])
     return prob
 
 
@@ -541,12 +536,11 @@ def compile_fta_to_bn(fta: Fta, leaf_priors: Mapping[str, float]) -> BayesNet:
     for gate in fta.gates:
         for child in gate.children:
             edges.append((child, gate.parent))
-        cpts.append(
-            Cpt(node=gate.parent, parent_order=gate.children, table=gate_cpt(gate.op, len(gate.children)))
-        )
+        rows = gate_cpt(gate.op, len(gate.children))
+        cpts.append(Cpt(node=gate.parent, parent_order=gate.children, rows=rows))
     for eid in leaves:
         p = float(leaf_priors[eid])
-        cpts.append(Cpt(node=eid, parent_order=(), table=((p, 1.0 - p),)))
+        cpts.append(Cpt(node=eid, parent_order=(), rows=((p, 1.0 - p),)))
 
     return build_net(nodes, edges, cpts, objective=fta.top)
 
@@ -565,32 +559,27 @@ def fit_cpts(
     which is also the exact limit of full smoothing. The structure is kept;
     a new network is returned.
     """
+    if not 0.0 <= smoothing < math.inf:
+        raise BayesError(f"smoothing must be finite and >= 0, not {smoothing!r}")
     if not records and smoothing == 0.0:
         raise EmptyData("no records and no smoothing to fall back on")
-    if smoothing < 0.0:
-        raise BayesError("smoothing must be >= 0")
 
     new_cpts = []
-    for nid, node in net.nodes.items():
+    for (nid, node), arr in zip(net.nodes.items(), _cpt_arrays(net)):
         cpt = net.cpts[nid]
-        parent_cards = [len(net.nodes[p].states) for p in cpt.parent_order]
-        n_rows = len(cpt.table)
-        n_states = len(node.states)
-        counts = np.zeros((n_rows, n_states), dtype=float)
+        counts = np.zeros(arr.shape, dtype=float)
         for rec in records:
             missing = [k for k in (nid, *cpt.parent_order) if k not in rec]
             if missing:
                 raise IncompleteAssignment(f"record misses {missing}")
-            parent_idx = [net.nodes[p].state_index(rec[p]) for p in cpt.parent_order]
-            row = cpt.row_index(parent_idx, parent_cards)
-            counts[row, node.state_index(rec[nid])] += 1.0
-        counts += smoothing
+            index = [net.nodes[p].state_index(rec[p]) for p in cpt.parent_order]
+            counts[(*index, node.state_index(rec[nid]))] += 1.0
+        counts = counts.reshape(-1, len(node.states)) + smoothing
         totals = counts.sum(axis=1, keepdims=True)
         empty = totals[:, 0] == 0.0
         counts[empty] = 1.0
         totals = counts.sum(axis=1, keepdims=True)
-        table = tuple(tuple(float(p) for p in row) for row in counts / totals)
-        new_cpts.append(replace(cpt, table=table))
+        new_cpts.append(Cpt(nid, cpt.parent_order, counts / totals))
 
     return build_net(net.nodes.values(), net.edges, new_cpts, objective=net.objective)
 
@@ -641,8 +630,8 @@ def parse_bn(document) -> BayesNet:
                 # entry so that reloading the serialized row is a no-op.
                 row = [p / total for p in row]
                 row[-1] = max(0.0, 1.0 - sum(row[:-1]))
-            rows.append(tuple(row))
-        cpts.append(Cpt(c["node"], tuple(c.get("parents", [])), tuple(rows)))
+            rows.append(row)
+        cpts.append(Cpt(c["node"], tuple(c.get("parents", [])), rows))
     return build_net(nodes, edges, cpts, objective=document.get("objective"))
 
 
@@ -654,7 +643,7 @@ def bn_to_document(net: BayesNet) -> dict:
             {
                 "node": c.node,
                 "parents": list(c.parent_order),
-                "rows": [list(row) for row in c.table],
+                "rows": c.rows.tolist(),
             }
             for c in net.cpts.values()
         ],

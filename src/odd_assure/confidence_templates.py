@@ -188,25 +188,19 @@ class TemplateConfig:
         )
 
 
-def _preset_rows(node: str, parents: Sequence[str]) -> tuple[tuple[float, ...], ...]:
+def _preset_rows(node: str, parents: Sequence[str]) -> Sequence[Sequence[float]]:
     """Fixture CPT: P(good) = 0.05 + 0.9 * mean parent goodness."""
     states, _ = _node_states_goodness(node)
     if not parents:
-        if node in _ROOT_PRIORS:
-            return (_ROOT_PRIORS[node],)
-        return (_FEATURE_PRIOR,)
+        return (_ROOT_PRIORS.get(node, _FEATURE_PRIOR),)
     # One axis per parent, first parent outermost: the grid flattens in
     # Cpt row order. Summing in parent order matches a per-row sum exactly.
     grids = np.ix_(*(np.asarray(_node_states_goodness(p)[1]) for p in parents))
-    avg = sum(grids) / len(parents)
-    rows = []
-    for p_good in (0.05 + 0.9 * avg).ravel().tolist():
-        if len(states) == 2:
-            rows.append((p_good, 1.0 - p_good))
-        else:
-            # Three-valued child: spread the residual over the lower grades.
-            rows.append((p_good, (1.0 - p_good) * 0.6, (1.0 - p_good) * 0.4))
-    return tuple(rows)
+    p_good = (0.05 + 0.9 * (sum(grids) / len(parents))).ravel()
+    if len(states) == 2:
+        return np.column_stack((p_good, 1.0 - p_good))
+    # Three-valued child: spread the residual over the lower grades.
+    return np.column_stack((p_good, (1.0 - p_good) * 0.6, (1.0 - p_good) * 0.4))
 
 
 def _node_states_goodness(node: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
@@ -262,10 +256,7 @@ def _template_net(config: TemplateConfig, extra_nodes: Sequence[str],
     cpts = []
     for nid in node_ids:
         parents = tuple(src for src, dst in edges if dst == nid)
-        if nid in config.cpts:
-            rows = tuple(tuple(float(p) for p in row) for row in config.cpts[nid])
-        else:
-            rows = _preset_rows(nid, parents)
+        rows = config.cpts[nid] if nid in config.cpts else _preset_rows(nid, parents)
         try:
             cpts.append(Cpt(nid, parents, rows))
         except bayes_core.BadCpt as exc:

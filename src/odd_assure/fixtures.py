@@ -14,9 +14,10 @@ placeholders for project-calibrated tables.
 from __future__ import annotations
 
 import json
-import math
 import random
 from pathlib import Path
+
+import numpy as np
 
 from . import bayes_core, hara_fta, safety_ontology
 from .bayes_core import BnNode, Cpt, build_net
@@ -334,19 +335,12 @@ def avp_monitor_bn() -> bayes_core.BayesNet:
     ]
 
     def failure_rows(weights, base, spans):
-        # One row per parent-state combination, row-major over the parent
-        # order; P(occurs) = base + sum(span * risk of that parent state).
-        cards = [len(w) for w in weights]
-        rows = []
-        for flat in range(math.prod(cards)):
-            digits, rem = [], flat
-            for card in reversed(cards):
-                digits.append(rem % card)
-                rem //= card
-            digits.reverse()
-            p = base + sum(s * w[d] for s, w, d in zip(spans, weights, digits))
-            rows.append((p, 1.0 - p))
-        return tuple(rows)
+        # One axis per parent, first parent outermost, so the grid flattens
+        # in Cpt row order; P(occurs) = base + sum(span * risk of that
+        # parent state), summed in parent order as a per-row sum would be.
+        terms = np.ix_(*(s * np.asarray(w) for s, w in zip(spans, weights)))
+        p_occurs = (base + sum(terms)).ravel()
+        return np.column_stack((p_occurs, 1.0 - p_occurs))
 
     cpts = [
         Cpt("Fog", (), ((0.3, 0.25, 0.2, 0.15, 0.1),)),

@@ -40,7 +40,7 @@ def cpt_lookup(net: BayesNet, node_id: str, assignment: dict[str, str]) -> float
     for parent in cpt.parent_order:
         states = net.nodes[parent].states
         row = row * len(states) + states.index(assignment[parent])
-    return cpt.table[row][net.nodes[node_id].states.index(assignment[node_id])]
+    return cpt.rows[row, net.nodes[node_id].states.index(assignment[node_id])]
 
 
 def enumerate_joint(net: BayesNet, assignment: dict[str, str]) -> float:
@@ -223,7 +223,7 @@ def cpt_row(net: BayesNet, node_id: str, assignment: dict[str, str]) -> tuple[fl
     for parent in cpt.parent_order:
         states = net.nodes[parent].states
         row = row * len(states) + states.index(assignment[parent])
-    return cpt.table[row]
+    return tuple(cpt.rows[row].tolist())
 
 
 # ---------------------------------------------------------------------------

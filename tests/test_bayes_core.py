@@ -4,6 +4,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -31,7 +32,14 @@ from odd_assure.bayes_core import (
     parse_bn,
     posterior,
 )
-from odd_assure.fixtures import AVP_LEAF_PRIORS, HAZARD_ID, avp_compiled_bn, avp_fta
+from odd_assure.confidence_templates import TemplateConfig, build_testing_adequacy_bn
+from odd_assure.fixtures import (
+    AVP_LEAF_PRIORS,
+    HAZARD_ID,
+    avp_compiled_bn,
+    avp_fta,
+    avp_monitor_bn,
+)
 from odd_assure.hara_fta import CausalEntry, CausalRelation, Event, GateOp, compute_fta
 
 from .oracles import (
@@ -85,6 +93,23 @@ class TestConstruction:
     def test_cpt_rows_equal_length(self):
         with pytest.raises(BadCpt):
             Cpt("n", ("a",), ((0.5, 0.5), (1.0,)))
+
+    def test_cpt_equality_ignores_input_container(self, tmp_path):
+        rows = ((0.25, 0.75), (0.5, 0.5))
+        built = [
+            Cpt("B", ("A",), rows),
+            Cpt("B", ("A",), [list(row) for row in rows]),
+            Cpt("B", ("A",), np.array(rows)),
+        ]
+        assert built[0] == built[1] == built[2]
+        assert built[0] != Cpt("B", ("A",), ((0.25, 0.75), (0.75, 0.25)))
+        a, cpt_a = _binary("A", 0.5)
+        b = BnNode("B", ("t", "f"))
+        for i, cpt_b in enumerate(built):
+            net = build_net([a, b], [("A", "B")], [cpt_a, cpt_b])
+            path = tmp_path / f"net{i}.json"
+            bayes_core.save_bn(net, path)
+            assert bayes_core.load_bn(path) == net
 
     def test_node_needs_two_states(self):
         with pytest.raises(bayes_core.DocumentError):
@@ -516,17 +541,22 @@ class TestFitCpts:
         net = single_node_net(0.5)
         records = [{"n": "t"}] * 7 + [{"n": "f"}] * 3
         fitted = fit_cpts(net, records, smoothing=0.0)
-        assert fitted.cpts["n"].table[0] == (0.7, 0.3)
+        assert fitted.cpts["n"].rows[0].tolist() == [0.7, 0.3]
 
     def test_laplace_limit(self):
         fitted = fit_cpts(chain_net(), [], smoothing=1.0)
         for cpt in fitted.cpts.values():
-            for row in cpt.table:
+            for row in cpt.rows.tolist():
                 assert row == pytest.approx((0.5, 0.5), abs=0)
 
     def test_empty_data_no_smoothing(self):
         with pytest.raises(EmptyData):
             fit_cpts(single_node_net(), [], smoothing=0.0)
+
+    @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
+    def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
+        with pytest.raises(bayes_core.BayesError, match="smoothing must be"):
+            fit_cpts(chain_net(), [{"A": "t", "B": "t"}], smoothing=smoothing)
 
     def test_structure_unchanged(self):
         net = chain_net()
@@ -538,7 +568,7 @@ class TestFitCpts:
         records = [{"A": "t", "B": "t"}] * 50
         fitted = fit_cpts(chain_net(), records, smoothing=0.5)
         for cpt in fitted.cpts.values():
-            for row in cpt.table:
+            for row in cpt.rows.tolist():
                 assert all(0.0 < p < 1.0 for p in row)
 
     def test_recovers_known_net_from_samples(self):
@@ -547,7 +577,7 @@ class TestFitCpts:
         records = forward_sample(net, 10_000, rng)
         fitted = fit_cpts(net, records, smoothing=1.0)
         for nid, cpt in net.cpts.items():
-            for row, fitted_row in zip(cpt.table, fitted.cpts[nid].table):
+            for row, fitted_row in zip(cpt.rows.tolist(), fitted.cpts[nid].rows.tolist()):
                 for p, q in zip(row, fitted_row):
                     assert abs(p - q) <= 0.05
 
@@ -585,12 +615,55 @@ class TestMeanVariance:
             assert var >= -1e-15
 
 
+def _renormalised_on_load():
+    return parse_bn({
+        "nodes": [{"id": "n", "states": ["t", "f"]}, {"id": "m", "states": ["t", "f"]}],
+        "edges": [["n", "m"]],
+        "cpts": [
+            {"node": "n", "parents": [], "rows": [[0.3000000001, 0.7]]},
+            {"node": "m", "parents": ["n"], "rows": [[0.1, 0.2 + 0.7], [0.5, 0.5]]},
+        ],
+        "objective": "m",
+    })
+
+
+_TWELVE_FEATURES = TemplateConfig(feature_names=tuple(f"F{i}" for i in range(12)))
+
+
+def _fitted_monitor_net():
+    net = avp_monitor_bn()
+    return fit_cpts(net, forward_sample(net, 500, random.Random(41)), smoothing=1.0)
+
+
+# Each network to round-trip, with the CPTs that parse_bn renormalises on the
+# first load. The (0.6, 0.3, 0.1) priors of the AVP monitor's Rain node and of
+# the templates' BnModelUnc node sum to 0.9999999999999999, not 1.
+_ROUNDTRIP_NETS = {
+    "avp_compiled": (avp_compiled_bn, set()),
+    "avp_monitor": (avp_monitor_bn, {"Rain"}),
+    "template_12": (lambda: build_testing_adequacy_bn(_TWELVE_FEATURES), {"BnModelUnc"}),
+    "fitted": (_fitted_monitor_net, set()),
+    "renormalised_on_load": (_renormalised_on_load, set()),
+}
+
+
+def _assert_reloaded(net, again, renormalised):
+    """``again`` equals ``net`` but for the renormalised CPTs, and loading it
+    once more changes nothing."""
+    assert {nid for nid, cpt in net.cpts.items() if again.cpts[nid] != cpt} == renormalised
+    kept = {nid: again.cpts[nid] if nid in renormalised else cpt for nid, cpt in net.cpts.items()}
+    assert again == build_net(net.nodes.values(), net.edges, kept.values(), net.objective)
+    assert parse_bn(bayes_core.bn_to_document(again)) == again
+
+
 class TestBnDocument:
-    def test_roundtrip_bit_exact(self):
-        net = avp_compiled_bn()
+    @pytest.mark.parametrize("case", _ROUNDTRIP_NETS)
+    def test_roundtrip_bit_exact(self, case):
+        make, renormalised = _ROUNDTRIP_NETS[case]
+        net = make()
         doc = bayes_core.bn_to_document(net)
         again = parse_bn(doc)
-        assert again == net
+        _assert_reloaded(net, again, renormalised)
 
     def test_renormalizes_small_drift(self):
         doc = {
@@ -600,7 +673,7 @@ class TestBnDocument:
             "objective": None,
         }
         net = parse_bn(doc)
-        assert sum(net.cpts["n"].table[0]) == pytest.approx(1.0, abs=1e-15)
+        assert sum(net.cpts["n"].rows[0].tolist()) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
     def test_rejects_non_finite_entries(self, bad):
@@ -621,8 +694,10 @@ class TestBnDocument:
         with pytest.raises(BadCpt):
             parse_bn(doc)
 
-    def test_file_roundtrip(self, tmp_path):
-        net = avp_compiled_bn()
+    @pytest.mark.parametrize("case", _ROUNDTRIP_NETS)
+    def test_file_roundtrip(self, case, tmp_path):
+        make, renormalised = _ROUNDTRIP_NETS[case]
+        net = make()
         path = tmp_path / "net.json"
         bayes_core.save_bn(net, path)
-        assert bayes_core.load_bn(path) == net
+        _assert_reloaded(net, bayes_core.load_bn(path), renormalised)

@@ -91,11 +91,16 @@ class TestTestingAdequacyTemplate:
         testing = build_testing_adequacy_bn(TemplateConfig(cpts=override))
         assert set(training.nodes) == set(testing.nodes)
         assert training.edges == testing.edges
-        assert training.cpts["TestDist"].table != testing.cpts["TestDist"].table
+        assert training.cpts["TestDist"].rows.tolist() != testing.cpts["TestDist"].rows.tolist()
 
     def test_cpt_override_must_normalize(self):
         with pytest.raises(InvalidConfig):
             build_testing_adequacy_bn(TemplateConfig(cpts={"TestDist": [[0.7, 0.2, 0.2]]}))
+
+    @pytest.mark.parametrize("entry", [None, "x"])
+    def test_cpt_override_must_be_numbers(self, entry):
+        with pytest.raises(InvalidConfig):
+            build_testing_adequacy_bn(TemplateConfig(cpts={"TestDist": [[entry, 0.5, 0.5]]}))
 
     def test_unknown_override_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -117,14 +122,14 @@ class TestTestingAdequacyTemplate:
             if not cpt.parent_order:
                 continue
             expected = []
-            # first parent most significant, matching Cpt.row_index
+            # first parent most significant, as in the Cpt row layout
             for combo in itertools.product(*(goodness[p] for p in cpt.parent_order)):
                 p_good = 0.05 + 0.9 * (sum(combo) / len(combo))
                 if len(goodness[nid]) == 2:
                     expected.append((p_good, 1.0 - p_good))
                 else:
                     expected.append((p_good, (1.0 - p_good) * 0.6, (1.0 - p_good) * 0.4))
-            assert cpt.table == tuple(expected), nid
+            assert cpt.rows.tolist() == [list(row) for row in expected], nid
 
     def test_posterior_runs_end_to_end(self):
         net = build_testing_adequacy_bn()
