@@ -133,10 +133,14 @@ def fit_tree(records: Sequence[TraceRecord], max_depth: int = 6, min_leaf: int =
         if sorted(rec.features) != names:
             raise DocumentError("records disagree on the feature set")
 
-    ordered = sorted(records, key=lambda r: ([r.features[n] for n in names], r.label))
-    x = np.array([[r.features[n] for n in names] for r in ordered], dtype=float)
-    y = np.array([1 if r.label == YES else 0 for r in ordered], dtype=int)
+    # The tree depends only on the multiset of records: each split is scored
+    # from sorted column values and whole-run Yes counts, so input order is kept.
+    x = np.array([[r.features[n] for n in names] for r in records], dtype=float)
+    y = np.array([1 if r.label == YES else 0 for r in records], dtype=int)
 
+    # An explicit stack keeps deep trees clear of the recursion limit. grow
+    # returns a leaf, or a split's tasks: its (feature, threshold) join, which
+    # joins the two subtrees last built, then its right and left subtrees.
     def grow(idx: np.ndarray, depth: int):
         labels = y[idx]
         n_yes = int(labels.sum())
@@ -153,14 +157,23 @@ def fit_tree(records: Sequence[TraceRecord], max_depth: int = 6, min_leaf: int =
             return Leaf(_majority(n_yes, n_no), n_yes, n_no)
         _, pos, threshold = best
         mask = x[idx, pos] <= threshold
-        return Split(
-            feature=names[pos],
-            threshold=float(threshold),
-            left=grow(idx[mask], depth + 1),
-            right=grow(idx[~mask], depth + 1),
-        )
+        return [(names[pos], float(threshold)), (idx[~mask], depth + 1), (idx[mask], depth + 1)]
 
-    root = grow(np.arange(len(ordered)), 0)
+    built: list = []
+    todo: list = [(np.arange(len(y)), 0)]
+    while todo:
+        task = todo.pop()
+        if isinstance(task[0], np.ndarray):
+            grown = grow(*task)
+            if isinstance(grown, Leaf):
+                built.append(grown)
+            else:
+                todo += grown
+        else:
+            right = built.pop()
+            built.append(Split(*task, built.pop(), right))
+
+    root = built.pop()
     constant = isinstance(root, Leaf) and _gini(root.n_yes, root.n_no) > 0.0
     return DecisionTree(root=root, feature_names=tuple(names), constant_features=constant)
 
@@ -215,15 +228,14 @@ def extract_rules(tree: DecisionTree) -> list[Rule]:
     thresholds), keeping the position of the first occurrence.
     """
     rules: list[Rule] = []
-
-    def walk(node, path: list[tuple[str, str, float]]):
+    todo = [(tree.root, ())]
+    while todo:
+        node, path = todo.pop()
         if isinstance(node, Leaf):
             rules.append(Rule(tuple(_collapse(path)), node.label))
-            return
-        walk(node.left, path + [(node.feature, "<=", node.threshold)])
-        walk(node.right, path + [(node.feature, ">", node.threshold)])
-
-    walk(tree.root, [])
+            continue
+        todo.append((node.right, path + ((node.feature, ">", node.threshold),)))
+        todo.append((node.left, path + ((node.feature, "<=", node.threshold),)))
     return rules
 
 

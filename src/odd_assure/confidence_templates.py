@@ -141,50 +141,32 @@ _ROOT_PRIORS: dict[str, tuple[float, ...]] = {
 }
 _FEATURE_PRIOR = (0.9, 0.1)
 
-DEFAULT_METRIC_THRESHOLDS = (0.3, 0.7)
-DEFAULT_METRIC_STATES = ("Low", "Medium", "High")
-
-# The only shipped CPT preset. Its values are placeholders with provenance
-# "fixture", not calibrated numbers.
-FIXTURE_PRESET = "fixture-default"
+_CONFIG_KEYS = {"template", "feature_names", "cpts"}
 
 
 @dataclass(frozen=True)
 class TemplateConfig:
     """Configuration for the template builders.
 
-    ``feature_names`` sets the width of the feature layer. ``cpts`` overrides
-    preset tables per node (rows in the wiring's parent order); ``drop_nodes``
-    removes optional nodes, which is rejected for nodes the template requires.
+    ``feature_names`` sets the width of the feature layer, the one part of a
+    template's wiring that varies; every other node is required. ``cpts``
+    overrides the fixture tables per node (rows in the wiring's parent
+    order).
     """
 
     feature_names: tuple[str, ...] = ("Feat_1", "Feat_2")
-    cpt_preset: str = FIXTURE_PRESET
     cpts: Mapping[str, Sequence[Sequence[float]]] = field(default_factory=dict)
-    drop_nodes: tuple[str, ...] = ()
-    metric_thresholds: tuple[float, ...] = DEFAULT_METRIC_THRESHOLDS
-    metric_states: tuple[str, ...] = DEFAULT_METRIC_STATES
-    binding: AcpBinding | None = None
-
-    def __post_init__(self) -> None:
-        if self.cpt_preset != FIXTURE_PRESET:
-            raise InvalidConfig(f"unknown CPT preset {self.cpt_preset!r}")
 
     @staticmethod
     @_base.document_reader("template config", DocumentError)
     def from_document(document) -> "TemplateConfig":
-        binding = None
-        if "acp" in document:
-            acp = document["acp"]
-            binding = AcpBinding(acp["solution_id"], acp["objective"], acp["state_values"])
+        """Read ``feature_names`` and ``cpts``; keys but these and ``template`` are rejected."""
+        unknown = set(document) - _CONFIG_KEYS
+        if unknown:
+            raise ValueError(f"unknown keys {sorted(unknown)}")
         return TemplateConfig(
             feature_names=tuple(document.get("feature_names", ("Feat_1", "Feat_2"))),
-            cpt_preset=document.get("cpt_preset", FIXTURE_PRESET),
-            cpts=document.get("cpts", {}),
-            drop_nodes=tuple(document.get("drop_nodes", ())),
-            metric_thresholds=tuple(document.get("metric_thresholds", DEFAULT_METRIC_THRESHOLDS)),
-            metric_states=tuple(document.get("metric_states", DEFAULT_METRIC_STATES)),
-            binding=binding,
+            cpts=dict(document.get("cpts", {})),
         )
 
 
@@ -237,14 +219,6 @@ def _template_net(config: TemplateConfig, extra_nodes: Sequence[str],
     node_ids += list(extra_nodes)
     edges += list(extra_edges)
 
-    mandatory = set(node_ids) - set(features)
-    for dropped in config.drop_nodes:
-        if dropped in mandatory:
-            raise InvalidConfig(f"node {dropped!r} is required by this template")
-        if dropped not in node_ids:
-            raise InvalidConfig(f"cannot drop unknown node {dropped!r}")
-        node_ids.remove(dropped)
-        edges = [e for e in edges if dropped not in e]
     for name in config.cpts:
         if name not in node_ids:
             raise InvalidConfig(f"cpt override for unknown node {name!r}")

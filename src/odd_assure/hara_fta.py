@@ -314,12 +314,6 @@ def validate_fta(fta: Fta) -> list[FtaDefect]:
             defects.append(
                 FtaDefect("DuplicateGate", (event.id,), f"{n_gates} gates on one event")
             )
-        if event.oper_conditions and not event.atomic:
-            defects.append(
-                FtaDefect(
-                    "OperCondOnNonAtomic", (event.id,), "conditions on a non-atomic event"
-                )
-            )
 
     # Reachability from the top through gate children.
     reachable = {fta.top}

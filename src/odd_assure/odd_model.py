@@ -29,7 +29,7 @@ class DocumentError(OddModelError, _base.DocumentError):
     """The document is structurally unreadable (not a schema-shaped object)."""
 
 
-class MalformedInterval(OddModelError):
+class MalformedInterval(OddModelError, _base.DocumentError):
     """Interval text does not match the bracket grammar."""
 
 
@@ -166,26 +166,19 @@ def parse_interval(text: str) -> Interval:
     lo_inclusive = open_b == "["
     hi_inclusive = close_b == "]"
 
-    if lo_tok == "-":
-        lo = -math.inf
-    else:
-        try:
-            lo = float(lo_tok)
-        except ValueError:
-            raise MalformedInterval(f"bad low bound in {text!r}") from None
-        if math.isinf(lo) or math.isnan(lo):
-            raise MalformedInterval(f"bad low bound in {text!r}")
-    if hi_tok == "+":
-        hi = math.inf
-    else:
-        try:
-            hi = float(hi_tok)
-        except ValueError:
-            raise MalformedInterval(f"bad high bound in {text!r}") from None
-        if math.isinf(hi) or math.isnan(hi):
-            raise MalformedInterval(f"bad high bound in {text!r}")
-
+    lo = -math.inf if lo_tok == "-" else _parse_bound(lo_tok, "low", text)
+    hi = math.inf if hi_tok == "+" else _parse_bound(hi_tok, "high", text)
     return Interval(lo, hi, lo_inclusive, hi_inclusive)
+
+
+def _parse_bound(token: str, side: str, text: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise MalformedInterval(f"bad {side} bound in {text!r}")
+    return value
 
 
 def format_interval(interval: Interval) -> str:
@@ -291,6 +284,8 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
     classes: dict[str, OddClass] = {}
     for entry in document["classes"]:
         name = entry["name"]
+        if not isinstance(name, str):
+            raise TypeError(f"class name {name!r} is not a string")
         if name in classes:
             raise DuplicateName(f"class {name!r} declared twice")
         attrs = []
@@ -315,29 +310,22 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
     for cls in classes.values():
         if cls.parent is not None and cls.parent not in classes:
             raise UnknownParent(f"class {cls.name!r} names unknown parent {cls.parent!r}")
+    # With one root and every parent declared, the links form a tree unless
+    # they hold a cycle: any other chain of parents ends at the root.
+    _, cycle = _base.dag_order(
+        {c.name: [] if c.parent is None else [c.parent] for c in classes.values()}
+    )
+    if cycle:
+        raise MalformedHierarchy(f"cycle in parent links: {' -> '.join(map(repr, cycle))}")
 
-    # Walking parent links from every class must reach the root without
-    # revisiting a node; anything else is a cycle or a detached subtree.
-    root = roots[0]
+    parents = {c.parent for c in classes.values()}
     for cls in classes.values():
-        seen = {cls.name}
-        cur = cls.parent
-        while cur is not None:
-            if cur in seen:
-                raise MalformedHierarchy(f"cycle in parent links at {cur!r}")
-            seen.add(cur)
-            cur = classes[cur].parent
-        if root not in seen and cls.name != root:
-            raise MalformedHierarchy(f"class {cls.name!r} not attached to root {root!r}")
-
-    spec = OddSpec(root=root, classes=classes)
-    for cls in classes.values():
-        if spec.is_leaf(cls.name) and not cls.attributes:
+        if cls.name not in parents and not cls.attributes:
             raise EmptyClass(f"leaf class {cls.name!r} has no attributes")
         if cls.partition:
             for defect in _class_overlaps(cls):
                 raise OverlappingIntervals(str(defect))
-    return spec
+    return OddSpec(root=roots[0], classes=classes)
 
 
 def _class_overlaps(cls: OddClass) -> list[OddDefect]:

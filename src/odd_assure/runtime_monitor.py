@@ -144,12 +144,14 @@ def load_bundle(manifest_path) -> ModelBundle:
 
 
 def _load_referenced(load, path: Path):
-    """Load a file the manifest names; an unreadable or malformed one is
-    named in the error."""
+    """Load a file the manifest names; an unreadable, malformed or invalid
+    one is named in the error."""
     try:
         return load(path)
     except (OSError, UnicodeDecodeError, _base.DocumentError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
+    except (odd_model.OddModelError, bayes_core.BayesError) as exc:
+        raise MonitorError(f"{path}: {exc}") from exc
 
 
 @_base.document_reader("bundle manifest", DocumentError)

@@ -261,28 +261,18 @@ def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
     violations: list[AxiomViolation] = []
 
     for t in sorted(graph.triples, key=_sort_key):
-        rule = _RANGE_RULES.get(t.predicate)
-        if rule is not None:
-            axiom, allowed = rule
-            if not index.types_of(t.object) & allowed:
+        for rules, position, term in (
+            (_RANGE_RULES, "object", t.object),
+            (_DOMAIN_RULES, "subject", t.subject),
+        ):
+            rule = rules.get(t.predicate)
+            if rule is not None and not index.types_of(term) & rule[1]:
                 violations.append(
                     AxiomViolation(
-                        axiom,
+                        rule[0],
                         t,
-                        f"object of {t.predicate} must be typed "
-                        f"{' or '.join(sorted(allowed))}, got {format_term(t.object)}",
-                    )
-                )
-        rule = _DOMAIN_RULES.get(t.predicate)
-        if rule is not None:
-            axiom, allowed = rule
-            if not index.types_of(t.subject) & allowed:
-                violations.append(
-                    AxiomViolation(
-                        axiom,
-                        t,
-                        f"subject of {t.predicate} must be typed "
-                        f"{' or '.join(sorted(allowed))}, got {format_term(t.subject)}",
+                        f"{position} of {t.predicate} must be typed "
+                        f"{' or '.join(sorted(rule[1]))}, got {format_term(term)}",
                     )
                 )
         if t.predicate == "hasConfidence":

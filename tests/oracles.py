@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: joint probabilities by full
 enumeration, gate probabilities by the closed-form recursion, interval
-membership by a hand-rolled scan, min-fill orders by recounting every fill
+membership by a hand-rolled scan, ODD class trees by walking the parent
+links from every class, min-fill orders by recounting every fill
 each round, CART splits by a mask per candidate threshold, axiom checks by
 rescanning the graph for every term. None of it shares code with the
 inference, parsing, fitting or indexing paths it is used to verify; the axiom
@@ -30,6 +31,7 @@ from odd_assure.hara_fta import (
     compute_fta,
     role_candidates,
 )
+from odd_assure.odd_model import MalformedHierarchy, UnknownParent
 
 
 def cpt_lookup(net: BayesNet, node_id: str, assignment: dict[str, str]) -> float:
@@ -242,6 +244,32 @@ def scan_interval_membership(text: str, value: float) -> bool:
     above = value >= lo if lo_inc else value > lo
     below = value <= hi if hi_inc else value < hi
     return above and below
+
+
+# ---------------------------------------------------------------------------
+# ODD class tree
+
+
+def odd_hierarchy_error(parents: dict) -> type | None:
+    """The error class the parent links ``{class: parent or None}`` earn, or
+    None for a single-rooted tree: exactly one root, every parent declared,
+    and a walk up from every class that reaches the root without revisiting
+    a class."""
+    roots = [name for name, parent in parents.items() if parent is None]
+    if len(roots) != 1:
+        return MalformedHierarchy
+    if any(p is not None and p not in parents for p in parents.values()):
+        return UnknownParent
+    for name, parent in parents.items():
+        seen = {name}
+        while parent is not None:
+            if parent in seen:
+                return MalformedHierarchy
+            seen.add(parent)
+            parent = parents[parent]
+        if roots[0] not in seen:
+            return MalformedHierarchy
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,10 @@ MALFORMED_INPUTS = {
     "script_dt_nan": (_script(lambda s: s.update(dt=math.nan)), SYNTH),
     "script_t0_inf": (_script(lambda s: s.update(t0=math.inf)), SYNTH),
     "odd_interval_number": (_rain(lambda c: c["attributes"][0].update(interval=5)), VALIDATE),
+    "odd_interval_garbled": (_rain(lambda c: c["attributes"][0].update(interval="[0, x[")), VALIDATE),
+    "odd_interval_no_comma": (_rain(lambda c: c["attributes"][0].update(interval="(0 1)")), VALIDATE),
     "odd_class_name_list": (_rain(lambda c: c.update(name=["x"])), VALIDATE),
+    "odd_class_name_number": (_rain(lambda c: c.update(name=5)), VALIDATE),
     "odd_attributes_number": (_rain(lambda c: c.update(attributes=5)), VALIDATE),
     "validate_not_utf8": (NOT_UTF8, VALIDATE),
     "infer_not_utf8": (NOT_UTF8, ("infer", "{file}", "--query", HAZARD_ID)),
@@ -358,6 +361,17 @@ class TestRefine:
         assert report["proposals"][0]["class"] == "Vehicle_lighting"
         assert not report["exit_everywhere"]
 
+    def test_deep_tree_has_no_depth_limit(self, tmp_path, capsys):
+        # Alternating labels on one feature grow a chain about n/2 deep.
+        n = 1500
+        trace = tmp_path / "alternating.csv"
+        trace.write_text(
+            "x,label\n" + "".join(f"{i},{'Yes' if i % 2 else 'No'}\n" for i in range(n)),
+            encoding="utf-8",
+        )
+        assert run_cli("refine", trace, "--max-depth", 100000, "--min-leaf", 1) == 0
+        assert len(capsys.readouterr().out.splitlines()) == n
+
 
 class TestMonitorAndSynth:
     def test_synth_then_monitor_jsonl(self, bundle_dir, tmp_path, capsys):
@@ -397,21 +411,40 @@ class TestMonitorAndSynth:
         assert f"{stream} line 2: malformed observation: t must be finite" in error_text(caplog)
         assert len(capsys.readouterr().out.splitlines()) == 1
 
-    @pytest.mark.parametrize("name", ["avp_odd.json", "avp_confidence_bn.json"])
-    @pytest.mark.parametrize("damage", ["not_utf8", "missing"])
+    @pytest.mark.parametrize(
+        "damage, name, code",
+        [
+            pytest.param(damage, name, 2, id=f"{damage}-{name}")
+            for damage in ("not_utf8", "missing")
+            for name in ("avp_odd.json", "avp_confidence_bn.json")
+        ]
+        + [
+            # semantic errors in a well-formed file keep exit 1
+            pytest.param("empty_interval", "avp_odd.json", 1, id="empty_interval-avp_odd.json"),
+            pytest.param("cpt_sum", "avp_confidence_bn.json", 1, id="cpt_sum-avp_confidence_bn.json"),
+        ],
+    )
     def test_monitor_names_broken_referenced_file(
-        self, bundle_dir, tmp_path, caplog, name, damage
+        self, bundle_dir, tmp_path, caplog, damage, name, code
     ):
         for source in bundle_dir.iterdir():
             (tmp_path / source.name).write_bytes(source.read_bytes())
         broken = tmp_path / name
+        document = json.loads(broken.read_text(encoding="utf-8"))
         if damage == "missing":
             broken.unlink()
-        else:
+        elif damage == "not_utf8":
             broken.write_bytes(NOT_UTF8)
+        elif damage == "empty_interval":
+            document["classes"][3]["attributes"][0]["interval"] = "[1, 0["
+            broken.write_text(json.dumps(document), encoding="utf-8")
+        else:
+            fog = next(c for c in document["cpts"] if c["node"] == "Fog")
+            fog["rows"][0] = [0.8] * len(fog["rows"][0])
+            broken.write_text(json.dumps(document), encoding="utf-8")
         stream = tmp_path / "stream.jsonl"
         stream.write_text('{"t": 0, "readings": {"Fog": 100.0}}\n', encoding="utf-8")
-        assert run_cli("monitor", tmp_path / "avp_bundle.json", "--stream", stream) == 2
+        assert run_cli("monitor", tmp_path / "avp_bundle.json", "--stream", stream) == code
         assert f"{tmp_path / 'avp_bundle.json'}: {broken}: " in error_text(caplog)
 
     def test_monitor_drops_nan_reading_as_defective(self, bundle_dir, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -69,10 +70,6 @@ class TestModelRobustnessTemplate:
         net = build_model_robustness_bn()
         assert parents_of(net, "ModelUnc") == {"DataComp", "BnModelUnc"}
         assert net.objective == "ModelUnc"
-
-    def test_dropping_mandatory_node_rejected(self):
-        with pytest.raises(InvalidConfig):
-            build_model_robustness_bn(TemplateConfig(drop_nodes=("BnModelUnc",)))
 
     def test_objective_out_degree_zero(self):
         net = build_model_robustness_bn()
@@ -328,27 +325,30 @@ class TestAcpBinding:
             AcpBinding("Sn8.1", "DataComp", {"complete": 1.5, "incomplete": 0.0})
 
     def test_config_from_document(self):
-        doc = {
-            "feature_names": ["F1"],
-            "metric_thresholds": [0.2, 0.8],
-            "acp": {
-                "solution_id": "Sn8.1",
-                "objective": "DataComp",
-                "state_values": {"complete": 1.0, "incomplete": 0.0},
-            },
-        }
-        config = TemplateConfig.from_document(doc)
-        assert config.feature_names == ("F1",)
-        assert config.binding.solution_id == "Sn8.1"
+        override = {"DataMetric": [[0.1, 0.2, 0.7]]}
+        config = TemplateConfig.from_document(
+            {"template": "data_appropriateness", "feature_names": ["F1"], "cpts": override}
+        )
+        assert config == TemplateConfig(feature_names=("F1",), cpts=override)
         net = build_data_appropriateness_bn(config)
         assert net.objective == "DataComp"
+        assert net.cpts["DataMetric"].rows.tolist() == override["DataMetric"]
+        assert TemplateConfig.from_document({}) == TemplateConfig()
+
+    @pytest.mark.parametrize(
+        "keys", [["acp"], ["drop_nodes", "metric_thresholds"], ["cpt_preset", "binding"]]
+    )
+    def test_config_rejects_unknown_keys(self, keys):
+        document = {"feature_names": ["F1"], **dict.fromkeys(keys, 1)}
+        with pytest.raises(ct.DocumentError, match=re.escape(f"unknown keys {sorted(keys)}")):
+            TemplateConfig.from_document(document)
 
     def test_build_from_document_dispatch(self):
         net = ct.build_from_document({"template": "model_robustness"})
         assert net.objective == "ModelUnc"
         with pytest.raises(InvalidConfig):
             ct.build_from_document({"template": "mystery"})
-        with pytest.raises(InvalidConfig):
+        with pytest.raises(ct.DocumentError, match="unknown keys"):
             ct.build_from_document({"template": "testing_adequacy", "cpt_preset": "galactic"})
 
     @pytest.mark.parametrize(
@@ -357,10 +357,7 @@ class TestAcpBinding:
             "[1]",
             "{bad",
             {"template": "data_appropriateness", "feature_names": 5},
-            {
-                "template": "data_appropriateness",
-                "acp": {"solution_id": "Sn8.1", "state_values": {"complete": 1.0}},
-            },
+            {"template": "data_appropriateness", "cpts": [1]},
         ],
     )
     def test_malformed_document_raises_document_error(self, document):

@@ -1,9 +1,10 @@
 import json
 import math
 import random
+import re
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from odd_assure import odd_model
 from odd_assure.fixtures import AVP_ODD_DOCUMENT, avp_odd_spec
@@ -29,7 +30,7 @@ from odd_assure.odd_model import (
     validate_odd,
 )
 
-from .oracles import scan_interval_membership
+from .oracles import odd_hierarchy_error, scan_interval_membership
 
 
 class TestParseInterval:
@@ -114,7 +115,52 @@ class TestIntervalSemantics:
         assert not low.overlaps(closed)    # 31 excluded from the low side
 
 
+_CLASS_NAMES = ["", "a", "b", "c", "d", "e"]
+
+
+@st.composite
+def parent_maps(draw):
+    """Parent links over a few class names, "" among them: arbitrary maps
+    (cycles, unknown parents, no root or two), and trees with one link
+    possibly rewired, so valid trees come up too."""
+    names = draw(st.lists(st.sampled_from(_CLASS_NAMES), min_size=1, max_size=6, unique=True))
+    targets = st.one_of(st.none(), st.sampled_from(names + ["ghost"]))
+    if draw(st.booleans()):
+        parents = {names[0]: None}
+        for i, name in enumerate(names[1:], 1):
+            parents[name] = draw(st.sampled_from(names[:i]))
+        if draw(st.booleans()):
+            parents[draw(st.sampled_from(names))] = draw(targets)
+    else:
+        parents = {name: draw(targets) for name in names}
+    return dict(draw(st.permutations(list(parents.items()))))
+
+
 class TestParseOddSpec:
+    @settings(max_examples=300, deadline=None)
+    @given(parent_maps())
+    def test_hierarchy_rule_matches_parent_walk(self, parents):
+        document = {
+            "classes": [
+                {"name": name, "parent": parent,
+                 "attributes": [{"name": "s", "unit": "u", "interval": "[0, 1["}]}
+                for name, parent in parents.items()
+            ]
+        }
+        expected = odd_hierarchy_error(parents)
+        if expected is None:
+            spec = parse_odd_spec(document)
+            assert spec.root == next(n for n, p in parents.items() if p is None)
+            return
+        with pytest.raises(odd_model.OddModelError) as info:
+            parse_odd_spec(document)
+        assert type(info.value) is expected
+        if str(info.value).startswith("cycle"):
+            # the message walks the cycle from child to parent
+            cycle = re.findall(r"'([^']*)'", str(info.value))
+            assert len(cycle) >= 2 and cycle[0] == cycle[-1]
+            assert all(parents[a] == b for a, b in zip(cycle, cycle[1:]))
+
     def test_avp_fixture_parses(self):
         spec = avp_odd_spec()
         assert spec.root == "ODD"
@@ -188,7 +234,7 @@ class TestParseOddSpec:
                 {"name": "B", "parent": "A", "attributes": []},
             ]
         }
-        with pytest.raises(MalformedHierarchy):
+        with pytest.raises(MalformedHierarchy, match="cycle in parent links: '(A|B)' -> "):
             parse_odd_spec(doc)
 
     def test_roundtrip_semantic_equality(self):
