@@ -7,10 +7,12 @@ the test suite holds every posterior against an independent enumeration of
 the full joint.
 
 Each CPT holds its table once, as a read-only array copied when it is
-built. A network caches one plan per (query, set of evidence variables): the
-elimination order and the layout of every product. Each plan serves repeated
-evidence from a bounded memo of finished posteriors. The caches only ever
-store identical values, so a network can still serve many threads.
+built. A network caches one plan per (kept variables, set of evidence
+variables): the elimination order and the layout of every product. It also
+caches the joint tables a runtime monitor asks for: the marginal over a fixed
+set of variables, from which any evidence on them is answered by indexing.
+The caches only ever store identical values, so a network can still serve
+many threads.
 """
 
 from __future__ import annotations
@@ -179,9 +181,10 @@ class BayesNet:
     edges: tuple[tuple[str, str], ...]
     cpts: dict[str, Cpt]
     objective: str | None = None
-    # Inference caches, filled on first use by posterior()
+    # Inference caches, filled on first use by posterior() and _joint_table()
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> BnNode:
         try:
@@ -251,10 +254,10 @@ def topological_order(net: BayesNet) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Variable elimination, planned once per (query, evidence variables)
+# Variable elimination, planned once per (kept variables, evidence variables)
 
 _PLAN_LIMIT = 128  # plans kept per network; the cache is emptied when full
-_MEMO_LIMIT = 1024  # evidence assignments remembered per plan, likewise
+_CELL_LIMIT = 2**20  # largest factor a joint table may need, in cells
 
 
 def _cpt_arrays(net: BayesNet) -> tuple[np.ndarray, ...]:
@@ -341,26 +344,28 @@ def _broadcast(src: tuple[str, ...], target: tuple[str, ...], cards: Mapping[str
 
 @dataclass(frozen=True)
 class _Plan:
-    """Everything about a query that depends only on which variables carry
-    evidence, not on their states.
+    """Everything about a query that depends only on the kept variables and
+    on which variables carry evidence, not on their states.
 
     ``takes`` gives, per CPT array, the evidence position indexing each axis
     (-1 keeps the axis), or None when no axis carries evidence. Factors are
     numbered in creation order, CPTs first. Each step multiplies a chain of
     factors and sums one axis out of the product, which becomes the next
-    factor; ``final`` is the chain of the factors left, over the query. A
-    chain is its first factor plus (factor, its layout, the running
-    product's layout) links.
+    factor; ``final`` is the chain of the factors left, over the kept
+    variables, and ``axes`` permutes its axes into keep order. A chain is
+    its first factor plus (factor, its layout, the running product's layout)
+    links. ``cells`` is the size of the largest product.
     """
 
     ev_vars: tuple[str, ...]
     takes: tuple[tuple[int, ...] | None, ...]
     steps: tuple[tuple[tuple, int], ...]
     final: tuple
-    memo: dict = field(default_factory=dict)
+    axes: tuple[int, ...]
+    cells: int
 
 
-def _compile(net: BayesNet, query: str, ev_vars: tuple[str, ...]) -> _Plan:
+def _compile(net: BayesNet, keep: tuple[str, ...], ev_vars: tuple[str, ...]) -> _Plan:
     position = {v: i for i, v in enumerate(ev_vars)}
     cards = {nid: len(node.states) for nid, node in net.nodes.items()}
     takes, scopes = [], []
@@ -375,10 +380,12 @@ def _compile(net: BayesNet, query: str, ev_vars: tuple[str, ...]) -> _Plan:
         for v in scope:
             holders.setdefault(v, set()).add(fid)
     live = dict.fromkeys(range(len(scopes)))
+    cells = 1
 
     def chain(fids: list[int]) -> tuple[tuple, tuple[str, ...]]:
         # The same products, in the same order, as multiplying the factors
         # pairwise left to right: merged scope = running scope + new vars.
+        nonlocal cells
         merged = scopes[fids[0]]
         links = []
         for fid in fids[1:]:
@@ -386,10 +393,11 @@ def _compile(net: BayesNet, query: str, ev_vars: tuple[str, ...]) -> _Plan:
             links.append((fid, _broadcast(scopes[fid], target, cards),
                           _broadcast(merged, target, cards)))
             merged = target
+        cells = max(cells, math.prod(cards[v] for v in merged))
         return (fids[0], tuple(links)), merged
 
     steps = []
-    for var in _min_fill_order(scopes, {query}):
+    for var in _min_fill_order(scopes, set(keep)):
         fids = sorted(holders[var])
         product, merged = chain(fids)
         for fid in fids:
@@ -402,8 +410,21 @@ def _compile(net: BayesNet, query: str, ev_vars: tuple[str, ...]) -> _Plan:
             holders[v].add(new)
         live[new] = None
         steps.append((product, merged.index(var)))
-    final, _ = chain(list(live))
-    return _Plan(ev_vars, tuple(takes), tuple(steps), final)
+    final, merged = chain(list(live))
+    axes = tuple(merged.index(v) for v in keep)
+    return _Plan(ev_vars, tuple(takes), tuple(steps), final, axes, cells)
+
+
+def _plan(net: BayesNet, keep: tuple[str, ...], ev_vars: frozenset) -> _Plan:
+    """The cached plan for ``keep`` under evidence on ``ev_vars``."""
+    plans, plan_key = net._plans, (keep, ev_vars)
+    plan = plans.get(plan_key)
+    if plan is None:
+        plan = _compile(net, keep, tuple(sorted(ev_vars)))
+        if len(plans) >= _PLAN_LIMIT:
+            plans.clear()
+        plans[plan_key] = plan
+    return plan
 
 
 def _contract(values: list, chain: tuple) -> np.ndarray:
@@ -418,7 +439,8 @@ def _contract(values: list, chain: tuple) -> np.ndarray:
 
 
 def _run(plan: _Plan, arrays: tuple[np.ndarray, ...], key: tuple[int, ...]) -> np.ndarray:
-    """Unnormalized P(query, evidence) for the evidence states in ``key``."""
+    """Unnormalized P(kept variables, evidence) for the evidence states in
+    ``key``, with the axes in the order the plan left them."""
     values = [
         arr if take is None
         else arr[tuple(slice(None) if p < 0 else key[p] for p in take)].copy()
@@ -451,10 +473,9 @@ def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) ->
 
     The slicing, the order and every product's layout depend only on the
     query and on which variables carry evidence, so they are planned once
-    per such pair and kept on the network. Each plan also remembers the
-    outcome for up to about a thousand evidence assignments, so a repeated
-    assignment is answered without arithmetic. Names are checked on every
-    call, and zero-probability evidence raises every time.
+    per such pair and kept on the network; each call does the arithmetic.
+    Names are checked on every call, and zero-probability evidence raises
+    every time.
     """
     assignments = evidence.assignments if evidence is not None else {}
     query_node = net.node(query)
@@ -462,29 +483,33 @@ def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) ->
         raise BayesError(f"query node {query!r} is part of the evidence")
     indexed = {nid: net.node(nid).state_index(s) for nid, s in assignments.items()}
 
-    plans, plan_key = net._plans, (query, frozenset(indexed))
-    plan = plans.get(plan_key)
-    if plan is None:
-        plan = _compile(net, query, tuple(sorted(indexed)))
-        if len(plans) >= _PLAN_LIMIT:
-            plans.clear()
-        plans[plan_key] = plan
-    key = tuple(indexed[v] for v in plan.ev_vars)
-    outcome = plan.memo.get(key)
-    if outcome is None:
-        unnormalized = _run(plan, _cpt_arrays(net), key)
-        z = float(unnormalized.sum())
-        if z <= ZERO_EVIDENCE_TOL:
-            outcome = z
-        else:
-            probs = unnormalized / z
-            outcome = Posterior(query, query_node.states, tuple(float(p) for p in probs))
-        if len(plan.memo) >= _MEMO_LIMIT:
-            plan.memo.clear()
-        plan.memo[key] = outcome
-    if not isinstance(outcome, Posterior):
-        raise ZeroProbabilityEvidence(f"evidence {dict(assignments)} has probability {outcome!r}")
-    return outcome
+    plan = _plan(net, (query,), frozenset(indexed))
+    unnormalized = _run(plan, _cpt_arrays(net), tuple(indexed[v] for v in plan.ev_vars))
+    z = float(unnormalized.sum())
+    if z <= ZERO_EVIDENCE_TOL:
+        raise ZeroProbabilityEvidence(f"evidence {dict(assignments)} has probability {z!r}")
+    return Posterior(query, query_node.states, tuple((unnormalized / z).tolist()))
+
+
+def _joint_table(net: BayesNet, keep: tuple[str, ...]) -> np.ndarray | None:
+    """P(keep) with no evidence: one axis per variable of ``keep``, in that
+    order, each as long as the variable has states.
+
+    Conditioning on any evidence over ``keep`` is then indexing and summing
+    this table. The table is the network polynomial restricted to ``keep``
+    (Darwiche 2003), computed by one variable elimination and kept on the
+    network. None means a product on the way would exceed _CELL_LIMIT cells;
+    the caller then queries with ``posterior``.
+    """
+    tables = net._tables
+    if keep not in tables:
+        plan = _plan(net, keep, frozenset())
+        table = None
+        if plan.cells <= _CELL_LIMIT:
+            table = np.transpose(_run(plan, _cpt_arrays(net), ()), plan.axes)
+            table.flags.writeable = False
+        tables[keep] = table
+    return tables[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +634,9 @@ def parse_bn(document) -> BayesNet:
 
     Schema: ``{"nodes": [{id, states}], "edges": [[src, dst]], "cpts":
     [{node, parents, rows}], "objective": id|null}``. Rows whose sum drifts
-    from 1 by at most 1e-9 are renormalized; larger drift is rejected.
+    from 1 by at most 1e-9 are renormalized; larger drift is rejected. Sums
+    are exact (``math.fsum``), so which rows are renormalized does not
+    depend on the interpreter's ``sum``.
     """
     nodes = [BnNode(n["id"], tuple(n["states"])) for n in document["nodes"]]
     edges = [(e[0], e[1]) for e in document.get("edges", [])]
@@ -618,13 +645,15 @@ def parse_bn(document) -> BayesNet:
         rows = []
         for row in c["rows"]:
             row = [float(p) for p in row]
-            total = sum(row)
+            total = math.fsum(row)
             # Cpt rejects non-finite entries and larger drift.
             if total != 1.0 and abs(total - 1.0) <= PROB_TOL:
-                # Renormalize, folding the residual ulp into the last
-                # entry so that reloading the serialized row is a no-op.
+                # Renormalize, folding the residual into the largest entry:
+                # it stays positive, the row then sums to exactly 1, and
+                # reloading the serialized row is a no-op.
                 row = [p / total for p in row]
-                row[-1] = max(0.0, 1.0 - sum(row[:-1]))
+                top = row.index(max(row))
+                row[top] = math.fsum([1.0, *(-p for i, p in enumerate(row) if i != top)])
             rows.append(row)
         cpts.append(Cpt(c["node"], tuple(c.get("parents", [])), rows))
     return build_net(nodes, edges, cpts, objective=document.get("objective"))

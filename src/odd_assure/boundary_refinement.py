@@ -225,36 +225,32 @@ def extract_rules(tree: DecisionTree) -> list[Rule]:
 
     Along a path, repeated tests of one feature collapse to the tightest
     bound per direction (minimum of the <= thresholds, maximum of the >
-    thresholds), keeping the position of the first occurrence.
+    thresholds), keeping the position of the first occurrence. Each node
+    extends its parent's collapsed conjuncts, so a node costs time in the
+    number of features, not in its depth.
     """
     rules: list[Rule] = []
-    todo = [(tree.root, ())]
+    # (node, collapsed conjuncts, (feature, op) -> position in the conjuncts)
+    todo = [(tree.root, (), {})]
     while todo:
-        node, path = todo.pop()
+        node, conjuncts, slot = todo.pop()
         if isinstance(node, Leaf):
-            rules.append(Rule(tuple(_collapse(path)), node.label))
+            rules.append(Rule(conjuncts, node.label))
             continue
-        todo.append((node.right, path + ((node.feature, ">", node.threshold),)))
-        todo.append((node.left, path + ((node.feature, "<=", node.threshold),)))
+        for op, child in ((">", node.right), ("<=", node.left)):
+            todo.append((child, *_tighten(conjuncts, slot, (node.feature, op), node.threshold)))
     return rules
 
 
-def _collapse(path: Sequence[tuple[str, str, float]]) -> list[tuple[str, str, float]]:
-    out: list[tuple[str, str, float]] = []
-    slot: dict[tuple[str, str], int] = {}
-    for feature, op, threshold in path:
-        key = (feature, op)
-        if key not in slot:
-            slot[key] = len(out)
-            out.append((feature, op, threshold))
-            continue
-        i = slot[key]
-        kept = out[i][2]
-        if op == "<=":
-            out[i] = (feature, op, min(kept, threshold))
-        else:
-            out[i] = (feature, op, max(kept, threshold))
-    return out
+def _tighten(conjuncts: tuple, slot: dict, key: tuple[str, str], threshold: float):
+    """``conjuncts`` and ``slot`` with the test ``key`` at ``threshold``
+    added, or merged into the earlier test of the same feature and op."""
+    i = slot.get(key)
+    if i is None:
+        return conjuncts + ((*key, threshold),), {**slot, key: len(conjuncts)}
+    kept = conjuncts[i][2]
+    bound = min(kept, threshold) if key[1] == "<=" else max(kept, threshold)
+    return conjuncts[:i] + ((*key, bound),) + conjuncts[i + 1:], slot
 
 
 def format_rule(rule: Rule) -> str:

@@ -8,6 +8,13 @@ mean and variance under the bundle's state values. Ticks are independent: no
 state is carried between observations, so a shared bundle may serve many
 threads.
 
+Only the bound nodes ever carry evidence, so the network is reduced once per
+bundle to the joint table P(objective, bound nodes). A tick indexes the
+observed axes, sums the others out and normalizes; a bounded memo keyed by
+the evidence state indices keeps each distinct outcome. A network whose table
+would be too large is queried with ``bayes_core.posterior`` instead, through
+the same memo.
+
 Readings that leave the ODD are, by default, dropped from the evidence and
 flagged; a bundle may instead declare a worst-case state per class to pin
 them to.
@@ -23,6 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from . import _base, bayes_core, odd_model
 from .bayes_core import BayesNet, EvidenceSet, Posterior
 from .confidence_templates import AcpBinding
@@ -30,6 +39,8 @@ from .odd_model import Observation, OddSpec, OUT_OF_ODD
 
 DROP = "drop"
 WORST_CASE = "worst-case"
+
+_MEMO_LIMIT = 1024  # tick outcomes remembered per bundle; emptied when full
 
 log = logging.getLogger("odd_assure.runtime_monitor")
 
@@ -62,6 +73,8 @@ class ModelBundle:
     acp: AcpBinding
     oodd_policy: str = DROP
     worst_states: Mapping[str, str] = field(default_factory=dict)
+    # Filled by the first step()
+    _ticks: "_TickTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def state_values(self) -> Mapping[str, float]:
@@ -180,6 +193,71 @@ def make_bundle(odd: OddSpec, net: BayesNet, bindings: Mapping[str, str], acp: A
     return bundle
 
 
+@dataclass(frozen=True)
+class _TickTable:
+    """What every tick of one bundle shares.
+
+    ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, or
+    None when the bundle is queried through ``bayes_core.posterior``.
+    ``states`` maps each bound node's states to their indices. ``memo`` maps
+    a tuple of evidence state indices, -1 for a node without evidence, to
+    (posterior, mean, variance), all None for a degenerate tick. It lives
+    on the bundle, not the network, because the mean and variance depend on
+    the bundle's state values.
+    """
+
+    nodes: tuple[str, ...]
+    states: tuple[dict[str, int], ...]
+    joint: np.ndarray | None
+    memo: dict
+
+
+def _tick_table(bundle: ModelBundle) -> _TickTable:
+    table = bundle._ticks
+    if table is None:
+        net, objective = bundle.net, bundle.acp.objective
+        nodes = tuple(sorted(set(bundle.bindings.values())))
+        states = tuple({s: i for i, s in enumerate(net.node(n).states)} for n in nodes)
+        # A bound objective cannot be an axis of its own table; posterior
+        # raises on evidence for it, as it always has.
+        joint = None if objective in nodes else bayes_core._joint_table(net, (objective, *nodes))
+        table = _TickTable(nodes, states, joint, {})
+        object.__setattr__(bundle, "_ticks", table)
+    return table
+
+
+def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> tuple:
+    """(posterior, mean, variance) for the evidence, all None when it has
+    ~zero probability."""
+    table = _tick_table(bundle)
+    key = tuple(
+        index[evidence[node]] if node in evidence else -1
+        for node, index in zip(table.nodes, table.states)
+    )
+    outcome = table.memo.get(key)
+    if outcome is None:
+        objective = bundle.acp.objective
+        if table.joint is None:
+            try:
+                post = bayes_core.posterior(bundle.net, objective, EvidenceSet(evidence))
+            except bayes_core.ZeroProbabilityEvidence:
+                post = None
+        else:
+            cells = table.joint[(slice(None), *(slice(None) if i < 0 else i for i in key))]
+            unnormalized = cells.reshape(len(cells), -1).sum(axis=1)
+            z = float(unnormalized.sum())
+            post = None if z <= bayes_core.ZERO_EVIDENCE_TOL else Posterior(
+                objective, bundle.net.nodes[objective].states, tuple((unnormalized / z).tolist())
+            )
+        outcome = (None, None, None) if post is None else (
+            post, *bayes_core.mean_variance(post, bundle.state_values)
+        )
+        if len(table.memo) >= _MEMO_LIMIT:
+            table.memo.clear()
+        table.memo[key] = outcome
+    return outcome
+
+
 def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
     """Evaluate one observation against the bundle.
 
@@ -207,22 +285,7 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
             evidence[node_id] = state
 
     in_odd = not any(s is OUT_OF_ODD for s in interp.states.values())
-    try:
-        post = bayes_core.posterior(
-            bundle.net, bundle.acp.objective, EvidenceSet(evidence)
-        )
-    except bayes_core.ZeroProbabilityEvidence:
-        return ConfidenceReport(
-            time=obs.time,
-            evidence=evidence,
-            posterior=None,
-            mean=None,
-            variance=None,
-            in_odd=in_odd,
-            dropped_readings=tuple(dropped),
-            degenerate=True,
-        )
-    mean, variance = bayes_core.mean_variance(post, bundle.state_values)
+    post, mean, variance = _outcome(bundle, evidence)
     return ConfidenceReport(
         time=obs.time,
         evidence=evidence,
@@ -231,6 +294,7 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
         variance=variance,
         in_odd=in_odd,
         dropped_readings=tuple(dropped),
+        degenerate=post is None,
     )
 
 

@@ -4,8 +4,9 @@ Everything here is deliberately naive: joint probabilities by full
 enumeration, gate probabilities by the closed-form recursion, interval
 membership by a hand-rolled scan, ODD class trees by walking the parent
 links from every class, min-fill orders by recounting every fill
-each round, CART splits by a mask per candidate threshold, axiom checks by
-rescanning the graph for every term. None of it shares code with the
+each round, CART splits by a mask per candidate threshold, rules by
+collapsing each leaf's whole path, axiom checks by rescanning the graph for
+every term. None of it shares code with the
 inference, parsing, fitting or indexing paths it is used to verify; the axiom
 check reads only the rule tables and message helpers of the module.
 """
@@ -20,7 +21,7 @@ import numpy as np
 
 from odd_assure import safety_ontology as so
 from odd_assure.bayes_core import BayesNet, BnNode, Cpt, build_net
-from odd_assure.boundary_refinement import NO, YES, DecisionTree, Leaf, Split
+from odd_assure.boundary_refinement import NO, YES, DecisionTree, Leaf, Rule, Split
 from odd_assure.hara_fta import (
     CausalEntry,
     CausalRelation,
@@ -329,6 +330,40 @@ def fit_tree(records, max_depth: int = 6, min_leaf: int = 20) -> DecisionTree:
     root = grow(np.arange(len(ordered)), 0)
     constant = isinstance(root, Leaf) and _gini(root.n_yes, root.n_no) > 0.0
     return DecisionTree(root, tuple(names), constant)
+
+
+def extract_rules(tree: DecisionTree) -> list[Rule]:
+    """One rule per leaf, left to right: each leaf's whole path is copied
+    down the stack and collapsed on its own, the tightest bound per feature
+    and op kept at the position of the first test."""
+    rules = []
+    todo = [(tree.root, ())]
+    while todo:
+        node, path = todo.pop()
+        if isinstance(node, Leaf):
+            rules.append(Rule(tuple(_collapse(path)), node.label))
+            continue
+        todo.append((node.right, path + ((node.feature, ">", node.threshold),)))
+        todo.append((node.left, path + ((node.feature, "<=", node.threshold),)))
+    return rules
+
+
+def _collapse(path) -> list[tuple[str, str, float]]:
+    out: list[tuple[str, str, float]] = []
+    slot: dict[tuple[str, str], int] = {}
+    for feature, op, threshold in path:
+        key = (feature, op)
+        if key not in slot:
+            slot[key] = len(out)
+            out.append((feature, op, threshold))
+            continue
+        i = slot[key]
+        kept = out[i][2]
+        if op == "<=":
+            out[i] = (feature, op, min(kept, threshold))
+        else:
+            out[i] = (feature, op, max(kept, threshold))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from odd_assure.boundary_refinement import (
     NO,
     YES,
+    DecisionTree,
     DocumentError,
     Leaf,
     MissingFeature,
@@ -283,8 +284,6 @@ class TestExtractRules:
         # v <= 10 then v <= 4 along one path must keep only v <= 4
         inner = Split("v", 4.0, Leaf(YES, 5, 0), Leaf(NO, 0, 5))
         tree_root = Split("v", 10.0, inner, Leaf(NO, 0, 5))
-        from odd_assure.boundary_refinement import DecisionTree
-
         rules = extract_rules(DecisionTree(tree_root, ("v",)))
         assert rules[0].conjuncts == (("v", "<=", 4.0),)
         assert rules[1].conjuncts == (("v", "<=", 10.0), ("v", ">", 4.0))
@@ -312,6 +311,35 @@ class TestExtractRules:
             ]
             assert len(hits) == 1
             assert hits[0].outcome == predict(tree, rec.features)
+
+
+_TREES = st.recursive(
+    st.builds(Leaf, st.sampled_from([YES, NO]), st.integers(0, 9), st.integers(0, 9)),
+    lambda kids: st.builds(
+        Split, st.sampled_from(["a", "b", "c"]), st.sampled_from([-1.5, 0.0, 0.5, 2.0]), kids, kids
+    ),
+    max_leaves=40,
+)
+
+
+class TestExtractRulesMatchesReference:
+    """extract_rules carries the collapsed conjuncts down the tree; the
+    oracle collapses every leaf's whole path. The rules must be equal."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(root=_TREES)
+    def test_random_trees(self, root):
+        tree = DecisionTree(root, ("a", "b", "c"))
+        assert extract_rules(tree) == oracles.extract_rules(tree)
+
+    def test_deep_alternating_tree(self):
+        # Alternating labels on one feature grow a chain about n/2 deep.
+        n = 3000
+        records = [TraceRecord({"x": float(i)}, YES if i % 2 else NO) for i in range(n)]
+        tree = fit_tree(records, max_depth=100000, min_leaf=1)
+        rules = extract_rules(tree)
+        assert len(rules) == n
+        assert rules == oracles.extract_rules(tree)
 
 
 class TestRefineBoundaries:

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odd_assure import bayes_core, odd_model, runtime_monitor as rm
+from odd_assure import bayes_core, confidence_templates, odd_model, runtime_monitor as rm
 from odd_assure.fixtures import (
     AVP_BINDINGS,
     AVP_STATE_VALUES,
@@ -34,7 +34,9 @@ from odd_assure.runtime_monitor import (
     synth_trace,
 )
 
-from .oracles import enumerate_posterior
+from .oracles import all_assignments, enumerate_joint, enumerate_posterior, random_net
+
+AVP_WORST_STATES = {"Fog": "Fog_Severity_5", "Rain": "Rain_Heavy", "Ego_speed": "Speed_High"}
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +106,10 @@ class TestLoadBundle:
             )
 
 
-def light_bundle():
+def light_bundle(policy=rm.DROP, p_dark=0.0):
     """Light level deterministically "Bright"; observing "Dark" is impossible
-    evidence and must flag the tick, not crash the stream."""
+    evidence and must flag the tick, not crash the stream. Out of the ODD,
+    the worst-case policy pins the light to "Dark"."""
     from odd_assure.bayes_core import BnNode, Cpt, build_net
     from odd_assure.odd_model import parse_odd_spec
 
@@ -129,13 +132,14 @@ def light_bundle():
         [BnNode("Light", ("Dark", "Bright")), BnNode("ok", ("yes", "no"))],
         [("Light", "ok")],
         [
-            Cpt("Light", (), ((0.0, 1.0),)),
+            Cpt("Light", (), ((p_dark, 1.0 - p_dark),)),
             Cpt("ok", ("Light",), ((0.5, 0.5), (0.9, 0.1))),
         ],
         objective="ok",
     )
     return make_bundle(
-        odd, net, {"Light": "Light"}, AcpBinding("Sn1", "ok", {"yes": 1.0, "no": 0.0})
+        odd, net, {"Light": "Light"}, AcpBinding("Sn1", "ok", {"yes": 1.0, "no": 0.0}),
+        oodd_policy=policy, worst_states={"Light": "Dark"},
     )
 
 
@@ -157,11 +161,55 @@ def light_observations():
             for t, lux in enumerate([0.5, 5.0, None, -1.0, 0.2, 30.0])]
 
 
+def two_state_odd(class_names, states=("t", "f")):
+    """One partitioned class per name, the first state on [0, 1[ and the
+    second on [1, 2]; readings outside [0, 2] leave the ODD."""
+    return odd_model.parse_odd_spec({"classes": [
+        {"name": "ODD", "parent": None, "attributes": []},
+        *({"name": name, "parent": "ODD", "partition": True, "attributes": [
+            {"name": states[0], "unit": "u", "interval": "[0, 1["},
+            {"name": states[1], "unit": "u", "interval": "[1, 2]"},
+        ]} for name in class_names),
+    ]})
+
+
+# a reading in each two_state_odd state, out of the ODD above and below,
+# non-finite, or missing
+TWO_STATE_READINGS = (0.5, 1.5, 7.0, -3.0, math.nan, None)
+
+
+def wide_bundle(policy=rm.DROP, n_features=4):
+    """A small testing-adequacy bundle: one two-state class per feature."""
+    names = tuple(f"W{i}" for i in range(n_features))
+    odd = two_state_odd(names, ("adequate", "inadequate"))
+    net = confidence_templates.build_testing_adequacy_bn(
+        confidence_templates.TemplateConfig(feature_names=names)
+    )
+    acp = AcpBinding("SnW", confidence_templates.TEST_OBJECTIVE,
+                     {"adequate": 1.0, "inadequate": 0.0})
+    return make_bundle(odd, net, {n: n for n in names}, acp, oodd_policy=policy,
+                       worst_states={n: "inadequate" for n in names})
+
+
+def wide_observations(n=40, seed=67):
+    rng = random.Random(seed)
+    return [
+        Observation(float(t), 0.0, 0.0, {
+            name: value for name in ("W0", "W1", "W2", "W3")
+            if (value := rng.choice(TWO_STATE_READINGS)) is not None
+        })
+        for t in range(n)
+    ]
+
+
 class TestStep:
     def test_empty_observation_gives_prior(self, bundle):
-        report = step(bundle, Observation(0.0, 0.0, 0.0, {}))
-        prior = bayes_core.posterior(bundle.net, HAZARD_ID)
-        assert report.posterior.probs == prior.probs
+        obs = Observation(0.0, 0.0, 0.0, {})
+        report = step(bundle, obs)
+        prior = enumerate_posterior(bundle.net, HAZARD_ID, {})
+        for state, prob in report.posterior.as_dict().items():
+            assert prob == pytest.approx(prior[state], abs=1e-9)
+        assert report == step(avp_bundle(), obs)
         assert report.evidence == {}
         assert report.in_odd
 
@@ -174,18 +222,24 @@ class TestStep:
                 assert prob == pytest.approx(expected[state], abs=1e-9)
 
     def test_out_of_odd_reading_dropped(self, bundle):
-        report = step(bundle, Observation(0.0, 0.0, 0.0, {"Rain": -1.0}))
+        obs = Observation(0.0, 0.0, 0.0, {"Rain": -1.0})
+        report = step(bundle, obs)
         assert not report.in_odd
         assert report.dropped_readings == ("Rain",)
         assert report.evidence == {}
-        prior = bayes_core.posterior(bundle.net, HAZARD_ID)
-        assert report.posterior.probs == prior.probs
+        prior = enumerate_posterior(bundle.net, HAZARD_ID, {})
+        for state, prob in report.posterior.as_dict().items():
+            assert prob == pytest.approx(prior[state], abs=1e-9)
+        assert report == step(avp_bundle(), obs)
+
+    def test_fresh_bundles_give_identical_reports(self):
+        obs = avp_observations()
+        assert [step(avp_bundle(), o) for o in obs] == [step(avp_bundle(), o) for o in obs]
 
     def test_worst_case_policy_pins_state(self):
         bundle = make_bundle(
             avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, avp_acp(),
-            oodd_policy=rm.WORST_CASE,
-            worst_states={"Fog": "Fog_Severity_5", "Rain": "Rain_Heavy", "Ego_speed": "Speed_High"},
+            oodd_policy=rm.WORST_CASE, worst_states=AVP_WORST_STATES,
         )
         report = step(bundle, Observation(0.0, 0.0, 0.0, {"Rain": -1.0}))
         assert report.evidence == {"Rain": "Rain_Heavy"}
@@ -249,6 +303,107 @@ class TestStep:
             report = step(bundle, obs)
             assert 0.0 <= report.mean <= 1.0
             assert 0.0 <= report.variance <= 0.25
+
+
+class TestJointTable:
+    """Ticks are answered from P(objective, bound nodes); a bundle whose
+    table would be too large is queried with bayes_core.posterior."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_nodes=st.integers(2, 7),
+        p_deterministic=st.sampled_from([0.0, 0.5]),
+        policy=st.sampled_from([rm.DROP, rm.WORST_CASE]),
+    )
+    def test_matches_enumeration(self, seed, n_nodes, p_deterministic, policy):
+        rng = random.Random(seed)
+        shape = random_net(rng, n_nodes, p_deterministic)
+        objective = f"n{n_nodes - 1}"  # random_net's last node has no children
+        net = bayes_core.build_net(shape.nodes.values(), shape.edges, shape.cpts.values(), objective)
+        bound = rng.sample(sorted(set(net.nodes) - {objective}), rng.randint(1, n_nodes - 1))
+        bindings = {f"C{node}": node for node in bound}
+        worst = {name: rng.choice(("t", "f")) for name in bindings}
+        values = {s: rng.random() for s in ("t", "f")}
+        bundle = make_bundle(two_state_odd(bindings), net, bindings,
+                             AcpBinding("Sn", objective, values), policy, worst)
+        for t in range(8):
+            readings = {name: rng.choice(TWO_STATE_READINGS) for name in bindings}
+            obs = Observation(float(t), 0.0, 0.0,
+                              {k: v for k, v in readings.items() if v is not None})
+            report = step(bundle, obs)
+
+            evidence, dropped = {}, []
+            for name in sorted(obs.readings):
+                value = obs.readings[name]
+                if math.isnan(value) or (policy == rm.DROP and not 0.0 <= value <= 2.0):
+                    dropped.append(name)
+                elif 0.0 <= value <= 2.0:
+                    evidence[bindings[name]] = "t" if value < 1.0 else "f"
+                else:
+                    evidence[bindings[name]] = worst[name]
+            assert report.evidence == evidence
+            assert report.dropped_readings == tuple(dropped)
+            assert report.in_odd == all(math.isnan(v) or 0.0 <= v <= 2.0
+                                        for v in obs.readings.values())
+
+            p_evidence = sum(enumerate_joint(net, a) for a in all_assignments(net)
+                             if all(a[k] == v for k, v in evidence.items()))
+            assert report.degenerate == (p_evidence <= bayes_core.ZERO_EVIDENCE_TOL)
+            if report.degenerate:
+                assert report.posterior is report.mean is report.variance is None
+                continue
+            expected = enumerate_posterior(net, objective, evidence)
+            for state, prob in report.posterior.as_dict().items():
+                assert abs(prob - expected[state]) <= 1e-9
+            mean = sum(p * values[s] for s, p in expected.items())
+            assert abs(report.mean - mean) <= 1e-9
+
+    @pytest.mark.parametrize("policy", [rm.DROP, rm.WORST_CASE])
+    @pytest.mark.parametrize("make, observations", [
+        (lambda policy: make_bundle(avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, avp_acp(),
+                                    oodd_policy=policy, worst_states=AVP_WORST_STATES),
+         avp_observations),
+        (wide_bundle, wide_observations),
+        (light_bundle, light_observations),
+    ], ids=["avp", "wide", "light"])
+    def test_posterior_fallback_matches(self, monkeypatch, make, observations, policy):
+        obs = observations()
+        table = make(policy)
+        expected = [step(table, o) for o in obs]
+        assert table._ticks.joint is not None
+        monkeypatch.setattr(bayes_core, "_CELL_LIMIT", 1)
+        fallback = make(policy)
+        got = [step(fallback, o) for o in obs]
+        assert fallback._ticks.joint is None
+        for want, have in zip(expected, got):
+            assert (have.evidence, have.dropped_readings, have.in_odd, have.degenerate) == (
+                want.evidence, want.dropped_readings, want.in_odd, want.degenerate)
+            if want.degenerate:
+                continue
+            assert have.posterior.states == want.posterior.states
+            for a, b in zip(have.posterior.probs, want.posterior.probs):
+                assert abs(a - b) <= 1e-12
+            assert abs(have.mean - want.mean) <= 1e-12
+            assert abs(have.variance - want.variance) <= 1e-12
+        if observations is light_observations:
+            assert any(r.degenerate for r in expected)
+
+    @pytest.mark.parametrize("cell_limit", [2**20, 1])
+    def test_evidence_within_tolerance_of_zero_is_degenerate(self, monkeypatch, cell_limit):
+        monkeypatch.setattr(bayes_core, "_CELL_LIMIT", cell_limit)
+        dark = Observation(0.0, 0.0, 0.0, {"Light": 0.5})
+        assert step(light_bundle(p_dark=1e-13), dark).degenerate
+        assert not step(light_bundle(p_dark=1e-11), dark).degenerate
+
+    def test_table_is_built_once_per_network(self):
+        bundle = avp_bundle()
+        step(bundle, Observation(0.0, 0.0, 0.0, {"Fog": 30.0}))
+        rewrapped = make_bundle(bundle.odd, bundle.net, bundle.bindings, bundle.acp,
+                                oodd_policy=rm.WORST_CASE, worst_states=AVP_WORST_STATES)
+        step(rewrapped, Observation(0.0, 0.0, 0.0, {"Fog": 30.0}))
+        assert rewrapped._ticks.joint is bundle._ticks.joint
+        assert len(bundle.net._tables) == 1
 
 
 class TestSharedBundle:
