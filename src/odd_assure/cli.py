@@ -287,11 +287,12 @@ def _cmd_monitor(args) -> int:
         reports = runtime_monitor.run(
             bundle, observations(), on_out_of_order=args.on_out_of_order
         )
+        write = sys.stdout.write
         for report in reports:
             if writer is not None:
                 writer.writerow(runtime_monitor.report_to_csv_row(report))
             else:
-                print(json.dumps(runtime_monitor.report_to_document(report)))
+                write(runtime_monitor.report_to_json_line(bundle, report))
     finally:
         if lines is not sys.stdin:
             lines.close()

@@ -8,6 +8,10 @@ bounded by an interval in the half-open bracket notation `[0.25, 0.77[`.
 Discretizing a reading returns the attribute whose interval contains it, or
 ``OUT_OF_ODD`` when no interval does. Leaving the ODD is a first-class
 result, not an error: the runtime monitor acts on it.
+
+Each class is compiled once per spec into its sorted finite endpoints and
+the label of every endpoint and every gap between them, so discretizing a
+reading is one bisection.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -215,6 +220,8 @@ class OddSpec:
 
     root: str
     classes: dict[str, OddClass]
+    # Filled on first use by _compiled()
+    _compiled: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def children(self, name: str) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes.values() if c.parent == name)
@@ -357,6 +364,64 @@ def validate_odd(spec: OddSpec) -> list[OddDefect]:
     return defects
 
 
+@dataclass(frozen=True)
+class _CompiledClass:
+    """A class's attributes as a lookup table over the real line.
+
+    ``points`` holds the sorted distinct finite interval endpoints.
+    ``labels[2 * i]`` is the label of the open gap just below ``points[i]``,
+    ``labels[2 * i + 1]`` that of ``points[i]`` itself, and ``labels[-1]``
+    that of the gap above the last endpoint. A label is an attribute name,
+    OUT_OF_ODD, or the tuple of names whose intervals overlap there.
+    """
+
+    points: tuple[float, ...]
+    labels: tuple
+
+    def label(self, value: float):
+        """The label of ``value``; None when it is NaN or infinite."""
+        if not -math.inf < value < math.inf:
+            return None
+        points = self.points
+        i = bisect_left(points, value)
+        if i < len(points) and points[i] == value:
+            return self.labels[2 * i + 1]
+        return self.labels[2 * i]
+
+
+def _compile_class(cls: OddClass) -> _CompiledClass:
+    bounds = [a.bounds for a in cls.attributes]
+    points = sorted({x for b in bounds for x in (b.lo, b.hi) if math.isfinite(x)})
+    edges = [-math.inf, *points, math.inf]
+    labels = []
+    for i, (below, above) in enumerate(zip(edges, edges[1:])):
+        # An endpoint never lies inside a gap, so an interval holds all of the
+        # gap or none of it.
+        labels.append([b.lo <= below and above <= b.hi for b in bounds])
+        if i < len(points):
+            labels.append([b.contains(above) for b in bounds])
+    return _CompiledClass(tuple(points), tuple(_label(cls, hits) for hits in labels))
+
+
+def _label(cls: OddClass, hits: list[bool]):
+    names = tuple(a.name for a, hit in zip(cls.attributes, hits) if hit)
+    if not names:
+        return OUT_OF_ODD
+    return names[0] if len(names) == 1 else names
+
+
+def _compiled(spec: OddSpec) -> dict[str, _CompiledClass | None]:
+    """Every class of the spec compiled, None for a class without attributes."""
+    compiled = spec._compiled
+    if compiled is None:
+        compiled = {
+            name: _compile_class(cls) if cls.attributes else None
+            for name, cls in spec.classes.items()
+        }
+        object.__setattr__(spec, "_compiled", compiled)
+    return compiled
+
+
 def discretize(spec: OddSpec, class_name: str, value: float) -> State:
     """Map a raw value onto the attribute of ``class_name`` containing it.
 
@@ -365,22 +430,20 @@ def discretize(spec: OddSpec, class_name: str, value: float) -> State:
     non-partition class rather than a property of the value, and
     NonFiniteReading for a NaN or infinite value.
     """
-    cls = spec.classes.get(class_name)
-    if cls is None:
-        raise UnknownClass(f"no ODD class named {class_name!r}")
-    if not cls.attributes:
+    try:
+        table = _compiled(spec)[class_name]
+    except KeyError:
+        raise UnknownClass(f"no ODD class named {class_name!r}") from None
+    if table is None:
         raise EmptyClass(f"class {class_name!r} has no attributes to discretize against")
-    matches = [a.name for a in cls.attributes if a.bounds.contains(value)]
-    if not matches:
-        # No interval holds NaN or an infinity, so only a miss needs the test.
-        if not math.isfinite(value):
-            raise NonFiniteReading(f"reading {value!r} of class {class_name!r} is not finite")
-        return OUT_OF_ODD
-    if len(matches) > 1:
+    state = table.label(value)
+    if state is None:
+        raise NonFiniteReading(f"reading {value!r} of class {class_name!r} is not finite")
+    if type(state) is tuple:
         raise AmbiguousState(
-            f"value {value!r} falls in {matches} of class {class_name!r}"
+            f"value {value!r} falls in {list(state)} of class {class_name!r}"
         )
-    return matches[0]
+    return state
 
 
 def interpret(spec: OddSpec, obs: Observation) -> Interpretation:

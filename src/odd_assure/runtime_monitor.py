@@ -8,12 +8,14 @@ mean and variance under the bundle's state values. Ticks are independent: no
 state is carried between observations, so a shared bundle may serve many
 threads.
 
-Only the bound nodes ever carry evidence, so the network is reduced once per
-bundle to the joint table P(objective, bound nodes). A tick indexes the
-observed axes, sums the others out and normalizes; a bounded memo keyed by
-the evidence state indices keeps each distinct outcome. A network whose table
-would be too large is queried with ``bayes_core.posterior`` instead, through
-the same memo.
+A tick reads each reading's state from the ODD spec's compiled class
+tables. Only the bound nodes ever carry evidence, so the network is reduced
+once per bundle to the joint table P(objective, bound nodes). A tick indexes
+the observed axes, sums the others out and normalizes; a bounded memo keyed
+by the evidence keeps each distinct outcome. A network whose table would be
+too large is queried with ``bayes_core.posterior`` instead, through the same
+memo. ``report_to_json_line`` keeps, per bundle and evidence, the part of a
+report line that depends only on the evidence.
 
 Readings that leave the ODD are, by default, dropped from the evidence and
 flagged; a bundle may instead declare a worst-case state per class to pin
@@ -40,7 +42,7 @@ from .odd_model import Observation, OddSpec, OUT_OF_ODD
 DROP = "drop"
 WORST_CASE = "worst-case"
 
-_MEMO_LIMIT = 1024  # tick outcomes remembered per bundle; emptied when full
+_MEMO_LIMIT = 1024  # outcomes and line parts kept per bundle; emptied when full
 
 log = logging.getLogger("odd_assure.runtime_monitor")
 
@@ -100,6 +102,10 @@ def _check_bindings(bundle: ModelBundle) -> None:
             raise BindingMismatch(f"binding names unknown ODD class {class_name!r}")
         if node_id not in bundle.net.nodes:
             raise BindingMismatch(f"binding for {class_name!r} names unknown node {node_id!r}")
+        if node_id == bundle.acp.objective:
+            raise BindingMismatch(
+                f"binding for {class_name!r} names the objective node {node_id!r}"
+            )
         attr_names = {a.name for a in cls.attributes}
         node_states = set(bundle.net.nodes[node_id].states)
         if attr_names != node_states:
@@ -200,16 +206,18 @@ class _TickTable:
     ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, or
     None when the bundle is queried through ``bayes_core.posterior``.
     ``states`` maps each bound node's states to their indices. ``memo`` maps
-    a tuple of evidence state indices, -1 for a node without evidence, to
-    (posterior, mean, variance), all None for a degenerate tick. It lives
-    on the bundle, not the network, because the mean and variance depend on
-    the bundle's state values.
+    the evidence items, in insertion order, to (posterior, mean, variance),
+    all None for a degenerate tick. It lives on the bundle, not the network,
+    because the mean and variance depend on the bundle's state values.
+    ``lines`` maps the same key to the evidence part of a report line (see
+    ``report_to_json_line``).
     """
 
     nodes: tuple[str, ...]
     states: tuple[dict[str, int], ...]
     joint: np.ndarray | None
     memo: dict
+    lines: dict
 
 
 def _tick_table(bundle: ModelBundle) -> _TickTable:
@@ -218,10 +226,8 @@ def _tick_table(bundle: ModelBundle) -> _TickTable:
         net, objective = bundle.net, bundle.acp.objective
         nodes = tuple(sorted(set(bundle.bindings.values())))
         states = tuple({s: i for i, s in enumerate(net.node(n).states)} for n in nodes)
-        # A bound objective cannot be an axis of its own table; posterior
-        # raises on evidence for it, as it always has.
-        joint = None if objective in nodes else bayes_core._joint_table(net, (objective, *nodes))
-        table = _TickTable(nodes, states, joint, {})
+        joint = bayes_core._joint_table(net, (objective, *nodes))
+        table = _TickTable(nodes, states, joint, {}, {})
         object.__setattr__(bundle, "_ticks", table)
     return table
 
@@ -230,10 +236,7 @@ def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> tuple:
     """(posterior, mean, variance) for the evidence, all None when it has
     ~zero probability."""
     table = _tick_table(bundle)
-    key = tuple(
-        index[evidence[node]] if node in evidence else -1
-        for node, index in zip(table.nodes, table.states)
-    )
+    key = tuple(evidence.items())
     outcome = table.memo.get(key)
     if outcome is None:
         objective = bundle.acp.objective
@@ -243,7 +246,10 @@ def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> tuple:
             except bayes_core.ZeroProbabilityEvidence:
                 post = None
         else:
-            cells = table.joint[(slice(None), *(slice(None) if i < 0 else i for i in key))]
+            cells = table.joint[(slice(None), *(
+                index[evidence[node]] if node in evidence else slice(None)
+                for node, index in zip(table.nodes, table.states)
+            ))]
             unnormalized = cells.reshape(len(cells), -1).sum(axis=1)
             z = float(unnormalized.sum())
             post = None if z <= bayes_core.ZERO_EVIDENCE_TOL else Posterior(
@@ -261,30 +267,36 @@ def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> tuple:
 def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
     """Evaluate one observation against the bundle.
 
-    Discretized readings of bound classes become evidence; out-of-ODD and
-    defective readings are dropped and flagged (or pinned to the worst state
-    under that policy). Evidence with ~zero probability yields a degenerate
-    report instead of raising.
+    Readings are discretized in class-name order. Those of bound classes
+    become evidence; out-of-ODD and defective readings (unknown or
+    attribute-less class, NaN or infinite value, ambiguous state) are
+    dropped and flagged, or, under the worst-case policy, an out-of-ODD
+    reading of a bound class is pinned to its worst state. Only an
+    out-of-ODD reading clears ``in_odd``. Evidence with ~zero probability
+    yields a degenerate report instead of raising.
     """
-    interp = odd_model.interpret(bundle.odd, obs)
+    tables = odd_model._compiled(bundle.odd)
+    bindings, readings = bundle.bindings, obs.readings
+    worst_case = bundle.oodd_policy == WORST_CASE
     evidence: dict[str, str] = {}
     dropped: list[str] = []
-    for class_name in sorted(obs.readings):
-        if class_name in interp.errors:
+    in_odd = True
+    for class_name in sorted(readings):
+        table = tables.get(class_name)
+        state = None if table is None else table.label(readings[class_name])
+        if state is None or type(state) is tuple:
             dropped.append(class_name)
             continue
-        state = interp.states[class_name]
-        node_id = bundle.bindings.get(class_name)
+        node_id = bindings.get(class_name)
         if state is OUT_OF_ODD:
-            if bundle.oodd_policy == WORST_CASE and node_id is not None:
+            in_odd = False
+            if worst_case and node_id is not None:
                 evidence[node_id] = bundle.worst_states[class_name]
             else:
                 dropped.append(class_name)
-            continue
-        if node_id is not None:
+        elif node_id is not None:
             evidence[node_id] = state
 
-    in_odd = not any(s is OUT_OF_ODD for s in interp.states.values())
     post, mean, variance = _outcome(bundle, evidence)
     return ConfidenceReport(
         time=obs.time,
@@ -328,18 +340,34 @@ def run(
 # Observation stream I/O
 
 
+_NUMBER_TYPES = (float, int)  # JSON numbers; a bool is not one
+
+
+def _number(value, what: str) -> float:
+    if type(value) not in _NUMBER_TYPES:
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
+
+
 @_base.document_reader("observation", DocumentError)
 def parse_observation(doc) -> Observation:
     """Read one stream line ``{"t", "x", "y", "readings": {class: value}}``.
-    ``t`` must be finite; a non-finite reading is left for ``step`` to drop."""
-    time = float(doc["t"])
-    if not math.isfinite(time):
+    Every value must be a JSON number. ``t`` must be finite; a non-finite
+    reading is left for ``step`` to drop."""
+    time = doc["t"]
+    if type(time) not in _NUMBER_TYPES or not -math.inf < time < math.inf:
         raise ValueError(f"t must be finite, got {time!r}")
     return Observation(
-        time=time,
-        x=float(doc.get("x", 0.0)),
-        y=float(doc.get("y", 0.0)),
-        readings={k: float(v) for k, v in doc.get("readings", {}).items()},
+        time=_number(time, "t"),
+        x=_number(doc.get("x", 0.0), "x"),
+        y=_number(doc.get("y", 0.0), "y"),
+        readings={
+            k: v if type(v) is float else _number(v, f"reading {k!r}")
+            for k, v in doc.get("readings", {}).items()
+        },
     )
 
 
@@ -360,6 +388,38 @@ def report_to_document(report: ConfidenceReport) -> dict:
         "dropped_readings": list(report.dropped_readings),
         "degenerate": report.degenerate,
     }
+
+
+def report_to_json_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
+    """``json.dumps(report_to_document(report))`` and a newline, for a
+    report that ``step`` made from ``bundle``.
+
+    The evidence, posterior, mean and variance of a report follow from its
+    evidence alone. That part of the line is cut from the first line with
+    the same evidence items, in the same insertion order (the order the line
+    lists them in), and kept on the bundle, so a later line formats only
+    ``t``, ``in_odd``, ``dropped_readings`` and ``degenerate``.
+    """
+    lines = _tick_table(bundle).lines
+    key = tuple(report.evidence.items())
+    middle = lines.get(key)
+    if middle is None:
+        line = json.dumps(report_to_document(report))
+        # t is a number, so the first ", " ends it; "in_odd" is the first
+        # key after variance, and no later value can hold it unescaped.
+        if len(lines) >= _MEMO_LIMIT:
+            lines.clear()
+        lines[key] = line[line.index(", "):line.rindex(', "in_odd": ')]
+        return line + "\n"
+    t = report.time
+    # json.dumps spells a finite float with float.__repr__
+    t = float.__repr__(t) if type(t) is float and -math.inf < t < math.inf else json.dumps(t)
+    dropped = json.dumps(list(report.dropped_readings)) if report.dropped_readings else "[]"
+    return (
+        f'{{"t": {t}{middle}, "in_odd": {"true" if report.in_odd else "false"}, '
+        f'"dropped_readings": {dropped}, '
+        f'"degenerate": {"true" if report.degenerate else "false"}}}\n'
+    )
 
 
 REPORT_CSV_COLUMNS = (

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive: joint probabilities by full
 enumeration, gate probabilities by the closed-form recursion, interval
-membership by a hand-rolled scan, ODD class trees by walking the parent
+membership by a hand-rolled scan, discretization by testing every interval
+of a class, ODD class trees by walking the parent
 links from every class, min-fill orders by recounting every fill
 each round, CART splits by a mask per candidate threshold, rules by
 collapsing each leaf's whole path, axiom checks by rescanning the graph for
@@ -32,7 +33,15 @@ from odd_assure.hara_fta import (
     compute_fta,
     role_candidates,
 )
-from odd_assure.odd_model import MalformedHierarchy, UnknownParent
+from odd_assure.odd_model import (
+    OUT_OF_ODD,
+    AmbiguousState,
+    EmptyClass,
+    MalformedHierarchy,
+    NonFiniteReading,
+    UnknownClass,
+    UnknownParent,
+)
 
 
 def cpt_lookup(net: BayesNet, node_id: str, assignment: dict[str, str]) -> float:
@@ -245,6 +254,25 @@ def scan_interval_membership(text: str, value: float) -> bool:
     above = value >= lo if lo_inc else value > lo
     below = value <= hi if hi_inc else value < hi
     return above and below
+
+
+def discretize(spec, class_name: str, value: float):
+    """The attribute of ``class_name`` whose interval holds ``value``, found
+    by testing every interval in turn; raises as ``odd_model.discretize``
+    does, with the same messages."""
+    cls = spec.classes.get(class_name)
+    if cls is None:
+        raise UnknownClass(f"no ODD class named {class_name!r}")
+    if not cls.attributes:
+        raise EmptyClass(f"class {class_name!r} has no attributes to discretize against")
+    matches = [a.name for a in cls.attributes if a.bounds.contains(value)]
+    if not matches:
+        if not math.isfinite(value):
+            raise NonFiniteReading(f"reading {value!r} of class {class_name!r} is not finite")
+        return OUT_OF_ODD
+    if len(matches) > 1:
+        raise AmbiguousState(f"value {value!r} falls in {matches} of class {class_name!r}")
+    return matches[0]
 
 
 # ---------------------------------------------------------------------------

@@ -449,7 +449,7 @@ class TestMonitorAndSynth:
 
     def test_monitor_drops_nan_reading_as_defective(self, bundle_dir, tmp_path, capsys):
         stream = tmp_path / "stream.jsonl"
-        stream.write_text('{"t": 0, "readings": {"Fog": "nan", "Rain": 0.1}}\n', encoding="utf-8")
+        stream.write_text('{"t": 0, "readings": {"Fog": NaN, "Rain": 0.1}}\n', encoding="utf-8")
         assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["in_odd"] is True
@@ -508,6 +508,141 @@ class TestMonitorAndSynth:
         run_cli("synth", bundle_dir / "fog_ramp.json", "--seed", 5, "--out", a)
         run_cli("synth", bundle_dir / "fog_ramp.json", "--seed", 5, "--out", b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("value", ["true", '"12.5"', "null", "[1]"])
+    def test_monitor_non_number_reading_exits_two_naming_line(
+        self, bundle_dir, tmp_path, caplog, capsys, value
+    ):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text(
+            '{"t": 0, "readings": {"Fog": 100.0}}\n'
+            f'{{"t": 1, "readings": {{"Fog": 100.0, "Rain": {value}}}}}\n',
+            encoding="utf-8",
+        )
+        assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 2
+        assert (f"{stream} line 2: malformed observation: reading 'Rain' must be a number"
+                in error_text(caplog))
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_monitor_binding_to_objective_exits_one(self, bundle_dir, tmp_path):
+        for source in bundle_dir.iterdir():
+            (tmp_path / source.name).write_bytes(source.read_bytes())
+        odd = copy.deepcopy(AVP_ODD_DOCUMENT)
+        odd["classes"].append({"name": "Hazard", "parent": "ODD", "attributes": [
+            {"name": "occurs", "unit": "u", "interval": "[0, 1["},
+            {"name": "not_occurs", "unit": "u", "interval": "[1, 2]"},
+        ]})
+        (tmp_path / "avp_odd.json").write_text(json.dumps(odd), encoding="utf-8")
+        manifest = tmp_path / "avp_bundle.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["bindings"]["Hazard"] = HAZARD_ID
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"t": 0, "readings": {"Hazard": 0.5}}\n', encoding="utf-8")
+        result = run_cli_process("monitor", manifest, "--stream", stream)
+        assert result.returncode == 1
+        assert f"{manifest}: binding for 'Hazard' names the objective node" in result.stderr
+        assert "Traceback" not in result.stderr and result.stdout == ""
+
+
+def _two_class_bundle(directory: Path) -> Path:
+    """Classes A and C both bind node N, B binds M; which of A and C is
+    present decides whether N comes before or after M in the evidence."""
+    from odd_assure.bayes_core import BnNode, Cpt, build_net, save_bn
+
+    two_states = [{"name": "t", "unit": "u", "interval": "[0, 1["},
+                  {"name": "f", "unit": "u", "interval": "[1, 2]"}]
+    odd = {"classes": [{"name": "ODD", "parent": None, "attributes": []}] + [
+        {"name": name, "parent": "ODD", "partition": True, "attributes": two_states}
+        for name in ("A", "B", "C")
+    ]}
+    (directory / "odd.json").write_text(json.dumps(odd), encoding="utf-8")
+    save_bn(build_net(
+        [BnNode("N", ("t", "f")), BnNode("M", ("t", "f")), BnNode("O", ("yes", "no"))],
+        [("N", "O"), ("M", "O")],
+        [Cpt("N", (), ((0.3, 0.7),)), Cpt("M", (), ((0.6, 0.4),)),
+         Cpt("O", ("N", "M"), ((0.9, 0.1), (0.5, 0.5), (0.4, 0.6), (0.05, 0.95)))],
+        "O",
+    ), directory / "net.json")
+    manifest = directory / "bundle.json"
+    manifest.write_text(json.dumps({
+        "odd": "odd.json", "net": "net.json", "bindings": {"A": "N", "B": "M", "C": "N"},
+        "acp": {"solution_id": "Sn", "objective": "O", "state_values": {"yes": 1.0, "no": 0.0}},
+        "worst_states": {"A": "f", "B": "f", "C": "t"},
+    }), encoding="utf-8")
+    return manifest
+
+
+def _random_stream(rng: random.Random, classes: dict, n: int) -> list[str]:
+    """Lines whose readings each class carries with probability 0.7, drawn
+    from its list of values; NaN is written as JSON NaN."""
+    return [
+        json.dumps({"t": t / 10, "readings": {
+            name: rng.choice(values) for name, values in classes.items() if rng.random() < 0.7
+        }})
+        for t in range(n)
+    ]
+
+
+class TestMonitorLines:
+    """The monitor's stdout is byte for byte what report_to_document and
+    report_to_csv_row give for the reports step makes, whatever the line
+    cache holds."""
+
+    @staticmethod
+    def expected(manifest, lines, policy, fmt) -> str:
+        rm = cli.runtime_monitor
+        bundle = rm.load_bundle(manifest)
+        if policy:
+            bundle = rm.make_bundle(bundle.odd, bundle.net, bundle.bindings, bundle.acp,
+                                    oodd_policy=policy, worst_states=bundle.worst_states)
+        reports = [rm.step(bundle, rm.parse_observation(line)) for line in lines]
+        if fmt == "jsonl":
+            return "".join(json.dumps(rm.report_to_document(r)) + "\n" for r in reports)
+        out = io.StringIO()
+        writer = csv.writer(out)
+        writer.writerow(rm.REPORT_CSV_COLUMNS)
+        writer.writerows(rm.report_to_csv_row(r) for r in reports)
+        return out.getvalue()
+
+    def check(self, capsys, tmp_path, manifest, lines, policy, fmt):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["monitor", manifest, "--stream", stream, "--format", fmt]
+        assert run_cli(*argv, *(["--oodd-policy", policy] if policy else [])) == 0
+        assert capsys.readouterr().out == self.expected(manifest, lines, policy, fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_fog_ramp(self, bundle_dir, tmp_path, capsys, fmt):
+        rm = cli.runtime_monitor
+        lines = [rm.observation_to_line(o) for o in rm.synth_trace(fog_ramp_script(), seed=2)]
+        self.check(capsys, tmp_path, bundle_dir / "avp_bundle.json", lines, None, fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("policy", ["drop", "worst-case"])
+    def test_avp_defects_and_exits(self, bundle_dir, tmp_path, capsys, policy, fmt):
+        for source in bundle_dir.iterdir():
+            (tmp_path / source.name).write_bytes(source.read_bytes())
+        manifest = tmp_path / "avp_bundle.json"
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["worst_states"] = {"Fog": "Fog_Severity_5", "Rain": "Rain_Heavy",
+                               "Ego_speed": "Speed_High"}
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        lines = _random_stream(random.Random(17), {
+            "Fog": [30.0, 60.0, 244.0, 900.0, 2000.0, -1.0, math.nan, -0.0],
+            "Rain": [0.0, 0.25, 0.5, 0.77, 3.0, -0.5, math.inf],
+            "Ego_speed": [10.0, 31.0, 45.0, 60.0, 80.0, -3.0],
+            "Snow": [0.2, 3.0, -1.0],
+            "Wind": [1.0],
+        }, 300)
+        self.check(capsys, tmp_path, manifest, lines, policy, fmt)
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("policy", ["drop", "worst-case"])
+    def test_two_classes_bind_one_node(self, tmp_path, capsys, policy, fmt):
+        values = [0.5, 1.5, 3.0, math.nan]
+        lines = _random_stream(random.Random(23), dict.fromkeys("ABC", values), 300)
+        self.check(capsys, tmp_path, _two_class_bundle(tmp_path), lines, policy, fmt)
 
 
 class TestOnto:

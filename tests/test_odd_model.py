@@ -30,6 +30,7 @@ from odd_assure.odd_model import (
     validate_odd,
 )
 
+from . import oracles
 from .oracles import odd_hierarchy_error, scan_interval_membership
 
 
@@ -319,6 +320,85 @@ class TestDiscretize:
                 v = rng.uniform(-100, 3000)
                 hits = sum(a.bounds.contains(v) for a in cls.attributes)
                 assert hits <= 1
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except odd_model.OddModelError as exc:
+        return type(exc), str(exc)
+
+
+def _probes(points):
+    """Every point, its float neighbours, both zeros, the infinities and NaN."""
+    values = [0.0, -0.0, math.inf, -math.inf, math.nan]
+    for p in points:
+        values += [p, math.nextafter(p, -math.inf), math.nextafter(p, math.inf)]
+    return values
+
+
+@st.composite
+def odd_classes(draw):
+    """A non-partition class over a few shared endpoints, so that intervals
+    touch, nest, overlap and leave gaps; some are points, some unbounded."""
+    points = sorted(set(draw(st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False) | st.sampled_from([0.0, -0.0, 60.0]),
+        min_size=1, max_size=4,
+    ))))
+    attributes = []
+    for i in range(draw(st.integers(1, 4))):
+        lo = draw(st.sampled_from([-math.inf, *points]))
+        hi = draw(st.sampled_from([x for x in (*points, math.inf) if x >= lo]))
+        if lo == hi:
+            bounds = Interval(lo, hi, True, True)
+        else:
+            bounds = Interval(lo, hi, draw(st.booleans()) and lo > -math.inf,
+                              draw(st.booleans()) and hi < math.inf)
+        attributes.append(odd_model.OddAttribute(f"S{i}", "u", bounds))
+    return odd_model.OddClass("C", "ODD", tuple(attributes)), points
+
+
+class TestCompiledDiscretize:
+    """discretize reads a per-spec table; tests/oracles.py keeps the scan
+    over every interval it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=odd_classes(), extra=st.lists(st.floats(), max_size=5))
+    def test_matches_interval_scan(self, drawn, extra):
+        cls, points = drawn
+        spec = odd_model.OddSpec("ODD", {"ODD": odd_model.OddClass("ODD", None, ()), "C": cls})
+        for value in _probes(points) + extra:
+            assert _outcome(discretize, spec, "C", value) == _outcome(
+                oracles.discretize, spec, "C", value), value
+        for name in ("ODD", "Nope"):
+            assert _outcome(discretize, spec, name, 1.0) == _outcome(
+                oracles.discretize, spec, name, 1.0)
+
+    def test_avp_classes_match_interval_scan(self, spec):
+        for name, cls in spec.classes.items():
+            points = {x for a in cls.attributes for x in (a.bounds.lo, a.bounds.hi)
+                      if math.isfinite(x)}
+            for value in _probes(sorted(points)):
+                assert _outcome(discretize, spec, name, value) == _outcome(
+                    oracles.discretize, spec, name, value), (name, value)
+
+    def test_overlap_message_unchanged(self, spec):
+        with pytest.raises(AmbiguousState, match=re.escape(
+                "value 60.0 falls in ['Speed_High', 'Speed_Medium'] of class 'Ego_speed'")):
+            discretize(spec, "Ego_speed", 60.0)
+        assert discretize(spec, "Ego_speed", math.nextafter(60.0, 0.0)) == "Speed_Medium"
+        assert discretize(spec, "Ego_speed", math.nextafter(60.0, math.inf)) == "Speed_High"
+
+    def test_spec_compiled_once(self):
+        spec = avp_odd_spec()
+        assert spec._compiled is None
+        discretize(spec, "Rain", 0.1)
+        compiled = spec._compiled
+        in_odd(spec, Observation(0.0, 0.0, 0.0, {"Fog": 30.0, "Rain": 0.1}))
+        assert spec._compiled is compiled
+        assert compiled["Weather_conditions"] is None
+        assert compiled["Fog"].points == (0.0, 60.0, 244.0, 805.0, 1610.0)
 
 
 class TestInterpret:

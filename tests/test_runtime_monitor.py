@@ -98,6 +98,14 @@ class TestLoadBundle:
         with pytest.raises(BindingMismatch):
             make_bundle(avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, acp)
 
+    def test_binding_to_objective_node(self):
+        # the objective cannot also be evidence: the first tick would raise
+        shape = random_net(random.Random(3), 3)
+        net = bayes_core.build_net(shape.nodes.values(), shape.edges, shape.cpts.values(), "n2")
+        with pytest.raises(BindingMismatch, match="binding for 'Cn2' names the objective node 'n2'"):
+            make_bundle(two_state_odd(["Cn2"]), net, {"Cn2": "n2"},
+                        AcpBinding("Sn", "n2", {"t": 1.0, "f": 0.0}))
+
     def test_worst_case_policy_needs_states(self):
         with pytest.raises(BindingMismatch):
             make_bundle(
@@ -414,15 +422,21 @@ class TestSharedBundle:
     def test_concurrent_steps_share_a_bundle(self, make, observations):
         # Eight threads start together on a bundle whose network has cold
         # caches; every report must equal the serial one on a twin bundle.
+        # Report lines are rendered from the shared bundle's line cache too.
         obs = observations()
         expected = [step(make(), o) for o in obs]
+        lines = [json.dumps(rm.report_to_document(r)) + "\n" for r in expected]
         shared = make()
+        assert shared.odd._compiled is None and shared._ticks is None
         start = threading.Barrier(8, timeout=30)
 
         def worker(offset):
             start.wait()
-            turn = range(offset, offset + 2 * len(obs))
-            return [(i % len(obs), step(shared, obs[i % len(obs)])) for i in turn]
+            out = []
+            for i in (j % len(obs) for j in range(offset, offset + 2 * len(obs))):
+                report = step(shared, obs[i])
+                out.append((i, report, rm.report_to_json_line(shared, report)))
+            return out
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -432,7 +446,8 @@ class TestSharedBundle:
         finally:
             sys.setswitchinterval(interval)
         assert len(results) == 8 * 2 * len(obs)
-        assert all(report == expected[i] for i, report in results)
+        assert all(report == expected[i] for i, report, _ in results)
+        assert all(line == lines[i] for i, _, line in results)
         assert len({tuple(sorted(r.evidence.items())) for r in expected}) >= min(len(obs) // 2, 4)
         if make is light_bundle:
             assert any(r.degenerate for r in expected)
@@ -580,6 +595,36 @@ class TestObservationLines:
     def test_parse_line(self):
         obs = parse_observation('{"t": 1.5, "x": 2.0, "y": 3.0, "readings": {"Fog": 30.0}}')
         assert obs == Observation(1.5, 2.0, 3.0, {"Fog": 30.0})
+
+    def test_integers_read_as_floats(self):
+        obs = parse_observation('{"t": 2, "x": 1, "y": -1, "readings": {"Fog": 30, "Rain": 0.5}}')
+        assert obs == Observation(2.0, 1.0, -1.0, {"Fog": 30.0, "Rain": 0.5})
+        assert all(type(v) is float for v in (obs.time, obs.x, obs.y, *obs.readings.values()))
+
+    def test_non_numbers_rejected(self):
+        with pytest.raises(rm.DocumentError, match="malformed observation: t must be finite"):
+            parse_observation('{"t": true, "readings": {"Fog": "12.5", "Rain": false}}')
+        with pytest.raises(rm.DocumentError, match="reading 'Fog' must be a number, got '12.5'"):
+            parse_observation('{"t": 1, "readings": {"Fog": "12.5", "Rain": false}}')
+
+    @pytest.mark.parametrize("value", [True, False, None, "1.5", [1.5], {"v": 1.5}])
+    @pytest.mark.parametrize("field", ["t", "x", "y", "Fog"])
+    def test_only_json_numbers_accepted(self, field, value):
+        doc = {"t": 0, "x": 0, "y": 0, "readings": {"Fog": 30}}
+        (doc["readings"] if field == "Fog" else doc)[field] = value
+        with pytest.raises(rm.DocumentError, match="malformed observation"):
+            parse_observation(json.dumps(doc))
+
+    def test_integer_beyond_float_range_rejected(self):
+        with pytest.raises(rm.DocumentError, match="reading 'Fog' is too large for a float"):
+            parse_observation('{"t": 0, "readings": {"Fog": 1%s}}' % ("0" * 400))
+
+    def test_nan_reading_parses_and_is_dropped(self, bundle):
+        obs = parse_observation('{"t": 0, "readings": {"Fog": NaN, "Rain": 0.1}}')
+        assert math.isnan(obs.readings["Fog"])
+        report = step(bundle, obs)
+        assert report.dropped_readings == ("Fog",) and report.in_odd
+        assert report.evidence == {"Rain": "Rain_light"}
 
     def test_roundtrip(self):
         obs = Observation(1.0, 0.0, 0.0, {"Fog": 30.0, "Rain": 0.1})
