@@ -1,5 +1,6 @@
-"""Pieces several modules share: the malformed-document rule and the DAG
-walker. This module imports nothing from the package."""
+"""Pieces several modules share: the malformed-document rule, the JSON
+number rule and the DAG walker. This module imports nothing from the
+package."""
 
 from __future__ import annotations
 
@@ -43,6 +44,21 @@ def document_reader(what: str, error: type[DocumentError] = DocumentError):
         return read_document
 
     return decorate
+
+
+NUMBER_TYPES = (float, int)  # JSON numbers; a bool is not one
+
+
+def number(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number. A bool, a string or any
+    other value is a TypeError, an integer too large for a float a
+    ValueError, so a document reader reports either as malformed."""
+    if type(value) not in NUMBER_TYPES:
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 def dag_order(in_edges: Mapping[str, Collection[str]]) -> tuple[list[str], list[str]]:

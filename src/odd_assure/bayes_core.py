@@ -8,11 +8,12 @@ the full joint.
 
 Each CPT holds its table once, as a read-only array copied when it is
 built. A network caches one plan per (kept variables, set of evidence
-variables): the elimination order and the layout of every product. It also
-caches the joint tables a runtime monitor asks for: the marginal over a fixed
-set of variables, from which any evidence on them is answered by indexing.
-The caches only ever store identical values, so a network can still serve
-many threads.
+variables): the evidence slicing, the elimination order, and one
+``np.einsum`` call per elimination step and for the final product. A runtime
+monitor asks once per bundle for a joint table, the marginal over a fixed set
+of variables from which any evidence on them is answered by indexing; the
+bundle keeps it. The caches only ever store identical values, so a network
+can still serve many threads.
 """
 
 from __future__ import annotations
@@ -184,7 +185,6 @@ class BayesNet:
     # Inference caches, filled on first use by posterior() and _joint_table()
     _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> BnNode:
         try:
@@ -334,14 +334,6 @@ def _min_fill_order(scopes: Sequence[tuple[str, ...]], keep: set[str]) -> list[s
     return order
 
 
-def _broadcast(src: tuple[str, ...], target: tuple[str, ...], cards: Mapping[str, int]):
-    """Axis permutation and shape that lay a factor over ``src`` out along
-    ``target``, with length-1 axes for the variables it lacks."""
-    perm = tuple(src.index(v) for v in target if v in src)
-    shape = tuple(cards[v] if v in src else 1 for v in target)
-    return perm, shape
-
-
 @dataclass(frozen=True)
 class _Plan:
     """Everything about a query that depends only on the kept variables and
@@ -349,19 +341,19 @@ class _Plan:
 
     ``takes`` gives, per CPT array, the evidence position indexing each axis
     (-1 keeps the axis), or None when no axis carries evidence. Factors are
-    numbered in creation order, CPTs first. Each step multiplies a chain of
-    factors and sums one axis out of the product, which becomes the next
-    factor; ``final`` is the chain of the factors left, over the kept
-    variables, and ``axes`` permutes its axes into keep order. A chain is
-    its first factor plus (factor, its layout, the running product's layout)
-    links. ``cells`` is the size of the largest product.
+    numbered in creation order, CPTs first. Every step, and ``final``, is one
+    ``np.einsum`` in sublist form: the ids of the factors it multiplies, in
+    ascending order, each factor's axis labels, and the labels of the
+    result. A step's result lacks the variable it sums out and becomes the
+    next factor; ``final``'s result has the kept variables in keep order.
+    ``cells`` is the size of the largest product, counted over all of its
+    variables although einsum never lays the product out.
     """
 
     ev_vars: tuple[str, ...]
     takes: tuple[tuple[int, ...] | None, ...]
-    steps: tuple[tuple[tuple, int], ...]
+    steps: tuple[tuple, ...]
     final: tuple
-    axes: tuple[int, ...]
     cells: int
 
 
@@ -382,37 +374,30 @@ def _compile(net: BayesNet, keep: tuple[str, ...], ev_vars: tuple[str, ...]) -> 
     live = dict.fromkeys(range(len(scopes)))
     cells = 1
 
-    def chain(fids: list[int]) -> tuple[tuple, tuple[str, ...]]:
-        # The same products, in the same order, as multiplying the factors
-        # pairwise left to right: merged scope = running scope + new vars.
+    def product(fids: list[int], out: Iterable[str]) -> tuple:
         nonlocal cells
-        merged = scopes[fids[0]]
-        links = []
-        for fid in fids[1:]:
-            target = merged + tuple(v for v in scopes[fid] if v not in merged)
-            links.append((fid, _broadcast(scopes[fid], target, cards),
-                          _broadcast(merged, target, cards)))
-            merged = target
+        merged = dict.fromkeys(v for fid in fids for v in scopes[fid])
         cells = max(cells, math.prod(cards[v] for v in merged))
-        return (fids[0], tuple(links)), merged
+        # Labels are numbered per product, so einsum's limit of 52 could only
+        # bind on a product of more than 2**52 cells.
+        label = {v: i for i, v in enumerate(merged)}
+        return (tuple(fids), tuple(tuple(label[v] for v in scopes[fid]) for fid in fids),
+                tuple(label[v] for v in out))
 
     steps = []
     for var in _min_fill_order(scopes, set(keep)):
         fids = sorted(holders[var])
-        product, merged = chain(fids)
+        rest = tuple(dict.fromkeys(v for fid in fids for v in scopes[fid] if v != var))
+        steps.append(product(fids, rest))
         for fid in fids:
             del live[fid]
             for v in scopes[fid]:
                 holders[v].discard(fid)
-        scopes.append(tuple(v for v in merged if v != var))
-        new = len(scopes) - 1
-        for v in scopes[new]:
-            holders[v].add(new)
-        live[new] = None
-        steps.append((product, merged.index(var)))
-    final, merged = chain(list(live))
-    axes = tuple(merged.index(v) for v in keep)
-    return _Plan(ev_vars, tuple(takes), tuple(steps), final, axes, cells)
+        scopes.append(rest)
+        for v in rest:
+            holders[v].add(len(scopes) - 1)
+        live[len(scopes) - 1] = None
+    return _Plan(ev_vars, tuple(takes), tuple(steps), product(list(live), keep), cells)
 
 
 def _plan(net: BayesNet, keep: tuple[str, ...], ev_vars: frozenset) -> _Plan:
@@ -427,28 +412,22 @@ def _plan(net: BayesNet, keep: tuple[str, ...], ev_vars: frozenset) -> _Plan:
     return plan
 
 
-def _contract(values: list, chain: tuple) -> np.ndarray:
-    first, links = chain
-    product = values[first]
-    values[first] = None  # let intermediate factors go once used
-    for fid, (perm, shape), (acc_perm, acc_shape) in links:
-        product = (np.transpose(product, acc_perm).reshape(acc_shape)
-                   * np.transpose(values[fid], perm).reshape(shape))
-        values[fid] = None
-    return product
-
-
 def _run(plan: _Plan, arrays: tuple[np.ndarray, ...], key: tuple[int, ...]) -> np.ndarray:
     """Unnormalized P(kept variables, evidence) for the evidence states in
-    ``key``, with the axes in the order the plan left them."""
+    ``key``, with one axis per kept variable, in keep order."""
     values = [
-        arr if take is None
-        else arr[tuple(slice(None) if p < 0 else key[p] for p in take)].copy()
+        arr if take is None else arr[tuple(slice(None) if p < 0 else key[p] for p in take)]
         for arr, take in zip(arrays, plan.takes)
     ]
-    for product, axis in plan.steps:
-        values.append(_contract(values, product).sum(axis=axis))
-    return _contract(values, plan.final)
+    for fids, labels, out in (*plan.steps, plan.final):
+        operands = []
+        for fid, axes in zip(fids, labels):
+            operands += (values[fid], axes)
+            values[fid] = None  # let intermediate factors go once used
+        # order="C" lays a product of several factors out in label order,
+        # whatever the layout of its inputs
+        values.append(np.einsum(*operands, out, order="C"))
+    return values[-1]
 
 
 def joint_probability(net: BayesNet, full_assignment: Mapping[str, str]) -> float:
@@ -471,7 +450,7 @@ def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) ->
     summed out along a min-fill order, and the surviving factor over the
     query is normalized by P(evidence).
 
-    The slicing, the order and every product's layout depend only on the
+    The slicing, the order and every product's labels depend only on the
     query and on which variables carry evidence, so they are planned once
     per such pair and kept on the network; each call does the arithmetic.
     Names are checked on every call, and zero-probability evidence raises
@@ -497,19 +476,16 @@ def _joint_table(net: BayesNet, keep: tuple[str, ...]) -> np.ndarray | None:
 
     Conditioning on any evidence over ``keep`` is then indexing and summing
     this table. The table is the network polynomial restricted to ``keep``
-    (Darwiche 2003), computed by one variable elimination and kept on the
-    network. None means a product on the way would exceed _CELL_LIMIT cells;
-    the caller then queries with ``posterior``.
+    (Darwiche 2003), computed by one run of the cached evidence-free plan;
+    the caller keeps it. None means a product on the way would exceed
+    _CELL_LIMIT cells; the caller then queries with ``posterior``.
     """
-    tables = net._tables
-    if keep not in tables:
-        plan = _plan(net, keep, frozenset())
-        table = None
-        if plan.cells <= _CELL_LIMIT:
-            table = np.transpose(_run(plan, _cpt_arrays(net), ()), plan.axes)
-            table.flags.writeable = False
-        tables[keep] = table
-    return tables[keep]
+    plan = _plan(net, keep, frozenset())
+    if plan.cells > _CELL_LIMIT:
+        return None
+    table = _run(plan, _cpt_arrays(net), ())
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -633,10 +609,11 @@ def parse_bn(document) -> BayesNet:
     """Parse a BN document (JSON text or parsed object).
 
     Schema: ``{"nodes": [{id, states}], "edges": [[src, dst]], "cpts":
-    [{node, parents, rows}], "objective": id|null}``. Rows whose sum drifts
-    from 1 by at most 1e-9 are renormalized; larger drift is rejected. Sums
-    are exact (``math.fsum``), so which rows are renormalized does not
-    depend on the interpreter's ``sum``.
+    [{node, parents, rows}], "objective": id|null}``. Every row entry must be
+    a JSON number. Rows whose sum drifts from 1 by at most 1e-9 are
+    renormalized; larger drift is rejected. Sums are exact (``math.fsum``),
+    so which rows are renormalized does not depend on the interpreter's
+    ``sum``.
     """
     nodes = [BnNode(n["id"], tuple(n["states"])) for n in document["nodes"]]
     edges = [(e[0], e[1]) for e in document.get("edges", [])]
@@ -644,7 +621,7 @@ def parse_bn(document) -> BayesNet:
     for c in document["cpts"]:
         rows = []
         for row in c["rows"]:
-            row = [float(p) for p in row]
+            row = [_base.number(p, "a cpt entry") for p in row]
             total = math.fsum(row)
             # Cpt rejects non-finite entries and larger drift.
             if total != 1.0 and abs(total - 1.0) <= PROB_TOL:

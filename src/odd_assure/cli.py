@@ -89,7 +89,7 @@ def _scenario(doc) -> confidence_templates.ScenarioSpec:
 
 @_base.document_reader("priors document")
 def _priors(doc) -> dict[str, float]:
-    return {k: float(v) for k, v in doc.items()}
+    return {k: _base.number(v, f"prior {k!r}") for k, v in doc.items()}
 
 
 def _read_rows(path) -> list[dict]:

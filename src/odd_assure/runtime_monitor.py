@@ -12,10 +12,10 @@ A tick reads each reading's state from the ODD spec's compiled class
 tables. Only the bound nodes ever carry evidence, so the network is reduced
 once per bundle to the joint table P(objective, bound nodes). A tick indexes
 the observed axes, sums the others out and normalizes; a bounded memo keyed
-by the evidence keeps each distinct outcome. A network whose table would be
-too large is queried with ``bayes_core.posterior`` instead, through the same
-memo. ``report_to_json_line`` keeps, per bundle and evidence, the part of a
-report line that depends only on the evidence.
+by the evidence keeps each distinct outcome, and ``report_to_json_line``
+adds to it the part of a report line that depends only on the evidence. A
+network whose table would be too large is queried with
+``bayes_core.posterior`` instead, through the same memo.
 
 Readings that leave the ODD are, by default, dropped from the evidence and
 flagged; a bundle may instead declare a worst-case state per class to pin
@@ -42,7 +42,7 @@ from .odd_model import Observation, OddSpec, OUT_OF_ODD
 DROP = "drop"
 WORST_CASE = "worst-case"
 
-_MEMO_LIMIT = 1024  # outcomes and line parts kept per bundle; emptied when full
+_MEMO_LIMIT = 1024  # outcomes kept per bundle; emptied when full
 
 log = logging.getLogger("odd_assure.runtime_monitor")
 
@@ -183,7 +183,8 @@ def _read_manifest(manifest, directory: Path) -> tuple[Path, Path, dict]:
         acp=AcpBinding(
             solution_id=acp_doc["solution_id"],
             objective=acp_doc["objective"],
-            state_values={k: float(v) for k, v in state_values.items()},
+            state_values={k: _base.number(v, f"state value {k!r}")
+                          for k, v in state_values.items()},
         ),
         oodd_policy=manifest.get("oodd_policy", DROP),
         worst_states=dict(_object(manifest.get("worst_states", {}), "worst_states", str)),
@@ -203,21 +204,20 @@ def make_bundle(odd: OddSpec, net: BayesNet, bindings: Mapping[str, str], acp: A
 class _TickTable:
     """What every tick of one bundle shares.
 
-    ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, or
-    None when the bundle is queried through ``bayes_core.posterior``.
-    ``states`` maps each bound node's states to their indices. ``memo`` maps
-    the evidence items, in insertion order, to (posterior, mean, variance),
-    all None for a degenerate tick. It lives on the bundle, not the network,
-    because the mean and variance depend on the bundle's state values.
-    ``lines`` maps the same key to the evidence part of a report line (see
-    ``report_to_json_line``).
+    ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, the
+    only copy kept, or None when the bundle is queried through
+    ``bayes_core.posterior``. ``states`` maps each bound node's states to
+    their indices. ``memo`` maps the evidence items, in insertion order, to
+    [posterior, mean, variance, line part]: the first three all None for a
+    degenerate tick, the last None until ``report_to_json_line`` fills it.
+    It lives on the bundle, not the network, because the mean and variance
+    depend on the bundle's state values.
     """
 
     nodes: tuple[str, ...]
     states: tuple[dict[str, int], ...]
     joint: np.ndarray | None
     memo: dict
-    lines: dict
 
 
 def _tick_table(bundle: ModelBundle) -> _TickTable:
@@ -226,15 +226,19 @@ def _tick_table(bundle: ModelBundle) -> _TickTable:
         net, objective = bundle.net, bundle.acp.objective
         nodes = tuple(sorted(set(bundle.bindings.values())))
         states = tuple({s: i for i, s in enumerate(net.node(n).states)} for n in nodes)
-        joint = bayes_core._joint_table(net, (objective, *nodes))
-        table = _TickTable(nodes, states, joint, {}, {})
+        # The objective's axis is innermost in memory and first in the view;
+        # the order, and so the rounding, of a tick's sums follows this layout.
+        joint = bayes_core._joint_table(net, (*nodes, objective))
+        if joint is not None:
+            joint = np.moveaxis(joint, -1, 0)
+        table = _TickTable(nodes, states, joint, {})
         object.__setattr__(bundle, "_ticks", table)
     return table
 
 
-def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> tuple:
-    """(posterior, mean, variance) for the evidence, all None when it has
-    ~zero probability."""
+def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> list:
+    """The memo entry [posterior, mean, variance, line part] for the
+    evidence; the first three are None when it has ~zero probability."""
     table = _tick_table(bundle)
     key = tuple(evidence.items())
     outcome = table.memo.get(key)
@@ -255,9 +259,9 @@ def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> tuple:
             post = None if z <= bayes_core.ZERO_EVIDENCE_TOL else Posterior(
                 objective, bundle.net.nodes[objective].states, tuple((unnormalized / z).tolist())
             )
-        outcome = (None, None, None) if post is None else (
-            post, *bayes_core.mean_variance(post, bundle.state_values)
-        )
+        outcome = [None, None, None, None] if post is None else [
+            post, *bayes_core.mean_variance(post, bundle.state_values), None
+        ]
         if len(table.memo) >= _MEMO_LIMIT:
             table.memo.clear()
         table.memo[key] = outcome
@@ -297,7 +301,7 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
         elif node_id is not None:
             evidence[node_id] = state
 
-    post, mean, variance = _outcome(bundle, evidence)
+    post, mean, variance, _ = _outcome(bundle, evidence)
     return ConfidenceReport(
         time=obs.time,
         evidence=evidence,
@@ -340,32 +344,20 @@ def run(
 # Observation stream I/O
 
 
-_NUMBER_TYPES = (float, int)  # JSON numbers; a bool is not one
-
-
-def _number(value, what: str) -> float:
-    if type(value) not in _NUMBER_TYPES:
-        raise TypeError(f"{what} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValueError(f"{what} is too large for a float") from None
-
-
 @_base.document_reader("observation", DocumentError)
 def parse_observation(doc) -> Observation:
     """Read one stream line ``{"t", "x", "y", "readings": {class: value}}``.
     Every value must be a JSON number. ``t`` must be finite; a non-finite
     reading is left for ``step`` to drop."""
     time = doc["t"]
-    if type(time) not in _NUMBER_TYPES or not -math.inf < time < math.inf:
+    if type(time) not in _base.NUMBER_TYPES or not -math.inf < time < math.inf:
         raise ValueError(f"t must be finite, got {time!r}")
     return Observation(
-        time=_number(time, "t"),
-        x=_number(doc.get("x", 0.0), "x"),
-        y=_number(doc.get("y", 0.0), "y"),
+        time=_base.number(time, "t"),
+        x=_base.number(doc.get("x", 0.0), "x"),
+        y=_base.number(doc.get("y", 0.0), "y"),
         readings={
-            k: v if type(v) is float else _number(v, f"reading {k!r}")
+            k: v if type(v) is float else _base.number(v, f"reading {k!r}")
             for k, v in doc.get("readings", {}).items()
         },
     )
@@ -397,19 +389,18 @@ def report_to_json_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
     The evidence, posterior, mean and variance of a report follow from its
     evidence alone. That part of the line is cut from the first line with
     the same evidence items, in the same insertion order (the order the line
-    lists them in), and kept on the bundle, so a later line formats only
-    ``t``, ``in_odd``, ``dropped_readings`` and ``degenerate``.
+    lists them in), and kept in the bundle's memo entry for that evidence,
+    so a later line formats only ``t``, ``in_odd``, ``dropped_readings`` and
+    ``degenerate``. A line whose entry has been evicted is rendered whole.
     """
-    lines = _tick_table(bundle).lines
-    key = tuple(report.evidence.items())
-    middle = lines.get(key)
+    entry = _tick_table(bundle).memo.get(tuple(report.evidence.items()))
+    middle = None if entry is None else entry[3]
     if middle is None:
         line = json.dumps(report_to_document(report))
-        # t is a number, so the first ", " ends it; "in_odd" is the first
-        # key after variance, and no later value can hold it unescaped.
-        if len(lines) >= _MEMO_LIMIT:
-            lines.clear()
-        lines[key] = line[line.index(", "):line.rindex(', "in_odd": ')]
+        if entry is not None:
+            # t is a number, so the first ", " ends it; "in_odd" is the first
+            # key after variance, and no later value can hold it unescaped.
+            entry[3] = line[line.index(", "):line.rindex(', "in_odd": ')]
         return line + "\n"
     t = report.time
     # json.dumps spells a finite float with float.__repr__
@@ -462,15 +453,14 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
     {"segments": [{"mode": "const"|"ramp", ...fields, "ticks": n}], "noise":
     amplitude}}}``. Ramps hit their endpoints exactly; noise adds a uniform
     [-amplitude, amplitude] term drawn from the seeded generator. All
-    channels must cover the same number of ticks.
+    channels must cover the same number of ticks. Every value must be a JSON
+    number and every ``ticks`` a JSON integer.
     """
     if not config["channels"]:
         raise BadScript("script declares no channels")
 
-    t0 = float(config.get("t0", 0.0))
-    dt = float(config.get("dt", 1.0))
-    x = float(config.get("x", 0.0))
-    y = float(config.get("y", 0.0))
+    t0, dt, x, y = (_base.number(config.get(name, default), name)
+                    for name, default in (("t0", 0.0), ("dt", 1.0), ("x", 0.0), ("y", 0.0)))
     if not all(map(math.isfinite, (t0, dt, x, y))):
         raise BadScript("t0, dt, x and y must be finite")
     if dt <= 0:
@@ -479,19 +469,20 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
     series: dict[str, list[float]] = {}
     noise_amp: dict[str, float] = {}
     for class_name, channel in config["channels"].items():
+        where = f"channel {class_name!r}"
         segments = channel.get("segments")
         if segments is None:
             segments = [dict(channel, ticks=channel.get("ticks"))]
         values: list[float] = []
         for seg in segments:
             ticks = seg.get("ticks")
-            if not isinstance(ticks, int) or ticks < 1:
+            if type(ticks) is not int or ticks < 1:
                 raise BadScript(f"channel {class_name!r}: segment needs integer ticks >= 1")
             mode = seg.get("mode", "const")
             if mode == "const":
-                values.extend([float(seg["value"])] * ticks)
+                values.extend([_base.number(seg["value"], f"{where}: value")] * ticks)
             elif mode == "ramp":
-                start, end = float(seg["start"]), float(seg["end"])
+                start, end = (_base.number(seg[k], f"{where}: {k}") for k in ("start", "end"))
                 if ticks == 1:
                     values.append(start)
                 else:
@@ -501,7 +492,7 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
             else:
                 raise BadScript(f"channel {class_name!r}: unknown mode {mode!r}")
         series[class_name] = values
-        amp = float(channel.get("noise", 0.0))
+        amp = _base.number(channel.get("noise", 0.0), f"{where}: noise")
         if not 0 <= amp < math.inf:
             raise BadScript(f"channel {class_name!r}: noise amplitude must be finite and >= 0")
         noise_amp[class_name] = amp

@@ -422,6 +422,63 @@ class TestPosterior:
 _VARS = [f"v{i}" for i in range(12)]
 
 
+def _widened(net: bayes_core.BayesNet, rng: random.Random) -> bayes_core.BayesNet:
+    """``net`` plus a three-state node with no edges and a four-state root
+    with one two-state child, so that misordered axes change the shape."""
+
+    def row(k):
+        raw = [rng.uniform(0.05, 1.0) for _ in range(k)]
+        return [w / math.fsum(raw) for w in raw]
+
+    nodes = [*net.nodes.values(), BnNode("iso", ("a", "b", "c")),
+             BnNode("root", ("w", "x", "y", "z")), BnNode("kid", ("t", "f"))]
+    cpts = [*net.cpts.values(), Cpt("iso", (), [row(3)]), Cpt("root", (), [row(4)]),
+            Cpt("kid", ("root",), [row(2) for _ in range(4)])]
+    return build_net(nodes, [*net.edges, ("root", "kid")], cpts)
+
+
+class TestJointTable:
+    """``_joint_table`` is one run of the evidence-free plan, whose final
+    einsum puts the axes in keep order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 5))
+    def test_matches_enumerated_marginal(self, seed, n_nodes):
+        rng = random.Random(seed)
+        net = _widened(random_net(rng, n_nodes, p_deterministic=0.3), rng)
+        names = sorted(net.nodes)
+        keeps = [("root",), ("iso",), ("kid", "root"), ("root", "iso", "kid")]
+        keeps += [tuple(rng.sample(names, rng.randint(1, len(names)))) for _ in range(3)]
+        for keep in keeps:
+            keep = tuple(rng.sample(keep, len(keep)))  # shuffled
+            table = bayes_core._joint_table(net, keep)
+            assert table.shape == tuple(len(net.nodes[v].states) for v in keep)
+            expected = np.zeros(table.shape)
+            for assignment in all_assignments(net):
+                index = tuple(net.nodes[v].states.index(assignment[v]) for v in keep)
+                expected[index] += enumerate_joint(net, assignment)
+            assert np.abs(table - expected).max() <= 1e-12
+            assert not table.flags.writeable
+
+    def test_every_variable_of_a_cpt_observed(self):
+        # Slicing the evidence out of such a CPT leaves a 0-d factor
+        rng = random.Random(17)
+        checked = 0
+        for _ in range(40):
+            net = _widened(random_net(rng, rng.randint(2, 6)), rng)
+            nid = rng.choice([n for n in sorted(net.nodes) if net.cpts[n].parent_order])
+            evidence = {v: rng.choice(net.nodes[v].states)
+                        for v in (*net.cpts[nid].parent_order, nid)}
+            for query in sorted(set(net.nodes) - set(evidence)):
+                plan = bayes_core._plan(net, (query,), frozenset(evidence))
+                assert plan.takes[list(net.nodes).index(nid)].count(-1) == 0
+                got = posterior(net, query, EvidenceSet(evidence)).as_dict()
+                expected = enumerate_posterior(net, query, evidence)
+                assert all(abs(got[s] - expected[s]) <= 1e-12 for s in expected)
+                checked += 1
+        assert checked >= 100
+
+
 class TestMinFillOrder:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -700,6 +757,15 @@ class TestBnDocument:
         )
         with pytest.raises(BadCpt, match="non-finite"):
             parse_bn(text)
+
+    @pytest.mark.parametrize("rows", [[[True, False]], [["0.5", "0.5"]], [[None, 1.0]]])
+    def test_rejects_entries_that_are_not_json_numbers(self, rows):
+        doc = {
+            "nodes": [{"id": "n", "states": ["t", "f"]}],
+            "cpts": [{"node": "n", "parents": [], "rows": rows}],
+        }
+        with pytest.raises(bayes_core.DocumentError, match="malformed BN document: a cpt entry"):
+            parse_bn(doc)
 
     def test_rejects_large_drift(self):
         doc = {

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import odd_assure
-from odd_assure import cli
+from odd_assure import _base, cli
 from odd_assure.fixtures import (
     AVP_LEAF_PRIORS,
     AVP_ODD_DOCUMENT,
@@ -75,9 +75,17 @@ def _rain(edit) -> bytes:
     return _edited(AVP_ODD_DOCUMENT, lambda doc: edit(doc["classes"][3]))
 
 
+def _bn(edit) -> bytes:
+    """A one-node BN document with its CPT edited."""
+    doc = {"nodes": [{"id": "n", "states": ["t", "f"]}],
+           "cpts": [{"node": "n", "parents": [], "rows": [[0.5, 0.5]]}]}
+    return _edited(doc, lambda doc: edit(doc["cpts"][0]))
+
+
 NOT_UTF8 = b"\xff\xfe\x00bad"
 SYNTH = ("synth", "{file}")
 VALIDATE = ("validate", "{file}")
+INFER_N = ("infer", "{file}", "--query", "n")
 
 # Inputs of the wrong shape for their reader, and files that are not UTF-8.
 MALFORMED_INPUTS = {
@@ -90,6 +98,19 @@ MALFORMED_INPUTS = {
     "script_t0_text": (_script(lambda s: s.update(t0="x")), SYNTH),
     "script_dt_nan": (_script(lambda s: s.update(dt=math.nan)), SYNTH),
     "script_t0_inf": (_script(lambda s: s.update(t0=math.inf)), SYNTH),
+    "script_bool_and_text_numbers": (json.dumps({
+        "t0": True, "dt": "0.5", "channels": {"Fog": {"value": "30", "ticks": 2, "noise": False}},
+    }).encode(), SYNTH),
+    "script_ticks_bool": (
+        json.dumps({"channels": {"Fog": {"value": 30.0, "ticks": True}}}).encode(), SYNTH
+    ),
+    "manifest_state_value_bool": (json.dumps({
+        "odd": "odd.json", "net": "net.json",
+        "acp": {"solution_id": "S", "objective": HAZARD_ID, "state_values": {"a": True}},
+    }).encode(), ("monitor", "{file}")),
+    "priors_text_number": (b'{"x": "0.5"}', ("compile-fta", "{hara}", "{file}", "{file}.out")),
+    "bn_rows_bool": (_bn(lambda cpt: cpt.update(rows=[[True, False]])), INFER_N),
+    "bn_rows_text": (_bn(lambda cpt: cpt.update(rows=[["0.5", "0.5"]])), INFER_N),
     "odd_interval_number": (_rain(lambda c: c["attributes"][0].update(interval=5)), VALIDATE),
     "odd_interval_garbled": (_rain(lambda c: c["attributes"][0].update(interval="[0, x[")), VALIDATE),
     "odd_interval_no_comma": (_rain(lambda c: c["attributes"][0].update(interval="(0 1)")), VALIDATE),
@@ -110,8 +131,8 @@ def test_malformed_input_exits_two_naming_file(bundle_dir, tmp_path, caplog, cas
     content, argv = MALFORMED_INPUTS[case]
     path = tmp_path / case
     path.write_bytes(content)
-    bundle = bundle_dir / "avp_bundle.json"
-    assert run_cli(*(a.format(file=path, bundle=bundle) for a in argv)) == 2
+    paths = {"bundle": bundle_dir / "avp_bundle.json", "hara": bundle_dir / "avp_hara.json"}
+    assert run_cli(*(a.format(file=path, **paths) for a in argv)) == 2
     assert str(path) in error_text(caplog)
 
 
@@ -224,6 +245,11 @@ class TestCompileFta:
             "compile-fta", bundle_dir / "avp_hara.json", priors, tmp_path / "o.json"
         )
         assert_malformed(result, priors)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_priors_must_be_json_numbers(self, value):
+        with pytest.raises(_base.DocumentError, match="malformed priors document: prior 'x'"):
+            cli._priors({"x": value})
 
     def test_empty_hara_exits_two(self, tmp_path, caplog):
         hara = tmp_path / "hara.json"

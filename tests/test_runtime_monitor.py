@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odd_assure import bayes_core, confidence_templates, odd_model, runtime_monitor as rm
+from odd_assure import bayes_core, cli, confidence_templates, odd_model, runtime_monitor as rm
 from odd_assure.fixtures import (
     AVP_BINDINGS,
     AVP_STATE_VALUES,
@@ -82,6 +82,15 @@ class TestLoadBundle:
         doc["acp"]["state_values"][next(iter(doc["acp"]["state_values"]))] = "high"
         manifest.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(rm.DocumentError, match="malformed bundle manifest"):
+            load_bundle(manifest)
+
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_state_values_must_be_json_numbers(self, tmp_path, value):
+        manifest = write_avp_bundle(tmp_path)
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["acp"]["state_values"]["occurs"] = value
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(rm.DocumentError, match="state value 'occurs' must be a number"):
             load_bundle(manifest)
 
     def test_binding_to_missing_node(self):
@@ -404,14 +413,40 @@ class TestJointTable:
         assert step(light_bundle(p_dark=1e-13), dark).degenerate
         assert not step(light_bundle(p_dark=1e-11), dark).degenerate
 
-    def test_table_is_built_once_per_network(self):
-        bundle = avp_bundle()
-        step(bundle, Observation(0.0, 0.0, 0.0, {"Fog": 30.0}))
-        rewrapped = make_bundle(bundle.odd, bundle.net, bundle.bindings, bundle.acp,
-                                oodd_policy=rm.WORST_CASE, worst_states=AVP_WORST_STATES)
-        step(rewrapped, Observation(0.0, 0.0, 0.0, {"Fog": 30.0}))
-        assert rewrapped._ticks.joint is bundle._ticks.joint
-        assert len(bundle.net._tables) == 1
+    @staticmethod
+    def count_tables(monkeypatch) -> list:
+        calls = []
+        build = bayes_core._joint_table
+
+        def counted(net, keep):
+            calls.append(keep)
+            return build(net, keep)
+
+        monkeypatch.setattr(bayes_core, "_joint_table", counted)
+        return calls
+
+    def test_table_is_built_once_per_bundle(self, monkeypatch):
+        calls = self.count_tables(monkeypatch)
+        bundle = make_bundle(avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, avp_acp(),
+                             oodd_policy=rm.WORST_CASE, worst_states=AVP_WORST_STATES)
+        for obs in avp_observations(100):
+            rm.report_to_json_line(bundle, step(bundle, obs))
+        assert len(calls) == 1
+
+    def test_monitor_policy_override_builds_one_table(self, monkeypatch, tmp_path, capsys):
+        # The CLI re-wraps the loaded bundle for --oodd-policy before any tick
+        manifest = write_avp_bundle(tmp_path)
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["worst_states"] = AVP_WORST_STATES
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text("".join(rm.observation_to_line(o) + "\n" for o in avp_observations()),
+                          encoding="utf-8")
+        calls = self.count_tables(monkeypatch)
+        argv = ["monitor", str(manifest), "--stream", str(stream), "--oodd-policy", rm.WORST_CASE]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(avp_observations())
+        assert len(calls) == 1
 
 
 class TestSharedBundle:
@@ -560,6 +595,33 @@ class TestSynthTrace:
     def test_bad_scripts(self, script):
         with pytest.raises(BadScript):
             synth_trace(script, seed=0)
+
+    @pytest.mark.parametrize("script", [
+        {"t0": True, "dt": "0.5", "channels": {"Fog": {"value": "30", "ticks": 2, "noise": False}}},
+        *({key: value, "channels": {"Fog": {"value": 30.0, "ticks": 2}}}
+          for key in ("t0", "dt", "x", "y") for value in (True, "1", None)),
+        {"channels": {"Fog": {"value": 30.0, "ticks": True}}},
+        {"channels": {"Fog": {"value": 30.0, "ticks": 2.0}}},
+        {"channels": {"Fog": {"value": "30", "ticks": 2}}},
+        {"channels": {"Fog": {"value": False, "ticks": 2}}},
+        {"channels": {"Fog": {"value": 30.0, "ticks": 2, "noise": False}}},
+        {"channels": {"Fog": {"value": 30.0, "ticks": 2, "noise": "0.1"}}},
+        *({"channels": {"Fog": {"segments": [{"mode": "ramp", "start": 0.0, "end": 1.0, "ticks": 3,
+                                              **bad}]}}}
+          for bad in ({"start": "0"}, {"end": True})),
+        {"channels": {"Fog": {"value": 10**400, "ticks": 2}}},
+    ])
+    def test_non_number_script_values_rejected(self, script):
+        # JSON numbers only: a bool or numeric string is not one, and ticks
+        # must be an integer
+        with pytest.raises(BadScript, match="malformed scenario script|integer ticks"):
+            synth_trace(script, seed=0)
+
+    def test_integer_script_values_read_as_floats(self):
+        script = {"t0": 1, "dt": 2, "channels": {"Fog": {"value": 30, "ticks": 2, "noise": 0}}}
+        trace = synth_trace(script, seed=0)
+        assert [(o.time, o.readings) for o in trace] == [(1.0, {"Fog": 30.0}), (3.0, {"Fog": 30.0})]
+        assert all(type(o.readings["Fog"]) is float for o in trace)
 
     @pytest.mark.parametrize("key", ["t0", "dt", "x", "y"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
