@@ -9,11 +9,11 @@ the full joint.
 Each CPT holds its table once, as a read-only array copied when it is
 built. A network caches one plan per (kept variables, set of evidence
 variables): the evidence slicing, the elimination order, and one
-``np.einsum`` call per elimination step and for the final product. A runtime
-monitor asks once per bundle for a joint table, the marginal over a fixed set
-of variables from which any evidence on them is answered by indexing; the
-bundle keeps it. The caches only ever store identical values, so a network
-can still serve many threads.
+``np.einsum`` call per elimination step and for the final product (a few
+past einsum's operand limit). A runtime monitor asks once per bundle for a
+joint table, the marginal over a fixed set of variables from which any
+evidence on them is answered by indexing; the bundle keeps it. The caches
+only ever store identical values, so a network can still serve many threads.
 """
 
 from __future__ import annotations
@@ -258,6 +258,7 @@ def topological_order(net: BayesNet) -> list[str]:
 
 _PLAN_LIMIT = 128  # plans kept per network; the cache is emptied when full
 _CELL_LIMIT = 2**20  # largest factor a joint table may need, in cells
+_OPERANDS = 31  # factors per np.einsum call; numpy 1.x takes no more than 31
 
 
 def _cpt_arrays(net: BayesNet) -> tuple[np.ndarray, ...]:
@@ -341,19 +342,20 @@ class _Plan:
 
     ``takes`` gives, per CPT array, the evidence position indexing each axis
     (-1 keeps the axis), or None when no axis carries evidence. Factors are
-    numbered in creation order, CPTs first. Every step, and ``final``, is one
-    ``np.einsum`` in sublist form: the ids of the factors it multiplies, in
-    ascending order, each factor's axis labels, and the labels of the
-    result. A step's result lacks the variable it sums out and becomes the
-    next factor; ``final``'s result has the kept variables in keep order.
-    ``cells`` is the size of the largest product, counted over all of its
-    variables although einsum never lays the product out.
+    numbered in creation order, CPTs first. Each step is one ``np.einsum`` in
+    sublist form: the ids of the factors it multiplies, each factor's axis
+    labels, and the labels of the result, which becomes the next factor. An
+    elimination step sums out one variable; the last step is the final
+    product, with the kept variables in keep order. A product of more than
+    _OPERANDS factors takes several steps, the first of which only multiply;
+    either way its factors are multiplied in ascending id order. ``cells`` is
+    the size of the largest product, counted over all of its variables
+    although einsum never lays the product out.
     """
 
     ev_vars: tuple[str, ...]
     takes: tuple[tuple[int, ...] | None, ...]
     steps: tuple[tuple, ...]
-    final: tuple
     cells: int
 
 
@@ -373,31 +375,43 @@ def _compile(net: BayesNet, keep: tuple[str, ...], ev_vars: tuple[str, ...]) -> 
             holders.setdefault(v, set()).add(fid)
     live = dict.fromkeys(range(len(scopes)))
     cells = 1
+    steps = []
 
-    def product(fids: list[int], out: Iterable[str]) -> tuple:
+    def product(fids: list[int], var: str | None) -> int:
+        """Plan the product of ``fids`` summed over ``var`` (None: the final
+        product, in keep order); return the id of the resulting factor."""
         nonlocal cells
-        merged = dict.fromkeys(v for fid in fids for v in scopes[fid])
+        merged = tuple(dict.fromkeys(v for fid in fids for v in scopes[fid]))
         cells = max(cells, math.prod(cards[v] for v in merged))
         # Labels are numbered per product, so einsum's limit of 52 could only
         # bind on a product of more than 2**52 cells.
         label = {v: i for i, v in enumerate(merged)}
-        return (tuple(fids), tuple(tuple(label[v] for v in scopes[fid]) for fid in fids),
-                tuple(label[v] for v in out))
 
-    steps = []
+        def step(fids: list[int], out: tuple[str, ...]) -> int:
+            steps.append((tuple(fids), tuple(tuple(label[v] for v in scopes[f]) for f in fids),
+                          tuple(label[v] for v in out)))
+            scopes.append(out)
+            return len(scopes) - 1
+
+        # Past numpy's operand limit the first factors are multiplied into one,
+        # which then goes first: the multiplications keep their order.
+        while len(fids) > _OPERANDS:
+            head = fids[:_OPERANDS]
+            fids = [step(head, tuple(dict.fromkeys(v for f in head for v in scopes[f]))),
+                    *fids[_OPERANDS:]]
+        return step(fids, keep if var is None else tuple(v for v in merged if v != var))
+
     for var in _min_fill_order(scopes, set(keep)):
-        fids = sorted(holders[var])
-        rest = tuple(dict.fromkeys(v for fid in fids for v in scopes[fid] if v != var))
-        steps.append(product(fids, rest))
+        # holders keeps the ids of factors already multiplied; live tells them apart
+        fids = sorted(fid for fid in holders[var] if fid in live)
         for fid in fids:
             del live[fid]
-            for v in scopes[fid]:
-                holders[v].discard(fid)
-        scopes.append(rest)
-        for v in rest:
-            holders[v].add(len(scopes) - 1)
-        live[len(scopes) - 1] = None
-    return _Plan(ev_vars, tuple(takes), tuple(steps), product(list(live), keep), cells)
+        fid = product(fids, var)
+        for v in scopes[fid]:
+            holders[v].add(fid)
+        live[fid] = None
+    product(list(live), None)
+    return _Plan(ev_vars, tuple(takes), tuple(steps), cells)
 
 
 def _plan(net: BayesNet, keep: tuple[str, ...], ev_vars: frozenset) -> _Plan:
@@ -419,7 +433,7 @@ def _run(plan: _Plan, arrays: tuple[np.ndarray, ...], key: tuple[int, ...]) -> n
         arr if take is None else arr[tuple(slice(None) if p < 0 else key[p] for p in take)]
         for arr, take in zip(arrays, plan.takes)
     ]
-    for fids, labels, out in (*plan.steps, plan.final):
+    for fids, labels, out in plan.steps:
         operands = []
         for fid, axes in zip(fids, labels):
             operands += (values[fid], axes)

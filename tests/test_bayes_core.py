@@ -479,6 +479,51 @@ class TestJointTable:
         assert checked >= 100
 
 
+class TestManyFactorsPerProduct:
+    """Products of more factors than one ``np.einsum`` call takes."""
+
+    N = 70
+
+    def test_fully_observed_roots(self):
+        # Each observed root is sliced to a 0-d factor that stays live until
+        # the final product
+        rng = random.Random(3)
+        priors = [1.0] + [rng.uniform(0.99, 1.0) for _ in range(self.N - 1)]
+        nodes, cpts = zip(_binary("q", 0.3), *(_binary(f"r{i}", p) for i, p in enumerate(priors)))
+        net = build_net(nodes, [], cpts)
+        evidence = {f"r{i}": "t" for i in range(self.N)}
+        got = posterior(net, "q", EvidenceSet(evidence)).as_dict()
+        assert len(bayes_core._plan(net, ("q",), frozenset(evidence)).steps) > 1
+        assert abs(got["t"] - 0.3) <= 1e-12
+        with pytest.raises(ZeroProbabilityEvidence):
+            posterior(net, "q", EvidenceSet({**evidence, "r0": "f"}))
+
+    @pytest.mark.parametrize("observed", [N, N - 1])
+    def test_root_with_many_children(self, observed):
+        # Querying the root multiplies its prior and every sliced child in the
+        # final product; querying a child sums the root out of all of them
+        rng = random.Random(observed)
+        # Likely observations keep P(evidence) clear of ZERO_EVIDENCE_TOL
+        rows = [(rng.uniform(0.9, 1.0), rng.uniform(0.9, 1.0)) for _ in range(self.N)]
+        nodes, cpts = zip(_binary("root", 0.4), *(
+            _binary(f"c{i}", None, ("root",), ((a, 1 - a), (b, 1 - b)))
+            for i, (a, b) in enumerate(rows)))
+        net = build_net(nodes, [("root", f"c{i}") for i in range(self.N)], cpts)
+        evidence = {f"c{i}": "t" for i in range(observed)}
+        # P(root, evidence) for each root state
+        weight = [0.4 * math.prod(row[0] for row in rows[:observed]),
+                  0.6 * math.prod(row[1] for row in rows[:observed])]
+        if observed == self.N:
+            got = posterior(net, "root", EvidenceSet(evidence)).probs
+            expected = [w / sum(weight) for w in weight]
+        else:
+            got = posterior(net, f"c{observed}", EvidenceSet(evidence)).probs
+            a, b = rows[observed]
+            occurs = (weight[0] * a + weight[1] * b) / sum(weight)
+            expected = [occurs, 1 - occurs]
+        assert max(abs(g - e) for g, e in zip(got, expected)) <= 1e-12
+
+
 class TestMinFillOrder:
     @settings(max_examples=300, deadline=None)
     @given(

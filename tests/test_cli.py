@@ -324,6 +324,23 @@ class TestInfer:
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli("infer", path, "--query", "A", "--evidence", "B=f") == 1
 
+    def test_evidence_on_seventy_nodes(self, tmp_path, capsys):
+        # More observed children than one np.einsum call takes as operands
+        kids = [f"B{i}" for i in range(70)]
+        doc = {
+            "nodes": [{"id": n, "states": ["t", "f"]} for n in ("A", *kids)],
+            "edges": [["A", k] for k in kids],
+            "cpts": [{"node": "A", "parents": [], "rows": [[0.5, 0.5]]}]
+            + [{"node": k, "parents": ["A"], "rows": [[0.99, 0.01], [0.5, 0.5]]} for k in kids],
+            "objective": None,
+        }
+        path = tmp_path / "bn.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        evidence = [arg for k in kids for arg in ("--evidence", f"{k}=t")]
+        assert run_cli("infer", path, "--query", "A", *evidence) == 0
+        # P(A=t | evidence) = 1 / (1 + (0.5 / 0.99)**70)
+        assert "A=t 1.000000" in capsys.readouterr().out
+
 
 class TestCoverage:
     def test_planted_frequency(self, tmp_path, capsys):
