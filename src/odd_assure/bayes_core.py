@@ -247,12 +247,6 @@ def build_net(
     return BayesNet(nodes=node_map, edges=edge_list, cpts=cpt_map, objective=objective)
 
 
-def topological_order(net: BayesNet) -> list[str]:
-    # build_net rejects cycles and ties every CPT's parents to the in-edges
-    order, _ = _base.dag_order({nid: cpt.parent_order for nid, cpt in net.cpts.items()})
-    return order
-
-
 # ---------------------------------------------------------------------------
 # Variable elimination, planned once per (kept variables, evidence variables)
 

@@ -6,9 +6,9 @@ those labels; its leaves convert to IF/THEN rules whose Yes regions, projected
 per feature, propose updated in-ODD intervals. Proposals are reports, never
 in-place spec edits.
 
-Fitting is deterministic: records are canonically sorted first, candidate
-thresholds are midpoints between consecutive distinct feature values, and
-ties go to the lexicographically smaller feature, then the lower threshold.
+Fitting is deterministic: the tree depends only on the multiset of records,
+thresholds are midpoints between consecutive distinct values, and ties go to
+the lexicographically smaller feature, then the lower threshold.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -56,6 +57,32 @@ class TraceRecord:
     def __post_init__(self) -> None:
         if self.label not in (YES, NO):
             raise DocumentError(f"label must be Yes or No, got {self.label!r}")
+
+
+class Trace(Sequence[TraceRecord]):
+    """Trace rows as columns: a float matrix ``x`` over the sorted feature
+    ``names``, and the Yes/No ``labels``; a row reads as a :class:`TraceRecord`.
+    :func:`parse_trace` and :meth:`from_records` build and check traces."""
+
+    def __init__(self, names: tuple[str, ...], x: np.ndarray, labels: list[str]):
+        self.names, self.x, self.labels = names, x, labels
+
+    @classmethod
+    def from_records(cls, records: Sequence[TraceRecord]) -> "Trace":
+        """The columns of ``records``, which must share one feature set."""
+        names = sorted(records[0].features) if len(records) else []
+        if any(sorted(rec.features) != names for rec in records):
+            raise DocumentError("records disagree on the feature set")
+        x = np.array([[r.features[n] for n in names] for r in records], dtype=float)
+        return cls(tuple(names), x.reshape(len(records), len(names)), [r.label for r in records])
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Trace(self.names, self.x[i], self.labels[i])
+        return TraceRecord(dict(zip(self.names, self.x[i].tolist())), self.labels[i])
 
 
 @dataclass(frozen=True)
@@ -122,21 +149,19 @@ def fit_tree(records: Sequence[TraceRecord], max_depth: int = 6, min_leaf: int =
     Splitting stops at ``max_depth``, when a side would fall under
     ``min_leaf`` records, or at zero impurity. A root that is impure but
     admits no valid split becomes a single majority leaf with the
-    ``constant_features`` flag raised.
+    ``constant_features`` flag raised. Records not in a :class:`Trace` are
+    converted by :meth:`Trace.from_records`.
     """
     if min_leaf < 1 or max_depth < 0:
         raise RefinementError("max_depth must be >= 0 and min_leaf >= 1")
     if len(records) < 2 * min_leaf:
         raise TooFewRecords(f"{len(records)} records cannot fill two leaves of {min_leaf}")
-    names = sorted(records[0].features)
-    for rec in records:
-        if sorted(rec.features) != names:
-            raise DocumentError("records disagree on the feature set")
+    trace = records if isinstance(records, Trace) else Trace.from_records(records)
 
     # The tree depends only on the multiset of records: each split is scored
     # from sorted column values and whole-run Yes counts, so input order is kept.
-    x = np.array([[r.features[n] for n in names] for r in records], dtype=float)
-    y = np.array([1 if r.label == YES else 0 for r in records], dtype=int)
+    names, x = trace.names, trace.x
+    y = np.array([1 if label == YES else 0 for label in trace.labels], dtype=int)
 
     # An explicit stack keeps deep trees clear of the recursion limit. grow
     # returns a leaf, or a split's tasks: its (feature, threshold) join, which
@@ -339,29 +364,50 @@ def report_to_document(report: RefinementReport) -> dict:
     }
 
 
-def parse_trace(text: str) -> list[TraceRecord]:
-    """Parse a delimited trace: header of feature names plus a `label`
-    column holding Yes/No."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or "label" not in reader.fieldnames:
+def parse_trace(text: str) -> Trace:
+    """Parse a delimited trace, a header of feature names plus a `label`
+    column holding Yes/No, into columns. Rows, row numbers and errors are
+    those of ``csv.DictReader`` (see :func:`_raise_first_bad_row`)."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or "label" not in header:
         raise DocumentError("trace needs a header row with a 'label' column")
-    features = [n for n in reader.fieldnames if n != "label"]
+    features = [n for n in header if n != "label"]
     if not features:
         raise DocumentError("trace has no feature columns")
-    records = []
-    for row_no, row in enumerate(reader, start=2):
+    column = {name: i for i, name in enumerate(header)}
+    names = sorted(set(features))
+    try:
+        rows = [row for row in reader if row]
+        x = np.column_stack([np.fromiter(map(float, map(itemgetter(column[n]), rows)), float,
+                                         len(rows)) for n in names])
+        labels = list(map(itemgetter(column["label"]), rows))
+    except (csv.Error, IndexError, ValueError):  # an unreadable, short or non-numeric row
+        x, labels = None, ()
+    if x is None or not np.isfinite(x).all() or not set(labels) <= {YES, NO}:
+        _raise_first_bad_row(text, header, features)
+    if not rows:
+        raise TooFewRecords("trace has no data rows")
+    return Trace(tuple(names), x, labels)
+
+
+def _raise_first_bad_row(text: str, header: list[str], features: list[str]) -> None:
+    """Raise the error of the first bad row, reading the rows again as
+    ``csv.DictReader`` does: blank ones skipped and not numbered, extra cells
+    ignored, missing ones None, the last of a repeated header name read."""
+    reader = csv.reader(io.StringIO(text))
+    next(reader)
+    for row_no, row in enumerate(filter(None, reader), start=2):
+        cells = dict(zip(header, row + [None] * (len(header) - len(row))))
         try:
-            values = {n: float(row[n]) for n in features}
+            values = [float(cells[n]) for n in features]
         except (TypeError, ValueError) as exc:
             raise DocumentError(f"row {row_no}: bad numeric value ({exc})") from exc
-        if not all(map(math.isfinite, values.values())):
+        if not all(map(math.isfinite, values)):
             raise DocumentError(f"row {row_no}: feature values must be finite")
-        records.append(TraceRecord(values, row["label"]))
-    if not records:
-        raise TooFewRecords("trace has no data rows")
-    return records
+        TraceRecord({}, cells["label"])  # raises on a label but Yes or No
 
 
-def load_trace(path) -> list[TraceRecord]:
+def load_trace(path) -> Trace:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_trace(fh.read())

@@ -160,14 +160,14 @@ class TemplateConfig:
     @staticmethod
     @_base.document_reader("template config", DocumentError)
     def from_document(document) -> "TemplateConfig":
-        """Read ``feature_names`` and ``cpts``; keys but these and ``template`` are rejected."""
+        """Read ``feature_names`` and ``cpts``; keys but these and ``template``
+        are rejected, and so is a CPT entry that is not a JSON number."""
         unknown = set(document) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        return TemplateConfig(
-            feature_names=tuple(document.get("feature_names", ("Feat_1", "Feat_2"))),
-            cpts=dict(document.get("cpts", {})),
-        )
+        cpts = {node: [[_base.number(p, f"a cpt entry of {node!r}") for p in row] for row in rows]
+                for node, rows in dict(document.get("cpts", {})).items()}
+        return TemplateConfig(tuple(document.get("feature_names", ("Feat_1", "Feat_2"))), cpts)
 
 
 def _preset_rows(node: str, parents: Sequence[str]) -> Sequence[Sequence[float]]:

@@ -16,7 +16,6 @@ reading is one bisection.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from bisect import bisect_left
@@ -489,9 +488,3 @@ def odd_spec_to_document(spec: OddSpec) -> dict:
 def load_odd_spec(path) -> OddSpec:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_odd_spec(fh.read())
-
-
-def save_odd_spec(spec: OddSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(odd_spec_to_document(spec), fh, indent=2)
-        fh.write("\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Union
 
 from . import _base
@@ -100,21 +101,18 @@ class AxiomViolation:
 
 @dataclass(frozen=True)
 class TripleGraph:
+    """An immutable set of facts, with one :class:`_GraphIndex` built on first
+    use and kept; readers that race to build it each get a complete, equal one."""
+
     triples: frozenset[Triple] = frozenset()
     extension_predicates: frozenset[str] = frozenset()
-
-    def types_of(self, term: Term) -> set[str]:
-        return {
-            str(t.object)
-            for t in self.triples
-            if t.predicate == RDF_TYPE and t.subject == term and isinstance(t.object, str)
-        }
 
     def has_type(self, term: Term, cls: str) -> bool:
         return Triple(term, RDF_TYPE, cls) in self.triples
 
-    def individuals_of(self, cls: str) -> set[Term]:
-        return {t.subject for t in self.triples if t.predicate == RDF_TYPE and t.object == cls}
+    @cached_property
+    def _index(self) -> "_GraphIndex":
+        return _GraphIndex(self.triples)
 
 
 def assert_triple(graph: TripleGraph, triple: Triple) -> TripleGraph:
@@ -154,15 +152,17 @@ def retract_triple(graph: TripleGraph, triple: Triple) -> TripleGraph:
 
 def query(graph: TripleGraph, subject=None, predicate=None, object=None) -> list[Triple]:
     """All triples matching the bound positions (None = wildcard), in
-    canonical lexicographic order."""
-    hits = [
+    canonical lexicographic order. It filters the smallest bucket of the
+    graph's index among the bound positions."""
+    pattern = (subject, predicate, object)
+    bound = [b.get(term, ()) for b, term in zip(graph._index.buckets, pattern) if term is not None]
+    return [
         t
-        for t in graph.triples
+        for t in min(bound, key=len, default=graph._index.ordered)
         if (subject is None or t.subject == subject)
         and (predicate is None or t.predicate == predicate)
         and (object is None or t.object == object)
     ]
-    return sorted(hits, key=_sort_key)
 
 
 def _sort_key(t: Triple):
@@ -225,42 +225,43 @@ _DOMAIN_RULES: dict[str, tuple[str, frozenset[str]]] = {
 
 
 class _GraphIndex:
-    """What the axiom rules ask of a graph, gathered in one pass over it."""
+    """A graph's triples in canonical order; ``buckets`` maps each subject,
+    predicate and object to its triples in that order, and ``types`` each
+    subject to its identifier classes."""
 
-    def __init__(self, graph: TripleGraph):
-        self.types: dict[Term, set[str]] = {}  # subject -> classes (identifiers only)
-        self.members: dict[Term, set[Term]] = {}  # class -> individuals
-        self.out_predicates: dict[Term, set[str]] = {}  # subject -> predicates
-        self.depends_sources: set[Term] = set()
-        self.depends_targets: set[Term] = set()
-        for t in graph.triples:
-            self.out_predicates.setdefault(t.subject, set()).add(t.predicate)
-            if t.predicate == RDF_TYPE:
-                self.members.setdefault(t.object, set()).add(t.subject)
-                if isinstance(t.object, str):
-                    self.types.setdefault(t.subject, set()).add(t.object)
-            elif t.predicate == "dependsOn":
-                self.depends_sources.add(t.subject)
-                self.depends_targets.add(t.object)
+    def __init__(self, triples: frozenset[Triple]):
+        self.ordered = tuple(sorted(triples, key=_sort_key))
+        self.buckets = by_subject, by_predicate, by_object = {}, {}, {}
+        self.types: dict[Term, set[str]] = {}
+        for t in self.ordered:
+            by_subject.setdefault(t.subject, []).append(t)
+            by_predicate.setdefault(t.predicate, []).append(t)
+            by_object.setdefault(t.object, []).append(t)
+            if t.predicate == RDF_TYPE and isinstance(t.object, str):
+                self.types.setdefault(t.subject, set()).add(t.object)
 
     def types_of(self, term: Term) -> set[str]:
         return self.types.get(term, set())
 
-    def sorted_members(self, cls: str) -> list[Term]:
+    def members(self, cls: str) -> list[Term]:
         """The individuals of ``cls``, in the order of the violation list."""
-        return sorted(self.members.get(cls, ()), key=_term_key)
+        return [t.subject for t in self.buckets[2].get(cls, ()) if t.predicate == RDF_TYPE]
+
+    def predicates(self, position: int, term: Term) -> set[str]:
+        """The predicates of the triples that hold ``term`` at ``position``."""
+        return {t.predicate for t in self.buckets[position].get(term, ())}
 
 
 def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
     """Closed-world integrity check; empty list means consistent.
 
-    One pass indexes the graph, so the check is O(n log n) in the number of
-    triples (the sort of the violation order dominates).
+    It reads the graph's kept index, so a check is O(n log n) in the number
+    of triples, the index's sort dominating, and a repeat check skips it.
     """
-    index = _GraphIndex(graph)
+    index = graph._index
     violations: list[AxiomViolation] = []
 
-    for t in sorted(graph.triples, key=_sort_key):
+    for t in index.ordered:
         for rules, position, term in (
             (_RANGE_RULES, "object", t.object),
             (_DOMAIN_RULES, "subject", t.subject),
@@ -328,8 +329,8 @@ _EVENT_AXIOMS = {
 def _check_event_classification(index: _GraphIndex) -> list[AxiomViolation]:
     violations = []
     for role, (cls, axiom) in _EVENT_AXIOMS.items():
-        for term in index.sorted_members(cls):
-            if role not in role_candidates(index.out_predicates[term]):
+        for term in index.members(cls):
+            if role not in role_candidates(index.predicates(0, term)):
                 violations.append(
                     AxiomViolation(
                         axiom,
@@ -345,10 +346,10 @@ def _check_objective_nodes(index: _GraphIndex) -> list[AxiomViolation]:
     """A48: an ObjNode is a Node that is the target of at least one dependsOn
     edge and the source of none (the terminal node of the dependency DAG)."""
     violations = []
-    for term in index.sorted_members("ObjNode"):
+    for term in index.members("ObjNode"):
         is_node = "Node" in index.types_of(term)
-        incoming = term in index.depends_targets
-        outgoing = term in index.depends_sources
+        incoming = "dependsOn" in index.predicates(2, term)
+        outgoing = "dependsOn" in index.predicates(0, term)
         if not (is_node and incoming and not outgoing):
             violations.append(
                 AxiomViolation(
@@ -364,10 +365,10 @@ def _check_objective_nodes(index: _GraphIndex) -> list[AxiomViolation]:
 def classify_goals(graph: TripleGraph) -> dict[Term, str]:
     """Partition Goal individuals: SupportGoal iff the goal supports
     something, TopLevelGoal otherwise."""
-    index = _GraphIndex(graph)
+    index = graph._index
     return {
-        goal: "SupportGoal" if "supports" in index.out_predicates[goal] else "TopLevelGoal"
-        for goal in index.sorted_members("Goal")
+        goal: "SupportGoal" if "supports" in index.predicates(0, goal) else "TopLevelGoal"
+        for goal in index.members("Goal")
     }
 
 
@@ -464,11 +465,8 @@ def _split_terms(line: str, line_no: int) -> list[str]:
 def export_graph(graph: TripleGraph) -> str:
     """Canonical serialization: one sorted `subject predicate object .` line
     per triple. Equal triple sets export byte-identical text."""
-    lines = []
-    for t in sorted(graph.triples, key=_sort_key):
-        lines.append(
-            f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} ."
-        )
+    lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} ."
+             for t in graph._index.ordered]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -480,20 +478,24 @@ def import_graph(text: str, extension_predicates: Iterable[str] = ()) -> TripleG
     check rather than being silently repaired.
     """
     extensions = frozenset(extension_predicates)
+    allowed = VOCABULARY | extensions
+    terms: dict[str, Term] = {}  # each distinct subject or object token parses once
     triples = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = _split_terms(line, line_no)
+        tokens = _split_terms(line, line_no) if '"' in line else line.split()  # same isspace runs
         if len(tokens) != 4 or tokens[-1] != ".":
             raise ParseError("expected `subject predicate object .`", line_no)
-        subject = _parse_term(tokens[0], line_no)
-        predicate = tokens[1]
-        if predicate not in VOCABULARY | extensions:
+        subject, predicate, obj = tokens[:3]
+        if subject not in terms:
+            terms[subject] = _parse_term(subject, line_no)
+        if predicate not in allowed:
             raise ParseError(f"unknown predicate {predicate!r}", line_no)
-        obj = _parse_term(tokens[2], line_no)
-        triples.add(Triple(subject, predicate, obj))
+        if obj not in terms:
+            terms[obj] = _parse_term(obj, line_no)
+        triples.add(Triple(terms[subject], predicate, terms[obj]))
     return TripleGraph(frozenset(triples), extensions)
 
 

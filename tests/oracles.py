@@ -6,23 +6,38 @@ membership by a hand-rolled scan, discretization by testing every interval
 of a class, ODD class trees by walking the parent
 links from every class, min-fill orders by recounting every fill
 each round, CART splits by a mask per candidate threshold, rules by
-collapsing each leaf's whole path, axiom checks by rescanning the graph for
-every term. None of it shares code with the
+collapsing each leaf's whole path, axiom checks and pattern queries by
+rescanning the graph for every term, ontology lines by a character loop,
+traces through ``csv.DictReader``. None of it shares code with the
 inference, parsing, fitting or indexing paths it is used to verify; the axiom
-check reads only the rule tables and message helpers of the module.
+check and the query read only the rule tables, the canonical sort key and the
+message helpers of the module.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 
 from odd_assure import safety_ontology as so
 from odd_assure.bayes_core import BayesNet, BnNode, Cpt, build_net
-from odd_assure.boundary_refinement import NO, YES, DecisionTree, Leaf, Rule, Split
+from odd_assure.boundary_refinement import (
+    NO,
+    YES,
+    DecisionTree,
+    Leaf,
+    Rule,
+    Split,
+    TooFewRecords,
+    TraceRecord,
+)
+from odd_assure.boundary_refinement import DocumentError as RefinementDocumentError
 from odd_assure.hara_fta import (
     CausalEntry,
     CausalRelation,
@@ -302,6 +317,33 @@ def odd_hierarchy_error(parents: dict) -> type | None:
 
 
 # ---------------------------------------------------------------------------
+# Trace parsing
+
+
+def parse_trace(text: str) -> list:
+    """Trace records through ``csv.DictReader``: a dict, a ``float`` per cell
+    and a ``TraceRecord`` per row."""
+    reader = csv.DictReader(io.StringIO(text))
+    if reader.fieldnames is None or "label" not in reader.fieldnames:
+        raise RefinementDocumentError("trace needs a header row with a 'label' column")
+    features = [n for n in reader.fieldnames if n != "label"]
+    if not features:
+        raise RefinementDocumentError("trace has no feature columns")
+    records = []
+    for row_no, row in enumerate(reader, start=2):
+        try:
+            values = {n: float(row[n]) for n in features}
+        except (TypeError, ValueError) as exc:
+            raise RefinementDocumentError(f"row {row_no}: bad numeric value ({exc})") from exc
+        if not all(map(math.isfinite, values.values())):
+            raise RefinementDocumentError(f"row {row_no}: feature values must be finite")
+        records.append(TraceRecord(values, row["label"]))
+    if not records:
+        raise TooFewRecords("trace has no data rows")
+    return records
+
+
+# ---------------------------------------------------------------------------
 # CART
 
 
@@ -392,6 +434,97 @@ def _collapse(path) -> list[tuple[str, str, float]]:
         else:
             out[i] = (feature, op, max(kept, threshold))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Ontology queries and line format
+
+
+def query(graph, subject=None, predicate=None, object=None) -> list:
+    """Matching triples by a scan of the whole graph and a sort of the hits."""
+    hits = [
+        t
+        for t in graph.triples
+        if (subject is None or t.subject == subject)
+        and (predicate is None or t.predicate == predicate)
+        and (object is None or t.object == object)
+    ]
+    return sorted(hits, key=so._sort_key)
+
+
+def _parse_term(token: str, line_no: int):
+    if token.startswith('"'):
+        if not token.endswith('"') or len(token) < 2:
+            raise so.ParseError(f"unterminated literal {token!r}", line_no)
+        body = token[1:-1]
+        out, i = [], 0
+        while i < len(body):
+            ch = body[i]
+            if ch == "\\":
+                if i + 1 >= len(body):
+                    raise so.ParseError(f"dangling escape in {token!r}", line_no)
+                nxt = body[i + 1]
+                out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, nxt))
+                i += 2
+            else:
+                out.append(ch)
+                i += 1
+        return so.Literal("".join(out))
+    if re.match(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", token):
+        return so.Literal(float(token))
+    if any(c in ' \t\n"' for c in token):
+        raise so.ParseError(f"bad identifier {token!r}", line_no)
+    return token
+
+
+def split_terms(line: str, line_no: int) -> list[str]:
+    """Tokens of one line by a character loop: quoted literals whole,
+    everything else split on ``str.isspace`` runs."""
+    tokens, i, n = [], 0, len(line)
+    while i < n:
+        if line[i].isspace():
+            i += 1
+            continue
+        if line[i] == '"':
+            j = i + 1
+            while j < n:
+                if line[j] == "\\":
+                    j += 2
+                    continue
+                if line[j] == '"':
+                    break
+                j += 1
+            if j >= n:
+                raise so.ParseError("unterminated string literal", line_no)
+            tokens.append(line[i : j + 1])
+            i = j + 1
+        else:
+            j = i
+            while j < n and not line[j].isspace():
+                j += 1
+            tokens.append(line[i:j])
+            i = j
+    return tokens
+
+
+def import_graph(text: str, extension_predicates=()):
+    """The line format read by the character loop, every token parsed anew."""
+    extensions = frozenset(extension_predicates)
+    triples = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        tokens = split_terms(line, line_no)
+        if len(tokens) != 4 or tokens[-1] != ".":
+            raise so.ParseError("expected `subject predicate object .`", line_no)
+        subject = _parse_term(tokens[0], line_no)
+        predicate = tokens[1]
+        if predicate not in so.VOCABULARY | extensions:
+            raise so.ParseError(f"unknown predicate {predicate!r}", line_no)
+        obj = _parse_term(tokens[2], line_no)
+        triples.add(so.Triple(subject, predicate, obj))
+    return so.TripleGraph(frozenset(triples), extensions)
 
 
 # ---------------------------------------------------------------------------

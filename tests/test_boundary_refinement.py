@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 import re
@@ -16,6 +17,7 @@ from odd_assure.boundary_refinement import (
     Rule,
     Split,
     TooFewRecords,
+    Trace,
     TraceRecord,
     UnknownFeature,
     extract_rules,
@@ -451,3 +453,112 @@ class TestTraceFormat:
     def test_non_finite_feature_names_row(self, value):
         with pytest.raises(DocumentError, match="row 3: feature values must be finite"):
             parse_trace(f"a,b,label\n1,2,Yes\n1,{value},Yes\n")
+
+
+# Trace text: header names that repeat or lack `label`, rows that are blank,
+# short or long, and cells that are numbers, padded numbers, non-finite or not
+# numbers at all.
+trace_names = st.sampled_from(["a", "b", "a", "c", "", "label"])
+trace_cells = st.sampled_from(
+    ["1", "2.5", "-3e2", " 4 ", "0", "1_0", "nan", "inf", "-Infinity", "x", "", "Yes", "No",
+     '"5"', '"6,7"']
+)
+
+
+@st.composite
+def trace_text(draw):
+    header = draw(st.lists(trace_names, min_size=0, max_size=4))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
+        header.insert(draw(st.integers(0, len(header))), "label")
+    lines = [",".join(header)] if draw(st.sampled_from([True] * 9 + [False])) else [""]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "random"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        width = len(header) if kind == "good" else draw(st.integers(0, len(header) + 2))
+        cells = []
+        for name in header[:width]:
+            if kind == "good":
+                cells.append(draw(st.sampled_from(["Yes", "No"])) if name == "label"
+                             else draw(st.sampled_from(["1", "2.5", "-3e2", " 4 ", "0"])))
+            else:
+                cells.append(draw(trace_cells))
+        cells += [draw(trace_cells) for _ in range(width - len(header))]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+def trace_outcome(parse, text):
+    try:
+        return ("records", list(parse(text)))
+    except (DocumentError, TooFewRecords) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+class TestTraceMatchesReference:
+    """parse_trace reads columns with csv.reader; the oracle reads rows with
+    csv.DictReader. Records and error messages must be equal."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(text=trace_text())
+    def test_fuzzed_traces(self, text):
+        got = trace_outcome(parse_trace, text)
+        assert got == trace_outcome(oracles.parse_trace, text)
+        if got[0] == "records":
+            trace = parse_trace(text)
+            assert list(trace.names) == sorted(set(trace.names)) == sorted(got[1][0].features)
+            assert trace.x.shape == (len(got[1]), len(trace.names))
+
+    @pytest.mark.parametrize("text", [
+        "a,label\n1\n",  # a short row: the label reads as None
+        "a,b,label\n1,Yes\n",  # ... and so does a feature, which fails first
+        "a,label,a\n1,Yes\n",  # the missing last `a` wins over the first
+        "a,label,a\n1,Yes,2\n3,No,x\n",
+        "a,label\n1,Yes,extra,cells\n2,No\n",
+        "a,label\n\n\n1,Yes\n\nx,No\n",  # blank rows are not numbered
+        "\na,label\n1,Yes\n",  # a blank first line is the header
+        "a,label,label\n1,Yes,No\n2,No,maybe\n",
+        "a,b,label\n1,inf,Yes\n2,x,No\n",  # row 2 fails first though row 3 does not parse
+        "a,label\n",
+        "label,label\n1,Yes\n",
+    ])
+    def test_edge_cases(self, text):
+        assert trace_outcome(parse_trace, text) == trace_outcome(oracles.parse_trace, text)
+
+    def test_unreadable_row_after_a_bad_one(self):
+        huge = "1" * 200_000  # past csv's field size limit
+        text = f"a,label\nx,Yes\n{huge},No\n"
+        assert trace_outcome(parse_trace, text) == trace_outcome(oracles.parse_trace, text)
+        for parse in (parse_trace, oracles.parse_trace):
+            with pytest.raises(csv.Error):
+                parse(f"a,label\n1,Yes\n{huge},No\n")
+
+    def test_trace_is_a_sequence_of_records(self):
+        trace = parse_trace("b,a,label\n1,2,Yes\n3,4,No\n5,6,Yes\n")
+        assert trace.names == ("a", "b")
+        assert trace.x.tolist() == [[2.0, 1.0], [4.0, 3.0], [6.0, 5.0]]
+        assert trace[1] == TraceRecord({"a": 4.0, "b": 3.0}, NO)
+        assert trace[-1] == TraceRecord({"a": 6.0, "b": 5.0}, YES)
+        assert list(trace[1:]) == [trace[1], trace[2]]
+        assert len(trace) == 3 and trace.index(trace[2]) == 2
+        with pytest.raises(IndexError):
+            trace[3]
+
+    def test_from_records_matches_parse(self):
+        text = example_trace_csv()
+        trace = parse_trace(text)
+        again = Trace.from_records(list(trace))
+        assert again.names == trace.names and again.labels == trace.labels
+        assert np.array_equal(again.x, trace.x)
+        assert fit_tree(trace, 4, 5) == fit_tree(list(trace), 4, 5) == oracles.fit_tree(list(trace), 4, 5)
+        assert Trace.from_records([]).x.shape == (0, 0)
+
+    def test_bench_sized_trace(self):
+        rng = random.Random(3)
+        rows = [f"{rng.uniform(0, 600):.3f},{rng.uniform(0, 2):.3f},{rng.choice(['Yes', 'No'])}"
+                for _ in range(3000)]
+        text = "Fog,Rain,label\n" + "\n".join(rows) + "\n"
+        records = oracles.parse_trace(text)
+        assert list(parse_trace(text)) == records
+        assert fit_tree(parse_trace(text)) == oracles.fit_tree(records)

@@ -58,7 +58,8 @@ class TestDataAppropriatenessTemplate:
     def test_objective_is_terminal_dag(self):
         net = build_data_appropriateness_bn()
         assert all(src != "DataComp" for src, _ in net.edges)
-        assert bayes_core.topological_order(net)  # build_net already rejects cycles
+        order, cycle = _base.dag_order({nid: cpt.parent_order for nid, cpt in net.cpts.items()})
+        assert sorted(order) == sorted(net.nodes) and not cycle
 
     def test_no_features_rejected(self):
         with pytest.raises(InvalidConfig):
@@ -350,6 +351,20 @@ class TestAcpBinding:
             ct.build_from_document({"template": "mystery"})
         with pytest.raises(ct.DocumentError, match="unknown keys"):
             ct.build_from_document({"template": "testing_adequacy", "cpt_preset": "galactic"})
+
+    @pytest.mark.parametrize("rows, detail", [
+        ([["0.5", "0.5"]], "a cpt entry of 'A' must be a number"),
+        ([[True, False]], "a cpt entry of 'A' must be a number"),
+        ([[None, 1.0]], "a cpt entry of 'A' must be a number"),
+        ([[0.5, 10**400]], "a cpt entry of 'A' is too large"),
+        ([0.5, 0.5], "'float' object is not iterable"),  # a row that is not a list
+    ])
+    def test_cpt_entries_must_be_json_numbers(self, rows, detail):
+        document = {"template": "testing_adequacy", "feature_names": ["A"], "cpts": {"A": rows}}
+        with pytest.raises(_base.DocumentError, match=re.escape(f"malformed template config: {detail}")):
+            ct.build_from_document(document)
+        with pytest.raises(_base.DocumentError, match=re.escape(f"malformed template config: {detail}")):
+            TemplateConfig.from_document(document)
 
     @pytest.mark.parametrize(
         "document",

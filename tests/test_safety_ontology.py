@@ -1,9 +1,11 @@
+import itertools
 import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from odd_assure import safety_ontology
 from odd_assure.fixtures import avp_ontology
 from odd_assure.safety_ontology import (
     RDF_TYPE,
@@ -20,6 +22,7 @@ from odd_assure.safety_ontology import (
     check_axioms,
     classify_goals,
     export_graph,
+    format_term,
     import_graph,
     query,
     retract_triple,
@@ -151,6 +154,49 @@ class TestQuery:
                 key=lambda t: (t.subject, t.predicate, t.object),
             )
             assert query(g, s, p, o) == expected
+
+
+# Terms of every kind a query compares: identifiers, and int, float and string
+# literals, where Literal(1) == Literal(1.0) and ints share their floats' keys.
+query_terms = st.one_of(
+    st.sampled_from(["a", "b", "G1", "Goal"]),
+    st.builds(Literal, st.integers(-3, 3)),
+    st.builds(Literal, st.sampled_from([0.0, -0.0, 1.0, 0.5, 2.5, 1e300])),
+    st.builds(Literal, st.sampled_from(["", "a", "Goal", "1.0", 'q"t', "x\\y"])),
+)
+query_triples = st.builds(Triple, query_terms, st.sampled_from([RDF_TYPE, "dependsOn", "hasText"]),
+                          query_terms)
+
+
+class TestQueryMatchesReference:
+    """query reads the cached index; the oracle scans and sorts the graph."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(triples=st.frozensets(query_triples, max_size=30), pattern=st.tuples(
+        *[st.one_of(st.none(), query_terms)] * 2
+    ), predicate=st.sampled_from([None, RDF_TYPE, "dependsOn", "hasText", "supports"]))
+    def test_every_pattern(self, triples, pattern, predicate):
+        g = TripleGraph(triples)
+        subject, obj = pattern
+        for s, p, o in itertools.product((None, subject), (None, predicate), (None, obj)):
+            assert query(g, s, p, o) == oracles.query(g, s, p, o)
+        lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} .\n"
+                 for t in oracles.query(g)]
+        assert export_graph(g) == "".join(lines)
+
+    def test_avp_fixture(self):
+        g = avp_ontology()
+        terms = sorted({t.subject for t in g.triples} | {t.object for t in g.triples}, key=str)
+        for term in terms:
+            for pattern in ((term, None, None), (None, None, term), (term, RDF_TYPE, None)):
+                assert query(g, *pattern) == oracles.query(g, *pattern)
+
+    def test_derived_graphs_get_their_own_index(self):
+        g = avp_ontology()
+        assert query(g, "x") == []
+        g2 = assert_triple(g, Triple("x", RDF_TYPE, "Goal"))
+        assert query(g2, "x") == [Triple("x", RDF_TYPE, "Goal")]
+        assert query(retract_triple(g2, Triple("x", RDF_TYPE, "Goal")), "x") == []
 
 
 class TestCheckAxioms:
@@ -315,22 +361,38 @@ class TestCheckAxiomsMatchesReference:
         g = TripleGraph(frozenset(t for t, keep in zip(fixture, kept) if keep) | extra)
         assert check_axioms(g) == oracles.check_axioms(g)
 
+    def test_class_names_as_plain_objects(self):
+        """A class name in the object position of another predicate makes no
+        member of that class."""
+        g = assert_all(avp_ontology(), [
+            Triple("x", "dependsOn", "ObjNode"),
+            Triple("y", "relatedTo", "Goal"),
+            Triple("z", "trigger", "OccurrenceEvent"),
+        ])
+        assert check_axioms(g) == oracles.check_axioms(g)
+        goals = {t.subject for t in g.triples if t.predicate == RDF_TYPE and t.object == "Goal"}
+        assert set(classify_goals(g)) == goals
+
     def test_check_does_not_scan_the_graph(self, monkeypatch):
         g = assert_all(
             avp_ontology(),
             [Triple("Rain_heavy", "hasAttribute", "Rain_light"), Triple("x", RDF_TYPE, "ObjNode")],
         )
         expected = oracles.check_axioms(g)
-        goals = classify_goals(g)
+        goals = classify_goals(TripleGraph(g.triples))  # an equal graph with its own index
         assert expected
+        builds = []
 
-        def scan(*_):
-            raise AssertionError("a per-term scan of the graph")
+        def index(triples):
+            builds.append(triples)
+            return build(triples)
 
-        monkeypatch.setattr(TripleGraph, "types_of", scan)
-        monkeypatch.setattr(TripleGraph, "individuals_of", scan)
+        build = safety_ontology._GraphIndex
+        monkeypatch.setattr(safety_ontology, "_GraphIndex", index)
         assert check_axioms(g) == expected
         assert classify_goals(g) == goals
+        assert query(g, predicate=RDF_TYPE) == oracles.query(g, predicate=RDF_TYPE)
+        assert builds == [g.triples]  # one index, built on first use and kept on the graph
 
 
 class TestClassifyGoals:
@@ -431,6 +493,11 @@ class TestLineFormat:
         with pytest.raises(ParseError):
             import_graph("a sparkles b .\n")
 
+    def test_str_split_breaks_on_isspace_runs(self):
+        spaces = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
+        line = "a" + spaces + "b c\u3000\x0bd"
+        assert line.split() == oracles.split_terms(line, 1) == ["a", "b", "c", "d"]
+
     def test_fuzzed_roundtrip(self):
         rng = random.Random(17)
         preds = ["dependsOn", "supports", "hasText", "hasACP"]
@@ -447,3 +514,71 @@ class TestLineFormat:
                 triples.add(Triple(f"s{rng.randint(0, 9)}", pred, obj))
             g = TripleGraph(frozenset(triples))
             assert import_graph(export_graph(g)).triples == g.triples
+
+
+# Pieces of ontology lines: good and bad terms, quotes with escapes and a
+# dangling backslash, and whitespace that str.isspace and splitlines treat
+# differently (\x0b and \x0c also end a line; U+3000 does not).
+line_tokens = st.sampled_from([
+    "a", "b", "G1", "1", "-2.5e3", ".5", "1.", "+7", "x.y", "a\"b", "#c",
+    '"t"', '"a b"', '"q\\"x"', '"\\\\"', '"e\\n"', '"dangling\\"', '"open', '""',
+    ".", "dependsOn", "hasText", "rdf_type", "sparkles", "ext",
+])
+separators = st.sampled_from([" "] * 12 + ["\t", "  ", "\u3000", "\xa0", "\x0b", "\x0c", "\r"])
+
+
+@st.composite
+def ontology_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["triple"] * 6 + ["tokens", "comment", "blank"]))
+        if kind == "triple":
+            predicate = draw(st.sampled_from(["dependsOn", "hasText", RDF_TYPE, "ext", "sparkles"]))
+            toks = [draw(line_tokens), predicate, draw(line_tokens), "."]
+        elif kind == "tokens":
+            toks = draw(st.lists(line_tokens, max_size=5))
+        else:
+            toks = ["# note"] if kind == "comment" else []
+        seps = [draw(separators) for _ in toks]
+        lines.append(draw(separators) + "".join(t + sep for t, sep in zip(toks, seps)))
+    return "\n".join(lines)
+
+
+class TestImportMatchesReference:
+    """import_graph splits quote-free lines with str.split and parses each
+    distinct token once; the oracle runs the character loop on every line."""
+
+    @staticmethod
+    def outcome(parse, text, extensions):
+        try:
+            g = parse(text, extensions)
+        except ParseError as exc:
+            return ("error", str(exc), exc.line_no)
+        return ("graph", g)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=ontology_text(), extensions=st.sampled_from([(), ("ext", "sparkles")]))
+    def test_fuzzed_text(self, text, extensions):
+        got = self.outcome(import_graph, text, extensions)
+        assert got == self.outcome(oracles.import_graph, text, extensions)
+
+    @pytest.mark.parametrize("text, line_no", [
+        ('a hasText "dangling\\" .\n', 1),
+        ("a dependsOn b .\n# c\nc sparkles 1 .\n", 3),
+        ('a dependsOn b .\nx"y sparkles z .\n', 2),  # the subject fails before the predicate
+        ('a hasText "t" .\n"u" hasText b"c .\n', 2),
+        ('a dependsOn b .\n\nc hasText "open .\n', 3),
+        ("a dependsOn b .\na\x0bdependsOn b .\n", 2),  # \x0b ends the line
+        ("a\u3000dependsOn\u3000b\u3000.\nx y\n", 2),
+        ('a dependsOn b .\nc hasText "t" "u" .\n', 2),
+    ])
+    def test_errors_name_the_reference_line(self, text, line_no):
+        got = self.outcome(import_graph, text, ())
+        assert got == self.outcome(oracles.import_graph, text, ())
+        assert got[0] == "error" and got[2] == line_no
+
+    def test_bench_sized_graph(self):
+        text = export_graph(avp_ontology()) + "".join(
+            f'n{i} dependsOn n{i + 1} .\nn{i} hasText "t {i}" .\n' for i in range(500)
+        )
+        assert import_graph(text) == oracles.import_graph(text)
