@@ -20,7 +20,7 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 from . import _base
 
@@ -232,8 +232,7 @@ class OddSpec:
         return tuple(n for n in self.classes if self.is_leaf(n))
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """One timestamped environment sample.
 
     ``readings`` maps leaf class names to raw measurements. The (x, y)

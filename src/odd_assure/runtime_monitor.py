@@ -30,7 +30,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -83,8 +83,7 @@ class ModelBundle:
         return self.acp.state_values
 
 
-@dataclass(frozen=True)
-class ConfidenceReport:
+class ConfidenceReport(NamedTuple):
     time: float
     evidence: dict[str, str]
     posterior: Posterior | None
@@ -207,9 +206,12 @@ class _TickTable:
     ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, the
     only copy kept, or None when the bundle is queried through
     ``bayes_core.posterior``. ``states`` maps each bound node's states to
-    their indices. ``memo`` maps the evidence items, in insertion order, to
-    [posterior, mean, variance, line part]: the first three all None for a
-    degenerate tick, the last None until ``report_to_json_line`` fills it.
+    their indices. ``readers`` maps each ODD class to its compiled table
+    (None without attributes) and its bound node (None if unbound), so a
+    tick resolves a reading with one lookup. ``memo`` maps the evidence
+    items, in insertion order, to [posterior, mean, variance, line part]:
+    the first three all None for a degenerate tick, the last None until
+    ``report_to_json_line`` fills it.
     It lives on the bundle, not the network, because the mean and variance
     depend on the bundle's state values.
     """
@@ -217,6 +219,7 @@ class _TickTable:
     nodes: tuple[str, ...]
     states: tuple[dict[str, int], ...]
     joint: np.ndarray | None
+    readers: dict[str, tuple]
     memo: dict
 
 
@@ -231,15 +234,16 @@ def _tick_table(bundle: ModelBundle) -> _TickTable:
         joint = bayes_core._joint_table(net, (*nodes, objective))
         if joint is not None:
             joint = np.moveaxis(joint, -1, 0)
-        table = _TickTable(nodes, states, joint, {})
+        readers = {name: (compiled, bundle.bindings.get(name))
+                   for name, compiled in odd_model._compiled(bundle.odd).items()}
+        table = _TickTable(nodes, states, joint, readers, {})
         object.__setattr__(bundle, "_ticks", table)
     return table
 
 
-def _outcome(bundle: ModelBundle, evidence: dict[str, str]) -> list:
+def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str]) -> list:
     """The memo entry [posterior, mean, variance, line part] for the
     evidence; the first three are None when it has ~zero probability."""
-    table = _tick_table(bundle)
     key = tuple(evidence.items())
     outcome = table.memo.get(key)
     if outcome is None:
@@ -279,19 +283,18 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
     out-of-ODD reading clears ``in_odd``. Evidence with ~zero probability
     yields a degenerate report instead of raising.
     """
-    tables = odd_model._compiled(bundle.odd)
-    bindings, readings = bundle.bindings, obs.readings
+    ticks = _tick_table(bundle)
+    readers, readings = ticks.readers, obs.readings
     worst_case = bundle.oodd_policy == WORST_CASE
     evidence: dict[str, str] = {}
     dropped: list[str] = []
     in_odd = True
     for class_name in sorted(readings):
-        table = tables.get(class_name)
+        table, node_id = readers.get(class_name, (None, None))
         state = None if table is None else table.label(readings[class_name])
         if state is None or type(state) is tuple:
             dropped.append(class_name)
             continue
-        node_id = bindings.get(class_name)
         if state is OUT_OF_ODD:
             in_odd = False
             if worst_case and node_id is not None:
@@ -301,17 +304,9 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
         elif node_id is not None:
             evidence[node_id] = state
 
-    post, mean, variance, _ = _outcome(bundle, evidence)
-    return ConfidenceReport(
-        time=obs.time,
-        evidence=evidence,
-        posterior=post,
-        mean=mean,
-        variance=variance,
-        in_odd=in_odd,
-        dropped_readings=tuple(dropped),
-        degenerate=post is None,
-    )
+    post, mean, variance, _ = _outcome(bundle, ticks, evidence)
+    return ConfidenceReport(obs.time, evidence, post, mean, variance, in_odd, tuple(dropped),
+                            post is None)
 
 
 def run(

@@ -14,6 +14,7 @@ readers never see a half-applied update.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -423,6 +424,8 @@ def _parse_term(token: str, line_no: int) -> Term:
                 i += 1
         return Literal("".join(out))
     if _NUMBER_RE.match(token):
+        if math.isinf(float(token)):  # exported as `inf`, it would re-import as an identifier
+            raise ParseError(f"number {token!r} overflows a float", line_no)
         return Literal(float(token))
     if any(c in _IDENT_FORBIDDEN for c in token):
         raise ParseError(f"bad identifier {token!r}", line_no)

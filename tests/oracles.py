@@ -471,6 +471,8 @@ def _parse_term(token: str, line_no: int):
                 i += 1
         return so.Literal("".join(out))
     if re.match(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", token):
+        if math.isinf(float(token)):
+            raise so.ParseError(f"number {token!r} overflows a float", line_no)
         return so.Literal(float(token))
     if any(c in ' \t\n"' for c in token):
         raise so.ParseError(f"bad identifier {token!r}", line_no)

@@ -83,6 +83,7 @@ def _bn(edit) -> bytes:
 
 
 NOT_UTF8 = b"\xff\xfe\x00bad"
+HUGE_CELL = b"1" * 200_000  # past csv's field size limit of 131072 characters
 SYNTH = ("synth", "{file}")
 VALIDATE = ("validate", "{file}")
 INFER_N = ("infer", "{file}", "--query", "n")
@@ -123,6 +124,12 @@ MALFORMED_INPUTS = {
     "onto_check_not_utf8": (NOT_UTF8, ("onto", "check", "{file}")),
     "refine_not_utf8": (NOT_UTF8, ("refine", "{file}")),
     "coverage_not_utf8": (NOT_UTF8, ("coverage", "{file}", "--scenario", "Rain=Rain_Heavy")),
+    "refine_cell_past_field_limit": (
+        b"a,label\n1,Yes\n" + HUGE_CELL + b",No\n", ("refine", "{file}")
+    ),
+    "coverage_cell_past_field_limit": (
+        b"Rain\n" + HUGE_CELL + b"\n", ("coverage", "{file}", "--scenario", "Rain=Rain_Heavy")
+    ),
 }
 
 

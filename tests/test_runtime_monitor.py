@@ -93,6 +93,21 @@ class TestLoadBundle:
         with pytest.raises(rm.DocumentError, match="state value 'occurs' must be a number"):
             load_bundle(manifest)
 
+    def test_relative_paths_resolve_against_the_manifest(self, tmp_path, monkeypatch):
+        manifest = write_avp_bundle(tmp_path / "bundle")
+        monkeypatch.chdir(tmp_path)
+        assert load_bundle(manifest.relative_to(tmp_path)) == avp_bundle()
+
+    def test_loaded_bundle_is_validated_and_immutable(self, tmp_path):
+        manifest = write_avp_bundle(tmp_path)
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        manifest.write_text(json.dumps(dict(doc, bindings={"Fog": "FogBank"})), encoding="utf-8")
+        with pytest.raises(BindingMismatch, match="unknown node 'FogBank'"):
+            load_bundle(manifest)
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(AttributeError):
+            load_bundle(manifest).oodd_policy = rm.WORST_CASE
+
     def test_binding_to_missing_node(self):
         with pytest.raises(BindingMismatch):
             make_bundle(avp_odd_spec(), avp_monitor_bn(), {"Fog": "FogBank"}, avp_acp())
@@ -282,6 +297,29 @@ class TestStep:
         assert report.in_odd
         assert report.dropped_readings == ()
 
+    @pytest.mark.parametrize("policy", [rm.DROP, rm.WORST_CASE])
+    @pytest.mark.parametrize("reading, in_odd", [
+        ({"Ghost": 1.0}, True),  # no such class in the ODD
+        ({"Weather_conditions": 1.0}, True),  # a class without attributes
+        ({"Ego_speed": 60.0}, True),  # Speed_Medium and Speed_High overlap at 60
+        ({"Snow": -1.0}, False),  # unbound, out of the ODD: never pinned
+    ])
+    def test_readings_dropped_whatever_the_policy(self, reading, in_odd, policy):
+        bundle = make_bundle(avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, avp_acp(),
+                             oodd_policy=policy, worst_states=AVP_WORST_STATES)
+        report = step(bundle, Observation(0.0, 0.0, 0.0, {**reading, "Fog": 30.0}))
+        assert report.dropped_readings == tuple(reading)
+        assert report.in_odd is in_odd
+        assert report.evidence == {"Fog": "Fog_Severity_5"}
+
+    def test_readings_read_in_class_name_order(self):
+        bundle = make_bundle(avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, avp_acp(),
+                             oodd_policy=rm.WORST_CASE, worst_states=AVP_WORST_STATES)
+        readings = {"Snow": -1.0, "Rain": -1.0, "Ghost": 1.0, "Fog": 30.0, "Ego_speed": 60.0}
+        report = step(bundle, Observation(0.0, 0.0, 0.0, readings))
+        assert report.dropped_readings == ("Ego_speed", "Ghost", "Snow")
+        assert list(report.evidence.items()) == [("Fog", "Fog_Severity_5"), ("Rain", "Rain_Heavy")]
+
     def test_step_is_pure(self, bundle):
         obs = Observation(1.0, 2.0, 3.0, {"Fog": 100.0, "Rain": 0.5})
         assert step(bundle, obs) == step(bundle, obs)
@@ -320,6 +358,69 @@ class TestStep:
             report = step(bundle, obs)
             assert 0.0 <= report.mean <= 1.0
             assert 0.0 <= report.variance <= 0.25
+
+
+REPORT = rm.ConfidenceReport(
+    2.0, {"Fog": "Fog_Severity_5"}, bayes_core.Posterior("ok", ("yes", "no"), (0.25, 0.75)),
+    0.25, 0.1875, False, ("Snow",),
+)
+
+
+class TestRecords:
+    """Observation and ConfidenceReport are NamedTuples with the fields,
+    order, default, text and equality of the frozen dataclasses they were."""
+
+    def test_observation_construction(self):
+        obs = Observation(time=1.5, x=2.0, y=3.0, readings={"Fog": 30.0})
+        assert obs == Observation(1.5, 2.0, 3.0, {"Fog": 30.0})
+        assert Observation._fields == ("time", "x", "y", "readings")
+        assert (obs.time, obs.x, obs.y, obs.readings) == (1.5, 2.0, 3.0, {"Fog": 30.0})
+
+    def test_report_construction_and_degenerate_default(self):
+        keywords = rm.ConfidenceReport(
+            time=2.0, evidence={"Fog": "Fog_Severity_5"}, posterior=REPORT.posterior,
+            mean=0.25, variance=0.1875, in_odd=False, dropped_readings=("Snow",),
+        )
+        assert keywords == REPORT == rm.ConfidenceReport(*REPORT[:7], False)
+        assert REPORT.degenerate is False
+        assert rm.ConfidenceReport._fields == (
+            "time", "evidence", "posterior", "mean", "variance", "in_odd",
+            "dropped_readings", "degenerate",
+        )
+
+    def test_repr_text(self):
+        assert repr(Observation(1.5, 2.0, 3.0, {"Fog": 30.0})) == (
+            "Observation(time=1.5, x=2.0, y=3.0, readings={'Fog': 30.0})"
+        )
+        assert repr(REPORT) == (
+            "ConfidenceReport(time=2.0, evidence={'Fog': 'Fog_Severity_5'}, "
+            "posterior=Posterior(node='ok', states=('yes', 'no'), probs=(0.25, 0.75)), "
+            "mean=0.25, variance=0.1875, in_odd=False, dropped_readings=('Snow',), "
+            "degenerate=False)"
+        )
+        degenerate = step(light_bundle(), Observation(0.5, 0.0, 0.0, {"Light": 0.5}))
+        assert repr(degenerate) == (
+            "ConfidenceReport(time=0.5, evidence={'Light': 'Dark'}, posterior=None, "
+            "mean=None, variance=None, in_odd=True, dropped_readings=(), degenerate=True)"
+        )
+
+    def test_report_equality(self, bundle):
+        obs = Observation(1.0, 0.0, 0.0, {"Fog": 30.0, "Snow": -1.0})
+        report = step(bundle, obs)
+        assert report == step(avp_bundle(), obs) == rm.ConfidenceReport(*report)
+        for field, other in [("time", 2.0), ("in_odd", True), ("dropped_readings", ()),
+                             ("evidence", {}), ("degenerate", True)]:
+            assert report != report._replace(**{field: other})
+
+    @pytest.mark.parametrize("record, field", [
+        (Observation(1.0, 0.0, 0.0, {}), "time"),
+        (Observation(1.0, 0.0, 0.0, {}), "readings"),
+        (REPORT, "mean"),
+        (REPORT, "degenerate"),
+    ])
+    def test_fields_cannot_be_assigned(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 class TestJointTable:
@@ -518,6 +619,10 @@ class TestRun:
         with pytest.raises(rm.MonitorError, match="timestamp must be finite"):
             list(run(bundle, stream, on_out_of_order=policy))
 
+    def test_equal_timestamps_are_in_order(self, bundle):
+        stream = [Observation(1.0, 0.0, 0.0, {}), Observation(1.0, 0.0, 0.0, {"Fog": 30.0})]
+        assert list(run(bundle, stream)) == [step(bundle, o) for o in stream]
+
     def test_out_of_order_warn_passes_through(self, bundle):
         stream = [
             Observation(1.0, 0.0, 0.0, {}),
@@ -546,6 +651,12 @@ class TestSynthTrace:
         c = synth_trace(script, seed=43)
         assert a == b
         assert a != c
+
+    def test_noise_within_amplitude(self):
+        script = {"channels": {"Fog": {"value": 100.0, "ticks": 200, "noise": 5.0}}}
+        values = [o.readings["Fog"] for o in synth_trace(script, seed=3)]
+        assert all(95.0 <= v <= 105.0 for v in values)
+        assert len(set(values)) == len(values)
 
     def test_zero_noise_matches_analytic_ramp(self):
         n = 50
@@ -677,6 +788,11 @@ class TestObservationLines:
         with pytest.raises(rm.DocumentError, match="malformed observation"):
             parse_observation(json.dumps(doc))
 
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(rm.DocumentError, match="malformed observation: t must be finite"):
+            parse_observation('{"t": %s, "readings": {}}' % t)
+
     def test_integer_beyond_float_range_rejected(self):
         with pytest.raises(rm.DocumentError, match="reading 'Fog' is too large for a float"):
             parse_observation('{"t": 0, "readings": {"Fog": 1%s}}' % ("0" * 400))
@@ -687,6 +803,17 @@ class TestObservationLines:
         report = step(bundle, obs)
         assert report.dropped_readings == ("Fog",) and report.in_odd
         assert report.evidence == {"Rain": "Rain_light"}
+
+    def test_line_of_an_evicted_entry_is_rendered_whole(self, monkeypatch):
+        monkeypatch.setattr(rm, "_MEMO_LIMIT", 2)
+        bundle = avp_bundle()
+        reports = [step(bundle, Observation(float(t), 0.0, 0.0, {"Fog": fog}))
+                   for t, fog in enumerate((30.0, 100.0, 500.0))]
+        # the third distinct evidence found the memo full and emptied it
+        assert list(bundle._ticks.memo) == [tuple(reports[2].evidence.items())]
+        for report in reports + reports:
+            line = rm.report_to_json_line(bundle, report)
+            assert line == json.dumps(rm.report_to_document(report)) + "\n"
 
     def test_roundtrip(self):
         obs = Observation(1.0, 0.0, 0.0, {"Fog": 30.0, "Rain": 0.1})

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -484,6 +485,19 @@ class TestLineFormat:
         (t,) = again.triples
         assert t.object.value == 0.8200000000000001
 
+    @pytest.mark.parametrize("token", ["1e400", "-1e400", "1e309", "+99999e999"])
+    def test_number_that_overflows_a_float_is_rejected(self, token):
+        # Read as inf, it would export as `inf` and re-import as an identifier
+        with pytest.raises(ParseError, match="overflows a float") as err:
+            import_graph(f"a dependsOn b .\na hasACP {token} .\n")
+        assert err.value.line_no == 2
+
+    def test_largest_finite_number_roundtrips(self):
+        g = import_graph("a hasACP 1.7976931348623157e308 .\n")
+        assert import_graph(export_graph(g)) == g
+        (t,) = g.triples
+        assert t.object.value == sys.float_info.max
+
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ParseError) as err:
             import_graph("a dependsOn b .\nthis is not a triple\n")
@@ -520,7 +534,7 @@ class TestLineFormat:
 # dangling backslash, and whitespace that str.isspace and splitlines treat
 # differently (\x0b and \x0c also end a line; U+3000 does not).
 line_tokens = st.sampled_from([
-    "a", "b", "G1", "1", "-2.5e3", ".5", "1.", "+7", "x.y", "a\"b", "#c",
+    "a", "b", "G1", "1", "-2.5e3", ".5", "1.", "+7", "1e400", "x.y", "a\"b", "#c",
     '"t"', '"a b"', '"q\\"x"', '"\\\\"', '"e\\n"', '"dangling\\"', '"open', '""',
     ".", "dependsOn", "hasText", "rdf_type", "sparkles", "ext",
 ])
