@@ -35,7 +35,7 @@ def document_reader(what: str, error: type[DocumentError] = DocumentError):
         def read_document(document, *args, **kwargs):
             try:
                 if isinstance(document, str):
-                    document = json.loads(document)
+                    document = _decode(document)
                 return read(document, *args, **kwargs)
             except MALFORMED as exc:
                 detail = f"missing key {exc}" if isinstance(exc, KeyError) else exc
@@ -44,6 +44,22 @@ def document_reader(what: str, error: type[DocumentError] = DocumentError):
         return read_document
 
     return decorate
+
+
+_scan_once = json.JSONDecoder().scan_once  # the scanner json.loads uses
+
+
+def _decode(text: str):
+    """``json.loads(text)``. A value that ends the text or is followed by
+    one newline, as a stream line is, is read by the scanner alone; any
+    other text, and every error, goes through ``json.loads``."""
+    try:
+        value, end = _scan_once(text, 0)
+    except (StopIteration, ValueError):
+        return json.loads(text)
+    if end != len(text) and text[end:] != "\n":
+        return json.loads(text)
+    return value
 
 
 NUMBER_TYPES = (float, int)  # JSON numbers; a bool is not one

@@ -667,5 +667,4 @@ def load_bn(path) -> BayesNet:
 
 def save_bn(net: BayesNet, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bn_to_document(net), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(bn_to_document(net), indent=2) + "\n")

@@ -245,8 +245,7 @@ def _cmd_refine(args) -> int:
         doc = boundary_refinement.report_to_document(report)
         if args.report_out:
             with open(args.report_out, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
+                fh.write(json.dumps(doc, indent=2) + "\n")
         else:
             print(json.dumps(doc))
     return EXIT_OK
@@ -268,10 +267,11 @@ def _cmd_monitor(args) -> int:
         lines = sys.stdin
     else:
         lines = open(args.stream, "r", encoding="utf-8")
-    writer = None
     if args.format == "csv":
-        writer = csv.writer(sys.stdout)
-        writer.writerow(runtime_monitor.REPORT_CSV_COLUMNS)
+        csv.writer(sys.stdout).writerow(runtime_monitor.REPORT_CSV_COLUMNS)
+        render = runtime_monitor.report_to_csv_line
+    else:
+        render = runtime_monitor.report_to_json_line
 
     def observations():
         try:
@@ -289,10 +289,7 @@ def _cmd_monitor(args) -> int:
         )
         write = sys.stdout.write
         for report in reports:
-            if writer is not None:
-                writer.writerow(runtime_monitor.report_to_csv_row(report))
-            else:
-                write(runtime_monitor.report_to_json_line(bundle, report))
+            write(render(bundle, report))
     finally:
         if lines is not sys.stdin:
             lines.close()

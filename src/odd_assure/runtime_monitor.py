@@ -8,13 +8,13 @@ mean and variance under the bundle's state values. Ticks are independent: no
 state is carried between observations, so a shared bundle may serve many
 threads.
 
-A tick reads each reading's state from the ODD spec's compiled class
-tables. Only the bound nodes ever carry evidence, so the network is reduced
-once per bundle to the joint table P(objective, bound nodes). A tick indexes
-the observed axes, sums the others out and normalizes; a bounded memo keyed
-by the evidence keeps each distinct outcome, and ``report_to_json_line``
-adds to it the part of a report line that depends only on the evidence. A
-network whose table would be too large is queried with
+A tick bisects each reading into the ODD spec's compiled class tables.
+Only the bound nodes ever carry evidence, so the network is reduced once per
+bundle to the joint table P(objective, bound nodes). A tick indexes the
+observed axes, sums the others out and normalizes; a bounded memo keyed by
+the evidence keeps each distinct outcome, and ``report_to_json_line`` and
+``report_to_csv_line`` add to it the part of a report line that depends only
+on the evidence. A network whose table would be too large is queried with
 ``bayes_core.posterior`` instead, through the same memo.
 
 Readings that leave the ODD are, by default, dropped from the evidence and
@@ -24,10 +24,13 @@ them to.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import logging
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -43,6 +46,8 @@ DROP = "drop"
 WORST_CASE = "worst-case"
 
 _MEMO_LIMIT = 1024  # outcomes kept per bundle; emptied when full
+_INF = math.inf
+_FLOAT = {float}
 
 log = logging.getLogger("odd_assure.runtime_monitor")
 
@@ -206,12 +211,17 @@ class _TickTable:
     ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, the
     only copy kept, or None when the bundle is queried through
     ``bayes_core.posterior``. ``states`` maps each bound node's states to
-    their indices. ``readers`` maps each ODD class to its compiled table
-    (None without attributes) and its bound node (None if unbound), so a
-    tick resolves a reading with one lookup. ``memo`` maps the evidence
-    items, in insertion order, to [posterior, mean, variance, line part]:
-    the first three all None for a degenerate tick, the last None until
-    ``report_to_json_line`` fills it.
+    their indices. ``readers`` maps each ODD class with attributes to
+    (points, labels, bound node or None): ``points`` is the class's compiled
+    endpoints followed by +inf, and ``labels[i]`` is the pair (label of the
+    gap just below ``points[i]``, label of ``points[i]``), so a finite
+    reading costs one bisection and one comparison. ``evidence_json`` maps
+    each (bound node, state) to its JSON text ``"node": "state"`` and
+    ``state_json`` each objective state to ``"state": ``. ``memo`` maps the
+    evidence items, in insertion order, to [posterior, mean, variance,
+    JSONL part, CSV fields]: the first three all None for a degenerate tick,
+    the last two None until ``report_to_json_line`` and
+    ``report_to_csv_line`` fill them.
     It lives on the bundle, not the network, because the mean and variance
     depend on the bundle's state values.
     """
@@ -220,6 +230,8 @@ class _TickTable:
     states: tuple[dict[str, int], ...]
     joint: np.ndarray | None
     readers: dict[str, tuple]
+    evidence_json: dict[tuple[str, str], str]
+    state_json: dict[str, str]
     memo: dict
 
 
@@ -234,41 +246,47 @@ def _tick_table(bundle: ModelBundle) -> _TickTable:
         joint = bayes_core._joint_table(net, (*nodes, objective))
         if joint is not None:
             joint = np.moveaxis(joint, -1, 0)
-        readers = {name: (compiled, bundle.bindings.get(name))
-                   for name, compiled in odd_model._compiled(bundle.odd).items()}
-        table = _TickTable(nodes, states, joint, readers, {})
+        readers = {
+            name: (compiled.points + (_INF,),
+                   tuple(zip(compiled.labels[::2], compiled.labels[1::2] + (None,))),
+                   bundle.bindings.get(name))
+            for name, compiled in odd_model._compiled(bundle.odd).items()
+            if compiled is not None
+        }
+        evidence_json = {(node, state): f"{json.dumps(node)}: {json.dumps(state)}"
+                         for node in nodes for state in net.node(node).states}
+        state_json = {state: f"{json.dumps(state)}: " for state in net.node(objective).states}
+        table = _TickTable(nodes, states, joint, readers, evidence_json, state_json, {})
         object.__setattr__(bundle, "_ticks", table)
     return table
 
 
-def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str]) -> list:
-    """The memo entry [posterior, mean, variance, line part] for the
-    evidence; the first three are None when it has ~zero probability."""
-    key = tuple(evidence.items())
-    outcome = table.memo.get(key)
-    if outcome is None:
-        objective = bundle.acp.objective
-        if table.joint is None:
-            try:
-                post = bayes_core.posterior(bundle.net, objective, EvidenceSet(evidence))
-            except bayes_core.ZeroProbabilityEvidence:
-                post = None
-        else:
-            cells = table.joint[(slice(None), *(
-                index[evidence[node]] if node in evidence else slice(None)
-                for node, index in zip(table.nodes, table.states)
-            ))]
-            unnormalized = cells.reshape(len(cells), -1).sum(axis=1)
-            z = float(unnormalized.sum())
-            post = None if z <= bayes_core.ZERO_EVIDENCE_TOL else Posterior(
-                objective, bundle.net.nodes[objective].states, tuple((unnormalized / z).tolist())
-            )
-        outcome = [None, None, None, None] if post is None else [
-            post, *bayes_core.mean_variance(post, bundle.state_values), None
-        ]
-        if len(table.memo) >= _MEMO_LIMIT:
-            table.memo.clear()
-        table.memo[key] = outcome
+def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str], key) -> list:
+    """Compute and memoize under ``key`` the entry [posterior, mean,
+    variance, JSONL part, CSV fields] for the evidence; the first three are
+    None when it has ~zero probability."""
+    objective = bundle.acp.objective
+    if table.joint is None:
+        try:
+            post = bayes_core.posterior(bundle.net, objective, EvidenceSet(evidence))
+        except bayes_core.ZeroProbabilityEvidence:
+            post = None
+    else:
+        cells = table.joint[(slice(None), *(
+            index[evidence[node]] if node in evidence else slice(None)
+            for node, index in zip(table.nodes, table.states)
+        ))]
+        unnormalized = cells.reshape(len(cells), -1).sum(axis=1)
+        z = float(unnormalized.sum())
+        post = None if z <= bayes_core.ZERO_EVIDENCE_TOL else Posterior(
+            objective, bundle.net.nodes[objective].states, tuple((unnormalized / z).tolist())
+        )
+    outcome = [None, None, None, None, None] if post is None else [
+        post, *bayes_core.mean_variance(post, bundle.state_values), None, None
+    ]
+    if len(table.memo) >= _MEMO_LIMIT:
+        table.memo.clear()
+    table.memo[key] = outcome
     return outcome
 
 
@@ -285,28 +303,34 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
     """
     ticks = _tick_table(bundle)
     readers, readings = ticks.readers, obs.readings
-    worst_case = bundle.oodd_policy == WORST_CASE
     evidence: dict[str, str] = {}
     dropped: list[str] = []
     in_odd = True
     for class_name in sorted(readings):
-        table, node_id = readers.get(class_name, (None, None))
-        state = None if table is None else table.label(readings[class_name])
-        if state is None or type(state) is tuple:
+        value = readings[class_name]
+        reader = readers.get(class_name)
+        if reader is None or not -_INF < value < _INF:
             dropped.append(class_name)
             continue
-        if state is OUT_OF_ODD:
+        points, labels, node_id = reader
+        i = bisect_left(points, value)
+        state = labels[i][1] if points[i] == value else labels[i][0]
+        if type(state) is tuple:
+            dropped.append(class_name)
+        elif state is OUT_OF_ODD:
             in_odd = False
-            if worst_case and node_id is not None:
+            if node_id is not None and bundle.oodd_policy == WORST_CASE:
                 evidence[node_id] = bundle.worst_states[class_name]
             else:
                 dropped.append(class_name)
         elif node_id is not None:
             evidence[node_id] = state
 
-    post, mean, variance, _ = _outcome(bundle, ticks, evidence)
-    return ConfidenceReport(obs.time, evidence, post, mean, variance, in_odd, tuple(dropped),
-                            post is None)
+    key = tuple(evidence.items())
+    outcome = ticks.memo.get(key) or _outcome(bundle, ticks, evidence, key)
+    post = outcome[0]
+    return ConfidenceReport(obs.time, evidence, post, outcome[1], outcome[2], in_odd,
+                            tuple(dropped), post is None)
 
 
 def run(
@@ -323,15 +347,17 @@ def run(
     """
     if on_out_of_order not in ("raise", "warn"):
         raise MonitorError(f"on_out_of_order must be 'raise' or 'warn', got {on_out_of_order!r}")
-    last_time = None
+    last_time = -_INF  # the latest timestamp so far
     for obs in stream:
-        if not math.isfinite(obs.time):
-            raise MonitorError(f"timestamp must be finite, got {obs.time!r}")
-        if last_time is not None and obs.time < last_time:
+        time = obs.time
+        if not math.isfinite(time):
+            raise MonitorError(f"timestamp must be finite, got {time!r}")
+        if time < last_time:
             if on_out_of_order == "raise":
-                raise OutOfOrderTimestamp(f"time {obs.time} after {last_time}")
-            log.warning("out-of-order timestamp %s after %s", obs.time, last_time)
-        last_time = obs.time if last_time is None else max(last_time, obs.time)
+                raise OutOfOrderTimestamp(f"time {time} after {last_time}")
+            log.warning("out-of-order timestamp %s after %s", time, last_time)
+        elif time > last_time:
+            last_time = time
         yield step(bundle, obs)
 
 
@@ -344,18 +370,24 @@ def parse_observation(doc) -> Observation:
     """Read one stream line ``{"t", "x", "y", "readings": {class: value}}``.
     Every value must be a JSON number. ``t`` must be finite; a non-finite
     reading is left for ``step`` to drop."""
-    time = doc["t"]
-    if type(time) not in _base.NUMBER_TYPES or not -math.inf < time < math.inf:
+    time, x, y = doc["t"], doc.get("x", 0.0), doc.get("y", 0.0)
+    if type(time) is not float:
+        if type(time) is not int:
+            raise ValueError(f"t must be finite, got {time!r}")
+        time = _base.number(time, "t")
+    if not -_INF < time < _INF:
         raise ValueError(f"t must be finite, got {time!r}")
-    return Observation(
-        time=_base.number(time, "t"),
-        x=_base.number(doc.get("x", 0.0), "x"),
-        y=_base.number(doc.get("y", 0.0), "y"),
-        readings={
-            k: v if type(v) is float else _base.number(v, f"reading {k!r}")
-            for k, v in doc.get("readings", {}).items()
-        },
-    )
+    if type(x) is not float:
+        x = _base.number(x, "x")
+    if type(y) is not float:
+        y = _base.number(y, "y")
+    readings = doc.get("readings", {})
+    if type(readings) is dict and set(map(type, readings.values())) <= _FLOAT:
+        readings = readings.copy()
+    else:
+        readings = {k: v if type(v) is float else _base.number(v, f"reading {k!r}")
+                    for k, v in readings.items()}
+    return Observation(time, x, y, readings)
 
 
 def observation_to_line(obs: Observation) -> str:
@@ -377,32 +409,60 @@ def report_to_document(report: ConfidenceReport) -> dict:
     }
 
 
+def _json_number(value) -> str:
+    """``json.dumps(value)`` for None or a finite float (probabilities, and
+    means and variances of state values in [0, 1])."""
+    return "null" if value is None else float.__repr__(value)
+
+
+def _evidence_part(bundle: ModelBundle, report: ConfidenceReport, slot: int, render):
+    """The part of a report line that depends only on the evidence: kept in
+    ``slot`` of the report's memo entry, and made by ``render(ticks,
+    report)`` when the slot is empty or the entry has been evicted."""
+    ticks = _tick_table(bundle)
+    entry = ticks.memo.get(tuple(report.evidence.items()))
+    part = None if entry is None else entry[slot]
+    if part is None:
+        part = render(ticks, report)
+        if entry is not None:
+            entry[slot] = part
+    return part
+
+
+def _json_part(ticks: _TickTable, report: ConfidenceReport) -> str:
+    """The ``evidence`` to ``variance`` part of the report's JSON line,
+    formatted from ``report_to_document`` with the bundle's pre-escaped
+    fragments."""
+    doc = report_to_document(report)
+    evidence = ", ".join([ticks.evidence_json[item] for item in doc["evidence"].items()])
+    post = doc["posterior"]
+    post = "null" if post is None else "{" + ", ".join(
+        [ticks.state_json[state] + _json_number(p) for state, p in post.items()]
+    ) + "}"
+    return (f', "evidence": {{{evidence}}}, "posterior": {post}, '
+            f'"mean": {_json_number(doc["mean"])}, "variance": {_json_number(doc["variance"])}')
+
+
 def report_to_json_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
     """``json.dumps(report_to_document(report))`` and a newline, for a
     report that ``step`` made from ``bundle``.
 
     The evidence, posterior, mean and variance of a report follow from its
-    evidence alone. That part of the line is cut from the first line with
-    the same evidence items, in the same insertion order (the order the line
-    lists them in), and kept in the bundle's memo entry for that evidence,
-    so a later line formats only ``t``, ``in_odd``, ``dropped_readings`` and
-    ``degenerate``. A line whose entry has been evicted is rendered whole.
+    evidence alone. That part of the line is formatted once per evidence
+    assignment, from ``report_to_document`` with the bundle's pre-escaped
+    node, state and objective-state fragments, and kept in the bundle's memo
+    entry for the evidence items in insertion order (the order the line
+    lists them in); a later line formats only ``t``, ``in_odd``,
+    ``dropped_readings`` and ``degenerate``. A line whose entry has been
+    evicted is formatted the same way and not kept.
     """
-    entry = _tick_table(bundle).memo.get(tuple(report.evidence.items()))
-    middle = None if entry is None else entry[3]
-    if middle is None:
-        line = json.dumps(report_to_document(report))
-        if entry is not None:
-            # t is a number, so the first ", " ends it; "in_odd" is the first
-            # key after variance, and no later value can hold it unescaped.
-            entry[3] = line[line.index(", "):line.rindex(', "in_odd": ')]
-        return line + "\n"
+    part = _evidence_part(bundle, report, 3, _json_part)
     t = report.time
     # json.dumps spells a finite float with float.__repr__
-    t = float.__repr__(t) if type(t) is float and -math.inf < t < math.inf else json.dumps(t)
+    t = float.__repr__(t) if type(t) is float and -_INF < t < _INF else json.dumps(t)
     dropped = json.dumps(list(report.dropped_readings)) if report.dropped_readings else "[]"
     return (
-        f'{{"t": {t}{middle}, "in_odd": {"true" if report.in_odd else "false"}, '
+        f'{{"t": {t}{part}, "in_odd": {"true" if report.in_odd else "false"}, '
         f'"dropped_readings": {dropped}, '
         f'"degenerate": {"true" if report.degenerate else "false"}}}\n'
     )
@@ -434,6 +494,43 @@ def report_to_csv_row(report: ConfidenceReport) -> list[str]:
             f"{s}={p:.6f}" for s, p in zip(post.states, post.probs)
         ),
     ]
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields."""
+    if text.isprintable() and "," not in text and '"' not in text:
+        return text
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((text, ""))
+    return buffer.getvalue()[:-3]  # the separator and the "\r\n" terminator
+
+
+def _csv_part(ticks: _TickTable, report: ConfidenceReport) -> tuple[str, str, str]:
+    """The quoted ``mean,variance``, ``evidence`` and ``posterior`` fields of
+    ``report_to_csv_row(report)``."""
+    row = report_to_csv_row(report)
+    return f"{_csv_field(row[2])},{_csv_field(row[3])}", _csv_field(row[5]), _csv_field(row[7])
+
+
+def report_to_csv_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
+    """What ``csv.writer`` writes for ``report_to_csv_row(report)``, for a
+    report that ``step`` made from ``bundle``.
+
+    The ``mean``, ``variance``, ``evidence`` and ``posterior`` fields follow
+    from the evidence alone. They are taken from ``report_to_csv_row`` once
+    per evidence assignment and kept, quoted, in the bundle's memo entry for
+    the evidence, so a later row formats only ``t``, ``in_odd``,
+    ``degenerate`` and ``dropped_readings``. A row whose entry has been
+    evicted is formatted the same way and not kept.
+    """
+    mean_variance, evidence, post = _evidence_part(bundle, report, 4, _csv_part)
+    t = report.time
+    t = float.__repr__(t) if type(t) is float else _csv_field(repr(t))
+    dropped = _csv_field(";".join(report.dropped_readings)) if report.dropped_readings else ""
+    return (
+        f'{t},{"true" if report.in_odd else "false"},{mean_variance},'
+        f'{"true" if report.degenerate else "false"},{evidence},{dropped},{post}\r\n'
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ links from every class, min-fill orders by recounting every fill
 each round, CART splits by a mask per candidate threshold, rules by
 collapsing each leaf's whole path, axiom checks and pattern queries by
 rescanning the graph for every term, ontology lines by a character loop,
-traces through ``csv.DictReader``. None of it shares code with the
-inference, parsing, fitting or indexing paths it is used to verify; the axiom
+traces through ``csv.DictReader``, monitor report lines by ``json.dumps`` of
+the whole report document and ``csv.writer`` of the whole row. None of it
+shares code with the inference, parsing, fitting, indexing or rendering
+paths it is used to verify; the axiom
 check and the query read only the rule tables, the canonical sort key and the
 message helpers of the module.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import math
 import random
 import re
@@ -612,3 +615,47 @@ def check_axioms(graph) -> list:
                 f"{fmt(term)} must be a Node with incoming and no outgoing dependsOn edges",
             ))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Monitor report lines
+
+
+def report_json_line(report) -> str:
+    """A JSONL report line: ``json.dumps`` of the whole report document,
+    built field by field, and a newline."""
+    post = report.posterior
+    return json.dumps({
+        "t": report.time,
+        "evidence": report.evidence,
+        "posterior": None if post is None else dict(zip(post.states, post.probs)),
+        "mean": report.mean,
+        "variance": report.variance,
+        "in_odd": report.in_odd,
+        "dropped_readings": list(report.dropped_readings),
+        "degenerate": report.degenerate,
+    }) + "\n"
+
+
+def report_csv_row(report) -> list[str]:
+    """The fields of a CSV report row, in ``REPORT_CSV_COLUMNS`` order."""
+    post = report.posterior
+    return [
+        repr(report.time),
+        str(report.in_odd).lower(),
+        "" if report.mean is None else f"{report.mean:.6f}",
+        "" if report.variance is None else f"{report.variance:.6f}",
+        str(report.degenerate).lower(),
+        ";".join(f"{k}={v}" for k, v in sorted(report.evidence.items())),
+        ";".join(report.dropped_readings),
+        "" if post is None else ";".join(
+            f"{s}={p:.6f}" for s, p in zip(post.states, post.probs)
+        ),
+    ]
+
+
+def report_csv_line(report) -> str:
+    """What ``csv.writer`` writes for ``report_csv_row(report)``."""
+    out = io.StringIO()
+    csv.writer(out).writerow(report_csv_row(report))
+    return out.getvalue()

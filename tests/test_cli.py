@@ -8,9 +8,12 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import odd_assure
 from odd_assure import _base, cli
@@ -23,7 +26,12 @@ from odd_assure.fixtures import (
     write_avp_bundle,
 )
 
-from .oracles import enumerate_posterior, gate_formula_top_probability
+from .oracles import (
+    enumerate_posterior,
+    gate_formula_top_probability,
+    report_csv_line,
+    report_json_line,
+)
 from .test_hara_fta import malformed_hara_document
 
 
@@ -634,9 +642,62 @@ def _random_stream(rng: random.Random, classes: dict, n: int) -> list[str]:
     ]
 
 
+# Characters a name may need escaped in JSON or quoted in CSV, or that the
+# CSV fields use as separators, among plain ones.
+AWKWARD_CHARS = ("a", "Z", "_", " ", '"', "\\", ",", ";", "=", "\n", "\r", "\t", "\x00",
+                 "\x1f", "\x7f", "é", "漢", "\u2028", "\U0001f600")
+awkward_names = st.text(st.sampled_from(AWKWARD_CHARS), min_size=1, max_size=4)
+
+
+def _awkward_bundle(directory: Path, data) -> Path:
+    """Write a bundle whose class, node and state names are drawn from
+    AWKWARD_CHARS and whose probabilities and state values include 0, -0.0,
+    1e-300 and the smallest subnormal; return its manifest."""
+    from odd_assure.bayes_core import BnNode, Cpt, build_net, save_bn
+
+    tiny = st.sampled_from([0.0, 5e-324, 1e-300, 0.25, 1.0])
+    n_bound = data.draw(st.integers(1, 3))
+    names = data.draw(st.lists(awkward_names, min_size=2 * n_bound + 3,
+                               max_size=2 * n_bound + 3, unique=True))
+    nodes, classes = names[:n_bound + 1], names[n_bound + 1:]
+    objective, bound, unbound, root = nodes[-1], nodes[:-1], classes[-2], classes[-1]
+    states = {node: tuple(data.draw(st.lists(awkward_names, min_size=n, max_size=n, unique=True)))
+              for node, n in zip(nodes, [2] * n_bound + [data.draw(st.integers(2, 3))])}
+    rows = {2: [(5e-324, 1.0), (1e-300, 1.0), (0.5, 0.5), (1.0, 0.0), (0.3, 0.7)],
+            3: [(5e-324, 0.5, 0.5), (1e-300, 0.0, 1.0), (0.2, 0.3, 0.5)]}[len(states[objective])]
+    cpts = []
+    for node in bound:
+        p = data.draw(tiny)
+        cpts.append(Cpt(node, (), ((p, 1.0 - p),)))
+    cpts.append(Cpt(objective, tuple(bound), tuple(
+        data.draw(st.sampled_from(rows)) for _ in range(2 ** n_bound))))
+    save_bn(build_net([BnNode(n, states[n]) for n in nodes],
+                      [(n, objective) for n in bound], cpts, objective), directory / "net.json")
+
+    def attributes(state_names):
+        return [{"name": state_names[0], "unit": "u", "interval": "[0, 1["},
+                {"name": state_names[1], "unit": "u", "interval": "[1, 2]"}]
+
+    bindings = dict(zip(classes, bound))
+    odd = {"classes": [{"name": root, "parent": None, "attributes": []},
+                       {"name": unbound, "parent": root, "attributes": attributes(("u0", "u1"))}]
+           + [{"name": c, "parent": root, "attributes": attributes(states[n])}
+              for c, n in bindings.items()]}
+    (directory / "odd.json").write_text(json.dumps(odd), encoding="utf-8")
+    values = st.sampled_from([0.0, -0.0, 1.0, 0.5, 1e-300, 5e-324])
+    manifest = directory / "bundle.json"
+    manifest.write_text(json.dumps({
+        "odd": "odd.json", "net": "net.json", "bindings": bindings,
+        "acp": {"solution_id": "Sn", "objective": objective,
+                "state_values": {s: data.draw(values) for s in states[objective]}},
+        "worst_states": {c: states[n][0] for c, n in bindings.items()},
+    }), encoding="utf-8")
+    return manifest
+
+
 class TestMonitorLines:
-    """The monitor's stdout is byte for byte what report_to_document and
-    report_to_csv_row give for the reports step makes, whatever the line
+    """The monitor's stdout is byte for byte what the reference renderers in
+    tests/oracles.py give for the reports step makes, whatever the line
     cache holds."""
 
     @staticmethod
@@ -648,12 +709,10 @@ class TestMonitorLines:
                                     oodd_policy=policy, worst_states=bundle.worst_states)
         reports = [rm.step(bundle, rm.parse_observation(line)) for line in lines]
         if fmt == "jsonl":
-            return "".join(json.dumps(rm.report_to_document(r)) + "\n" for r in reports)
+            return "".join(map(report_json_line, reports))
         out = io.StringIO()
-        writer = csv.writer(out)
-        writer.writerow(rm.REPORT_CSV_COLUMNS)
-        writer.writerows(rm.report_to_csv_row(r) for r in reports)
-        return out.getvalue()
+        csv.writer(out).writerow(rm.REPORT_CSV_COLUMNS)
+        return out.getvalue() + "".join(map(report_csv_line, reports))
 
     def check(self, capsys, tmp_path, manifest, lines, policy, fmt):
         stream = tmp_path / "stream.jsonl"
@@ -693,6 +752,48 @@ class TestMonitorLines:
         values = [0.5, 1.5, 3.0, math.nan]
         lines = _random_stream(random.Random(23), dict.fromkeys("ABC", values), 300)
         self.check(capsys, tmp_path, _two_class_bundle(tmp_path), lines, policy, fmt)
+
+    # About 4 s on a 2-vCPU VM.
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), policy=st.sampled_from(["drop", "worst-case"]),
+           cell_limit=st.sampled_from([2**20, 1]), memo_limit=st.sampled_from([1, 2, 1024]))
+    def test_awkward_bundles_match_the_oracles(self, data, policy, cell_limit, memo_limit):
+        # cell_limit 1 sends every tick through the posterior fallback;
+        # memo_limit 1 or 2 evicts entries between a tick and its lines.
+        rm = cli.runtime_monitor
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli.bayes_core, "_CELL_LIMIT", cell_limit)
+            mp.setattr(rm, "_MEMO_LIMIT", memo_limit)
+            directory = Path(tmp)
+            manifest = _awkward_bundle(directory, data)
+            classes = list(rm.load_bundle(manifest).odd.classes)
+            names = classes + data.draw(st.lists(awkward_names, max_size=2))  # some unknown
+            readings = st.dictionaries(st.sampled_from(names),
+                                       st.sampled_from([0.5, 1.5, -0.0, 7.0, -3.0, math.nan]))
+            times = sorted(data.draw(st.lists(
+                st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 0.1, 3.0, 1e300]),
+                min_size=1, max_size=12)))
+            lines = [rm.observation_to_line(rm.Observation(t, 0.0, 0.0, data.draw(readings)))
+                     for t in times]
+            stream = directory / "stream.jsonl"
+            stream.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for fmt in ("jsonl", "csv"):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    code = cli.main(["monitor", str(manifest), "--stream", str(stream),
+                                     "--format", fmt, "--oodd-policy", policy])
+                assert code == 0
+                assert out.getvalue() == self.expected(manifest, lines, policy, fmt)
+
+            # Lines rendered after all the ticks, twice over, find some memo
+            # entries evicted and others filled by an earlier line.
+            bundle = rm.load_bundle(manifest)
+            bundle = rm.make_bundle(bundle.odd, bundle.net, bundle.bindings, bundle.acp,
+                                    oodd_policy=policy, worst_states=bundle.worst_states)
+            reports = [rm.step(bundle, rm.parse_observation(line)) for line in lines]
+            for report in reports + reports:
+                assert rm.report_to_json_line(bundle, report) == report_json_line(report)
+                assert rm.report_to_csv_line(bundle, report) == report_csv_line(report)
 
 
 class TestOnto:

@@ -23,6 +23,7 @@ from odd_assure.runtime_monitor import observation_to_line, synth_trace
 from .test_cli import error_text
 
 MONITOR = ("monitor", "{d}/avp_bundle.json", "--stream", "{d}/stream.jsonl")
+MONITOR_CSV = MONITOR + ("--format", "csv")
 COMPILE = ("compile-fta", "{d}/avp_hara.json", "{d}/avp_priors.json", "{d}/out.json")
 
 # file -> the commands that read it; {d} is the bundle directory
@@ -35,8 +36,8 @@ COMMANDS = {
         ("infer", "{d}/avp_confidence_bn.json", "--query", HAZARD_ID,
          "--evidence", "Fog=Fog_Severity_3", "--values", "occurs=0", "--values", "not_occurs=1"),
     ],
-    "avp_bundle.json": [MONITOR],
-    "stream.jsonl": [MONITOR],
+    "avp_bundle.json": [MONITOR, MONITOR_CSV],
+    "stream.jsonl": [MONITOR, MONITOR_CSV],
     "fog_ramp.json": [("synth", "{d}/fog_ramp.json", "--out", "{d}/out.jsonl")],
     "avp_trace.csv": [("refine", "{d}/avp_trace.csv", "--odd", "{d}/avp_odd.json")],
     "avp_states.csv": [("coverage", "{d}/avp_states.csv", "--scenario", "Rain=Rain_Heavy")],

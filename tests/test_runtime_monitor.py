@@ -320,6 +320,65 @@ class TestStep:
         assert report.dropped_readings == ("Ego_speed", "Ghost", "Snow")
         assert list(report.evidence.items()) == [("Fog", "Fog_Severity_5"), ("Rain", "Rain_Heavy")]
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), policy=st.sampled_from([rm.DROP, rm.WORST_CASE]))
+    def test_lookup_matches_discretize(self, data, policy):
+        # step bisects its own copy of the compiled tables; every value must
+        # get the state odd_model.discretize gives, with overlapping
+        # (ambiguous) intervals, unbounded sides and point intervals. C is
+        # bound, U has the same intervals unbound, and the root has none.
+        grid = [-math.inf, -1e300, -2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0, 1e300, math.inf]
+        attributes = []
+        for _ in range(data.draw(st.integers(2, 4))):
+            lo, hi = sorted(data.draw(st.lists(st.sampled_from(grid), min_size=2, max_size=2)))
+            if lo == hi and math.isinf(lo):
+                continue
+            lo_in = math.isfinite(lo) and (lo == hi or data.draw(st.booleans()))
+            hi_in = math.isfinite(hi) and (lo == hi or data.draw(st.booleans()))
+            interval = "{}{}, {}{}".format("[" if lo_in else "]", "-" if lo == -math.inf else lo,
+                                           "+" if hi == math.inf else hi, "]" if hi_in else "[")
+            attributes.append({"name": f"s{len(attributes)}", "unit": "u", "interval": interval})
+        if len(attributes) < 2:
+            return
+        spec = odd_model.parse_odd_spec({"classes": [
+            {"name": "ODD", "parent": None, "attributes": []},
+            {"name": "C", "parent": "ODD", "attributes": attributes},
+            {"name": "U", "parent": "ODD", "attributes": attributes},
+        ]})
+        states = tuple(a["name"] for a in attributes)
+        net = bayes_core.build_net(
+            [bayes_core.BnNode("X", states), bayes_core.BnNode("O", ("yes", "no"))], [("X", "O")],
+            [bayes_core.Cpt("X", (), ((1.0 / len(states),) * len(states),)),
+             bayes_core.Cpt("O", ("X",), ((0.5, 0.5),) * len(states))], "O")
+        bundle = make_bundle(spec, net, {"C": "X"}, AcpBinding("Sn", "O", {"yes": 1.0, "no": 0.0}),
+                             policy, {"C": "s0"})
+
+        points = sorted({x for a in spec.classes["C"].attributes
+                         for x in (a.bounds.lo, a.bounds.hi) if math.isfinite(x)})
+        values = [-0.0, 0.0, math.nan, math.inf, -math.inf, -1.7e308, 1.7e308]
+        for a, b in zip([-1e301] + points, points + [1e301]):
+            values += [a, math.nextafter(a, -math.inf), math.nextafter(a, math.inf), (a + b) / 2]
+        for value in values:
+            report = step(bundle, Observation(0.0, 0.0, 0.0, {"C": value, "ODD": 1.0, "U": value}))
+            evidence, dropped, in_odd = {}, ["ODD"], True
+            for name in ("C", "U"):
+                try:
+                    state = odd_model.discretize(spec, name, value)
+                except odd_model.OddModelError:
+                    dropped.append(name)
+                    continue
+                if state is odd_model.OUT_OF_ODD:
+                    in_odd = False
+                    if name == "U" or policy == rm.DROP:
+                        dropped.append(name)
+                    else:
+                        evidence["X"] = "s0"
+                elif name == "C":
+                    evidence["X"] = state
+            assert report.evidence == evidence, value
+            assert report.dropped_readings == tuple(sorted(dropped)), value
+            assert report.in_odd is in_odd, value
+
     def test_step_is_pure(self, bundle):
         obs = Observation(1.0, 2.0, 3.0, {"Fog": 100.0, "Rain": 0.5})
         assert step(bundle, obs) == step(bundle, obs)
