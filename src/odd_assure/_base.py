@@ -15,6 +15,11 @@ from typing import Callable, Collection, Mapping
 MALFORMED = (AttributeError, IndexError, KeyError, TypeError, ValueError)
 
 
+class ModelError(Exception):
+    """Base of every module's own error base (``OddModelError``,
+    ``BayesError``, ...): a model, or an operation on one, is invalid."""
+
+
 class DocumentError(Exception):
     """Base of every error meaning an input document is unreadable or
     malformed. Each module's own document error also derives from its module
@@ -52,14 +57,18 @@ _scan_once = json.JSONDecoder().scan_once  # the scanner json.loads uses
 def _decode(text: str):
     """``json.loads(text)``. A value that ends the text or is followed by
     one newline, as a stream line is, is read by the scanner alone; any
-    other text, and every error, goes through ``json.loads``."""
+    other text, and every error, goes through ``json.loads``. Nesting too
+    deep for the decoder's recursion is a ValueError, so malformed too."""
     try:
-        value, end = _scan_once(text, 0)
-    except (StopIteration, ValueError):
-        return json.loads(text)
-    if end != len(text) and text[end:] != "\n":
-        return json.loads(text)
-    return value
+        try:
+            value, end = _scan_once(text, 0)
+        except (StopIteration, ValueError):
+            return json.loads(text)
+        if end != len(text) and text[end:] != "\n":
+            return json.loads(text)
+        return value
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
 
 
 NUMBER_TYPES = (float, int)  # JSON numbers; a bool is not one

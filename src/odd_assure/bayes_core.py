@@ -22,6 +22,7 @@ import heapq
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ NOT_OCCURS = "not_occurs"
 EVENT_STATES = (OCCURS, NOT_OCCURS)
 
 
-class BayesError(Exception):
+class BayesError(_base.ModelError):
     """Base class for Bayesian network errors."""
 
 
@@ -182,8 +183,7 @@ class BayesNet:
     edges: tuple[tuple[str, str], ...]
     cpts: dict[str, Cpt]
     objective: str | None = None
-    # Inference caches, filled on first use by posterior() and _joint_table()
-    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Elimination plans, filled on first use by posterior() and _joint_table()
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> BnNode:
@@ -191,6 +191,22 @@ class BayesNet:
             return self.nodes[node_id]
         except KeyError:
             raise UnknownNode(f"no node named {node_id!r}") from None
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        """Every CPT as an array with one axis per parent, then the node, in
+        node order.
+
+        The C-order reshape decodes the row layout: the first parent is the
+        outermost axis, as it is the most significant digit of a row number.
+        """
+        return tuple(
+            self.cpts[nid].rows.reshape(
+                [len(self.nodes[p].states) for p in self.cpts[nid].parent_order]
+                + [len(node.states)]
+            )
+            for nid, node in self.nodes.items()
+        )
 
 
 def build_net(
@@ -253,26 +269,6 @@ def build_net(
 _PLAN_LIMIT = 128  # plans kept per network; the cache is emptied when full
 _CELL_LIMIT = 2**20  # largest factor a joint table may need, in cells
 _OPERANDS = 31  # factors per np.einsum call; numpy 1.x takes no more than 31
-
-
-def _cpt_arrays(net: BayesNet) -> tuple[np.ndarray, ...]:
-    """Every CPT as an array with one axis per parent, then the node, in node
-    order; laid out on first use and kept on the network.
-
-    The C-order reshape decodes the row layout: the first parent is the
-    outermost axis, as it is the most significant digit of a row number.
-    """
-    arrays = net._arrays
-    if arrays is None:
-        arrays = tuple(
-            net.cpts[nid].rows.reshape(
-                [len(net.nodes[p].states) for p in net.cpts[nid].parent_order]
-                + [len(node.states)]
-            )
-            for nid, node in net.nodes.items()
-        )
-        object.__setattr__(net, "_arrays", arrays)
-    return arrays
 
 
 def _min_fill_order(scopes: Sequence[tuple[str, ...]], keep: set[str]) -> list[str]:
@@ -445,7 +441,7 @@ def joint_probability(net: BayesNet, full_assignment: Mapping[str, str]) -> floa
     if missing:
         raise IncompleteAssignment(f"assignment misses nodes {missing}")
     prob = 1.0
-    for (nid, node), arr in zip(net.nodes.items(), _cpt_arrays(net)):
+    for (nid, node), arr in zip(net.nodes.items(), net._arrays):
         index = [net.nodes[p].state_index(full_assignment[p]) for p in net.cpts[nid].parent_order]
         prob *= float(arr[(*index, node.state_index(full_assignment[nid]))])
     return prob
@@ -471,7 +467,7 @@ def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) ->
     indexed = {nid: net.node(nid).state_index(s) for nid, s in assignments.items()}
 
     plan = _plan(net, (query,), frozenset(indexed))
-    unnormalized = _run(plan, _cpt_arrays(net), tuple(indexed[v] for v in plan.ev_vars))
+    unnormalized = _run(plan, net._arrays, tuple(indexed[v] for v in plan.ev_vars))
     z = float(unnormalized.sum())
     if z <= ZERO_EVIDENCE_TOL:
         raise ZeroProbabilityEvidence(f"evidence {dict(assignments)} has probability {z!r}")
@@ -491,7 +487,7 @@ def _joint_table(net: BayesNet, keep: tuple[str, ...]) -> np.ndarray | None:
     plan = _plan(net, keep, frozenset())
     if plan.cells > _CELL_LIMIT:
         return None
-    table = _run(plan, _cpt_arrays(net), ())
+    table = _run(plan, net._arrays, ())
     table.flags.writeable = False
     return table
 
@@ -574,7 +570,7 @@ def fit_cpts(
         raise EmptyData("no records and no smoothing to fall back on")
 
     new_cpts = []
-    for (nid, node), arr in zip(net.nodes.items(), _cpt_arrays(net)):
+    for (nid, node), arr in zip(net.nodes.items(), net._arrays):
         cpt = net.cpts[nid]
         counts = np.zeros(arr.shape, dtype=float)
         for rec in records:

@@ -29,7 +29,7 @@ YES = "Yes"
 NO = "No"
 
 
-class RefinementError(Exception):
+class RefinementError(_base.ModelError):
     pass
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -39,16 +40,6 @@ EXIT_UNREADABLE = 2
 
 _PARSE_FAILURES = (OSError, UnicodeDecodeError, csv.Error, _base.DocumentError)
 
-_MODEL_ERRORS = (
-    odd_model.OddModelError,
-    hara_fta.HaraError,
-    bayes_core.BayesError,
-    confidence_templates.TemplateError,
-    boundary_refinement.RefinementError,
-    runtime_monitor.MonitorError,
-    safety_ontology.OntologyError,
-)
-
 
 class FileContextError(Exception):
     """Wraps a module error with the name of the file being processed."""
@@ -61,7 +52,7 @@ class FileContextError(Exception):
 def _load(loader, path, *args):
     try:
         return loader(path, *args)
-    except _PARSE_FAILURES + _MODEL_ERRORS as exc:
+    except _PARSE_FAILURES + (_base.ModelError,) as exc:
         raise FileContextError(path, exc) from exc
 
 
@@ -258,10 +249,7 @@ def _cmd_refine(args) -> int:
 def _cmd_monitor(args) -> int:
     bundle = _load(runtime_monitor.load_bundle, args.bundle)
     if args.oodd_policy:
-        bundle = runtime_monitor.make_bundle(
-            bundle.odd, bundle.net, bundle.bindings, bundle.acp,
-            oodd_policy=args.oodd_policy, worst_states=bundle.worst_states,
-        )
+        bundle = dataclasses.replace(bundle, oodd_policy=args.oodd_policy)
 
     if args.stream == "-":
         lines = sys.stdin
@@ -432,10 +420,10 @@ def main(argv=None) -> int:
             if isinstance(exc.cause, _PARSE_FAILURES)
             else EXIT_DEFECTS
         )
-    except _PARSE_FAILURES as exc:
+    except _PARSE_FAILURES as exc:  # ahead of ModelError, which many of them also are
         log.error("%s", exc)
         return EXIT_UNREADABLE
-    except _MODEL_ERRORS as exc:
+    except _base.ModelError as exc:
         log.error("%s", exc)
         return EXIT_DEFECTS
 

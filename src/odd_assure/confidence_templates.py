@@ -24,7 +24,7 @@ from . import _base, bayes_core
 from .bayes_core import BayesNet, BnNode, Cpt, build_net
 
 
-class TemplateError(Exception):
+class TemplateError(_base.ModelError):
     pass
 
 

@@ -17,7 +17,7 @@ from typing import Collection, Iterable, Mapping
 from . import _base
 
 
-class HaraError(Exception):
+class HaraError(_base.ModelError):
     """Base class for hazard analysis errors."""
 
 

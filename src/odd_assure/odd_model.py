@@ -9,9 +9,14 @@ Discretizing a reading returns the attribute whose interval contains it, or
 ``OUT_OF_ODD`` when no interval does. Leaving the ODD is a first-class
 result, not an error: the runtime monitor acts on it.
 
-Each class is compiled once per spec into its sorted finite endpoints and
-the label of every endpoint and every gap between them, so discretizing a
-reading is one bisection.
+Each class with attributes is compiled once per spec into one lookup table,
+``(points, labels)``: ``points`` is the class's sorted distinct finite
+interval endpoints followed by ``+inf``, and ``labels[i]`` is the pair
+(label of the open gap just below ``points[i]``, label of ``points[i]``).
+A label is an attribute name, OUT_OF_ODD, or the tuple of names whose
+intervals overlap there. Discretizing a finite reading is one bisection and
+one comparison; ``discretize`` and the runtime monitor's ``step`` read the
+same table.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ import math
 import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, NamedTuple, Union
 
 from . import _base
 
 
-class OddModelError(Exception):
+class OddModelError(_base.ModelError):
     """Base class for ODD spec errors."""
 
 
@@ -98,8 +104,10 @@ class Interval:
     """A real interval with independently open or closed endpoints.
 
     Unbounded sides are stored as ``-inf`` / ``+inf`` and are always
-    exclusive. A degenerate point interval (``lo == hi``) is allowed only
-    when both endpoints are inclusive.
+    exclusive: an inclusive one, or a NaN bound, raises MalformedInterval.
+    A degenerate point interval (``lo == hi``) is allowed only when both
+    endpoints are inclusive; other bounds that admit no value raise
+    EmptyInterval.
     """
 
     lo: float
@@ -161,6 +169,8 @@ def parse_interval(text: str) -> Interval:
     ASCII spellings ``(a, b)`` are accepted as synonyms of ``]a, b[``.
     ``+`` as the high token means unbounded above, ``-`` as the low token
     unbounded below; an unbounded side must use an exclusive bracket.
+    Text outside this grammar, or a bound that is not a finite number,
+    raises MalformedInterval; bounds that admit no value raise EmptyInterval.
     """
     compact = "".join(text.split())
     m = _INTERVAL_RE.match(compact)
@@ -215,12 +225,12 @@ class OddClass:
 @dataclass(frozen=True)
 class OddSpec:
     """Fully linked ODD specification. Immutable after parsing; all
-    operations on it are pure and safe for concurrent readers."""
+    operations on it are pure and safe for concurrent readers. Its lookup
+    tables are built on first use and kept; readers that race to build them
+    each get equal ones."""
 
     root: str
     classes: dict[str, OddClass]
-    # Filled on first use by _compiled()
-    _compiled: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def children(self, name: str) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes.values() if c.parent == name)
@@ -230,6 +240,11 @@ class OddSpec:
 
     def leaf_classes(self) -> tuple[str, ...]:
         return tuple(n for n in self.classes if self.is_leaf(n))
+
+    @cached_property
+    def _tables(self) -> dict[str, tuple[tuple[float, ...], tuple[tuple, ...]]]:
+        """The ``(points, labels)`` table of every class with attributes."""
+        return {name: _compile_class(cls) for name, cls in self.classes.items() if cls.attributes}
 
 
 class Observation(NamedTuple):
@@ -362,43 +377,17 @@ def validate_odd(spec: OddSpec) -> list[OddDefect]:
     return defects
 
 
-@dataclass(frozen=True)
-class _CompiledClass:
-    """A class's attributes as a lookup table over the real line.
-
-    ``points`` holds the sorted distinct finite interval endpoints.
-    ``labels[2 * i]`` is the label of the open gap just below ``points[i]``,
-    ``labels[2 * i + 1]`` that of ``points[i]`` itself, and ``labels[-1]``
-    that of the gap above the last endpoint. A label is an attribute name,
-    OUT_OF_ODD, or the tuple of names whose intervals overlap there.
-    """
-
-    points: tuple[float, ...]
-    labels: tuple
-
-    def label(self, value: float):
-        """The label of ``value``; None when it is NaN or infinite."""
-        if not -math.inf < value < math.inf:
-            return None
-        points = self.points
-        i = bisect_left(points, value)
-        if i < len(points) and points[i] == value:
-            return self.labels[2 * i + 1]
-        return self.labels[2 * i]
-
-
-def _compile_class(cls: OddClass) -> _CompiledClass:
+def _compile_class(cls: OddClass) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
     bounds = [a.bounds for a in cls.attributes]
-    points = sorted({x for b in bounds for x in (b.lo, b.hi) if math.isfinite(x)})
-    edges = [-math.inf, *points, math.inf]
-    labels = []
-    for i, (below, above) in enumerate(zip(edges, edges[1:])):
+    points = (*sorted({x for b in bounds for x in (b.lo, b.hi) if math.isfinite(x)}), math.inf)
+    labels, below = [], -math.inf
+    for point in points:
         # An endpoint never lies inside a gap, so an interval holds all of the
         # gap or none of it.
-        labels.append([b.lo <= below and above <= b.hi for b in bounds])
-        if i < len(points):
-            labels.append([b.contains(above) for b in bounds])
-    return _CompiledClass(tuple(points), tuple(_label(cls, hits) for hits in labels))
+        labels.append((_label(cls, [b.lo <= below and point <= b.hi for b in bounds]),
+                       _label(cls, [b.contains(point) for b in bounds])))
+        below = point
+    return points, tuple(labels)
 
 
 def _label(cls: OddClass, hits: list[bool]):
@@ -408,35 +397,26 @@ def _label(cls: OddClass, hits: list[bool]):
     return names[0] if len(names) == 1 else names
 
 
-def _compiled(spec: OddSpec) -> dict[str, _CompiledClass | None]:
-    """Every class of the spec compiled, None for a class without attributes."""
-    compiled = spec._compiled
-    if compiled is None:
-        compiled = {
-            name: _compile_class(cls) if cls.attributes else None
-            for name, cls in spec.classes.items()
-        }
-        object.__setattr__(spec, "_compiled", compiled)
-    return compiled
-
-
 def discretize(spec: OddSpec, class_name: str, value: float) -> State:
     """Map a raw value onto the attribute of ``class_name`` containing it.
 
-    Returns OUT_OF_ODD when no interval contains the value. Raises
-    AmbiguousState when more than one does, which signals a defect in a
-    non-partition class rather than a property of the value, and
-    NonFiniteReading for a NaN or infinite value.
+    Returns OUT_OF_ODD when no interval contains the value. Raises, checked
+    in this order: UnknownClass for a name the spec lacks, EmptyClass for a
+    class without attributes, NonFiniteReading for a NaN or infinite value,
+    and AmbiguousState when more than one interval contains the value, which
+    signals a defect in a non-partition class rather than a property of the
+    value.
     """
     try:
-        table = _compiled(spec)[class_name]
+        points, labels = spec._tables[class_name]
     except KeyError:
-        raise UnknownClass(f"no ODD class named {class_name!r}") from None
-    if table is None:
-        raise EmptyClass(f"class {class_name!r} has no attributes to discretize against")
-    state = table.label(value)
-    if state is None:
+        if class_name not in spec.classes:
+            raise UnknownClass(f"no ODD class named {class_name!r}") from None
+        raise EmptyClass(f"class {class_name!r} has no attributes to discretize against") from None
+    if not -math.inf < value < math.inf:
         raise NonFiniteReading(f"reading {value!r} of class {class_name!r} is not finite")
+    i = bisect_left(points, value)
+    state = labels[i][1] if points[i] == value else labels[i][0]
     if type(state) is tuple:
         raise AmbiguousState(
             f"value {value!r} falls in {list(state)} of class {class_name!r}"

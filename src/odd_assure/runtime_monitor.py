@@ -8,7 +8,8 @@ mean and variance under the bundle's state values. Ticks are independent: no
 state is carried between observations, so a shared bundle may serve many
 threads.
 
-A tick bisects each reading into the ODD spec's compiled class tables.
+A tick bisects each reading into the ODD spec's class tables, the ones
+``odd_model.discretize`` reads.
 Only the bound nodes ever carry evidence, so the network is reduced once per
 bundle to the joint table P(objective, bound nodes). A tick indexes the
 observed axes, sums the others out and normalizes; a bounded memo keyed by
@@ -32,6 +33,7 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -52,7 +54,7 @@ _FLOAT = {float}
 log = logging.getLogger("odd_assure.runtime_monitor")
 
 
-class MonitorError(Exception):
+class MonitorError(_base.ModelError):
     pass
 
 
@@ -74,18 +76,41 @@ class BadScript(MonitorError, _base.DocumentError):
 
 @dataclass(frozen=True)
 class ModelBundle:
+    """An ODD spec, a network and the bindings between them, checked on
+    construction: a bad binding raises BindingMismatch and an unknown
+    out-of-ODD policy DocumentError."""
+
     odd: OddSpec
     net: BayesNet
     bindings: Mapping[str, str]  # ODD class name -> BN node id
     acp: AcpBinding
     oodd_policy: str = DROP
     worst_states: Mapping[str, str] = field(default_factory=dict)
-    # Filled by the first step()
-    _ticks: "_TickTable | None" = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _check_bindings(self)
 
     @property
     def state_values(self) -> Mapping[str, float]:
         return self.acp.state_values
+
+    @cached_property
+    def _ticks(self) -> "_TickTable":
+        """What every tick shares, built by the first one."""
+        net, objective = self.net, self.acp.objective
+        nodes = tuple(sorted(set(self.bindings.values())))
+        states = tuple({s: i for i, s in enumerate(net.node(n).states)} for n in nodes)
+        # The objective's axis is innermost in memory and first in the view;
+        # the order, and so the rounding, of a tick's sums follows this layout.
+        joint = bayes_core._joint_table(net, (*nodes, objective))
+        if joint is not None:
+            joint = np.moveaxis(joint, -1, 0)
+        readers = {name: (*table, self.bindings.get(name))
+                   for name, table in self.odd._tables.items()}
+        evidence_json = {(node, state): f"{json.dumps(node)}: {json.dumps(state)}"
+                         for node in nodes for state in net.node(node).states}
+        state_json = {state: f"{json.dumps(state)}: " for state in net.node(objective).states}
+        return _TickTable(nodes, states, joint, readers, evidence_json, state_json, {})
 
 
 class ConfidenceReport(NamedTuple):
@@ -131,6 +156,8 @@ def _check_bindings(bundle: ModelBundle) -> None:
         raise BindingMismatch(
             f"ACP objective {objective!r} is not the net objective {bundle.net.objective!r}"
         )
+    if objective is None:
+        raise BindingMismatch("neither the ACP nor the network names an objective node")
     missing = set(bundle.net.nodes[objective].states) - set(bundle.acp.state_values)
     if missing:
         raise BindingMismatch(f"state values missing for objective states {sorted(missing)}")
@@ -157,13 +184,11 @@ def load_bundle(manifest_path) -> ModelBundle:
     odd_path, net_path, parts = _read_manifest(
         manifest_path.read_text(encoding="utf-8"), manifest_path.parent
     )
-    bundle = ModelBundle(
+    return ModelBundle(
         _load_referenced(odd_model.load_odd_spec, odd_path),
         _load_referenced(bayes_core.load_bn, net_path),
         **parts,
     )
-    _check_bindings(bundle)
-    return bundle
 
 
 def _load_referenced(load, path: Path):
@@ -173,7 +198,7 @@ def _load_referenced(load, path: Path):
         return load(path)
     except (OSError, UnicodeDecodeError, _base.DocumentError) as exc:
         raise DocumentError(f"{path}: {exc}") from exc
-    except (odd_model.OddModelError, bayes_core.BayesError) as exc:
+    except _base.ModelError as exc:
         raise MonitorError(f"{path}: {exc}") from exc
 
 
@@ -198,10 +223,8 @@ def _read_manifest(manifest, directory: Path) -> tuple[Path, Path, dict]:
 
 def make_bundle(odd: OddSpec, net: BayesNet, bindings: Mapping[str, str], acp: AcpBinding,
                 oodd_policy: str = DROP, worst_states: Mapping[str, str] | None = None) -> ModelBundle:
-    """Assemble and validate a bundle from in-memory parts."""
-    bundle = ModelBundle(odd, net, dict(bindings), acp, oodd_policy, dict(worst_states or {}))
-    _check_bindings(bundle)
-    return bundle
+    """Assemble a bundle from in-memory parts, copying the two mappings."""
+    return ModelBundle(odd, net, dict(bindings), acp, oodd_policy, dict(worst_states or {}))
 
 
 @dataclass(frozen=True)
@@ -212,11 +235,10 @@ class _TickTable:
     only copy kept, or None when the bundle is queried through
     ``bayes_core.posterior``. ``states`` maps each bound node's states to
     their indices. ``readers`` maps each ODD class with attributes to
-    (points, labels, bound node or None): ``points`` is the class's compiled
-    endpoints followed by +inf, and ``labels[i]`` is the pair (label of the
-    gap just below ``points[i]``, label of ``points[i]``), so a finite
-    reading costs one bisection and one comparison. ``evidence_json`` maps
-    each (bound node, state) to its JSON text ``"node": "state"`` and
+    (points, labels, bound node or None), where (points, labels) is the
+    spec's table for the class (see ``odd_model``), so a finite reading
+    costs one bisection and one comparison. ``evidence_json`` maps each
+    (bound node, state) to its JSON text ``"node": "state"`` and
     ``state_json`` each objective state to ``"state": ``. ``memo`` maps the
     evidence items, in insertion order, to [posterior, mean, variance,
     JSONL part, CSV fields]: the first three all None for a degenerate tick,
@@ -233,32 +255,6 @@ class _TickTable:
     evidence_json: dict[tuple[str, str], str]
     state_json: dict[str, str]
     memo: dict
-
-
-def _tick_table(bundle: ModelBundle) -> _TickTable:
-    table = bundle._ticks
-    if table is None:
-        net, objective = bundle.net, bundle.acp.objective
-        nodes = tuple(sorted(set(bundle.bindings.values())))
-        states = tuple({s: i for i, s in enumerate(net.node(n).states)} for n in nodes)
-        # The objective's axis is innermost in memory and first in the view;
-        # the order, and so the rounding, of a tick's sums follows this layout.
-        joint = bayes_core._joint_table(net, (*nodes, objective))
-        if joint is not None:
-            joint = np.moveaxis(joint, -1, 0)
-        readers = {
-            name: (compiled.points + (_INF,),
-                   tuple(zip(compiled.labels[::2], compiled.labels[1::2] + (None,))),
-                   bundle.bindings.get(name))
-            for name, compiled in odd_model._compiled(bundle.odd).items()
-            if compiled is not None
-        }
-        evidence_json = {(node, state): f"{json.dumps(node)}: {json.dumps(state)}"
-                         for node in nodes for state in net.node(node).states}
-        state_json = {state: f"{json.dumps(state)}: " for state in net.node(objective).states}
-        table = _TickTable(nodes, states, joint, readers, evidence_json, state_json, {})
-        object.__setattr__(bundle, "_ticks", table)
-    return table
 
 
 def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str], key) -> list:
@@ -301,7 +297,7 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
     out-of-ODD reading clears ``in_odd``. Evidence with ~zero probability
     yields a degenerate report instead of raising.
     """
-    ticks = _tick_table(bundle)
+    ticks = bundle._ticks
     readers, readings = ticks.readers, obs.readings
     evidence: dict[str, str] = {}
     dropped: list[str] = []
@@ -419,7 +415,7 @@ def _evidence_part(bundle: ModelBundle, report: ConfidenceReport, slot: int, ren
     """The part of a report line that depends only on the evidence: kept in
     ``slot`` of the report's memo entry, and made by ``render(ticks,
     report)`` when the slot is empty or the entry has been evicted."""
-    ticks = _tick_table(bundle)
+    ticks = bundle._ticks
     entry = ticks.memo.get(tuple(report.evidence.items()))
     part = None if entry is None else entry[slot]
     if part is None:

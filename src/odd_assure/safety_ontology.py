@@ -26,7 +26,7 @@ from .hara_fta import EventRole, role_candidates
 Term = Union[str, "Literal"]
 
 
-class OntologyError(Exception):
+class OntologyError(_base.ModelError):
     pass
 
 

@@ -16,7 +16,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import odd_assure
-from odd_assure import _base, cli
+from odd_assure import (
+    _base,
+    bayes_core,
+    boundary_refinement,
+    cli,
+    confidence_templates,
+    hara_fta,
+    odd_model,
+    runtime_monitor,
+    safety_ontology,
+)
 from odd_assure.fixtures import (
     AVP_LEAF_PRIORS,
     AVP_ODD_DOCUMENT,
@@ -92,6 +102,7 @@ def _bn(edit) -> bytes:
 
 NOT_UTF8 = b"\xff\xfe\x00bad"
 HUGE_CELL = b"1" * 200_000  # past csv's field size limit of 131072 characters
+DEEP = b"[" * 100_000 + b"]" * 100_000  # past the JSON decoder's recursion limit
 SYNTH = ("synth", "{file}")
 VALIDATE = ("validate", "{file}")
 INFER_N = ("infer", "{file}", "--query", "n")
@@ -100,6 +111,11 @@ INFER_N = ("infer", "{file}", "--query", "n")
 MALFORMED_INPUTS = {
     "stream_readings_list": (
         b'{"t": 0, "readings": [1]}\n', ("monitor", "{bundle}", "--stream", "{file}")
+    ),
+    "stream_nested_too_deep": (DEEP + b"\n", ("monitor", "{bundle}", "--stream", "{file}")),
+    "bn_nodes_nested_too_deep": (b'{"nodes": ' + DEEP + b', "cpts": []}', INFER_N),
+    "validate_bn_nested_too_deep": (
+        b'{"nodes": ' + DEEP + b', "cpts": []}', ("validate", "{odd}", "--bn", "{file}")
     ),
     "script_segment_number": (_script(lambda s: s["channels"]["Fog"].update(segments=[1])), SYNTH),
     "script_segments_number": (_script(lambda s: s["channels"]["Fog"].update(segments=5)), SYNTH),
@@ -146,9 +162,25 @@ def test_malformed_input_exits_two_naming_file(bundle_dir, tmp_path, caplog, cas
     content, argv = MALFORMED_INPUTS[case]
     path = tmp_path / case
     path.write_bytes(content)
-    paths = {"bundle": bundle_dir / "avp_bundle.json", "hara": bundle_dir / "avp_hara.json"}
+    paths = {"bundle": bundle_dir / "avp_bundle.json", "hara": bundle_dir / "avp_hara.json",
+             "odd": bundle_dir / "avp_odd.json"}
     assert run_cli(*(a.format(file=path, **paths) for a in argv)) == 2
     assert str(path) in error_text(caplog)
+
+
+@pytest.mark.parametrize("base, document_error", [
+    (odd_model.OddModelError, odd_model.DocumentError),
+    (hara_fta.HaraError, hara_fta.DocumentError),
+    (bayes_core.BayesError, bayes_core.DocumentError),
+    (confidence_templates.TemplateError, confidence_templates.DocumentError),
+    (boundary_refinement.RefinementError, boundary_refinement.DocumentError),
+    (runtime_monitor.MonitorError, runtime_monitor.DocumentError),
+    (safety_ontology.OntologyError, safety_ontology.ParseError),
+], ids=lambda error: error.__name__)
+def test_module_errors_share_the_two_bases(base, document_error):
+    # the CLI maps a _base.DocumentError to exit 2 and any other ModelError to exit 1
+    assert issubclass(base, _base.ModelError) and not issubclass(base, _base.DocumentError)
+    assert issubclass(document_error, base) and issubclass(document_error, _base.DocumentError)
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from odd_assure.odd_model import (
     Interval,
     MalformedHierarchy,
     MalformedInterval,
+    NonFiniteReading,
     Observation,
     OverlappingIntervals,
     UnknownClass,
@@ -46,6 +47,7 @@ class TestParseInterval:
             ("(0, 1]", 0.0, 1.0, False, True),
             ("]-, 60.48]", -math.inf, 60.48, False, True),
             ("[ 1e-4 , 1e-3 [", 1e-4, 1e-3, True, False),
+            ("(0, 1)", 0.0, 1.0, False, False),
         ],
     )
     def test_grammar(self, text, lo, hi, lo_inc, hi_inc):
@@ -68,10 +70,21 @@ class TestParseInterval:
     def test_point_interval_allowed(self):
         iv = parse_interval("[5, 5]")
         assert iv.contains(5.0) and not iv.contains(5.0000001)
+        assert not iv.contains(math.nextafter(5.0, 6.0))  # no epsilon at a boundary
+
+    @pytest.mark.parametrize("bounds", [
+        (-math.inf, 1.0, True, False),
+        (0.0, math.inf, False, True),
+        (math.nan, 1.0, True, False),  # parse_interval rejects NaN before this check
+    ])
+    def test_constructor_rejects_malformed_bounds(self, bounds):
+        with pytest.raises(MalformedInterval):
+            Interval(*bounds)
 
     def test_roundtrip_examples(self):
         for text in ("[0.25, 0.77[", "[31, 60]", "[0, +[", "]-, 60.48]"):
             assert parse_interval(format_interval(parse_interval(text))) == parse_interval(text)
+        assert format_interval(parse_interval("(0, 1)")) == "]0, 1["  # never the paren form
 
     @given(
         lo=st.floats(-1e12, 1e12, allow_nan=False),
@@ -194,6 +207,12 @@ class TestParseOddSpec:
         with pytest.raises(OverlappingIntervals):
             parse_odd_spec(doc)
 
+    def test_duplicate_attribute(self):
+        attribute = {"name": "x", "unit": "u", "interval": "[0, 1["}
+        doc = {"classes": [{"name": "A", "parent": None, "attributes": [attribute, attribute]}]}
+        with pytest.raises(DuplicateName, match="attribute 'x' declared twice in 'A'"):
+            parse_odd_spec(doc)
+
     def test_duplicate_class(self):
         doc = {
             "classes": [
@@ -278,6 +297,16 @@ class TestDiscretize:
     def test_grouping_class_rejected(self, spec):
         with pytest.raises(EmptyClass):
             discretize(spec, "Weather_conditions", 3.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reading(self, spec, value):
+        with pytest.raises(NonFiniteReading):
+            discretize(spec, "Rain", value)
+        # the class is checked before the value
+        with pytest.raises(UnknownClass):
+            discretize(spec, "Wind", value)
+        with pytest.raises(EmptyClass):
+            discretize(spec, "Weather_conditions", value)
 
     def test_speed_overlap_is_ambiguous(self, spec):
         with pytest.raises(AmbiguousState) as err:
@@ -392,13 +421,17 @@ class TestCompiledDiscretize:
 
     def test_spec_compiled_once(self):
         spec = avp_odd_spec()
-        assert spec._compiled is None
+        assert "_tables" not in vars(spec)
         discretize(spec, "Rain", 0.1)
-        compiled = spec._compiled
+        tables = spec._tables
         in_odd(spec, Observation(0.0, 0.0, 0.0, {"Fog": 30.0, "Rain": 0.1}))
-        assert spec._compiled is compiled
-        assert compiled["Weather_conditions"] is None
-        assert compiled["Fog"].points == (0.0, 60.0, 244.0, 805.0, 1610.0)
+        assert spec._tables is tables
+        assert "Weather_conditions" not in tables  # no attributes, so no table
+        assert tables["Fog"][0] == (0.0, 60.0, 244.0, 805.0, 1610.0, math.inf)
+        # each endpoint, then +inf, with (label of the gap below, label at it)
+        assert tables["Rain"] == ((0.0, 0.25, 0.77, math.inf), (
+            (OUT_OF_ODD, "Rain_light"), ("Rain_light", "Rain_Moderate"),
+            ("Rain_Moderate", "Rain_Heavy"), ("Rain_Heavy", OUT_OF_ODD)))
 
 
 class TestInterpret:
@@ -424,6 +457,11 @@ class TestInterpret:
         assert in_odd(spec, Observation(0.0, 0.0, 0.0, {"Rain": 0.1}))
         assert not in_odd(spec, Observation(0.0, 0.0, 0.0, {"Rain": -5.0}))
 
+    def test_defects_do_not_leave_the_odd(self, spec):
+        readings = {"Nope": 1.0, "Ego_speed": 60.0, "Rain": math.nan, "Fog": math.inf}
+        assert in_odd(spec, Observation(0.0, 0.0, 0.0, readings))
+        assert not in_odd(spec, Observation(0.0, 0.0, 0.0, dict(readings, Snow=-1.0)))
+
     def test_in_odd_agrees_with_definition(self, spec):
         rng = random.Random(9)
         for _ in range(300):
@@ -438,6 +476,16 @@ class TestInterpret:
             interp = interpret(spec, obs)
             expected = all(s is not OUT_OF_ODD for s in interp.states.values())
             assert in_odd(spec, obs) == expected
+
+
+def test_validate_odd_reports_partition_classes_too():
+    # a spec built without parse_odd_spec may hold an overlapping partition class
+    bounds = [parse_interval("[0, 2["), parse_interval("[1, 3[")]
+    cls = odd_model.OddClass("C", "ODD", tuple(
+        odd_model.OddAttribute(f"S{i}", "u", b) for i, b in enumerate(bounds)), partition=True)
+    spec = odd_model.OddSpec("ODD", {"ODD": odd_model.OddClass("ODD", None, ()), "C": cls})
+    assert [str(d) for d in validate_odd(spec)] == [
+        "OverlappingIntervals(C): S0 and S1 both contain 1"]
 
 
 def test_validate_odd_reports_speed_overlap():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -122,6 +123,13 @@ class TestLoadBundle:
         with pytest.raises(BindingMismatch):
             make_bundle(avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, acp)
 
+    def test_objective_must_be_named(self):
+        # a manifest with "objective": null over a network without one
+        shape = avp_monitor_bn()
+        net = bayes_core.build_net(shape.nodes.values(), shape.edges, shape.cpts.values())
+        with pytest.raises(BindingMismatch, match="neither the ACP nor the network names"):
+            make_bundle(avp_odd_spec(), net, AVP_BINDINGS, AcpBinding("Sn8.1", None, {}))
+
     def test_binding_to_objective_node(self):
         # the objective cannot also be evidence: the first tick would raise
         shape = random_net(random.Random(3), 3)
@@ -136,6 +144,25 @@ class TestLoadBundle:
                 avp_odd_spec(), avp_monitor_bn(), AVP_BINDINGS, avp_acp(),
                 oodd_policy=rm.WORST_CASE,
             )
+
+    @pytest.mark.parametrize("bindings, policy, message", [
+        ({"Rain": "Fog"}, rm.DROP, "do not match attributes of class 'Rain'"),
+        (AVP_BINDINGS, rm.WORST_CASE, "needs a worst state for 'Fog'"),
+    ], ids=["state_mismatch", "worst_case_without_states"])
+    def test_direct_construction_is_validated(self, bindings, policy, message):
+        # a bundle checks itself, however it is built, before any tick
+        with pytest.raises(BindingMismatch, match=message):
+            rm.ModelBundle(avp_odd_spec(), avp_monitor_bn(), bindings, avp_acp(), policy)
+
+    def test_replace_is_validated(self):
+        bundle = avp_bundle()
+        with pytest.raises(BindingMismatch, match="needs a worst state"):
+            dataclasses.replace(bundle, oodd_policy=rm.WORST_CASE)
+        with pytest.raises(rm.DocumentError, match="unknown out-of-ODD policy 'pin'"):
+            dataclasses.replace(bundle, oodd_policy="pin")
+        worst = dataclasses.replace(bundle, oodd_policy=rm.WORST_CASE,
+                                    worst_states=AVP_WORST_STATES)
+        assert worst.bindings is bundle.bindings and worst.oodd_policy == rm.WORST_CASE
 
 
 def light_bundle(policy=rm.DROP, p_dark=0.0):
@@ -593,6 +620,26 @@ class TestJointTable:
             rm.report_to_json_line(bundle, step(bundle, obs))
         assert len(calls) == 1
 
+    def test_step_reads_the_tables_discretize_reads(self, monkeypatch):
+        calls = []
+        compile_class = odd_model._compile_class
+        monkeypatch.setattr(odd_model, "_compile_class",
+                            lambda cls: calls.append(cls.name) or compile_class(cls))
+        bundle = avp_bundle()
+        obs = avp_observations(10)
+        step(bundle, obs[0])
+        tables = bundle.odd._tables
+        for o in obs:
+            step(bundle, o)
+            odd_model.interpret(bundle.odd, o)
+        assert bundle.odd._tables is tables
+        assert sorted(calls) == sorted(tables)  # each class compiled once
+        readers = bundle._ticks.readers
+        assert readers.keys() == tables.keys()
+        for name, (points, labels) in tables.items():
+            assert readers[name][0] is points and readers[name][1] is labels
+            assert readers[name][2] == AVP_BINDINGS.get(name)
+
     def test_monitor_policy_override_builds_one_table(self, monkeypatch, tmp_path, capsys):
         # The CLI re-wraps the loaded bundle for --oodd-policy before any tick
         manifest = write_avp_bundle(tmp_path)
@@ -622,7 +669,7 @@ class TestSharedBundle:
         expected = [step(make(), o) for o in obs]
         lines = [json.dumps(rm.report_to_document(r)) + "\n" for r in expected]
         shared = make()
-        assert shared.odd._compiled is None and shared._ticks is None
+        assert "_tables" not in vars(shared.odd) and "_ticks" not in vars(shared)
         start = threading.Barrier(8, timeout=30)
 
         def worker(offset):
