@@ -1,12 +1,14 @@
 """Pieces several modules share: the malformed-document rule, the JSON
-number rule and the DAG walker. This module imports nothing from the
-package."""
+number rule, the number-text rule and the DAG walker. This module imports
+nothing from the package."""
 
 from __future__ import annotations
 
 import functools
 import heapq
 import json
+import math
+import re
 from typing import Callable, Collection, Mapping
 
 #: What a reader raises when a document has the wrong shape: a missing key,
@@ -84,6 +86,25 @@ def number(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
+
+
+#: A number written as text (an ontology term, an ODD interval bound, a
+#: ``--values`` number): an optional sign, ASCII digits with at most one point
+#: and an optional exponent. Every JSON number matches, as do ``.5``, ``1.``
+#: and ``+7``.
+NUMBER_TEXT = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def number_text(text: str) -> float:
+    """``text`` as a float if all of it matches ``NUMBER_TEXT``. Other text,
+    padding whitespace included, or a number too large for a float is a
+    ValueError."""
+    if not NUMBER_TEXT.fullmatch(text):
+        raise ValueError(f"{text!r} is not a number")
+    value = float(text)
+    if math.isinf(value):
+        raise ValueError(f"number {text!r} overflows a float")
+    return value
 
 
 def dag_order(in_edges: Mapping[str, Collection[str]]) -> tuple[list[str], list[str]]:

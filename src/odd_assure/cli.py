@@ -17,7 +17,6 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 
@@ -167,12 +166,9 @@ def _value_assignment(text: str) -> tuple[str, float]:
     """Argument type of a STATE=VALUE option; the value is a finite number."""
     name, value = _assignment(text)
     try:
-        number = float(value)
+        return name, _base.number_text(value)
     except ValueError:
-        number = math.nan
-    if not math.isfinite(number):
-        raise argparse.ArgumentTypeError(f"expected STATE=NUMBER, got {text!r}")
-    return name, number
+        raise argparse.ArgumentTypeError(f"expected STATE=NUMBER, got {text!r}") from None
 
 
 def _cmd_infer(args) -> int:

@@ -152,7 +152,7 @@ class Interval:
         return lo_ok and hi_ok
 
 
-_INTERVAL_RE = re.compile(r"^([\[\](])([^,]+),([^,]+)([\[\])])$")
+_INTERVAL_RE = re.compile(r"\s*([\[\](])\s*([^,\s]+)\s*,\s*([^,\s]+)\s*([\[\])])\s*")
 
 
 def _format_bound(value: float) -> str:
@@ -169,30 +169,24 @@ def parse_interval(text: str) -> Interval:
     ASCII spellings ``(a, b)`` are accepted as synonyms of ``]a, b[``.
     ``+`` as the high token means unbounded above, ``-`` as the low token
     unbounded below; an unbounded side must use an exclusive bracket.
-    Text outside this grammar, or a bound that is not a finite number,
-    raises MalformedInterval; bounds that admit no value raise EmptyInterval.
+    Whitespace may stand only around the brackets, the comma and each bound,
+    and a bound is read by ``_base.number_text``. Text outside this grammar,
+    or a bound that is not a finite number, raises MalformedInterval; bounds
+    that admit no value raise EmptyInterval.
     """
-    compact = "".join(text.split())
-    m = _INTERVAL_RE.match(compact)
+    m = _INTERVAL_RE.fullmatch(text)
     if m is None:
         raise MalformedInterval(f"not an interval: {text!r}")
     open_b, lo_tok, hi_tok, close_b = m.groups()
     lo_inclusive = open_b == "["
     hi_inclusive = close_b == "]"
 
-    lo = -math.inf if lo_tok == "-" else _parse_bound(lo_tok, "low", text)
-    hi = math.inf if hi_tok == "+" else _parse_bound(hi_tok, "high", text)
-    return Interval(lo, hi, lo_inclusive, hi_inclusive)
-
-
-def _parse_bound(token: str, side: str, text: str) -> float:
     try:
-        value = float(token)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise MalformedInterval(f"bad {side} bound in {text!r}")
-    return value
+        lo = -math.inf if lo_tok == "-" else _base.number_text(lo_tok)
+        hi = math.inf if hi_tok == "+" else _base.number_text(hi_tok)
+    except ValueError as exc:
+        raise MalformedInterval(f"bad bound in {text!r}: {exc}") from None
+    return Interval(lo, hi, lo_inclusive, hi_inclusive)
 
 
 def format_interval(interval: Interval) -> str:

@@ -14,7 +14,6 @@ readers never see a half-applied update.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -392,8 +391,10 @@ def attach_confidence(
 # Line format
 
 _IDENT_FORBIDDEN = set(' \t\n"')
-# Identifiers must not look like numbers; numeric tokens round-trip unquoted.
-_NUMBER_RE = re.compile(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+# A quoted literal, a lone quote (a literal nothing closes) or a run of
+# non-whitespace; \S is the complement of str.isspace, as str.split uses.
+_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|"|\S+', re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
 def format_term(term: Term) -> str:
@@ -410,23 +411,15 @@ def _parse_term(token: str, line_no: int) -> Term:
         if not token.endswith('"') or len(token) < 2:
             raise ParseError(f"unterminated literal {token!r}", line_no)
         body = token[1:-1]
-        out, i = [], 0
-        while i < len(body):
-            ch = body[i]
-            if ch == "\\":
-                if i + 1 >= len(body):
-                    raise ParseError(f"dangling escape in {token!r}", line_no)
-                nxt = body[i + 1]
-                out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, nxt))
-                i += 2
-            else:
-                out.append(ch)
-                i += 1
-        return Literal("".join(out))
-    if _NUMBER_RE.match(token):
-        if math.isinf(float(token)):  # exported as `inf`, it would re-import as an identifier
-            raise ParseError(f"number {token!r} overflows a float", line_no)
-        return Literal(float(token))
+        if (len(body) - len(body.rstrip("\\"))) % 2:
+            raise ParseError(f"dangling escape in {token!r}", line_no)
+        return Literal(_ESCAPE.sub(lambda m: "\n" if m[1] == "n" else m[1], body))
+    # Identifiers must not look like numbers; numeric tokens round-trip unquoted.
+    if _base.NUMBER_TEXT.fullmatch(token):
+        try:
+            return Literal(_base.number_text(token))
+        except ValueError as exc:  # exported as `inf`, it would re-import as an identifier
+            raise ParseError(str(exc), line_no) from None
     if any(c in _IDENT_FORBIDDEN for c in token):
         raise ParseError(f"bad identifier {token!r}", line_no)
     return token
@@ -435,34 +428,6 @@ def _parse_term(token: str, line_no: int) -> Term:
 def parse_term(token: str) -> Term:
     """Parse one standalone term token (for query patterns and the like)."""
     return _parse_term(token, 0)
-
-
-def _split_terms(line: str, line_no: int) -> list[str]:
-    tokens, i, n = [], 0, len(line)
-    while i < n:
-        if line[i].isspace():
-            i += 1
-            continue
-        if line[i] == '"':
-            j = i + 1
-            while j < n:
-                if line[j] == "\\":
-                    j += 2
-                    continue
-                if line[j] == '"':
-                    break
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", line_no)
-            tokens.append(line[i : j + 1])
-            i = j + 1
-        else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            tokens.append(line[i:j])
-            i = j
-    return tokens
 
 
 def export_graph(graph: TripleGraph) -> str:
@@ -488,7 +453,9 @@ def import_graph(text: str, extension_predicates: Iterable[str] = ()) -> TripleG
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = _split_terms(line, line_no) if '"' in line else line.split()  # same isspace runs
+        tokens = _TOKEN.findall(line) if '"' in line else line.split()  # split is faster
+        if '"' in tokens:
+            raise ParseError("unterminated string literal", line_no)
         if len(tokens) != 4 or tokens[-1] != ".":
             raise ParseError("expected `subject predicate object .`", line_no)
         subject, predicate, obj = tokens[:3]

@@ -473,7 +473,7 @@ def _parse_term(token: str, line_no: int):
                 out.append(ch)
                 i += 1
         return so.Literal("".join(out))
-    if re.match(r"^[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$", token):
+    if re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", token, re.ASCII):
         if math.isinf(float(token)):
             raise so.ParseError(f"number {token!r} overflows a float", line_no)
         return so.Literal(float(token))

@@ -139,6 +139,9 @@ MALFORMED_INPUTS = {
     "odd_interval_number": (_rain(lambda c: c["attributes"][0].update(interval=5)), VALIDATE),
     "odd_interval_garbled": (_rain(lambda c: c["attributes"][0].update(interval="[0, x[")), VALIDATE),
     "odd_interval_no_comma": (_rain(lambda c: c["attributes"][0].update(interval="(0 1)")), VALIDATE),
+    "odd_interval_space_in_bound": (
+        _rain(lambda c: c["attributes"][0].update(interval="[0, 0.2 5[")), VALIDATE
+    ),
     "odd_class_name_list": (_rain(lambda c: c.update(name=["x"])), VALIDATE),
     "odd_class_name_number": (_rain(lambda c: c.update(name=5)), VALIDATE),
     "odd_attributes_number": (_rain(lambda c: c.update(attributes=5)), VALIDATE),
@@ -190,6 +193,7 @@ def test_module_errors_share_the_two_bases(base, document_error):
         ("infer", "{bn}", "--query", HAZARD_ID, "--values", "occurs=x"),
         ("infer", "{bn}", "--query", HAZARD_ID, "--values", "occurs=nan"),
         ("coverage", "{states}", "--scenario", "Rain"),
+        ("infer", "{bn}", "--query", HAZARD_ID, "--values", "occurs= 1"),
     ],
 )
 def test_malformed_assignment_is_a_usage_error(bundle_dir, capsys, argv):
@@ -198,6 +202,42 @@ def test_malformed_assignment_is_a_usage_error(bundle_dir, capsys, argv):
         run_cli(*(a.format(**paths) for a in argv))
     assert exit_info.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token, is_number", [
+    ("0", True), ("-0", True), (".5", True), ("1.", True), ("+7", True), ("1e-5", True),
+    ("1.7976931348623157e308", True),
+    ("1_0", False), ("\u0663", False), ("\uff15", False), ("1e400", False), ("nan", False),
+    ("inf", False), ("0x10", False),
+], ids=repr)
+def test_one_number_grammar_for_bounds_values_and_terms(bundle_dir, capsys, token, is_number):
+    # \u0663 is an Arabic-Indic three, \uff15 a full-width five; float() reads both
+    number = float(token) if is_number else None
+    if is_number:
+        assert odd_model.parse_interval(f"[{token}, +[").lo == number
+    else:
+        with pytest.raises(odd_model.MalformedInterval):
+            odd_model.parse_interval(f"[{token}, +[")
+
+    argv = ["infer", str(bundle_dir / "avp_confidence_bn.json"), "--query", HAZARD_ID,
+            "--values", f"occurs={token}"]
+    if is_number:
+        assert cli.build_parser().parse_args(argv).values == [("occurs", number)]
+    else:
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        assert "expected STATE=NUMBER" in capsys.readouterr().err
+
+    # in the ontology a token that is not a number is an identifier
+    text = f"a hasACP {token} .\n"
+    if token == "1e400":
+        with pytest.raises(safety_ontology.ParseError, match="overflows a float"):
+            safety_ontology.import_graph(text)
+        return
+    term = safety_ontology.Literal(number) if is_number else token
+    assert safety_ontology.import_graph(text).triples == {safety_ontology.Triple("a", "hasACP", term)}
+    assert safety_ontology.parse_term(token) == term
 
 
 class TestValidate:

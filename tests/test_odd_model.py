@@ -56,7 +56,8 @@ class TestParseInterval:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "0, 1", "[0 1]", "[a, b]", "[0,1,2]", "[+, 1]", "[0, +]", "[-, 1]", "[nan, 1]"],
+        ["", "0, 1", "[0 1]", "[a, b]", "[0,1,2]", "[+, 1]", "[0, +]", "[-, 1]", "[nan, 1]",
+         "[1 0, 2 0[", "[0.2 5, 1[", "[- 5, 0["],
     )
     def test_malformed(self, text):
         with pytest.raises(MalformedInterval):

@@ -2,6 +2,8 @@ import itertools
 import random
 import re
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,12 +66,16 @@ class TestAssertTriple:
     def test_supported_by_materializes_inverse(self):
         g = assert_triple(TripleGraph(), Triple("G1", "supportedBy", "S1"))
         assert Triple("S1", "supports", "G1") in g.triples
+        g = assert_triple(TripleGraph(), Triple("S1", "supports", "G1"))
+        assert Triple("G1", "supportedBy", "S1") in g.triples
 
     def test_evidence_entails_supported_by(self):
         g = assert_triple(TripleGraph(), Triple("G8", "hasEvidence", "Sn8.1"))
         assert query(g, "G8", "supportedBy", "Sn8.1")
+        assert query(g, "Sn8.1", "supports", "G8")
         g = assert_triple(g, Triple("G1", "hasInference", "G8"))
         assert query(g, "G1", "supportedBy", "G8")
+        assert query(g, "G8", "supports", "G1")
 
     def test_insert_retract_replay(self):
         rng = random.Random(3)
@@ -198,6 +204,28 @@ class TestQueryMatchesReference:
         g2 = assert_triple(g, Triple("x", RDF_TYPE, "Goal"))
         assert query(g2, "x") == [Triple("x", RDF_TYPE, "Goal")]
         assert query(retract_triple(g2, Triple("x", RDF_TYPE, "Goal")), "x") == []
+        assert g == avp_ontology()  # the mutators left their input graph as it was
+
+    def test_racing_first_readers_see_a_complete_index(self):
+        g = assert_all(avp_ontology(), [Triple("Rain_heavy", "hasAttribute", "Rain_light")])
+        expected = (check_axioms(g), export_graph(g), query(g, predicate=RDF_TYPE))
+        assert expected[0]
+        start = threading.Barrier(8, timeout=30)
+
+        def read(shared):
+            start.wait()
+            return check_axioms(shared), export_graph(shared), query(shared, predicate=RDF_TYPE)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(10):
+                    shared = TripleGraph(g.triples)
+                    assert "_index" not in vars(shared)
+                    assert list(pool.map(read, [shared] * 8, timeout=60)) == [expected] * 8
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCheckAxioms:
@@ -507,10 +535,24 @@ class TestLineFormat:
         with pytest.raises(ParseError):
             import_graph("a sparkles b .\n")
 
+    def test_import_does_not_materialize(self):
+        g = import_graph("G1 rdf_type Goal .\nG2 rdf_type Goal .\nG1 supportedBy G2 .\n")
+        assert len(g.triples) == 3
+        assert [v.axiom for v in check_axioms(g)] == ["A28"]
+
     def test_str_split_breaks_on_isspace_runs(self):
         spaces = "".join(chr(c) for c in range(0x3001) if chr(c).isspace())
         line = "a" + spaces + "b c\u3000\x0bd"
         assert line.split() == oracles.split_terms(line, 1) == ["a", "b", "c", "d"]
+
+    def test_quoted_line_tokenizer_breaks_on_exactly_the_isspace_code_points(self):
+        # every code point but the quote, in order: a token boundary the
+        # regex and str.split disagree on would split or join a token
+        text = "".join(chr(c) for c in range(0x110000) if c != ord('"'))
+        assert safety_ontology._TOKEN.findall(text) == text.split()
+        spaces = [c for c in text if c.isspace()]
+        line = '"a b"'.join(spaces) + '"c\u3000d"'
+        assert safety_ontology._TOKEN.findall(line) == ['"a b"'] * (len(spaces) - 1) + ['"c\u3000d"']
 
     def test_fuzzed_roundtrip(self):
         rng = random.Random(17)
@@ -590,6 +632,14 @@ class TestImportMatchesReference:
         got = self.outcome(import_graph, text, ())
         assert got == self.outcome(oracles.import_graph, text, ())
         assert got[0] == "error" and got[2] == line_no
+
+    def test_megabyte_literal_full_of_escapes(self):
+        # user-sized input must not reach a recursion limit
+        text = 'a hasText "' + '\\"\\\\\\n.' * 150_000 + '" .\n'
+        assert len(text) > 1_000_000
+        graph = import_graph(text)
+        assert graph == oracles.import_graph(text)
+        assert graph.triples == {Triple("a", "hasText", Literal('"\\\n.' * 150_000))}
 
     def test_bench_sized_graph(self):
         text = export_graph(avp_ontology()) + "".join(
