@@ -23,6 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -92,6 +93,8 @@ class BnNode:
     states: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(name, str) for name in (self.id, *self.states)):
+            raise DocumentError(f"node {self.id!r}: the id and state names must be strings")
         if len(self.states) < 2:
             raise DocumentError(f"node {self.id!r} needs at least 2 states")
         if len(set(self.states)) != len(self.states):
@@ -593,15 +596,24 @@ def mean_variance(post: Posterior, state_values: Mapping[str, float]) -> tuple[f
     """First two moments of the value distribution induced by a posterior.
 
     ``state_values`` assigns each state a number (conventionally in [0, 1]);
-    the result is (sum p*v, sum p*v^2 - mean^2).
+    the result is (sum p*v, sum p*v^2 - mean^2). Raises ``MissingStateValue``
+    if a state has no value, and ``BayesError`` naming the values if either
+    moment is not finite.
     """
     missing = [s for s in post.states if s not in state_values]
     if missing:
         raise MissingStateValue(f"no value for states {missing}")
-    mean = sum(p * state_values[s] for p, s in zip(post.probs, post.states))
-    second = sum(p * state_values[s] ** 2 for p, s in zip(post.probs, post.states))
+    try:
+        mean = sum(p * state_values[s] for p, s in zip(post.probs, post.states))
+        second = sum(p * state_values[s] ** 2 for p, s in zip(post.probs, post.states))
+    except OverflowError:  # ** raises where * would give inf
+        mean = second = math.inf
+    variance = second - mean * mean
+    if not math.isfinite(variance):  # as it is whenever the mean is not finite
+        values = {s: state_values[s] for s in post.states}
+        raise BayesError(f"state values {values} give a non-finite mean or variance")
     # cancellation in second - mean^2 can land an ulp below zero
-    return mean, max(0.0, second - mean * mean)
+    return mean, max(0.0, variance)
 
 
 # ---------------------------------------------------------------------------
@@ -610,34 +622,46 @@ def mean_variance(post: Posterior, state_values: Mapping[str, float]) -> tuple[f
 
 @_base.document_reader("BN document", DocumentError)
 def parse_bn(document) -> BayesNet:
-    """Parse a BN document (JSON text or parsed object).
+    """Parse a BN document (JSON text or parsed object) in any JSON layout.
 
     Schema: ``{"nodes": [{id, states}], "edges": [[src, dst]], "cpts":
     [{node, parents, rows}], "objective": id|null}``. Every row entry must be
     a JSON number. Rows whose sum drifts from 1 by at most 1e-9 are
     renormalized; larger drift is rejected. Sums are exact (``math.fsum``),
     so which rows are renormalized does not depend on the interpreter's
-    ``sum``.
+    ``sum``. A parsed document is never changed: a renormalized row is a copy.
     """
     nodes = [BnNode(n["id"], tuple(n["states"])) for n in document["nodes"]]
     edges = [(e[0], e[1]) for e in document.get("edges", [])]
     cpts = []
     for c in document["cpts"]:
-        rows = []
-        for row in c["rows"]:
-            row = [_base.number(p, "a cpt entry") for p in row]
-            total = math.fsum(row)
-            # Cpt rejects non-finite entries and larger drift.
-            if total != 1.0 and abs(total - 1.0) <= PROB_TOL:
-                # Renormalize, folding the residual into the largest entry:
-                # it stays positive, the row then sums to exactly 1, and
-                # reloading the serialized row is a no-op.
-                row = [p / total for p in row]
-                top = row.index(max(row))
-                row[top] = math.fsum([1.0, *(-p for i, p in enumerate(row) if i != top)])
-            rows.append(row)
+        rows = c["rows"]
+        # One scan over the table; only a table that fails it is read entry
+        # by entry, for the error naming the first entry that is no number.
+        if not set(map(type, chain.from_iterable(rows))) <= {float}:
+            rows = [[_base.number(p, "a cpt entry") for p in row] for row in rows]
+        try:
+            rows = [
+                row if total == 1.0 or abs(total - 1.0) > PROB_TOL else _renormalized(row, total)
+                for row, total in zip(rows, map(math.fsum, rows))
+            ]
+        except (OverflowError, ValueError):  # fsum of huge entries, or of inf and -inf
+            pass
+        # Cpt rejects entries outside [0, 1], non-finite ones and larger drift.
         cpts.append(Cpt(c["node"], tuple(c.get("parents", [])), rows))
     return build_net(nodes, edges, cpts, objective=document.get("objective"))
+
+
+def _renormalized(row: list[float], total: float) -> list[float]:
+    """``row`` scaled to sum to exactly 1, as a new list.
+
+    The residual of the scaling is folded into the largest entry: it stays
+    positive, and reloading the serialized row is a no-op.
+    """
+    row = [p / total for p in row]
+    top = row.index(max(row))
+    row[top] = math.fsum([1.0, *(-p for i, p in enumerate(row) if i != top)])
+    return row
 
 
 def bn_to_document(net: BayesNet) -> dict:
@@ -661,6 +685,41 @@ def load_bn(path) -> BayesNet:
         return parse_bn(fh.read())
 
 
+def _quoted(strings: Iterable[str]) -> str:
+    """The strings as JSON, by json's own escaper, separated by ", "."""
+    return ", ".join(map(json.encoder.encode_basestring_ascii, strings))
+
+
+def _array(items: Iterable[str]) -> str:
+    """A JSON array of encoded items, one item per line."""
+    body = ",\n  ".join(items)
+    return f"[\n  {body}\n]" if body else "[]"
+
+
 def save_bn(net: BayesNet, path) -> None:
+    """Write ``bn_to_document(net)`` as JSON text with one node, one edge and
+    one CPT row per line, so that two versions of a network diff line by line.
+
+    Every string goes through json's escaper and every number through one
+    ``json.dumps`` call. ``load_bn`` reads the file back ``==`` ``net``.
+    """
+    doc = bn_to_document(net)
+    # Only numbers stand around the "]], [[" between two tables and the
+    # "], [" between two rows, so neither cut can fall inside a string.
+    tables = json.dumps([c["rows"] for c in doc["cpts"]])[3:-3].split("]], [[")
+    text = "".join((
+        '{"nodes": ',
+        _array(f'{{"id": {_quoted([n["id"]])}, "states": [{_quoted(n["states"])}]}}'
+               for n in doc["nodes"]),
+        ',\n"edges": ',
+        _array(f"[{_quoted(e)}]" for e in doc["edges"]),
+        ',\n"cpts": ',
+        _array(f'{{"node": {_quoted([c["node"]])}, "parents": [{_quoted(c["parents"])}], '
+               '"rows": [\n    [' + table.replace("], [", "],\n    [") + "]\n  ]}"
+               for c, table in zip(doc["cpts"], tables)),
+        ',\n"objective": ',
+        json.dumps(doc["objective"]),
+        "}\n",
+    ))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(bn_to_document(net), indent=2) + "\n")
+        fh.write(text)

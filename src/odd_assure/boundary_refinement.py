@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
@@ -367,8 +368,11 @@ def report_to_document(report: RefinementReport) -> dict:
 def parse_trace(text: str) -> Trace:
     """Parse a delimited trace, a header of feature names plus a `label`
     column holding Yes/No, into columns. Rows, row numbers and errors are
-    those of ``csv.DictReader`` (see :func:`_raise_first_bad_row`)."""
-    reader = csv.reader(io.StringIO(text))
+    those of ``csv.DictReader`` (see :func:`_raise_first_bad_row`). A feature
+    cell is read with ``float`` but must not hold what :data:`_FORGIVEN`
+    matches, so its finite numbers are those of ``_base.NUMBER_TEXT``."""
+    stream = io.StringIO(text)
+    reader = csv.reader(stream)
     header = next(reader, None)
     if header is None or "label" not in header:
         raise DocumentError("trace needs a header row with a 'label' column")
@@ -377,9 +381,14 @@ def parse_trace(text: str) -> Trace:
         raise DocumentError("trace has no feature columns")
     column = {name: i for i, name in enumerate(header)}
     names = sorted(set(features))
+    # One screen of the body spares checking each cell: text without these
+    # characters has no cell _FORGIVEN matches. A quote can wrap a line break.
+    body = text[stream.tell():]
+    plain = body.isascii() and not any(c in body for c in '_ \t\f\v"')
+    to_float = float if plain else _cell_number
     try:
         rows = [row for row in reader if row]
-        x = np.column_stack([np.fromiter(map(float, map(itemgetter(column[n]), rows)), float,
+        x = np.column_stack([np.fromiter(map(to_float, map(itemgetter(column[n]), rows)), float,
                                          len(rows)) for n in names])
         labels = list(map(itemgetter(column["label"]), rows))
     except (csv.Error, IndexError, ValueError):  # an unreadable, short or non-numeric row
@@ -391,6 +400,19 @@ def parse_trace(text: str) -> Trace:
     return Trace(tuple(names), x, labels)
 
 
+#: What ``float`` forgives in a number and the JSON number grammar does not:
+#: padding whitespace, digit-group underscores and non-ASCII digits.
+_FORGIVEN = re.compile(r"[\s_]|[^\x00-\x7f]")
+
+
+def _cell_number(cell: str | None) -> float:
+    """``float(cell)``, but a ValueError if the cell holds what
+    :data:`_FORGIVEN` matches. A missing cell (None) is a TypeError."""
+    if cell is not None and _FORGIVEN.search(cell):
+        raise ValueError(f"{cell!r} is not a number")
+    return float(cell)
+
+
 def _raise_first_bad_row(text: str, header: list[str], features: list[str]) -> None:
     """Raise the error of the first bad row, reading the rows again as
     ``csv.DictReader`` does: blank ones skipped and not numbered, extra cells
@@ -400,7 +422,7 @@ def _raise_first_bad_row(text: str, header: list[str], features: list[str]) -> N
     for row_no, row in enumerate(filter(None, reader), start=2):
         cells = dict(zip(header, row + [None] * (len(header) - len(row))))
         try:
-            values = [float(cells[n]) for n in features]
+            values = [_cell_number(cells[n]) for n in features]
         except (TypeError, ValueError) as exc:
             raise DocumentError(f"row {row_no}: bad numeric value ({exc})") from exc
         if not all(map(math.isfinite, values)):

@@ -175,12 +175,11 @@ def _cmd_infer(args) -> int:
     net = _load(bayes_core.load_bn, args.bn_file)
     evidence = bayes_core.EvidenceSet(dict(args.evidence))
     post = bayes_core.posterior(net, args.query, evidence)
-    for state, prob in zip(post.states, post.probs):
-        print(f"{post.node}={state} {prob:.6f}")
-    if args.values:
+    lines = [f"{post.node}={state} {prob:.6f}" for state, prob in zip(post.states, post.probs)]
+    if args.values:  # before anything is printed, so that an error prints nothing
         mean, variance = bayes_core.mean_variance(post, dict(args.values))
-        print(f"mean {mean:.6f}")
-        print(f"variance {variance:.6f}")
+        lines += [f"mean {mean:.6f}", f"variance {variance:.6f}"]
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ import re
 import numpy as np
 
 from odd_assure import safety_ontology as so
-from odd_assure.bayes_core import BayesNet, BnNode, Cpt, build_net
+from odd_assure.bayes_core import PROB_TOL, BayesNet, BnNode, Cpt, build_net
 from odd_assure.boundary_refinement import (
     NO,
     YES,
@@ -128,6 +128,22 @@ def random_net(rng: random.Random, n_nodes: int, p_deterministic: float = 0.0) -
             rows.append((p, 1.0 - p))
         cpts.append(Cpt(name, parents, tuple(rows)))
     return build_net(nodes, edges, cpts)
+
+
+def renormalized_rows(rows) -> list[list[float]]:
+    """CPT rows as ``parse_bn`` keeps them, entry by entry: a row whose exact
+    sum is off 1 by at most ``PROB_TOL`` is scaled, and the residual folded
+    into its largest entry."""
+    out = []
+    for row in rows:
+        row = [float(p) for p in row]
+        total = math.fsum(row)
+        if total != 1.0 and abs(total - 1.0) <= PROB_TOL:
+            row = [p / total for p in row]
+            top = row.index(max(row))
+            row[top] = math.fsum([1.0, *(-p for i, p in enumerate(row) if i != top)])
+        out.append(row)
+    return out
 
 
 def random_evidence(rng: random.Random, net: BayesNet, exclude: str, max_vars: int) -> dict[str, str]:
@@ -323,9 +339,18 @@ def odd_hierarchy_error(parents: dict) -> type | None:
 # Trace parsing
 
 
+def trace_cell(cell):
+    """``float(cell)`` for a cell with no whitespace, ``_`` or non-ASCII
+    character, which ``float`` would forgive; None (a missing cell) fails as
+    in ``float``."""
+    if cell is not None and (not cell.isascii() or any(c.isspace() or c == "_" for c in cell)):
+        raise ValueError(f"{cell!r} is not a number")
+    return float(cell)
+
+
 def parse_trace(text: str) -> list:
-    """Trace records through ``csv.DictReader``: a dict, a ``float`` per cell
-    and a ``TraceRecord`` per row."""
+    """Trace records through ``csv.DictReader``: a dict, a ``trace_cell`` per
+    cell and a ``TraceRecord`` per row."""
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or "label" not in reader.fieldnames:
         raise RefinementDocumentError("trace needs a header row with a 'label' column")
@@ -335,7 +360,7 @@ def parse_trace(text: str) -> list:
     records = []
     for row_no, row in enumerate(reader, start=2):
         try:
-            values = {n: float(row[n]) for n in features}
+            values = {n: trace_cell(row[n]) for n in features}
         except (TypeError, ValueError) as exc:
             raise RefinementDocumentError(f"row {row_no}: bad numeric value ({exc})") from exc
         if not all(map(math.isfinite, values.values())):

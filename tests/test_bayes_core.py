@@ -1,3 +1,5 @@
+import copy
+import json
 import math
 import random
 import sys
@@ -11,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from odd_assure import bayes_core
 from odd_assure.bayes_core import (
     BadCpt,
+    BayesError,
     BnNode,
     Cpt,
     EvidenceSet,
@@ -42,6 +45,7 @@ from odd_assure.fixtures import (
 )
 from odd_assure.hara_fta import CausalEntry, CausalRelation, Event, GateOp, compute_fta
 
+from . import oracles
 from .oracles import (
     all_assignments,
     enumerate_joint,
@@ -111,9 +115,40 @@ class TestConstruction:
             bayes_core.save_bn(net, path)
             assert bayes_core.load_bn(path) == net
 
+    def test_cpt_rows_are_a_read_only_copy(self):
+        rows = np.array([[0.25, 0.75]])
+        cpt = Cpt("n", (), rows)
+        rows[0] = (0.5, 0.5)
+        assert cpt.rows.tolist() == [[0.25, 0.75]]
+        with pytest.raises(ValueError):
+            cpt.rows[0, 0] = 0.5
+
+    @pytest.mark.parametrize("nodes, edges, cpts, objective, error, message", [
+        ("aa", [], "a", None, bayes_core.DocumentError, "declared twice"),
+        ("a", [], "aa", None, bayes_core.DocumentError, "more than one CPT"),
+        ("a", [("a", "x")], "a", None, UnknownNode, "unknown node 'x'"),
+        ("ab", [], "a", None, bayes_core.DocumentError, "'b' has no CPT"),
+        ("a", [], "ax", None, UnknownNode, "cpt for unknown node 'x'"),
+        ("a", [], "w", None, BadCpt, "width mismatch"),
+        ("a", [], "a", "x", UnknownNode, "objective 'x' is not a node"),
+    ])
+    def test_build_net_rejects_each_invariant_violation(self, nodes, edges, cpts, objective,
+                                                        error, message):
+        made = {name: _binary(name, 0.5) for name in "abx"}
+        made["w"] = (None, Cpt("a", (), ((0.2, 0.3, 0.5),)))  # three entries, two states
+        with pytest.raises(error, match=message):
+            build_net([made[n][0] for n in nodes], edges, [made[c][1] for c in cpts], objective)
+
     def test_node_needs_two_states(self):
         with pytest.raises(bayes_core.DocumentError):
             BnNode("n", ("only",))
+
+    @pytest.mark.parametrize("node", [{"id": 1, "states": ["t", "f"]},
+                                      {"id": "n", "states": ["t", None]}])
+    def test_ids_and_state_names_are_strings(self, node):
+        doc = {"nodes": [node], "cpts": [{"node": node["id"], "rows": [[0.5, 0.5]]}]}
+        with pytest.raises(bayes_core.DocumentError, match="must be strings"):
+            parse_bn(doc)
 
     def test_edge_cycle_rejected(self):
         a = BnNode("a", ("t", "f"))
@@ -207,8 +242,9 @@ class TestPosterior:
             list(net2.edges) + [("B", "C")],
             list(net2.cpts.values()) + [cpt_c],
         )
-        with pytest.raises(ZeroProbabilityEvidence):
-            posterior(net3, "A", EvidenceSet({"B": "t", "C": "f"}))
+        for _ in range(2):  # raises every time, not only while no plan is cached
+            with pytest.raises(ZeroProbabilityEvidence):
+                posterior(net3, "A", EvidenceSet({"B": "t", "C": "f"}))
 
     def test_matches_enumeration_on_random_nets(self):
         rng = random.Random(7)
@@ -658,6 +694,10 @@ class TestFitCpts:
         with pytest.raises(bayes_core.BayesError, match="smoothing must be"):
             fit_cpts(chain_net(), [{"A": "t", "B": "t"}], smoothing=smoothing)
 
+    def test_unseen_parent_combination_is_uniform(self):
+        fitted = fit_cpts(chain_net(), [{"A": "t", "B": "t"}] * 3)
+        assert fitted.cpts["B"].rows.tolist() == [[1.0, 0.0], [0.5, 0.5]]
+
     def test_structure_unchanged(self):
         net = chain_net()
         fitted = fit_cpts(net, [{"A": "t", "B": "t"}, {"A": "f", "B": "f"}], smoothing=1.0)
@@ -696,6 +736,15 @@ class TestMeanVariance:
         post = Posterior("n", ("t", "f"), (0.5, 0.5))
         with pytest.raises(MissingStateValue):
             mean_variance(post, {"t": 1.0})
+
+    @pytest.mark.parametrize("value", [1e200, 1.7976931348623157e308, 10**400, math.inf,
+                                       -math.inf, math.nan],
+                             ids=["1e200", "max_float", "int_1e400", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("probs", [(0.5, 0.5), (0.0, 1.0)])
+    def test_non_finite_moments_raise(self, value, probs):
+        post = Posterior("n", ("t", "f"), probs)
+        with pytest.raises(BayesError, match=r"state values \{'t': .*, 'f': 0\.0\} give a non-finite"):
+            mean_variance(post, {"t": value, "f": 0.0})
 
     def test_matches_direct_summation(self):
         rng = random.Random(31)
@@ -757,6 +806,61 @@ def _assert_reloaded(net, again, renormalised):
     assert parse_bn(bayes_core.bn_to_document(again)) == again
 
 
+def _assert_one_item_per_line(text, net):
+    """``text`` is ``bn_to_document(net)`` with every node, edge and CPT row
+    alone on its line, and each CPT opening its rows on a line of its own.
+
+    A line, less its indent and trailing comma, that is one JSON value is an
+    item; a line ending in ``"rows": [`` opens a CPT.
+    """
+    doc = bayes_core.bn_to_document(net)
+    assert json.loads(text) == doc
+    items, tables = [], []
+    for line in text.splitlines():
+        line = line.strip().removesuffix(",")
+        if line.endswith('"rows": ['):
+            tables.append(json.loads(line + "]}"))
+            continue
+        try:
+            items.append(json.loads(line))
+        except ValueError:
+            pass
+    assert items == doc["nodes"] + doc["edges"] + [row for c in doc["cpts"] for row in c["rows"]]
+    assert tables == [{**c, "rows": []} for c in doc["cpts"]]
+
+
+# Names holding what JSON escapes and the separators a writer might cut at
+_AWKWARD = st.lists(
+    st.sampled_from(['"', "\\", "], [", "]], [[", '}, {"id": ', '"], ["', "\n", "\u00e9",
+                     "\u2603", "\U0001f600", "a", " "]),
+    min_size=1, max_size=3,
+).map("".join)
+
+
+@st.composite
+def awkward_nets(draw):
+    ids = draw(st.lists(_AWKWARD, min_size=1, max_size=5, unique=True))
+    states = {nid: draw(st.lists(_AWKWARD, min_size=2, max_size=3, unique=True)) for nid in ids}
+    edges = [[a, b] for i, a in enumerate(ids) for b in ids[i + 1:] if draw(st.booleans())]
+    cpts = []
+    for nid in ids:
+        parents = draw(st.permutations([a for a, b in edges if b == nid]))
+        rows = []
+        for _ in range(math.prod(len(states[p]) for p in parents)):
+            weights = draw(st.lists(st.floats(0.0, 1.0), min_size=len(states[nid]),
+                                    max_size=len(states[nid])))
+            weights[0] += 1.0
+            rows.append([w / math.fsum(weights) for w in weights])
+        cpts.append({"node": nid, "parents": parents, "rows": rows})
+    sinks = [nid for nid in ids if all(a != nid for a, _ in edges)]
+    return parse_bn({
+        "nodes": [{"id": nid, "states": states[nid]} for nid in ids],
+        "edges": edges,
+        "cpts": cpts,
+        "objective": draw(st.sampled_from([None, *sinks])),
+    })
+
+
 class TestBnDocument:
     @pytest.mark.parametrize("case", _ROUNDTRIP_NETS)
     def test_roundtrip_bit_exact(self, case):
@@ -791,6 +895,7 @@ class TestBnDocument:
             "nodes": [{"id": "n", "states": [f"s{i}" for i in range(len(row))]}],
             "cpts": [{"node": "n", "parents": [], "rows": [row]}],
         })
+        assert net.cpts["n"].rows.tolist() == oracles.renormalized_rows([row])
         assert math.fsum(net.cpts["n"].rows[0].tolist()) == 1.0
         assert parse_bn(bayes_core.bn_to_document(net)) == net
 
@@ -829,3 +934,58 @@ class TestBnDocument:
         path = tmp_path / "net.json"
         bayes_core.save_bn(net, path)
         _assert_reloaded(net, bayes_core.load_bn(path), renormalised)
+
+    def test_parse_leaves_the_document_unchanged(self):
+        doc = {
+            "nodes": [{"id": "n", "states": ["t", "f"]}, {"id": "m", "states": ["t", "f"]}],
+            "edges": [["n", "m"]],
+            "cpts": [
+                {"node": "n", "parents": [], "rows": [[0.3000000001, 0.7]]},
+                {"node": "m", "parents": ["n"], "rows": [[0.1, 0.9], [0.5, 0.5000000002]]},
+            ],
+        }
+        before = copy.deepcopy(doc)
+        net = parse_bn(doc)
+        assert doc == before
+        assert net.cpts["n"].rows.tolist() == oracles.renormalized_rows(before["cpts"][0]["rows"])
+        assert net.cpts["m"].rows.tolist() == oracles.renormalized_rows(before["cpts"][1]["rows"])
+        assert net.cpts["m"].rows[0].tolist() == [0.1, 0.9]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[1e308, 1e308]], r"entries outside \[0, 1\]"),
+        ([[0.5, 0.5], [1e308, 1e308]], r"entries outside \[0, 1\]"),
+        ([[math.inf, -math.inf]], "non-finite entries"),
+    ])
+    def test_rows_whose_sum_fails_are_rejected_as_cpts(self, rows, message):
+        # math.fsum raises on these rows; the table is rejected as the Cpt rejects it
+        doc = {
+            "nodes": [{"id": "n", "states": ["t", "f"]}, {"id": "m", "states": ["t", "f"]}],
+            "edges": [["m", "n"]] if len(rows) == 2 else [],
+            "cpts": [{"node": "n", "parents": ["m"] if len(rows) == 2 else [], "rows": rows},
+                     {"node": "m", "parents": [], "rows": [[0.5, 0.5]]}],
+        }
+        with pytest.raises(BadCpt, match=message):
+            parse_bn(doc)
+
+    @pytest.mark.parametrize("case", _ROUNDTRIP_NETS)
+    def test_file_holds_one_node_edge_or_row_per_line(self, case, tmp_path):
+        net = _ROUNDTRIP_NETS[case][0]()
+        path = tmp_path / "net.json"
+        bayes_core.save_bn(net, path)
+        _assert_one_item_per_line(path.read_text(encoding="utf-8"), net)
+
+    @pytest.mark.parametrize("case", _ROUNDTRIP_NETS)
+    def test_loads_files_indented_by_json(self, case, tmp_path):
+        # the layout json.dumps(..., indent=2) wrote, one number per line
+        net = _ROUNDTRIP_NETS[case][0]()
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(bayes_core.bn_to_document(net), indent=2) + "\n", encoding="utf-8")
+        assert bayes_core.load_bn(path) == net
+
+    @settings(max_examples=150, deadline=None)
+    @given(net=awkward_nets())
+    def test_file_roundtrip_with_awkward_names(self, net, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "awkward_net.json"
+        bayes_core.save_bn(net, path)
+        _assert_one_item_per_line(path.read_text(encoding="utf-8"), net)
+        assert bayes_core.load_bn(path) == net

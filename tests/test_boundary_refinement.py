@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from odd_assure import _base
 from odd_assure.boundary_refinement import (
     NO,
     YES,
@@ -449,6 +450,23 @@ class TestTraceFormat:
         with pytest.raises(DocumentError):
             parse_trace("a,label\nfoo,Yes\n")
 
+    # \u0663 is an Arabic-Indic three; float() reads it, and each cell below, as a number
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", " 1", "1 ", "\t1", "\f1", "\v1",
+                                      '"1\n"', '"1\r\n"'])
+    def test_number_cells_follow_the_number_grammar(self, cell):
+        with pytest.raises(DocumentError, match=r"row 3: bad numeric value \(.* is not a number\)"):
+            parse_trace(f"a,b,label\n1,2,Yes\n1,{cell},Yes\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(cell=st.text(alphabet="0123456789.eE+-_ \t\u0663\uff15naif", max_size=6))
+    def test_finite_cells_are_those_of_the_number_grammar(self, cell):
+        try:
+            number = parse_trace(f"a,label\n{cell},Yes\n").x[0, 0]
+        except DocumentError:
+            number = None
+        grammar = _base.NUMBER_TEXT.fullmatch(cell) and math.isfinite(float(cell))
+        assert number == (float(cell) if grammar else None)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
     def test_non_finite_feature_names_row(self, value):
         with pytest.raises(DocumentError, match="row 3: feature values must be finite"):
@@ -461,7 +479,7 @@ class TestTraceFormat:
 trace_names = st.sampled_from(["a", "b", "a", "c", "", "label"])
 trace_cells = st.sampled_from(
     ["1", "2.5", "-3e2", " 4 ", "0", "1_0", "nan", "inf", "-Infinity", "x", "", "Yes", "No",
-     '"5"', '"6,7"']
+     '"5"', '"6,7"', "\u0663", '"8\n"', "\t9"]
 )
 
 
@@ -481,7 +499,7 @@ def trace_text(draw):
         for name in header[:width]:
             if kind == "good":
                 cells.append(draw(st.sampled_from(["Yes", "No"])) if name == "label"
-                             else draw(st.sampled_from(["1", "2.5", "-3e2", " 4 ", "0"])))
+                             else draw(st.sampled_from(["1", "2.5", "-3e2", "4", "0", '"5"'])))
             else:
                 cells.append(draw(trace_cells))
         cells += [draw(trace_cells) for _ in range(width - len(header))]
@@ -522,6 +540,13 @@ class TestTraceMatchesReference:
         "a,b,label\n1,inf,Yes\n2,x,No\n",  # row 2 fails first though row 3 does not parse
         "a,label\n",
         "label,label\n1,Yes\n",
+        "a,label\n1_0,Yes\n",  # float() reads the next three cells, the grammar does not
+        "a,label\n\u0663,Yes\n",
+        "a,label\n 1,Yes\n",
+        'a,label\n"1\n",Yes\n',  # a quoted line break
+        'a,label\n"5",Yes\n2,No\n',  # a quoted number is a number
+        "a b,label\n1,Yes\n",  # the header is not screened
+        "a,label\nnan,Yes\n1_0,No\n",  # the first bad row fails, whatever the rest holds
     ])
     def test_edge_cases(self, text):
         assert trace_outcome(parse_trace, text) == trace_outcome(oracles.parse_trace, text)

@@ -151,6 +151,9 @@ MALFORMED_INPUTS = {
     "onto_check_not_utf8": (NOT_UTF8, ("onto", "check", "{file}")),
     "refine_not_utf8": (NOT_UTF8, ("refine", "{file}")),
     "coverage_not_utf8": (NOT_UTF8, ("coverage", "{file}", "--scenario", "Rain=Rain_Heavy")),
+    "refine_cell_underscore": (b"a,label\n1_0,Yes\n", ("refine", "{file}")),
+    "refine_cell_non_ascii_digit": ("a,label\n\u0663,Yes\n".encode(), ("refine", "{file}")),
+    "refine_cell_padded": (b"a,label\n 1,Yes\n", ("refine", "{file}")),
     "refine_cell_past_field_limit": (
         b"a,label\n1,Yes\n" + HUGE_CELL + b",No\n", ("refine", "{file}")
     ),
@@ -379,6 +382,16 @@ class TestInfer:
         assert code == 0
         out = capsys.readouterr().out
         assert "mean " in out and "variance " in out
+
+    @pytest.mark.parametrize("value", ["1e200", "1.7976931348623157e308"])
+    def test_non_finite_moments_exit_one_printing_nothing(self, bundle_dir, capsys, caplog, value):
+        code = run_cli(
+            "infer", bundle_dir / "avp_confidence_bn.json", "--query", HAZARD_ID,
+            "--values", f"occurs={value}", "--values", "not_occurs=0",
+        )
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        assert f"state values {{'occurs': {float(value)!r}, 'not_occurs': 0.0}}" in error_text(caplog)
 
     def test_matches_enumeration(self, bundle_dir, capsys):
         from odd_assure import bayes_core
