@@ -6,14 +6,15 @@ greedy min-fill ordering. The ordering only affects cost, never the result;
 the test suite holds every posterior against an independent enumeration of
 the full joint.
 
-Each CPT holds its table once, as a read-only array copied when it is
-built. A network caches one plan per (kept variables, set of evidence
-variables): the evidence slicing, the elimination order, and one
-``np.einsum`` call per elimination step and for the final product (a few
-past einsum's operand limit). A runtime monitor asks once per bundle for a
-joint table, the marginal over a fixed set of variables from which any
-evidence on them is answered by indexing; the bundle keeps it. The caches
-only ever store identical values, so a network can still serve many threads.
+Each CPT holds its table once, as a read-only array: a copy of its input, or
+a view of a block checked in one pass with the network's other tables. A
+network caches one plan per (kept variables, set of evidence variables): the
+evidence slicing, the elimination order, and one ``np.einsum`` call per
+elimination step and for the final product (a few past einsum's operand
+limit). A runtime monitor asks once per bundle for a joint table, the
+marginal over a fixed set of variables from which any evidence on them is
+answered by indexing; the bundle keeps it. The caches only ever store
+identical values, so a network can still serve many threads.
 """
 
 from __future__ import annotations
@@ -114,8 +115,10 @@ class Cpt:
     Row ``r`` covers the parent-state combination whose mixed-radix digits
     (first parent most significant) encode ``r``; each row is a probability
     vector over the child's states. ``rows`` accepts any nested sequence or
-    array of numbers and is kept as a read-only (rows, states) float array.
-    Two tables are equal when node, parent order and every entry are.
+    array of numbers and is kept as a read-only, C-contiguous (rows, states)
+    float array: a copy, or rows of a block shared with the other tables of a
+    network (``Cpt._many``). Two tables are equal when node, parent order and
+    every entry are.
     """
 
     node: str
@@ -123,25 +126,36 @@ class Cpt:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", _read_table(self.node, self.rows))
+
+    @classmethod
+    def _many(cls, tables: Sequence[tuple[str, tuple[str, ...], object]]) -> list[Cpt]:
+        """One table per (node, parent_order, rows), as ``Cpt`` builds each. The
+        tables whose rows are lists or tuples of one length are read and checked
+        as one block, and get its row slices; if a block fails, all are read
+        one by one, so the error is the first bad table's own."""
+        groups: dict[int | None, list[int]] = {}
+        for i, (_, _, rows) in enumerate(tables):
+            listed = type(rows) in (list, tuple) and rows and type(rows[0]) in (list, tuple)
+            groups.setdefault(len(rows[0]) if listed else None, []).append(i)
+        arrays: list = [None] * len(tables)
         try:
-            rows = np.array(self.rows, dtype=float)
-        except (TypeError, ValueError):
-            rows = np.empty(())  # fails the shape check below
-        if rows.shape == (0,):
-            rows = rows.reshape(0, 0)  # an empty table; build_net rejects it
-        if rows.ndim != 2:
-            raise BadCpt(f"cpt rows for {self.node!r} are not equal-length numbers")
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
-        # min and max are NaN if any entry is, and NaN fails both comparisons
-        if not (rows.min(initial=0.0) >= 0.0 and rows.max(initial=1.0) <= 1.0):
-            what = "entries outside [0, 1]" if np.isfinite(rows).all() else "non-finite entries"
-            raise BadCpt(f"cpt for {self.node!r} has {what}")
-        drift = rows.sum(axis=1)
-        drift -= 1.0
-        if np.abs(drift, out=drift).max(initial=0.0) > PROB_TOL:
-            total = sum(rows[int(np.argmax(drift > PROB_TOL))].tolist())
-            raise BadCpt(f"cpt row for {self.node!r} sums to {total!r}, not 1 within {PROB_TOL}")
+            for width, members in groups.items():
+                if width is None:
+                    for i in members:
+                        arrays[i] = _read_table(tables[i][0], tables[i][2])
+                    continue
+                block = _read_table(None, list(chain.from_iterable(tables[i][2] for i in members)))
+                stop = 0
+                for i in members:
+                    start, stop = stop, stop + len(tables[i][2])
+                    arrays[i] = block[start:stop]
+        except (BadCpt, OverflowError):  # OverflowError: an int too large for a float
+            arrays = [_read_table(node, rows) for node, _, rows in tables]
+        made = [object.__new__(cls) for _ in tables]
+        for cpt, (node, parents, _), rows in zip(made, tables, arrays):
+            vars(cpt).update(node=node, parent_order=parents, rows=rows)
+        return made
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cpt):
@@ -149,6 +163,30 @@ class Cpt:
         return (self.node, self.parent_order) == (other.node, other.parent_order) and (
             np.array_equal(self.rows, other.rows)
         )
+
+
+def _read_table(node, rows) -> np.ndarray:
+    """``rows`` as a read-only (rows, states) float copy with equal-length rows
+    of finite entries in [0, 1] summing to 1 within PROB_TOL, else BadCpt."""
+    try:
+        rows = np.array(rows, dtype=float)
+    except (TypeError, ValueError):
+        rows = np.empty(())  # fails the shape check below
+    if rows.shape == (0,):
+        rows = rows.reshape(0, 0)  # an empty table; build_net rejects it
+    if rows.ndim != 2:
+        raise BadCpt(f"cpt rows for {node!r} are not equal-length numbers")
+    rows.flags.writeable = False
+    # min and max are NaN if any entry is, and NaN fails both comparisons
+    if not (rows.min(initial=0.0) >= 0.0 and rows.max(initial=1.0) <= 1.0):
+        what = "entries outside [0, 1]" if np.isfinite(rows).all() else "non-finite entries"
+        raise BadCpt(f"cpt for {node!r} has {what}")
+    drift = rows.sum(axis=1)
+    drift -= 1.0
+    if np.abs(drift, out=drift).max(initial=0.0) > PROB_TOL:
+        total = sum(rows[int(np.argmax(drift > PROB_TOL))].tolist())
+        raise BadCpt(f"cpt row for {node!r} sums to {total!r}, not 1 within {PROB_TOL}")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -540,17 +578,16 @@ def compile_fta_to_bn(fta: Fta, leaf_priors: Mapping[str, float]) -> BayesNet:
 
     nodes = [BnNode(e.id, EVENT_STATES) for e in fta.events]
     edges = []
-    cpts = []
+    tables = []
     for gate in fta.gates:
         for child in gate.children:
             edges.append((child, gate.parent))
-        rows = gate_cpt(gate.op, len(gate.children))
-        cpts.append(Cpt(node=gate.parent, parent_order=gate.children, rows=rows))
+        tables.append((gate.parent, gate.children, gate_cpt(gate.op, len(gate.children))))
     for eid in leaves:
         p = float(leaf_priors[eid])
-        cpts.append(Cpt(node=eid, parent_order=(), rows=((p, 1.0 - p),)))
+        tables.append((eid, (), ((p, 1.0 - p),)))
 
-    return build_net(nodes, edges, cpts, objective=fta.top)
+    return build_net(nodes, edges, Cpt._many(tables), objective=fta.top)
 
 
 # ---------------------------------------------------------------------------
@@ -630,26 +667,45 @@ def parse_bn(document) -> BayesNet:
     renormalized; larger drift is rejected. Sums are exact (``math.fsum``),
     so which rows are renormalized does not depend on the interpreter's
     ``sum``. A parsed document is never changed: a renormalized row is a copy.
+    A malformed table is reported only if every table before it is valid.
     """
-    nodes = [BnNode(n["id"], tuple(n["states"])) for n in document["nodes"]]
-    edges = [(e[0], e[1]) for e in document.get("edges", [])]
-    cpts = []
+    nodes = [BnNode(n["id"], _json_array(n["states"], "states")) for n in document["nodes"]]
+    edges = [_json_array(e, "an edge") for e in document.get("edges", [])]
+    if any(len(e) != 2 for e in edges):
+        raise ValueError("an edge must be a [source, target] pair")
+    tables = []
     for c in document["cpts"]:
-        rows = c["rows"]
-        # One scan over the table; only a table that fails it is read entry
-        # by entry, for the error naming the first entry that is no number.
-        if not set(map(type, chain.from_iterable(rows))) <= {float}:
-            rows = [[_base.number(p, "a cpt entry") for p in row] for row in rows]
         try:
-            rows = [
-                row if total == 1.0 or abs(total - 1.0) > PROB_TOL else _renormalized(row, total)
-                for row, total in zip(rows, map(math.fsum, rows))
-            ]
-        except (OverflowError, ValueError):  # fsum of huge entries, or of inf and -inf
-            pass
-        # Cpt rejects entries outside [0, 1], non-finite ones and larger drift.
-        cpts.append(Cpt(c["node"], tuple(c.get("parents", [])), rows))
-    return build_net(nodes, edges, cpts, objective=document.get("objective"))
+            rows = c["rows"]
+            # One scan over the table; only a table that fails it is read entry
+            # by entry, for the error naming the first entry that is no number.
+            if not set(map(type, chain.from_iterable(rows))) <= {float}:
+                rows = [[_base.number(p, "a cpt entry") for p in row] for row in rows]
+            try:
+                rows = [
+                    row if total == 1.0 or not abs(total - 1.0) <= PROB_TOL  # NaN: not in tolerance
+                    else _renormalized(row, total)
+                    for row, total in zip(rows, map(math.fsum, rows))
+                ]
+            except (OverflowError, ValueError):  # fsum of huge entries, or of inf and -inf
+                pass
+            tables.append((c["node"], _json_array(c.get("parents", []), "parents"), rows))
+        except _base.MALFORMED:
+            Cpt._many(tables)  # a bad table before this one is reported first
+            raise
+    # Cpt rejects entries outside [0, 1], non-finite ones and larger drift.
+    cpts = Cpt._many(tables)
+    objective = document.get("objective")
+    if objective is not None and not isinstance(objective, str):
+        raise TypeError(f"objective must be a node id or null, got {objective!r}")
+    return build_net(nodes, edges, cpts, objective=objective)
+
+
+def _json_array(value, what: str) -> tuple:
+    """``value`` as a tuple if it is a list or tuple, else a TypeError."""
+    if type(value) not in (list, tuple):
+        raise TypeError(f"{what} must be an array, got {value!r}")
+    return tuple(value)
 
 
 def _renormalized(row: list[float], total: float) -> list[float]:

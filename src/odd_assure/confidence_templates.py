@@ -227,16 +227,13 @@ def _template_net(config: TemplateConfig, extra_nodes: Sequence[str],
     for nid in node_ids:
         states, _ = _node_states_goodness(nid)
         nodes.append(BnNode(nid, states))
-    cpts = []
+    tables = []
     for nid in node_ids:
         parents = tuple(src for src, dst in edges if dst == nid)
         rows = config.cpts[nid] if nid in config.cpts else _preset_rows(nid, parents)
-        try:
-            cpts.append(Cpt(nid, parents, rows))
-        except bayes_core.BadCpt as exc:
-            raise InvalidConfig(str(exc)) from exc
+        tables.append((nid, parents, rows))
     try:
-        return build_net(nodes, edges, cpts, objective=objective)
+        return build_net(nodes, edges, Cpt._many(tables), objective=objective)
     except bayes_core.BayesError as exc:
         raise InvalidConfig(str(exc)) from exc
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from . import _base
 from .hara_fta import EventRole, role_candidates
@@ -43,9 +43,9 @@ class ParseError(OntologyError, _base.DocumentError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A quoted string or numeric value; everything else is an identifier."""
+class Literal(NamedTuple):
+    """A quoted string or numeric value; everything else is an identifier.
+    A record: it equals the plain tuple ``(value,)``."""
 
     value: Union[str, float, int]
 
@@ -82,15 +82,17 @@ VOCABULARY = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """One fact; a record that equals the plain tuple of its fields."""
+
     subject: Term
     predicate: str
     object: Term
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
+    """A broken axiom; a record that equals the plain tuple of its fields."""
+
     axiom: str
     triple: Triple
     message: str
@@ -165,14 +167,18 @@ def query(graph: TripleGraph, subject=None, predicate=None, object=None) -> list
     ]
 
 
-def _sort_key(t: Triple):
-    return (_term_key(t.subject), t.predicate, _term_key(t.object))
+def _sort_key(t: Triple) -> tuple:
+    """The canonical order's key (kind, text, predicate, kind, text): a
+    literal's kind is True and its text is its exported form."""
+    subject, predicate, obj = t
+    s_kind, o_kind = isinstance(subject, Literal), isinstance(obj, Literal)
+    return (s_kind, format_term(subject) if s_kind else subject, predicate,
+            o_kind, format_term(obj) if o_kind else obj)
 
 
-def _term_key(term: Term) -> tuple[int, str]:
-    if isinstance(term, Literal):
-        return (1, format_term(term))
-    return (0, term)
+def _term_key(term: Term) -> tuple:
+    """The (kind, text) part of ``_sort_key`` for one term."""
+    return _sort_key((term, "", term))[:2]
 
 
 # ---------------------------------------------------------------------------

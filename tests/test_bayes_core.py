@@ -989,3 +989,121 @@ class TestBnDocument:
         bayes_core.save_bn(net, path)
         _assert_one_item_per_line(path.read_text(encoding="utf-8"), net)
         assert bayes_core.load_bn(path) == net
+
+
+def _mixed_width_net(rng: random.Random) -> bayes_core.BayesNet:
+    """``oracles.random_net`` with three- and four-state nodes added, each a
+    child of up to two earlier nodes, so that its tables come in several
+    widths. Every table is built on its own by ``Cpt(...)``."""
+    doc = bayes_core.bn_to_document(random_net(rng, rng.randint(2, 7)))
+    cards = {n["id"]: 2 for n in doc["nodes"]}
+    for k in range(rng.randint(2, 5)):
+        name, width = f"w{k}", rng.choice((3, 4))
+        parents = rng.sample(sorted(cards), rng.randint(0, 2))
+        rows = []
+        for _ in range(math.prod(cards[p] for p in parents)):
+            raw = [rng.uniform(0.05, 1.0) for _ in range(width)]
+            rows.append([x / math.fsum(raw) for x in raw])
+        doc["nodes"].append({"id": name, "states": [f"s{i}" for i in range(width)]})
+        doc["edges"] += [[p, name] for p in parents]
+        doc["cpts"].append({"node": name, "parents": parents, "rows": rows})
+        cards[name] = width
+    return build_net(
+        [BnNode(n["id"], tuple(n["states"])) for n in doc["nodes"]],
+        [tuple(e) for e in doc["edges"]],
+        [Cpt(c["node"], tuple(c["parents"]), oracles.renormalized_rows(c["rows"]))
+         for c in doc["cpts"]],
+    )
+
+
+def _assert_kept_rows(net):
+    for cpt in net.cpts.values():
+        assert cpt.rows.dtype == np.float64
+        assert cpt.rows.flags.c_contiguous and not cpt.rows.flags.writeable
+
+
+class TestTablesCheckedTogether:
+    """parse_bn and compile_fta_to_bn check all tables of a network in one
+    pass per row width; the result must be the tables ``Cpt(...)`` builds one
+    at a time, and the error the one a table-by-table check raises."""
+
+    def test_parsed_tables_equal_tables_built_one_at_a_time(self):
+        rng = random.Random(211)
+        for _ in range(40):
+            net = _mixed_width_net(rng)
+            assert len({c.rows.shape[1] for c in net.cpts.values()}) > 1
+            parsed = parse_bn(bayes_core.bn_to_document(net))
+            assert parsed.cpts == net.cpts
+            _assert_kept_rows(parsed)
+            for query in net.nodes:
+                evidence = EvidenceSet(random_evidence(rng, net, query, 2))
+                assert posterior(parsed, query, evidence) == posterior(net, query, evidence)
+
+    def test_compiled_tables_equal_tables_built_one_at_a_time(self):
+        rng = random.Random(223)
+        for _ in range(40):
+            fta, priors = random_tree_fta(rng, max_events=14)
+            net = compile_fta_to_bn(fta, priors)
+            expected = {g.parent: Cpt(g.parent, g.children, gate_cpt(g.op, len(g.children)))
+                        for g in fta.gates}
+            expected.update({eid: Cpt(eid, (), ((p, 1.0 - p),)) for eid, p in priors.items()})
+            assert net.cpts == expected
+            _assert_kept_rows(net)
+
+    @pytest.mark.parametrize("bad, error, message", [
+        # bad tables of both widths, the three-state one first
+        ({1: [[0.5, 0.25, 0.5]], 4: [[0.5, 0.75]]}, BadCpt, "cpt row for 'w1' sums to 1.25"),
+        ({2: [[0.5, 0.75]], 3: [[0.5, 0.25, 0.5]]}, BadCpt, "cpt row for 'b2' sums to 1.25"),
+        ({1: [[1.5, -0.25, -0.25]], 2: [[0.5, math.nan]]}, BadCpt,
+         r"cpt for 'w1' has entries outside \[0, 1\]"),
+        ({0: [[0.5, 0.5], [0.5]]}, BadCpt, "cpt rows for 'b0' are not equal-length numbers"),
+        # a table that is not numbers after a table out of range, and before one
+        ({2: [[1.5, -0.5]], 3: [["x", 0.5, 0.5]]}, BadCpt, r"cpt for 'b2' has entries outside"),
+        ({2: [[1.5, -0.5]], 3: "rows"}, BadCpt, r"cpt for 'b2' has entries outside"),
+        ({1: [["x", 0.5, 0.5]], 2: [[1.5, -0.5]]}, bayes_core.DocumentError,
+         "malformed BN document: a cpt entry must be a number, got 'x'"),
+    ])
+    def test_first_bad_table_in_document_order_is_reported(self, bad, error, message):
+        # parentless tables alternate between two and three states: b0, w1, b2, w3, b4, w5
+        doc = {"nodes": [], "cpts": []}
+        for i in range(6):
+            name, width = (f"b{i}", 2) if i % 2 == 0 else (f"w{i}", 3)
+            doc["nodes"].append({"id": name, "states": [f"s{k}" for k in range(width)]})
+            rows = bad.get(i, [[1.0] + [0.0] * (width - 1)])
+            doc["cpts"].append({"node": name, "parents": [], "rows": rows})
+        with pytest.raises(error, match=message):
+            parse_bn(doc)
+
+    def test_errors_match_a_table_by_table_check_on_random_documents(self):
+        rng = random.Random(227)
+        corruptions = [
+            lambda row: row.__setitem__(0, -0.25),
+            lambda row: row.__setitem__(-1, 1.25),
+            lambda row: row.__setitem__(0, math.nan),
+            lambda row: row.__setitem__(-1, "x"),
+            lambda row: row.__setitem__(0, row[0] + 0.25),
+            lambda row: row.pop(),
+        ]
+        for _ in range(300):
+            doc = bayes_core.bn_to_document(_mixed_width_net(rng))
+            rng.shuffle(doc["cpts"])
+            for _ in range(rng.randint(1, 3)):
+                rows = rng.choice(doc["cpts"])["rows"]
+                rng.choice(corruptions)(rng.choice(rows))
+            expected = None
+            for c in doc["cpts"]:
+                if any(isinstance(p, str) for row in c["rows"] for p in row):
+                    expected = (bayes_core.DocumentError,
+                                "malformed BN document: a cpt entry must be a number, got 'x'")
+                    break
+                try:
+                    Cpt(c["node"], tuple(c["parents"]), oracles.renormalized_rows(c["rows"]))
+                except BadCpt as exc:
+                    expected = (BadCpt, str(exc))
+                    break
+            if expected is None:  # the corrupted entries made a row in tolerance again
+                parse_bn(doc)
+                continue
+            with pytest.raises(expected[0]) as err:
+                parse_bn(doc)
+            assert str(err.value) == expected[1]

@@ -100,12 +100,24 @@ def _bn(edit) -> bytes:
     return _edited(doc, lambda doc: edit(doc["cpts"][0]))
 
 
+def _bn_fork(edit) -> bytes:
+    """A BN document with nodes A and B the parents of C, edited."""
+    doc = {"nodes": [{"id": n, "states": ["t", "f"]} for n in "ABC"],
+           "edges": [["A", "C"], ["B", "C"]],
+           "cpts": [{"node": "A", "parents": [], "rows": [[0.5, 0.5]]},
+                    {"node": "B", "parents": [], "rows": [[0.5, 0.5]]},
+                    {"node": "C", "parents": ["A", "B"], "rows": [[0.5, 0.5]] * 4}],
+           "objective": "C"}
+    return _edited(doc, edit)
+
+
 NOT_UTF8 = b"\xff\xfe\x00bad"
 HUGE_CELL = b"1" * 200_000  # past csv's field size limit of 131072 characters
 DEEP = b"[" * 100_000 + b"]" * 100_000  # past the JSON decoder's recursion limit
 SYNTH = ("synth", "{file}")
 VALIDATE = ("validate", "{file}")
 INFER_N = ("infer", "{file}", "--query", "n")
+INFER_C = ("infer", "{file}", "--query", "C")
 
 # Inputs of the wrong shape for their reader, and files that are not UTF-8.
 MALFORMED_INPUTS = {
@@ -136,6 +148,14 @@ MALFORMED_INPUTS = {
     "priors_text_number": (b'{"x": "0.5"}', ("compile-fta", "{hara}", "{file}", "{file}.out")),
     "bn_rows_bool": (_bn(lambda cpt: cpt.update(rows=[[True, False]])), INFER_N),
     "bn_rows_text": (_bn(lambda cpt: cpt.update(rows=[["0.5", "0.5"]])), INFER_N),
+    # each of these would be read as a network, were strings and long lists not refused
+    "bn_states_text": (_bn_fork(lambda doc: doc["nodes"][0].update(states="tf")), INFER_C),
+    "bn_parents_text": (_bn_fork(lambda doc: doc["cpts"][2].update(parents="AB")), INFER_C),
+    "bn_edge_text": (_bn_fork(lambda doc: doc["edges"].__setitem__(0, "AC")), INFER_C),
+    "bn_edge_three_items": (
+        _bn_fork(lambda doc: doc["edges"].__setitem__(0, ["A", "C", "B"])), INFER_C
+    ),
+    "bn_objective_number": (_bn_fork(lambda doc: doc.update(objective=1)), INFER_C),
     "odd_interval_number": (_rain(lambda c: c["attributes"][0].update(interval=5)), VALIDATE),
     "odd_interval_garbled": (_rain(lambda c: c["attributes"][0].update(interval="[0, x[")), VALIDATE),
     "odd_interval_no_comma": (_rain(lambda c: c["attributes"][0].update(interval="(0 1)")), VALIDATE),

@@ -66,6 +66,21 @@ class TestDataAppropriatenessTemplate:
             build_data_appropriateness_bn(TemplateConfig(feature_names=()))
 
 
+@pytest.mark.parametrize(
+    "build", [build_data_appropriateness_bn, build_model_robustness_bn, build_testing_adequacy_bn]
+)
+def test_feature_layer_is_the_only_wiring_that_varies(build):
+    # TemplateConfig: every node but the feature layer is required
+    wirings = set()
+    for features in (("A",), ("A", "B"), tuple(f"F{i}" for i in range(5))):
+        net = build(TemplateConfig(feature_names=features))
+        layer = {*features, "Feat_i"}
+        assert set(features) <= set(net.nodes)
+        wirings.add((frozenset(net.nodes) - layer,
+                     frozenset(e for e in net.edges if not layer & set(e))))
+    assert len(wirings) == 1
+
+
 class TestModelRobustnessTemplate:
     def test_structure(self):
         net = build_model_robustness_bn()

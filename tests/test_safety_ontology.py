@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import re
@@ -13,6 +14,7 @@ from odd_assure.fixtures import avp_ontology
 from odd_assure.safety_ontology import (
     RDF_TYPE,
     VOCABULARY,
+    AxiomViolation,
     Literal,
     ParseError,
     Triple,
@@ -646,3 +648,66 @@ class TestImportMatchesReference:
             f'n{i} dependsOn n{i + 1} .\nn{i} hasText "t {i}" .\n' for i in range(500)
         )
         assert import_graph(text) == oracles.import_graph(text)
+
+
+def _damaged_avp_ontology() -> TripleGraph:
+    """The AVP ontology without every fifth exported fact, plus facts that
+    break typing, literal and inverse axioms."""
+    lines = export_graph(avp_ontology()).splitlines()
+    kept = import_graph("\n".join(line for i, line in enumerate(lines) if i % 5))
+    return TripleGraph(kept.triples | {
+        Triple("G1", "hasText", Literal(3.0)),
+        Triple(Literal("x"), "supportedBy", "S1"),
+        Triple("n", "hasACP", Literal(1.5)),
+        Triple("Rain_heavy", "hasAttribute", "Rain_light"),
+        Triple("x", RDF_TYPE, "ObjNode"),
+        Triple("q", "hasEvidence", Literal(0.25)),
+    })
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestRecords:
+    """Literal, Triple and AxiomViolation are named tuples. The digests were
+    taken when they were frozen dataclasses: the export text and the
+    violation list, each record in its repr, must not change."""
+
+    @pytest.mark.parametrize("make, violations, export_digest, violation_digest", [
+        (avp_ontology, 0, "27fe47ca14b058f051527dafe922240ea1c296aa111c0a6a48b1e7ba7fea4cfe",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+        (_damaged_avp_ontology, 15,
+         "5eeeaa94d9e0620fd9d74ea0f26409e1a2f9d23a1ef7c18f4f1f261dcd94afc0",
+         "7eda29c524655eff23f3ce040003358abd3be7caf264b44a2c8af3b6a5fe3c22"),
+    ])
+    def test_export_and_violations_unchanged(self, make, violations, export_digest,
+                                             violation_digest):
+        g = make()
+        assert _sha256(export_graph(g)) == export_digest
+        found = check_axioms(g)
+        assert len(found) == violations and found == oracles.check_axioms(g)
+        assert _sha256("\n".join(map(repr, found))) == violation_digest
+
+    def test_repr_and_str(self):
+        t = Triple("G1", "hasText", Literal(3.0))
+        v = AxiomViolation("A40", t, "object of hasText must be a string literal")
+        assert repr(v) == (
+            "AxiomViolation(axiom='A40', triple=Triple(subject='G1', predicate='hasText', "
+            "object=Literal(value=3.0)), message='object of hasText must be a string literal')"
+        )
+        assert str(v) == "A40: object of hasText must be a string literal"
+        assert str(Literal("t")) == "t" and str(t) == repr(t)
+
+    def test_fields_cannot_be_assigned(self):
+        t = Triple("a", "dependsOn", "b")
+        for record, name in ((Literal("t"), "value"), (t, "subject"), (t, "object"),
+                             (AxiomViolation("A42", t, "m"), "message")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, "x")
+
+    def test_records_equal_plain_tuples(self):
+        t = Triple("a", "hasACP", Literal(0.5))
+        assert t == ("a", "hasACP", (0.5,)) and hash(t) == hash(("a", "hasACP", (0.5,)))
+        assert AxiomViolation("A46", t, "m") == ("A46", t, "m")
+        assert (t.subject, t.predicate, t.object) == tuple(t)
