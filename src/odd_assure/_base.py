@@ -1,6 +1,6 @@
 """Pieces several modules share: the malformed-document rule, the JSON
-number rule, the number-text rule and the DAG walker. This module imports
-nothing from the package."""
+number and array rules, the number-text rule and the DAG walker. This module
+imports nothing from the package."""
 
 from __future__ import annotations
 
@@ -86,6 +86,15 @@ def number(value, what: str) -> float:
         return float(value)
     except OverflowError:
         raise ValueError(f"{what} is too large for a float") from None
+
+
+def json_array(value, what: str) -> tuple:
+    """``value`` as a tuple if it is a JSON array (a list, or a tuple in a
+    document built in Python), else a TypeError: a string is not read as the
+    array of its characters, nor an object as the array of its keys."""
+    if type(value) not in (list, tuple):
+        raise TypeError(f"{what} must be an array, got {value!r}")
+    return tuple(value)
 
 
 #: A number written as text (an ontology term, an ODD interval bound, a

@@ -318,13 +318,28 @@ def _min_fill_order(scopes: Sequence[tuple[str, ...]], keep: set[str]) -> list[s
     Each step eliminates the variable whose neighbours miss the fewest edges
     of a clique (its fill), the smallest name first among ties. A heap holds
     (fill, name) entries and skips those whose fill is out of date.
-    Eliminating v changes only the fill of v's neighbours, which are
-    recounted, and of the common neighbours of each new edge, which lose one.
+
+    A variable of fill 0 is simplicial: its neighbours already form a clique,
+    so eliminating it adds no edge (Kjaerulff 1990). Each neighbour then only
+    loses it, and with it the missing edges from it to the neighbour's other
+    neighbours outside that clique, so that neighbour's fill falls by their
+    count, with no recount. A variable is simplicial from the start when its
+    widest scope holds all its neighbours. A fill that falls but stays above
+    0 is pushed only once the heap's best entry is above 0, since until then
+    a fill-0 variable goes first. Eliminating a variable of fill above 0
+    adds edges: its neighbours are recounted, and the common neighbours of
+    each new edge lose one. Either way every fill stays exact, so the order
+    is the one a recount of every fill before each step would give.
     """
     neighbors: dict[str, set[str]] = {}
-    for scope in scopes:
+    widest: dict[str, int] = {}  # distinct variables in each one's first scope
+    for scope in sorted(scopes, key=len, reverse=True):
         for v in scope:
-            neighbors.setdefault(v, set()).update(scope)
+            if v in neighbors:
+                neighbors[v].update(scope)
+            else:
+                neighbors[v] = set(scope)
+                widest[v] = len(neighbors[v])
     for v, adj in neighbors.items():
         adj.discard(v)
 
@@ -332,19 +347,41 @@ def _min_fill_order(scopes: Sequence[tuple[str, ...]], keep: set[str]) -> list[s
         adj = neighbors[v]
         # each missing pair is seen from both ends; adj - neighbors[a] also
         # holds a itself
-        return sum(len(adj - neighbors[a]) - 1 for a in adj) // 2
+        missing = sum(map(len, map(adj.difference, map(neighbors.__getitem__, adj))))
+        return (missing - len(adj)) // 2
 
-    fill = {v: count_fill(v) for v in neighbors if v not in keep}
+    fill = {v: 0 if len(adj) + 1 == widest[v] else count_fill(v)
+            for v, adj in neighbors.items() if v not in keep}
     heap = [(f, v) for v, f in fill.items()]
     heapq.heapify(heap)
+    fallen = set()  # variables whose fill fell but stayed above 0, not yet pushed
     order = []
-    while heap:
+    while fill:
+        if fallen and heap[0][0]:
+            for a in fallen:
+                if a in fill:
+                    heapq.heappush(heap, (fill[a], a))
+            fallen.clear()
         f, v = heapq.heappop(heap)
         if fill.get(v) != f:
             continue
         del fill[v]
         order.append(v)
         adj = neighbors.pop(v)
+        if not f:
+            for a in adj:
+                others = neighbors[a]
+                others.discard(v)
+                if a in fill:
+                    # adj holds a and, but for a, lies inside others
+                    drop = len(others) - len(adj) + 1
+                    if drop:
+                        fill[a] -= drop
+                        if fill[a]:
+                            fallen.add(a)
+                        else:
+                            heapq.heappush(heap, (0, a))
+            continue
         lowered = set()
         for a in adj:
             for b in adj - neighbors[a]:
@@ -396,50 +433,59 @@ def _compile(net: BayesNet, keep: tuple[str, ...], ev_vars: tuple[str, ...]) -> 
     takes, scopes = [], []
     for nid in net.nodes:
         axes = net.cpts[nid].parent_order + (nid,)
-        take = tuple(position.get(v, -1) for v in axes)
-        takes.append(take if any(p >= 0 for p in take) else None)
-        scopes.append(tuple(v for v in axes if v not in position))
+        if position.keys().isdisjoint(axes):
+            takes.append(None)
+            scopes.append(axes)
+        else:
+            takes.append(tuple(position.get(v, -1) for v in axes))
+            scopes.append(tuple(v for v in axes if v not in position))
 
-    holders: dict[str, set[int]] = {}
+    holders: dict[str, list[int]] = {}  # ascending, as new ids are the largest
     for fid, scope in enumerate(scopes):
-        for v in scope:
-            holders.setdefault(v, set()).add(fid)
+        for v in set(scope):  # a CPT may list a parent twice
+            holders.setdefault(v, []).append(fid)
     live = dict.fromkeys(range(len(scopes)))
     cells = 1
     steps = []
+
+    def step(fids: list[int], label, out: tuple[str, ...]) -> int:
+        """Plan one einsum of ``fids`` into ``out`` under ``label``; return the
+        id of the resulting factor."""
+        steps.append((tuple(fids), tuple([tuple(map(label, scopes[f])) for f in fids]),
+                      tuple(map(label, out))))
+        scopes.append(out)
+        return len(scopes) - 1
 
     def product(fids: list[int], var: str | None) -> int:
         """Plan the product of ``fids`` summed over ``var`` (None: the final
         product, in keep order); return the id of the resulting factor."""
         nonlocal cells
-        merged = tuple(dict.fromkeys(v for fid in fids for v in scopes[fid]))
-        cells = max(cells, math.prod(cards[v] for v in merged))
-        # Labels are numbered per product, so einsum's limit of 52 could only
-        # bind on a product of more than 2**52 cells.
-        label = {v: i for i, v in enumerate(merged)}
-
-        def step(fids: list[int], out: tuple[str, ...]) -> int:
-            steps.append((tuple(fids), tuple(tuple(label[v] for v in scopes[f]) for f in fids),
-                          tuple(label[v] for v in out)))
-            scopes.append(out)
-            return len(scopes) - 1
-
+        merged = tuple(dict.fromkeys(chain.from_iterable(map(scopes.__getitem__, fids))))
+        size = math.prod(map(cards.__getitem__, merged))
+        if size > cells:
+            cells = size
+        # A variable's label is its place in the product, so einsum's limit of
+        # 52 labels could only bind on a product of more than 2**52 cells.
+        label = merged.index
         # Past numpy's operand limit the first factors are multiplied into one,
         # which then goes first: the multiplications keep their order.
         while len(fids) > _OPERANDS:
             head = fids[:_OPERANDS]
-            fids = [step(head, tuple(dict.fromkeys(v for f in head for v in scopes[f]))),
-                    *fids[_OPERANDS:]]
-        return step(fids, keep if var is None else tuple(v for v in merged if v != var))
+            out = tuple(dict.fromkeys(chain.from_iterable(map(scopes.__getitem__, head))))
+            fids = [step(head, label, out), *fids[_OPERANDS:]]
+        if var is None:
+            return step(fids, label, keep)
+        k = label(var)
+        return step(fids, label, merged[:k] + merged[k + 1:])
 
     for var in _min_fill_order(scopes, set(keep)):
         # holders keeps the ids of factors already multiplied; live tells them apart
-        fids = sorted(fid for fid in holders[var] if fid in live)
+        fids = [*filter(live.__contains__, holders.pop(var))]
         for fid in fids:
             del live[fid]
         fid = product(fids, var)
         for v in scopes[fid]:
-            holders[v].add(fid)
+            holders[v].append(fid)
         live[fid] = None
     product(list(live), None)
     return _Plan(ev_vars, tuple(takes), tuple(steps), cells)
@@ -669,8 +715,8 @@ def parse_bn(document) -> BayesNet:
     ``sum``. A parsed document is never changed: a renormalized row is a copy.
     A malformed table is reported only if every table before it is valid.
     """
-    nodes = [BnNode(n["id"], _json_array(n["states"], "states")) for n in document["nodes"]]
-    edges = [_json_array(e, "an edge") for e in document.get("edges", [])]
+    nodes = [BnNode(n["id"], _base.json_array(n["states"], "states")) for n in document["nodes"]]
+    edges = [_base.json_array(e, "an edge") for e in document.get("edges", [])]
     if any(len(e) != 2 for e in edges):
         raise ValueError("an edge must be a [source, target] pair")
     tables = []
@@ -689,7 +735,7 @@ def parse_bn(document) -> BayesNet:
                 ]
             except (OverflowError, ValueError):  # fsum of huge entries, or of inf and -inf
                 pass
-            tables.append((c["node"], _json_array(c.get("parents", []), "parents"), rows))
+            tables.append((c["node"], _base.json_array(c.get("parents", []), "parents"), rows))
         except _base.MALFORMED:
             Cpt._many(tables)  # a bad table before this one is reported first
             raise
@@ -699,13 +745,6 @@ def parse_bn(document) -> BayesNet:
     if objective is not None and not isinstance(objective, str):
         raise TypeError(f"objective must be a node id or null, got {objective!r}")
     return build_net(nodes, edges, cpts, objective=objective)
-
-
-def _json_array(value, what: str) -> tuple:
-    """``value`` as a tuple if it is a list or tuple, else a TypeError."""
-    if type(value) not in (list, tuple):
-        raise TypeError(f"{what} must be an array, got {value!r}")
-    return tuple(value)
 
 
 def _renormalized(row: list[float], total: float) -> list[float]:

@@ -160,14 +160,19 @@ class TemplateConfig:
     @staticmethod
     @_base.document_reader("template config", DocumentError)
     def from_document(document) -> "TemplateConfig":
-        """Read ``feature_names`` and ``cpts``; keys but these and ``template``
-        are rejected, and so is a CPT entry that is not a JSON number."""
+        """Read ``feature_names`` (a JSON array) and ``cpts`` (a JSON object);
+        keys but these and ``template`` are rejected, and so is a CPT entry
+        that is not a JSON number."""
         unknown = set(document) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
+        tables = document.get("cpts", {})
+        if type(tables) is not dict:
+            raise TypeError(f"cpts must be an object, got {tables!r}")
         cpts = {node: [[_base.number(p, f"a cpt entry of {node!r}") for p in row] for row in rows]
-                for node, rows in dict(document.get("cpts", {})).items()}
-        return TemplateConfig(tuple(document.get("feature_names", ("Feat_1", "Feat_2"))), cpts)
+                for node, rows in tables.items()}
+        names = document.get("feature_names", ["Feat_1", "Feat_2"])
+        return TemplateConfig(_base.json_array(names, "feature_names"), cpts)
 
 
 def _preset_rows(node: str, parents: Sequence[str]) -> Sequence[Sequence[float]]:

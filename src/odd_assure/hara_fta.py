@@ -51,7 +51,8 @@ class EventRole(str, Enum):
 @dataclass(frozen=True)
 class Event:
     """A HARA event. Atomic events are leaves observable through operating
-    conditions; only they may carry ``oper_conditions``."""
+    conditions; only they may carry ``oper_conditions``. The id and text are
+    strings."""
 
     id: str
     text: str
@@ -60,6 +61,8 @@ class Event:
     role: EventRole | None = None
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.id, str) and isinstance(self.text, str)):
+            raise DocumentError(f"event {self.id!r}: the id and text must be strings")
         if self.oper_conditions and not self.atomic:
             raise DocumentError(
                 f"event {self.id!r} is not atomic but declares operating conditions"
@@ -378,46 +381,56 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     """Parse a HARA document (JSON text or parsed object).
 
     Schema: ``{"hazards": [id], "events": [{id, text, atomic, role,
-    oper_conditions}], "causal": [{parent, op, children}], "chains":
-    [{hazardous, occurrence, consequence, edges}]}``. The chains section is
-    optional.
+    oper_conditions: [[class, name]]}], "causal": [{parent, op, children}],
+    "chains": [{hazardous, occurrence, consequence, edges}]}``. The chains
+    section is optional. Every field the schema shows as an array must be a
+    JSON array, and ``atomic`` a JSON boolean, else the document is malformed.
     """
+    array = _base.json_array
     events: dict[str, Event] = {}
-    for entry in document["events"]:
+    for entry in array(document["events"], "events"):
         if entry["id"] in events:
             raise DocumentError(f"event {entry['id']!r} declared twice")
+        atomic = entry.get("atomic", False)
+        if type(atomic) is not bool:
+            raise TypeError(f"atomic of {entry['id']!r} must be true or false, got {atomic!r}")
+        conditions = array(entry.get("oper_conditions", []), "oper_conditions")
+        if conditions:
+            conditions = tuple(array(c, "an operating condition") for c in conditions)
+            if any(len(c) != 2 for c in conditions):
+                raise ValueError(f"event {entry['id']!r}: an operating condition is not a pair")
         role = entry.get("role")
         events[entry["id"]] = Event(
             id=entry["id"],
             text=entry.get("text", entry["id"]),
-            atomic=bool(entry.get("atomic", False)),
-            oper_conditions=tuple((c[0], c[1]) for c in entry.get("oper_conditions", [])),
-            role=EventRole(role) if role else None,
+            atomic=atomic,
+            oper_conditions=conditions,
+            role=None if role is None else EventRole(role),
         )
 
     mapping = {}
-    for entry in document.get("causal", []):
+    for entry in array(document.get("causal", []), "causal"):
         if entry["parent"] in mapping:
             raise DocumentError(f"two causal entries for {entry['parent']!r}")
         op = GateOp(entry["op"].upper())
-        mapping[entry["parent"]] = CausalEntry(tuple(entry["children"]), op)
+        mapping[entry["parent"]] = CausalEntry(array(entry["children"], "children"), op)
     relation = CausalRelation(mapping)
 
-    hazards = list(document.get("hazards", []))
+    hazards = list(array(document.get("hazards", []), "hazards"))
     for hid in hazards:
         if hid not in events:
             raise DanglingReference(f"hazard {hid!r} not declared in events")
 
     chains = []
-    for entry in document.get("chains", []):
+    for entry in array(document.get("chains", []), "chains"):
         chains.append(
             HazardChain(
                 hazardous_event=entry["hazardous"],
-                occurrence_events=tuple(entry.get("occurrence", [])),
-                consequence_events=tuple(entry.get("consequence", [])),
+                occurrence_events=array(entry.get("occurrence", []), "occurrence"),
+                consequence_events=array(entry.get("consequence", []), "consequence"),
                 edges=tuple(
                     ChainEdge(DependsKind(e["kind"]), e["from"], e["to"])
-                    for e in entry.get("edges", [])
+                    for e in array(entry.get("edges", []), "edges")
                 ),
             )
         )

@@ -1,10 +1,12 @@
 import copy
+import hashlib
 import json
 import math
 import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -39,6 +41,7 @@ from odd_assure.confidence_templates import TemplateConfig, build_testing_adequa
 from odd_assure.fixtures import (
     AVP_LEAF_PRIORS,
     HAZARD_ID,
+    avp_bundle,
     avp_compiled_bn,
     avp_fta,
     avp_monitor_bn,
@@ -568,6 +571,10 @@ class TestMinFillOrder:
         ),
         keep=st.sets(st.sampled_from(_VARS), max_size=2),
     )
+    # a scope that repeats a variable (a CPT listing a parent twice) is no
+    # wider than its distinct variables: v2's neighbours v0 and v3 miss an edge
+    @example(scopes=[("v0", "v0", "v2"), ("v2", "v3")], keep=set())
+    @example(scopes=[("v2", "v3"), ("v0", "v0", "v2"), ("v3", "v4")], keep={"v0"})
     def test_matches_reference(self, scopes, keep):
         assert bayes_core._min_fill_order(scopes, keep) == min_fill_order(scopes, keep)
 
@@ -580,6 +587,192 @@ class TestMinFillOrder:
             assert bayes_core._min_fill_order(scopes, {fta.top}) == min_fill_order(
                 scopes, {fta.top}
             )
+
+    def test_200_event_polytree_matches_reference(self):
+        fta, _ = _breadth_first_fta(random.Random(47), 200)
+        assert len(fta.events) >= 200
+        scopes = [g.children + (g.parent,) for g in fta.gates]
+        scopes += [(e.id,) for e in fta.events if e.atomic]
+        order = bayes_core._min_fill_order(scopes, {fta.top})
+        assert order == min_fill_order(scopes, {fta.top})
+        # every pop of a polytree's elimination is a fill-0 pop
+        assert set(_fills_at_elimination(scopes, order)) == {0}
+
+    def test_loopy_networks_mixing_fill_0_and_fill_above_0_pops(self):
+        rng = random.Random(53)
+        mixed = 0
+        for _ in range(60):
+            net = random_net(rng, rng.randint(5, 11))
+            keep = set(rng.sample(sorted(net.nodes), rng.randint(0, 2)))
+            scopes = [net.cpts[n].parent_order + (n,) for n in net.nodes]
+            order = bayes_core._min_fill_order(scopes, keep)
+            assert order == min_fill_order(scopes, keep)
+            fills = _fills_at_elimination(scopes, order)
+            mixed += 0 in fills and max(fills) > 0
+        assert mixed >= 10
+
+    @pytest.mark.parametrize("keep", [{"k"}, {"k", "z"}, {"z"}, set()])
+    def test_fill_0_pop_next_to_a_kept_variable(self, keep):
+        # "a" goes first, simplicial in the clique a - k - b: b's fill falls,
+        # a kept k has none; the cycle k - b - c - d - k left then takes a
+        # fill > 0 pop
+        scopes = [("a", "k", "b"), ("b", "c"), ("c", "d"), ("d", "k"), ("d", "z")]
+        order = bayes_core._min_fill_order(scopes, keep)
+        assert order == min_fill_order(scopes, keep)
+        assert order[0] == "a"
+        fills = _fills_at_elimination(scopes, order)
+        assert 0 in fills and max(fills) > 0
+
+
+def _fills_at_elimination(scopes, order) -> list[int]:
+    """The fill of each variable of ``order`` when it is eliminated, counted
+    afresh on the graph of ``scopes`` as the eliminations before it left it."""
+    neighbors: dict = {}
+    for scope in scopes:
+        for v in scope:
+            neighbors.setdefault(v, set()).update(u for u in scope if u != v)
+    fills = []
+    for v in order:
+        adj = sorted(neighbors.pop(v))
+        fills.append(sum(b not in neighbors[a] for i, a in enumerate(adj) for b in adj[i + 1:]))
+        for a in adj:
+            neighbors[a].update(u for u in adj if u != a)
+            neighbors[a].discard(v)
+    return fills
+
+
+def _breadth_first_fta(rng: random.Random, n_events: int):
+    """A tree fault tree grown breadth first, 2-4 causes per expanded event,
+    until at least ``n_events`` events exist, and its leaf priors.
+    ``random_tree_fta`` stops at depth 4, so at 121 events."""
+    children: dict[str, list[str]] = {}
+    frontier, count = ["e0"], 1
+    while count < n_events:
+        parent = frontier.pop(0)
+        kids = [f"e{count + j}" for j in range(rng.randint(2, 4))]
+        count += len(kids)
+        children[parent] = kids
+        frontier += kids
+    ids = ["e0", *chain.from_iterable(children.values())]
+    events = [Event(e, e, atomic=e not in children) for e in ids]
+    relation = CausalRelation({p: CausalEntry(tuple(kids), rng.choice((GateOp.AND, GateOp.OR)))
+                               for p, kids in children.items()})
+    fta = compute_fta(events[0], events, relation)
+    return fta, {e.id: rng.random() for e in fta.events if e.atomic}
+
+
+def _plan_digest(queries) -> str:
+    """sha256 over repr((ev_vars, takes, steps, cells)) of each freshly
+    compiled plan of ``queries``, (net, keep, evidence variables) each."""
+    digest = hashlib.sha256()
+    for net, keep, ev_vars in queries:
+        plan = bayes_core._compile(net, tuple(keep), tuple(sorted(ev_vars)))
+        digest.update(repr((plan.ev_vars, plan.takes, plan.steps, plan.cells)).encode())
+    return digest.hexdigest()
+
+
+def _tree_queries(trees):
+    """The top event with no evidence and with evidence on every third leaf."""
+    for fta, priors in trees:
+        net = compile_fta_to_bn(fta, priors)
+        yield net, (fta.top,), ()
+        yield net, (fta.top,), sorted(set(priors) - {fta.top})[::3]
+
+
+def _template_queries(width):
+    rng = random.Random(width)
+    features = [f"T{i:02d}" for i in range(width)]
+    net = build_testing_adequacy_bn(TemplateConfig(tuple(features)))
+    yield net, (net.objective,), ()
+    yield net, (net.objective,), features
+    for _ in range(4):
+        yield net, (net.objective,), rng.sample(features, rng.randint(1, width))
+
+
+def _avp_queries():
+    for net in (avp_compiled_bn(), avp_monitor_bn()):
+        for query in net.nodes:
+            yield net, (query,), ()
+    bundle = avp_bundle()
+    rng = random.Random(5)
+    for query in bundle.net.nodes:
+        others = sorted(set(bundle.net.nodes) - {query})
+        yield bundle.net, (query,), rng.sample(others, rng.randint(1, 4))
+    # the joint table a monitor tick reads
+    yield bundle.net, (*sorted(set(bundle.bindings.values())), bundle.acp.objective), ()
+
+
+def _random_net_queries():
+    rng = random.Random(59)
+    for _ in range(150):
+        net = random_net(rng, rng.randint(2, 10))
+        keep = rng.sample(sorted(net.nodes), rng.randint(1, min(2, len(net.nodes))))
+        others = sorted(set(net.nodes) - set(keep))
+        yield net, keep, rng.sample(others, rng.randint(0, min(3, len(others))))
+
+
+def _repeated_parent_queries():
+    """Random networks in which one CPT lists its first parent twice, its rows
+    repeated so that both copies in one state give the original row."""
+    rng = random.Random(61)
+    for _ in range(30):
+        net = random_net(rng, rng.randint(3, 8))
+        nid = rng.choice([n for n in sorted(net.nodes) if net.cpts[n].parent_order] or [None])
+        if nid is None:
+            continue
+        cpt = net.cpts[nid]
+        rows = cpt.rows[np.arange(2 * len(cpt.rows)) // 2]
+        cpts = [Cpt(nid, cpt.parent_order + cpt.parent_order[:1], rows) if c.node == nid else c
+                for c in net.cpts.values()]
+        net = build_net(net.nodes.values(), net.edges, cpts)
+        for query in net.nodes:
+            evidence = random_evidence(rng, net, query, 3)
+            yield net, (query,), sorted(evidence)
+
+
+def _many_factor_queries():
+    """Products of more factors than one np.einsum call takes."""
+    n = TestManyFactorsPerProduct.N
+    nodes, cpts = zip(_binary("root", 0.4), *(
+        _binary(f"c{i}", None, ("root",), ((0.9, 0.1), (0.2, 0.8))) for i in range(n)))
+    net = build_net(nodes, [("root", f"c{i}") for i in range(n)], cpts)
+    children = [f"c{i}" for i in range(n)]
+    yield net, ("root",), children
+    yield net, ("c0",), children[1:]
+    yield net, ("root", "c0"), children[1::2]
+    yield net, ("root",), ()
+
+
+class TestPlansPinned:
+    """Plans are bit-identical to those of the recounting min-fill planner:
+    each digest was taken from it."""
+
+    @pytest.mark.parametrize("name, queries, expected", [
+        ("trees_40", lambda: _tree_queries(random_tree_fta(random.Random(s), 40)
+                                           for s in range(12)),
+         "f87e9ea3ddda5b519f13fb14c60806624ae220bb62d28ad830b79a4eac6c9621"),
+        ("tree_200", lambda: _tree_queries(_breadth_first_fta(random.Random(s), 200)
+                                           for s in range(3)),
+         "59bc88a2c289cecf002a1aed59f9baf6b98c420a612781afa9ebd1de1e7dfdf2"),
+        ("tree_400", lambda: _tree_queries(_breadth_first_fta(random.Random(s), 400)
+                                           for s in range(3)),
+         "36f84a6987d3359b21b59f3e8c8d930b8ae16a825baa023216cae7bfad00ec9a"),
+        ("avp", _avp_queries, "9dc470194c326a0d54e4051589d80be3ac35cd3f0a87b4e9b04ea6f63e8d00e5"),
+        ("template_4", lambda: _template_queries(4),
+         "e0b596abbaf246e006245838e1f439e97965c69c079109f90f597c0144049c03"),
+        ("template_12", lambda: _template_queries(12),
+         "e3a7295d27c8ce3bde8d002d7b60ed283c05b11c745160034673d1f65c24bea8"),
+        ("template_16", lambda: _template_queries(16),
+         "6ac7ee5465e11010c7f858c2eddbf1fcfaeda41759ee8e017bb1170dc5c1236c"),
+        ("many_factors", _many_factor_queries,
+         "57dccf47fcf39778778d1e4f7cabb52bd6c06567bbed802baabb9da80375f512"),
+        ("repeated_parent", _repeated_parent_queries,
+         "3898e57c5690d6cc1cb1458b4726f567a298ddda5e67c78149e880cb3e35e29f"),
+        ("random_nets", _random_net_queries,
+         "7a62290153f920a806e0f526f4660f5cfb7aa5031f4603a33075b9941cf0833f"),
+    ])
+    def test_plan_digest(self, name, queries, expected):
+        assert _plan_digest(queries()) == expected, name
 
 
 class TestGateCpt:

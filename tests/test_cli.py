@@ -28,6 +28,7 @@ from odd_assure import (
     safety_ontology,
 )
 from odd_assure.fixtures import (
+    AVP_HARA_DOCUMENT,
     AVP_LEAF_PRIORS,
     AVP_ODD_DOCUMENT,
     HAZARD_ID,
@@ -93,6 +94,11 @@ def _rain(edit) -> bytes:
     return _edited(AVP_ODD_DOCUMENT, lambda doc: edit(doc["classes"][3]))
 
 
+def _hara(edit) -> bytes:
+    """The AVP HARA document, edited."""
+    return _edited(AVP_HARA_DOCUMENT, edit)
+
+
 def _bn(edit) -> bytes:
     """A one-node BN document with its CPT edited."""
     doc = {"nodes": [{"id": "n", "states": ["t", "f"]}],
@@ -118,6 +124,7 @@ SYNTH = ("synth", "{file}")
 VALIDATE = ("validate", "{file}")
 INFER_N = ("infer", "{file}", "--query", "n")
 INFER_C = ("infer", "{file}", "--query", "C")
+VALIDATE_HARA = ("validate", "{odd}", "--hara", "{file}")
 
 # Inputs of the wrong shape for their reader, and files that are not UTF-8.
 MALFORMED_INPUTS = {
@@ -156,6 +163,30 @@ MALFORMED_INPUTS = {
         _bn_fork(lambda doc: doc["edges"].__setitem__(0, ["A", "C", "B"])), INFER_C
     ),
     "bn_objective_number": (_bn_fork(lambda doc: doc.update(objective=1)), INFER_C),
+    # each of these was read as a HARA, a string as the list of its characters
+    "hara_hazards_text": (_hara(lambda doc: doc.update(hazards=HAZARD_ID)), VALIDATE_HARA),
+    "hara_children_text": (_hara(lambda doc: doc["causal"][0].update(children="AB")), VALIDATE_HARA),
+    "hara_occurrence_text": (
+        _hara(lambda doc: doc["chains"][0].update(occurrence="Presence_of_object")), VALIDATE_HARA
+    ),
+    "hara_consequence_text": (
+        _hara(lambda doc: doc["chains"][0].update(consequence="Brake_execution")), VALIDATE_HARA
+    ),
+    "hara_edges_empty_text": (_hara(lambda doc: doc["chains"][0].update(edges="")), VALIDATE_HARA),
+    "hara_conditions_empty_text": (
+        _hara(lambda doc: doc["events"][1].update(oper_conditions="")), VALIDATE_HARA
+    ),
+    "hara_condition_text": (
+        _hara(lambda doc: doc["events"][1].update(oper_conditions=["Road_type"])), VALIDATE_HARA
+    ),
+    "hara_condition_three_items": (_hara(lambda doc: doc["events"][1].update(
+        oper_conditions=[["Road_type", "Open_Parking", "Closed_Parking"]])), VALIDATE_HARA),
+    "hara_atomic_text": (_hara(lambda doc: doc["events"][1].update(atomic="false")), VALIDATE_HARA),
+    "hara_atomic_number": (_hara(lambda doc: doc["events"][0].update(atomic=0)), VALIDATE_HARA),
+    "hara_event_id_number": (_hara(lambda doc: (
+        doc["events"][4].update(id=7), doc["causal"][0]["children"].__setitem__(3, 7),
+        doc.update(chains=[]))), VALIDATE_HARA),
+    "hara_role_false": (_hara(lambda doc: doc["events"][1].update(role=False)), VALIDATE_HARA),
     "odd_interval_number": (_rain(lambda c: c["attributes"][0].update(interval=5)), VALIDATE),
     "odd_interval_garbled": (_rain(lambda c: c["attributes"][0].update(interval="[0, x[")), VALIDATE),
     "odd_interval_no_comma": (_rain(lambda c: c["attributes"][0].update(interval="(0 1)")), VALIDATE),

@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 
 import pytest
 
@@ -242,6 +243,19 @@ class TestValidateFta:
         kinds = {d.kind for d in validate_fta(fta)}
         assert kinds == {"UnreachableEvent"}
 
+    @pytest.mark.parametrize("events, top, gates, kind", [
+        ("top top", "top", [], "DuplicateEvent"),
+        ("top", "ghost", [], "MissingTop"),
+        ("top", "top", [("top", ())], "EmptyGate"),
+        ("top", "top", [("top", ("ghost",))], "DanglingReference"),
+        ("top", "top", [("top", ("top",))], "SelfLoop"),
+    ])
+    def test_defects_are_data_not_exceptions(self, events, top, gates, kind):
+        # structures compute_fta never builds are reported, not raised
+        fta = Fta(top=top, events=tuple(_events(*events.split())),
+                  gates=tuple(Gate(p, children, GateOp.OR) for p, children in gates))
+        assert kind in {d.kind for d in validate_fta(fta)}
+
     def test_fuzzed_trees_agree_with_independent_checker(self):
         rng = random.Random(23)
         for _ in range(300):
@@ -362,6 +376,17 @@ class TestHaraDocument:
         kinds = {d.kind for d in check_oper_conditions(fta, spec)}
         assert kinds == {"UnknownOperCondState"}
 
+    def test_oper_conditions_cross_check_flags_unknown_class(self):
+        events = [
+            Event("top", "top", atomic=False),
+            Event("leaf", "leaf", atomic=True, oper_conditions=(("Hail", "Hail_Heavy"),)),
+        ]
+        fta = compute_fta(
+            events[0], events, CausalRelation({"top": CausalEntry(("leaf",), GateOp.OR)})
+        )
+        kinds = {d.kind for d in check_oper_conditions(fta, avp_odd_spec())}
+        assert kinds == {"UnknownOperCondClass"}
+
     def test_conditions_on_non_atomic_rejected(self):
         with pytest.raises(DocumentError):
             Event("e", "e", atomic=False, oper_conditions=(("Rain", "Rain_Heavy"),))
@@ -383,6 +408,55 @@ class TestHaraDocument:
         doc = malformed_hara_document(malformed)
         with pytest.raises(DocumentError):
             parse_hara(doc)
+
+
+class TestHaraTypes:
+    """parse_hara reads a field the schema shows as an array only from a JSON
+    array, ``atomic`` only from a JSON boolean, ``role`` only from a role name
+    or null, and ids and texts only from strings."""
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda doc: doc.update(hazards=HAZARD_ID), "hazards must be an array"),
+        (lambda doc: doc.update(events={"id": HAZARD_ID}), "events must be an array"),
+        (lambda doc: doc.update(causal=""), "causal must be an array"),
+        (lambda doc: doc.update(chains=""), "chains must be an array"),
+        (lambda doc: doc["causal"][0].update(children="AB"), "children must be an array"),
+        (lambda doc: doc["chains"][0].update(occurrence="AB"), "occurrence must be an array"),
+        (lambda doc: doc["chains"][0].update(consequence=""), "consequence must be an array"),
+        (lambda doc: doc["chains"][0].update(edges=""), "edges must be an array"),
+        (lambda doc: doc["events"][1].update(oper_conditions=""),
+         "oper_conditions must be an array"),
+        (lambda doc: doc["events"][1].update(oper_conditions=["Rain"]),
+         "an operating condition must be an array, got 'Rain'"),
+        (lambda doc: doc["events"][1].update(oper_conditions=[["Rain", "Rain_Heavy", "x"]]),
+         "event 'Presence_of_object': an operating condition is not a pair"),
+        (lambda doc: doc["events"][1].update(atomic="false"),
+         "atomic of 'Presence_of_object' must be true or false, got 'false'"),
+        (lambda doc: doc["events"][0].update(atomic=0),
+         f"atomic of {HAZARD_ID!r} must be true or false, got 0"),
+        (lambda doc: doc["events"][1].update(role=False), "False is not a valid EventRole"),
+        (lambda doc: doc["events"][1].update(role=""), "'' is not a valid EventRole"),
+    ])
+    def test_other_json_types_are_malformed(self, edit, detail):
+        doc = copy.deepcopy(AVP_HARA_DOCUMENT)
+        edit(doc)
+        with pytest.raises(DocumentError, match=re.escape(f"malformed HARA document: {detail}")):
+            parse_hara(doc)
+
+    @pytest.mark.parametrize("field", ["id", "text"])
+    def test_event_id_and_text_are_strings(self, field):
+        # an integer id would reach the DAG walker's sort beside string ids
+        doc = copy.deepcopy(AVP_HARA_DOCUMENT)
+        doc["events"][4][field] = 7
+        with pytest.raises(DocumentError, match="the id and text must be strings"):
+            parse_hara(doc)
+
+    def test_chains_and_atomic_are_optional(self):
+        doc = copy.deepcopy(AVP_HARA_DOCUMENT)
+        del doc["chains"], doc["events"][0]["atomic"]
+        hazards, events, relation, chains = parse_hara(doc)
+        assert chains == [] and events[HAZARD_ID].atomic is False
+        assert (hazards, events, relation) == avp_hara()[:3]
 
 
 def malformed_hara_document(kind):
