@@ -1,6 +1,9 @@
-"""Pieces several modules share: the malformed-document rule, the JSON
-number and array rules, the number-text rule and the DAG walker. This module
-imports nothing from the package."""
+"""Pieces several modules share: the malformed-document rule, one rule per
+JSON value type (``number``, ``json_array``, ``json_object`` and, for strings,
+booleans and integers, ``json_scalar``), the number-text rule and the DAG
+walker. Each value rule raises a TypeError or ValueError, so a document reader
+reports a value of the wrong type or length as malformed. This module imports
+nothing from the package."""
 
 from __future__ import annotations
 
@@ -88,13 +91,34 @@ def number(value, what: str) -> float:
         raise ValueError(f"{what} is too large for a float") from None
 
 
-def json_array(value, what: str) -> tuple:
+def json_array(value, what: str, length: int | None = None) -> tuple:
     """``value`` as a tuple if it is a JSON array (a list, or a tuple in a
     document built in Python), else a TypeError: a string is not read as the
-    array of its characters, nor an object as the array of its keys."""
+    array of its characters, nor an object as the array of its keys. An array
+    of other than ``length`` items, when given, is a ValueError."""
     if type(value) not in (list, tuple):
         raise TypeError(f"{what} must be an array, got {value!r}")
+    if length is not None and len(value) != length:
+        raise ValueError(f"{what} must be an array of {length} items, got {value!r}")
     return tuple(value)
+
+
+def json_object(value, what: str, values: type = object) -> dict:
+    """``value`` if it is a JSON object whose values are all ``values``, else a TypeError."""
+    if not isinstance(value, dict) or not all(isinstance(v, values) for v in value.values()):
+        kind = "an object" if values is object else f"an object of {values.__name__} values"
+        raise TypeError(f"{what} must be {kind}, got {value!r}")
+    return value
+
+
+def json_scalar(value, what: str, kind: type = str):
+    """``value`` if its type is exactly ``kind`` (``str``, ``bool`` or
+    ``int``), else a TypeError: ``"false"`` is not a boolean, and a bool is
+    neither a string nor an integer."""
+    if type(value) is not kind:
+        name = {str: "a string", bool: "true or false", int: "an integer"}[kind]
+        raise TypeError(f"{what} must be {name}, got {value!r}")
+    return value
 
 
 #: A number written as text (an ontology term, an ODD interval bound, a

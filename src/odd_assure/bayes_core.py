@@ -256,7 +256,8 @@ def build_net(
     cpts: Iterable[Cpt],
     objective: str | None = None,
 ) -> BayesNet:
-    """Assemble and validate a network; raises on any invariant violation."""
+    """Assemble and validate a network; raises on any invariant violation,
+    such as a CPT whose parents are not its node's in-edges, each named once."""
     nodes = list(nodes)
     cpts = list(cpts)
     node_map = {n.id: n for n in sorted(nodes, key=lambda n: n.id)}
@@ -279,10 +280,11 @@ def build_net(
     for cpt in cpt_map.values():
         if cpt.node not in node_map:
             raise UnknownNode(f"cpt for unknown node {cpt.node!r}")
-        if set(cpt.parent_order) != in_edges[cpt.node]:
+        parents = in_edges[cpt.node]
+        if len(cpt.parent_order) != len(parents) or set(cpt.parent_order) != parents:
             raise DocumentError(
                 f"cpt parents {cpt.parent_order} of {cpt.node!r} do not match "
-                f"in-edges {sorted(in_edges[cpt.node])}"
+                f"in-edges {sorted(parents)}"
             )
         expected_rows = 1
         for p in cpt.parent_order:
@@ -442,7 +444,7 @@ def _compile(net: BayesNet, keep: tuple[str, ...], ev_vars: tuple[str, ...]) -> 
 
     holders: dict[str, list[int]] = {}  # ascending, as new ids are the largest
     for fid, scope in enumerate(scopes):
-        for v in set(scope):  # a CPT may list a parent twice
+        for v in scope:
             holders.setdefault(v, []).append(fid)
     live = dict.fromkeys(range(len(scopes)))
     cells = 1
@@ -555,10 +557,16 @@ def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) ->
 
     plan = _plan(net, (query,), frozenset(indexed))
     unnormalized = _run(plan, net._arrays, tuple(indexed[v] for v in plan.ev_vars))
+    return _normalized(query_node, unnormalized, assignments)
+
+
+def _normalized(node: BnNode, unnormalized: np.ndarray, evidence: Mapping[str, str]) -> Posterior:
+    """``node``'s posterior from its unnormalized weights under ``evidence``;
+    ZeroProbabilityEvidence if their sum, P(evidence), is ~zero."""
     z = float(unnormalized.sum())
     if z <= ZERO_EVIDENCE_TOL:
-        raise ZeroProbabilityEvidence(f"evidence {dict(assignments)} has probability {z!r}")
-    return Posterior(query, query_node.states, tuple((unnormalized / z).tolist()))
+        raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability {z!r}")
+    return Posterior(node.id, node.states, tuple((unnormalized / z).tolist()))
 
 
 def _joint_table(net: BayesNet, keep: tuple[str, ...]) -> np.ndarray | None:
@@ -716,9 +724,7 @@ def parse_bn(document) -> BayesNet:
     A malformed table is reported only if every table before it is valid.
     """
     nodes = [BnNode(n["id"], _base.json_array(n["states"], "states")) for n in document["nodes"]]
-    edges = [_base.json_array(e, "an edge") for e in document.get("edges", [])]
-    if any(len(e) != 2 for e in edges):
-        raise ValueError("an edge must be a [source, target] pair")
+    edges = [_base.json_array(e, "an edge", 2) for e in document.get("edges", [])]
     tables = []
     for c in document["cpts"]:
         try:
@@ -742,8 +748,8 @@ def parse_bn(document) -> BayesNet:
     # Cpt rejects entries outside [0, 1], non-finite ones and larger drift.
     cpts = Cpt._many(tables)
     objective = document.get("objective")
-    if objective is not None and not isinstance(objective, str):
-        raise TypeError(f"objective must be a node id or null, got {objective!r}")
+    if objective is not None:
+        _base.json_scalar(objective, "objective")
     return build_net(nodes, edges, cpts, objective=objective)
 
 

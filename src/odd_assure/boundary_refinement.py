@@ -394,7 +394,7 @@ def parse_trace(text: str) -> Trace:
     except (csv.Error, IndexError, ValueError):  # an unreadable, short or non-numeric row
         x, labels = None, ()
     if x is None or not np.isfinite(x).all() or not set(labels) <= {YES, NO}:
-        _raise_first_bad_row(text, header, features)
+        _raise_first_bad_row(text, features)
     if not rows:
         raise TooFewRecords("trace has no data rows")
     return Trace(tuple(names), x, labels)
@@ -413,14 +413,11 @@ def _cell_number(cell: str | None) -> float:
     return float(cell)
 
 
-def _raise_first_bad_row(text: str, header: list[str], features: list[str]) -> None:
-    """Raise the error of the first bad row, reading the rows again as
-    ``csv.DictReader`` does: blank ones skipped and not numbered, extra cells
-    ignored, missing ones None, the last of a repeated header name read."""
-    reader = csv.reader(io.StringIO(text))
-    next(reader)
-    for row_no, row in enumerate(filter(None, reader), start=2):
-        cells = dict(zip(header, row + [None] * (len(header) - len(row))))
+def _raise_first_bad_row(text: str, features: list[str]) -> None:
+    """Raise the error of the first bad row ``csv.DictReader`` reads: blank
+    rows are skipped and not numbered, extra cells ignored, missing ones
+    None, and the last of a repeated header name is read."""
+    for row_no, cells in enumerate(csv.DictReader(io.StringIO(text)), start=2):
         try:
             values = [_cell_number(cells[n]) for n in features]
         except (TypeError, ValueError) as exc:

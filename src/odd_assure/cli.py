@@ -73,13 +73,13 @@ def _read_json(path, reader):
 
 @_base.document_reader("scenario document")
 def _scenario(doc) -> confidence_templates.ScenarioSpec:
-    conditions = tuple((c[0], c[1]) for c in doc["conditions"])
+    conditions = tuple(_base.json_array(c, "a condition", 2) for c in doc["conditions"])
     return confidence_templates.ScenarioSpec(doc.get("id", "scenario"), conditions)
 
 
 @_base.document_reader("priors document")
 def _priors(doc) -> dict[str, float]:
-    return {k: _base.number(v, f"prior {k!r}") for k, v in doc.items()}
+    return {k: _base.number(v, f"prior {k!r}") for k, v in _base.json_object(doc, "priors").items()}
 
 
 def _read_rows(path) -> list[dict]:
@@ -195,16 +195,7 @@ def _cmd_coverage(args) -> int:
         conditions = tuple(dict(args.scenario).items())
         scenario = confidence_templates.ScenarioSpec("scenario", conditions)
     result = confidence_templates.scenario_coverage(rows, scenario)
-    print(
-        json.dumps(
-            {
-                "scenario": result.scenario,
-                "n_occurrences": result.n_occurrences,
-                "n_total": result.n_total,
-                "m": result.m,
-            }
-        )
-    )
+    print(json.dumps(dataclasses.asdict(result)))  # scenario, n_occurrences, n_total, m
     return EXIT_OK
 
 

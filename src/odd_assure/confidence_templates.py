@@ -166,9 +166,7 @@ class TemplateConfig:
         unknown = set(document) - _CONFIG_KEYS
         if unknown:
             raise ValueError(f"unknown keys {sorted(unknown)}")
-        tables = document.get("cpts", {})
-        if type(tables) is not dict:
-            raise TypeError(f"cpts must be an object, got {tables!r}")
+        tables = _base.json_object(document.get("cpts", {}), "cpts")
         cpts = {node: [[_base.number(p, f"a cpt entry of {node!r}") for p in row] for row in rows]
                 for node, rows in tables.items()}
         names = document.get("feature_names", ["Feat_1", "Feat_2"])

@@ -384,29 +384,21 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     oper_conditions: [[class, name]]}], "causal": [{parent, op, children}],
     "chains": [{hazardous, occurrence, consequence, edges}]}``. The chains
     section is optional. Every field the schema shows as an array must be a
-    JSON array, and ``atomic`` a JSON boolean, else the document is malformed.
+    JSON array, each operating condition one of two items, and ``atomic`` a
+    JSON boolean, else the document is malformed.
     """
     array = _base.json_array
     events: dict[str, Event] = {}
     for entry in array(document["events"], "events"):
-        if entry["id"] in events:
-            raise DocumentError(f"event {entry['id']!r} declared twice")
-        atomic = entry.get("atomic", False)
-        if type(atomic) is not bool:
-            raise TypeError(f"atomic of {entry['id']!r} must be true or false, got {atomic!r}")
-        conditions = array(entry.get("oper_conditions", []), "oper_conditions")
-        if conditions:
-            conditions = tuple(array(c, "an operating condition") for c in conditions)
-            if any(len(c) != 2 for c in conditions):
-                raise ValueError(f"event {entry['id']!r}: an operating condition is not a pair")
+        eid = entry["id"]
+        if eid in events:
+            raise DocumentError(f"event {eid!r} declared twice")
+        atomic = _base.json_scalar(entry.get("atomic", False), f"atomic of {eid!r}", bool)
+        conditions = tuple(array(c, f"event {eid!r}: an operating condition", 2)
+                           for c in array(entry.get("oper_conditions", []), "oper_conditions"))
         role = entry.get("role")
-        events[entry["id"]] = Event(
-            id=entry["id"],
-            text=entry.get("text", entry["id"]),
-            atomic=atomic,
-            oper_conditions=conditions,
-            role=None if role is None else EventRole(role),
-        )
+        events[eid] = Event(eid, entry.get("text", eid), atomic, conditions,
+                            None if role is None else EventRole(role))
 
     mapping = {}
     for entry in array(document.get("causal", []), "causal"):

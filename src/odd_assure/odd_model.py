@@ -291,31 +291,30 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
 
     The document schema is ``{"classes": [{name, parent, partition,
     attributes: [{name, unit, interval}]}]}`` with intervals in the string
-    grammar of :func:`parse_interval`. Validation enforces unique names, a
-    single-rooted parent tree, non-empty leaf classes, and pairwise disjoint
-    intervals for classes flagged ``partition: true``.
+    grammar of :func:`parse_interval`. Names and units must be JSON strings
+    and ``partition`` a JSON boolean, else the document is malformed.
+    Validation enforces unique names, a single-rooted parent tree, non-empty
+    leaf classes, and pairwise disjoint intervals for classes flagged
+    ``partition: true``.
     """
+    scalar = _base.json_scalar
     classes: dict[str, OddClass] = {}
     for entry in document["classes"]:
-        name = entry["name"]
-        if not isinstance(name, str):
-            raise TypeError(f"class name {name!r} is not a string")
+        name = scalar(entry["name"], "class name")
         if name in classes:
             raise DuplicateName(f"class {name!r} declared twice")
-        attrs = []
-        seen_attrs = set()
+        attrs = {}
         for attr in entry.get("attributes", []):
-            if attr["name"] in seen_attrs:
-                raise DuplicateName(f"attribute {attr['name']!r} declared twice in {name!r}")
-            seen_attrs.add(attr["name"])
-            attrs.append(
-                OddAttribute(attr["name"], attr["unit"], parse_interval(attr["interval"]))
-            )
+            attr_name = scalar(attr["name"], f"an attribute name of {name!r}")
+            if attr_name in attrs:
+                raise DuplicateName(f"attribute {attr_name!r} declared twice in {name!r}")
+            unit = scalar(attr["unit"], f"the unit of {attr_name!r}")
+            attrs[attr_name] = OddAttribute(attr_name, unit, parse_interval(attr["interval"]))
         classes[name] = OddClass(
             name=name,
             parent=entry.get("parent"),
-            attributes=tuple(attrs),
-            partition=bool(entry.get("partition", False)),
+            attributes=tuple(attrs.values()),
+            partition=scalar(entry.get("partition", False), f"partition of {name!r}", bool),
         )
 
     roots = [c.name for c in classes.values() if c.parent is None]

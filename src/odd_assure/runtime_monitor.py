@@ -163,14 +163,6 @@ def _check_bindings(bundle: ModelBundle) -> None:
         raise BindingMismatch(f"state values missing for objective states {sorted(missing)}")
 
 
-def _object(value, what: str, values: type = object) -> dict:
-    """``value`` if it is a JSON object whose values are all ``values``."""
-    if not isinstance(value, dict) or not all(isinstance(v, values) for v in value.values()):
-        kind = "an object" if values is object else f"an object of {values.__name__} values"
-        raise DocumentError(f"malformed bundle manifest: {what} must be {kind}")
-    return value
-
-
 def load_bundle(manifest_path) -> ModelBundle:
     """Load a bundle manifest and the files it references.
 
@@ -205,18 +197,19 @@ def _load_referenced(load, path: Path):
 @_base.document_reader("bundle manifest", DocumentError)
 def _read_manifest(manifest, directory: Path) -> tuple[Path, Path, dict]:
     odd_path, net_path = directory / manifest["odd"], directory / manifest["net"]
-    acp_doc = _object(manifest["acp"], "acp")
-    state_values = _object(acp_doc["state_values"], "acp.state_values")
+    json_object = _base.json_object
+    acp_doc = json_object(manifest["acp"], "acp")
+    state_values = json_object(acp_doc["state_values"], "acp.state_values")
     parts = dict(
-        bindings=dict(_object(manifest.get("bindings", {}), "bindings", str)),
+        bindings=dict(json_object(manifest.get("bindings", {}), "bindings", str)),
         acp=AcpBinding(
-            solution_id=acp_doc["solution_id"],
+            solution_id=_base.json_scalar(acp_doc["solution_id"], "acp.solution_id"),
             objective=acp_doc["objective"],
             state_values={k: _base.number(v, f"state value {k!r}")
                           for k, v in state_values.items()},
         ),
         oodd_policy=manifest.get("oodd_policy", DROP),
-        worst_states=dict(_object(manifest.get("worst_states", {}), "worst_states", str)),
+        worst_states=dict(json_object(manifest.get("worst_states", {}), "worst_states", str)),
     )
     return odd_path, net_path, parts
 
@@ -262,21 +255,18 @@ def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str], k
     variance, JSONL part, CSV fields] for the evidence; the first three are
     None when it has ~zero probability."""
     objective = bundle.acp.objective
-    if table.joint is None:
-        try:
+    try:
+        if table.joint is None:
             post = bayes_core.posterior(bundle.net, objective, EvidenceSet(evidence))
-        except bayes_core.ZeroProbabilityEvidence:
-            post = None
-    else:
-        cells = table.joint[(slice(None), *(
-            index[evidence[node]] if node in evidence else slice(None)
-            for node, index in zip(table.nodes, table.states)
-        ))]
-        unnormalized = cells.reshape(len(cells), -1).sum(axis=1)
-        z = float(unnormalized.sum())
-        post = None if z <= bayes_core.ZERO_EVIDENCE_TOL else Posterior(
-            objective, bundle.net.nodes[objective].states, tuple((unnormalized / z).tolist())
-        )
+        else:
+            cells = table.joint[(slice(None), *(
+                index[evidence[node]] if node in evidence else slice(None)
+                for node, index in zip(table.nodes, table.states)
+            ))]
+            post = bayes_core._normalized(bundle.net.nodes[objective],
+                                          cells.reshape(len(cells), -1).sum(axis=1), evidence)
+    except bayes_core.ZeroProbabilityEvidence:
+        post = None
     outcome = [None, None, None, None, None] if post is None else [
         post, *bayes_core.mean_variance(post, bundle.state_values), None, None
     ]
@@ -556,16 +546,16 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
 
     series: dict[str, list[float]] = {}
     noise_amp: dict[str, float] = {}
-    for class_name, channel in config["channels"].items():
+    for class_name, channel in _base.json_object(config["channels"], "channels", dict).items():
         where = f"channel {class_name!r}"
         segments = channel.get("segments")
         if segments is None:
             segments = [dict(channel, ticks=channel.get("ticks"))]
         values: list[float] = []
         for seg in segments:
-            ticks = seg.get("ticks")
-            if type(ticks) is not int or ticks < 1:
-                raise BadScript(f"channel {class_name!r}: segment needs integer ticks >= 1")
+            ticks = _base.json_scalar(seg.get("ticks"), f"{where}: ticks", int)
+            if ticks < 1:
+                raise BadScript(f"{where}: segment needs ticks >= 1")
             mode = seg.get("mode", "const")
             if mode == "const":
                 values.extend([_base.number(seg["value"], f"{where}: value")] * ticks)

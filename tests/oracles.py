@@ -187,9 +187,16 @@ def min_fill_order(factor_scopes: list[tuple[str, ...]], keep: set[str]) -> list
 # Fault trees
 
 
+#: The most events random_tree_fta builds: it expands only above depth 4, into at most 3 causes.
+TREE_EVENTS = sum(3**depth for depth in range(5))
+
+
 def random_tree_fta(rng: random.Random, max_events: int = 10) -> tuple[Fta, dict[str, float]]:
     """Random tree-shaped fault tree (no shared subtrees, so the closed-form
-    gate recursion below is exact) plus random leaf priors."""
+    gate recursion below is exact) plus random leaf priors. A ``max_events``
+    above ``TREE_EVENTS`` is a ValueError, raised before any random draw."""
+    if max_events > TREE_EVENTS:
+        raise ValueError(f"a random tree has at most {TREE_EVENTS} events, not {max_events}")
     counter = itertools.count()
     events: list[Event] = []
     mapping: dict[str, CausalEntry] = {}

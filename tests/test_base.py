@@ -1,0 +1,86 @@
+"""The JSON value rules every document reader shares."""
+
+import pytest
+
+from odd_assure import _base
+
+
+class TestNumber:
+    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0]])
+    def test_a_bool_and_a_string_are_not_numbers(self, value):
+        with pytest.raises(TypeError, match=r"^x must be a number, got "):
+            _base.number(value, "x")
+
+    def test_int_too_large_for_a_float(self):
+        with pytest.raises(ValueError, match="^x is too large for a float$"):
+            _base.number(10**400, "x")
+
+    def test_ints_and_floats_read_as_floats(self):
+        assert [_base.number(v, "x") for v in (3, 0.5)] == [3.0, 0.5]
+
+
+class TestJsonArray:
+    def test_a_list_and_a_tuple_are_arrays(self):
+        assert _base.json_array(["a", "b"], "x") == ("a", "b")
+        assert _base.json_array(("a", "b"), "x", 2) == ("a", "b")
+
+    @pytest.mark.parametrize("value", ["ab", {"a": 1}, None, 2])
+    def test_other_values_are_not(self, value):
+        with pytest.raises(TypeError) as raised:
+            _base.json_array(value, "x")
+        assert str(raised.value) == f"x must be an array, got {value!r}"
+
+    @pytest.mark.parametrize("value", [["a", "b", "c"], ["a"], []])
+    def test_a_pair_has_two_items(self, value):
+        with pytest.raises(ValueError) as raised:
+            _base.json_array(value, "x", 2)
+        assert str(raised.value) == f"x must be an array of 2 items, got {value!r}"
+
+    def test_a_pair_string_is_not_a_pair(self):
+        with pytest.raises(TypeError, match="^x must be an array, got 'FC'$"):
+            _base.json_array("FC", "x", 2)
+
+
+class TestJsonObject:
+    def test_an_object_is_returned_as_is(self):
+        value = {"a": "b"}
+        assert _base.json_object(value, "x") is value
+        assert _base.json_object(value, "x", str) is value
+
+    @pytest.mark.parametrize("value", [[["a", "b"]], "ab", None])
+    def test_other_values_are_not_objects(self, value):
+        with pytest.raises(TypeError) as raised:
+            _base.json_object(value, "x")
+        assert str(raised.value) == f"x must be an object, got {value!r}"
+
+    @pytest.mark.parametrize("value", [{"a": 1}, {"a": ["b"]}, {"a": "b", "c": None}])
+    def test_values_of_another_type(self, value):
+        with pytest.raises(TypeError) as raised:
+            _base.json_object(value, "x", str)
+        assert str(raised.value) == f"x must be an object of str values, got {value!r}"
+
+
+class TestJsonScalar:
+    @pytest.mark.parametrize("value, kind", [("a", str), (True, bool), (False, bool), (3, int)])
+    def test_exact_type_is_returned(self, value, kind):
+        assert _base.json_scalar(value, "x", kind) is value
+
+    @pytest.mark.parametrize("value, kind, message", [
+        ("false", bool, "x must be true or false, got 'false'"),
+        (0, bool, "x must be true or false, got 0"),
+        (None, bool, "x must be true or false, got None"),
+        (True, str, "x must be a string, got True"),
+        (7, str, "x must be a string, got 7"),
+        (["m"], str, "x must be a string, got ['m']"),
+        (True, int, "x must be an integer, got True"),
+        (2.0, int, "x must be an integer, got 2.0"),
+    ])
+    def test_other_types_are_refused(self, value, kind, message):
+        with pytest.raises(TypeError) as raised:
+            _base.json_scalar(value, "x", kind)
+        assert str(raised.value) == message
+
+    def test_a_string_by_default(self):
+        assert _base.json_scalar("a", "x") == "a"
+        with pytest.raises(TypeError, match="^x must be a string, got 1$"):
+            _base.json_scalar(1, "x")

@@ -50,6 +50,7 @@ from odd_assure.hara_fta import CausalEntry, CausalRelation, Event, GateOp, comp
 
 from . import oracles
 from .oracles import (
+    TREE_EVENTS,
     all_assignments,
     enumerate_joint,
     enumerate_posterior,
@@ -141,6 +142,14 @@ class TestConstruction:
         made["w"] = (None, Cpt("a", (), ((0.2, 0.3, 0.5),)))  # three entries, two states
         with pytest.raises(error, match=message):
             build_net([made[n][0] for n in nodes], edges, [made[c][1] for c in cpts], objective)
+
+    def test_cpt_names_each_parent_once(self):
+        # with "A" twice, two of C's four rows were unreachable: a query read the diagonal
+        a, cpt_a = _binary("A", 0.3)
+        c, cpt_c = _binary("C", None, ("A", "A"), ((0.9, 0.1), (0.5, 0.5), (0.5, 0.5), (0.2, 0.8)))
+        with pytest.raises(bayes_core.DocumentError) as raised:
+            build_net([a, c], [("A", "C")], [cpt_a, cpt_c])
+        assert str(raised.value) == "cpt parents ('A', 'A') of 'C' do not match in-edges ['A']"
 
     def test_node_needs_two_states(self):
         with pytest.raises(bayes_core.DocumentError):
@@ -571,8 +580,8 @@ class TestMinFillOrder:
         ),
         keep=st.sets(st.sampled_from(_VARS), max_size=2),
     )
-    # a scope that repeats a variable (a CPT listing a parent twice) is no
-    # wider than its distinct variables: v2's neighbours v0 and v3 miss an edge
+    # a scope that repeats a variable is no wider than its distinct
+    # variables: v2's neighbours v0 and v3 miss an edge
     @example(scopes=[("v0", "v0", "v2"), ("v2", "v3")], keep=set())
     @example(scopes=[("v2", "v3"), ("v0", "v0", "v2"), ("v3", "v4")], keep={"v0"})
     def test_matches_reference(self, scopes, keep):
@@ -639,6 +648,20 @@ def _fills_at_elimination(scopes, order) -> list[int]:
             neighbors[a].update(u for u in adj if u != a)
             neighbors[a].discard(v)
     return fills
+
+
+class TestRandomTreeFta:
+    def test_refuses_a_size_it_cannot_reach_before_drawing(self):
+        rng = random.Random(3)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=f"at most {TREE_EVENTS} events, not {TREE_EVENTS + 1}"):
+            random_tree_fta(rng, TREE_EVENTS + 1)
+        assert rng.getstate() == state
+
+    def test_trees_stay_within_the_bound(self):
+        for seed in range(20):
+            fta, _ = random_tree_fta(random.Random(seed), TREE_EVENTS)
+            assert len(fta.events) <= TREE_EVENTS
 
 
 def _breadth_first_fta(rng: random.Random, n_events: int):
@@ -711,25 +734,6 @@ def _random_net_queries():
         yield net, keep, rng.sample(others, rng.randint(0, min(3, len(others))))
 
 
-def _repeated_parent_queries():
-    """Random networks in which one CPT lists its first parent twice, its rows
-    repeated so that both copies in one state give the original row."""
-    rng = random.Random(61)
-    for _ in range(30):
-        net = random_net(rng, rng.randint(3, 8))
-        nid = rng.choice([n for n in sorted(net.nodes) if net.cpts[n].parent_order] or [None])
-        if nid is None:
-            continue
-        cpt = net.cpts[nid]
-        rows = cpt.rows[np.arange(2 * len(cpt.rows)) // 2]
-        cpts = [Cpt(nid, cpt.parent_order + cpt.parent_order[:1], rows) if c.node == nid else c
-                for c in net.cpts.values()]
-        net = build_net(net.nodes.values(), net.edges, cpts)
-        for query in net.nodes:
-            evidence = random_evidence(rng, net, query, 3)
-            yield net, (query,), sorted(evidence)
-
-
 def _many_factor_queries():
     """Products of more factors than one np.einsum call takes."""
     n = TestManyFactorsPerProduct.N
@@ -766,8 +770,6 @@ class TestPlansPinned:
          "6ac7ee5465e11010c7f858c2eddbf1fcfaeda41759ee8e017bb1170dc5c1236c"),
         ("many_factors", _many_factor_queries,
          "57dccf47fcf39778778d1e4f7cabb52bd6c06567bbed802baabb9da80375f512"),
-        ("repeated_parent", _repeated_parent_queries,
-         "3898e57c5690d6cc1cb1458b4726f567a298ddda5e67c78149e880cb3e35e29f"),
         ("random_nets", _random_net_queries,
          "7a62290153f920a806e0f526f4660f5cfb7aa5031f4603a33075b9941cf0833f"),
     ])

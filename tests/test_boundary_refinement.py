@@ -1,3 +1,4 @@
+import copy
 import csv
 import math
 import random
@@ -365,6 +366,12 @@ class TestRefineBoundaries:
     def test_unknown_feature(self):
         with pytest.raises(UnknownFeature):
             refine_boundaries(avp_odd_spec(), [Rule((("Wind", "<=", 1.0),), YES)])
+
+    def test_spec_is_never_edited(self):
+        spec = avp_odd_spec()
+        before = copy.deepcopy(spec)
+        refine_boundaries(spec, [Rule((("Fog", "<=", 10.0),), YES), Rule((("Fog", ">", 10.0),), NO)])
+        assert spec == before
 
     def test_disjoint_projections_stay_split(self):
         spec = avp_odd_spec()

@@ -163,6 +163,9 @@ MALFORMED_INPUTS = {
         _bn_fork(lambda doc: doc["edges"].__setitem__(0, ["A", "C", "B"])), INFER_C
     ),
     "bn_objective_number": (_bn_fork(lambda doc: doc.update(objective=1)), INFER_C),
+    # read as a table whose off-diagonal rows no assignment reaches
+    "bn_parent_twice": (_bn_fork(lambda doc: (
+        doc.update(edges=[["A", "C"]]), doc["cpts"][2].update(parents=["A", "A"]))), INFER_C),
     # each of these was read as a HARA, a string as the list of its characters
     "hara_hazards_text": (_hara(lambda doc: doc.update(hazards=HAZARD_ID)), VALIDATE_HARA),
     "hara_children_text": (_hara(lambda doc: doc["causal"][0].update(children="AB")), VALIDATE_HARA),
@@ -196,6 +199,10 @@ MALFORMED_INPUTS = {
     "odd_class_name_list": (_rain(lambda c: c.update(name=["x"])), VALIDATE),
     "odd_class_name_number": (_rain(lambda c: c.update(name=5)), VALIDATE),
     "odd_attributes_number": (_rain(lambda c: c.update(attributes=5)), VALIDATE),
+    # each of these printed ok: "no" read as true, a number and a list as a name and a unit
+    "odd_partition_text": (_rain(lambda c: c.update(partition="no")), VALIDATE),
+    "odd_attribute_name_number": (_rain(lambda c: c["attributes"][0].update(name=7)), VALIDATE),
+    "odd_attribute_unit_list": (_rain(lambda c: c["attributes"][0].update(unit=["m"])), VALIDATE),
     "validate_not_utf8": (NOT_UTF8, VALIDATE),
     "infer_not_utf8": (NOT_UTF8, ("infer", "{file}", "--query", HAZARD_ID)),
     "monitor_not_utf8": (NOT_UTF8, ("monitor", "{file}")),
@@ -523,6 +530,17 @@ class TestCoverage:
         )
         assert run_cli("coverage", data, "--scenario-file", scenario) == 0
         assert json.loads(capsys.readouterr().out)["m"] == 0.5
+
+    # "FC" was read as the condition F=C, and the third item was cut off
+    @pytest.mark.parametrize("condition", ["FC", ["Rain", "Rain_Heavy", "extra"]])
+    def test_condition_not_a_pair_exits_two_naming_file(self, tmp_path, caplog, condition):
+        data = tmp_path / "data.csv"
+        data.write_text("Rain\nRain_Heavy\n", encoding="utf-8")
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"conditions": [condition]}), encoding="utf-8")
+        assert run_cli("coverage", data, "--scenario-file", scenario) == 2
+        assert f"{scenario}: malformed scenario document: a condition must be an array" \
+            in error_text(caplog)
 
     def test_scenario_file_without_conditions_exits_two_naming_file(self, tmp_path):
         data = tmp_path / "data.csv"

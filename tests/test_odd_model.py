@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -213,6 +214,21 @@ class TestParseOddSpec:
         doc = {"classes": [{"name": "A", "parent": None, "attributes": [attribute, attribute]}]}
         with pytest.raises(DuplicateName, match="attribute 'x' declared twice in 'A'"):
             parse_odd_spec(doc)
+
+    @pytest.mark.parametrize("edit, detail", [
+        (lambda rain: rain.update(name=5), "class name must be a string, got 5"),
+        (lambda rain: rain.update(partition="no"), "partition of 'Rain' must be true or false, got 'no'"),
+        (lambda rain: rain["attributes"][0].update(name=7),
+         "an attribute name of 'Rain' must be a string, got 7"),
+        (lambda rain: rain["attributes"][0].update(unit=["m"]),
+         "the unit of 'Rain_light' must be a string, got ['m']"),
+    ])
+    def test_names_units_and_partition_have_their_json_types(self, edit, detail):
+        doc = copy.deepcopy(AVP_ODD_DOCUMENT)
+        edit(next(c for c in doc["classes"] if c["name"] == "Rain"))
+        with pytest.raises(odd_model.DocumentError) as raised:
+            parse_odd_spec(doc)
+        assert str(raised.value) == f"malformed ODD document: {detail}"
 
     def test_duplicate_class(self):
         doc = {

@@ -74,8 +74,21 @@ class TestLoadBundle:
             target = target[name]
         target[key] = value
         manifest.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(rm.DocumentError, match=f"{key} must be an object"):
+        kind = "an object of str values" if key in ("bindings", "worst_states") else "an object"
+        with pytest.raises(rm.DocumentError) as raised:
             load_bundle(manifest)
+        assert str(raised.value) == f"malformed bundle manifest: {section} must be {kind}, got {value!r}"
+
+    @pytest.mark.parametrize("value", [7, None, ["Sn8.1"]])
+    def test_solution_id_is_a_string(self, tmp_path, value):
+        manifest = write_avp_bundle(tmp_path)
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["acp"]["solution_id"] = value
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(rm.DocumentError) as raised:
+            load_bundle(manifest)
+        assert str(raised.value) == (
+            f"malformed bundle manifest: acp.solution_id must be a string, got {value!r}")
 
     def test_non_numeric_state_value_rejected(self, tmp_path):
         manifest = write_avp_bundle(tmp_path)
