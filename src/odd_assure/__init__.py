@@ -7,90 +7,9 @@ with exact inference (bayes_core), assurance network templates and their
 evidence metrics (confidence_templates), a triple store with axiom checking
 (safety_ontology), decision-tree boundary refinement (boundary_refinement),
 and the streaming monitor itself (runtime_monitor).
+
+Each name is imported from its module (``from odd_assure import bayes_core``);
+importing the package alone loads none of them.
 """
 
 __version__ = "0.1.0"
-
-from .odd_model import (
-    OUT_OF_ODD,
-    Interval,
-    Observation,
-    OddAttribute,
-    OddClass,
-    OddSpec,
-    discretize,
-    format_interval,
-    in_odd,
-    interpret,
-    parse_interval,
-    parse_odd_spec,
-    validate_odd,
-)
-from .hara_fta import (
-    CausalRelation,
-    Event,
-    Fta,
-    Gate,
-    GateOp,
-    HazardChain,
-    classify_event,
-    compute_fta,
-    validate_fta,
-)
-from .bayes_core import (
-    BayesNet,
-    BnNode,
-    Cpt,
-    EvidenceSet,
-    Posterior,
-    compile_fta_to_bn,
-    fit_cpts,
-    gate_cpt,
-    joint_probability,
-    mean_variance,
-    posterior,
-)
-from .confidence_templates import (
-    AcpBinding,
-    CoverageResult,
-    ScenarioSpec,
-    TemplateConfig,
-    build_data_appropriateness_bn,
-    build_from_document,
-    build_model_robustness_bn,
-    build_testing_adequacy_bn,
-    metric_to_state,
-    model_uncertainty_from_samples,
-    scenario_coverage,
-    test_distance,
-)
-from .safety_ontology import (
-    Literal,
-    Triple,
-    TripleGraph,
-    assert_triple,
-    attach_confidence,
-    check_axioms,
-    classify_goals,
-    export_graph,
-    import_graph,
-    query,
-)
-from .boundary_refinement import (
-    DecisionTree,
-    Rule,
-    TraceRecord,
-    extract_rules,
-    fit_tree,
-    format_rule,
-    predict,
-    refine_boundaries,
-)
-from .runtime_monitor import (
-    ConfidenceReport,
-    ModelBundle,
-    load_bundle,
-    run,
-    step,
-    synth_trace,
-)

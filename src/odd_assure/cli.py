@@ -192,8 +192,7 @@ def _cmd_coverage(args) -> int:
     if args.scenario_file:
         scenario = _load(_read_json, args.scenario_file, _scenario)
     else:
-        conditions = tuple(dict(args.scenario).items())
-        scenario = confidence_templates.ScenarioSpec("scenario", conditions)
+        scenario = confidence_templates.ScenarioSpec("scenario", tuple(args.scenario))
     result = confidence_templates.scenario_coverage(rows, scenario)
     print(json.dumps(dataclasses.asdict(result)))  # scenario, n_occurrences, n_total, m
     return EXIT_OK

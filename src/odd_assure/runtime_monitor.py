@@ -532,7 +532,8 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
     amplitude}}}``. Ramps hit their endpoints exactly; noise adds a uniform
     [-amplitude, amplitude] term drawn from the seeded generator. All
     channels must cover the same number of ticks. Every value must be a JSON
-    number and every ``ticks`` a JSON integer.
+    number and every ``ticks`` a JSON integer. A time or value that is not
+    finite, NaN read from the script or one that overflows, is a BadScript.
     """
     if not config["channels"]:
         raise BadScript("script declares no channels")
@@ -579,6 +580,8 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
     if len(lengths) != 1:
         raise BadScript(f"channels cover different tick counts: {sorted(lengths)}")
     n_ticks = lengths.pop()
+    if not math.isfinite(t0 + (n_ticks - 1) * dt):  # times rise with i, so the last is largest
+        raise BadScript(f"the last time, t0 + {n_ticks - 1} * dt, overflows a float")
 
     rng = random.Random(seed)
     observations = []
@@ -589,6 +592,8 @@ def synth_trace(config, seed: int = 0) -> list[Observation]:
             amp = noise_amp[class_name]
             if amp > 0.0:
                 value += rng.uniform(-amp, amp)
+            if not math.isfinite(value):
+                raise BadScript(f"channel {class_name!r}: tick {i} value {value!r} is not finite")
             readings[class_name] = value
         observations.append(Observation(time=t0 + i * dt, x=x, y=y, readings=readings))
     return observations

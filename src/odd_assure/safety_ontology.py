@@ -38,8 +38,11 @@ class TypeViolation(OntologyError):
 
 
 class ParseError(OntologyError, _base.DocumentError):
-    def __init__(self, message: str, line_no: int):
-        super().__init__(f"line {line_no}: {message}")
+    """Unreadable ontology text, on line ``line_no`` of a graph or, for a term
+    parsed on its own (``line_no`` None), in the term ``token``."""
+
+    def __init__(self, message: str, line_no: int | None, token: str = ""):
+        super().__init__(f"line {line_no}: {message}" if line_no else f"term {token!r}: {message}")
         self.line_no = line_no
 
 
@@ -412,28 +415,29 @@ def format_term(term: Term) -> str:
     return term
 
 
-def _parse_term(token: str, line_no: int) -> Term:
+def _parse_term(token: str, line_no: int | None) -> Term:
     if token.startswith('"'):
         if not token.endswith('"') or len(token) < 2:
-            raise ParseError(f"unterminated literal {token!r}", line_no)
+            raise ParseError(f"unterminated literal {token!r}", line_no, token)
         body = token[1:-1]
         if (len(body) - len(body.rstrip("\\"))) % 2:
-            raise ParseError(f"dangling escape in {token!r}", line_no)
+            raise ParseError(f"dangling escape in {token!r}", line_no, token)
         return Literal(_ESCAPE.sub(lambda m: "\n" if m[1] == "n" else m[1], body))
     # Identifiers must not look like numbers; numeric tokens round-trip unquoted.
     if _base.NUMBER_TEXT.fullmatch(token):
         try:
             return Literal(_base.number_text(token))
         except ValueError as exc:  # exported as `inf`, it would re-import as an identifier
-            raise ParseError(str(exc), line_no) from None
+            raise ParseError(str(exc), line_no, token) from None
     if any(c in _IDENT_FORBIDDEN for c in token):
-        raise ParseError(f"bad identifier {token!r}", line_no)
+        raise ParseError(f"bad identifier {token!r}", line_no, token)
     return token
 
 
 def parse_term(token: str) -> Term:
-    """Parse one standalone term token (for query patterns and the like)."""
-    return _parse_term(token, 0)
+    """Parse one standalone term token (for query patterns and the like). A
+    ParseError names the token; its ``line_no`` is None."""
+    return _parse_term(token, None)
 
 
 def export_graph(graph: TripleGraph) -> str:

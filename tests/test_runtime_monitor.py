@@ -820,6 +820,11 @@ class TestSynthTrace:
                     "Rain": {"segments": [{"mode": "const", "value": 1.0, "ticks": 4}]},
                 }
             },
+            # a time or value that is not finite
+            dict(fog_ramp_script(ticks=3), t0=1e308, dt=1e308),
+            {"channels": {"Fog": {"value": 1.7e308, "ticks": 3, "noise": 1.7e308}}},
+            {"channels": {"Fog": {"value": math.nan, "ticks": 3}}},
+            {"channels": {"Fog": {"value": -math.inf, "ticks": 3}}},
         ],
     )
     def test_bad_scripts(self, script):
@@ -868,14 +873,18 @@ class TestSynthTrace:
 
     @settings(max_examples=500, deadline=None)
     @given(
-        start=st.floats(-1e9, 1e9, allow_nan=False),
-        end=st.floats(-1e9, 1e9, allow_nan=False),
+        start=st.floats(allow_nan=False, allow_infinity=False),
+        end=st.floats(allow_nan=False, allow_infinity=False),
         ticks=st.integers(2, 300),
     )
     def test_ramp_endpoints_exact_and_monotone(self, start, end, ticks):
         script = {
             "channels": {"Fog": {"segments": [{"mode": "ramp", "start": start, "end": end, "ticks": ticks}]}}
         }
+        if math.isinf(end - start):  # the step overflows, so the first value is NaN
+            with pytest.raises(BadScript, match="is not finite"):
+                synth_trace(script, seed=0)
+            return
         values = [o.readings["Fog"] for o in synth_trace(script, seed=0)]
         assert len(values) == ticks
         assert values[0] == start and values[-1] == end

@@ -532,6 +532,17 @@ class TestLineFormat:
         with pytest.raises(ParseError) as err:
             import_graph("a dependsOn b .\nthis is not a triple\n")
         assert err.value.line_no == 2
+        assert str(err.value).startswith("line 2: ")
+
+    @pytest.mark.parametrize("token, message", [
+        ('"abc', "unterminated literal"), ('"a\\"', "dangling escape"),
+        ("1e400", "overflows a float"), ("a b", "bad identifier"),
+    ])
+    def test_standalone_term_error_names_the_term(self, token, message):
+        # a term parsed on its own has no line number to give
+        with pytest.raises(ParseError, match=message) as err:
+            safety_ontology.parse_term(token)
+        assert str(err.value).startswith(f"term {token!r}: ") and err.value.line_no is None
 
     def test_unknown_predicate_rejected(self):
         with pytest.raises(ParseError):
