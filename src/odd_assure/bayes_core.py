@@ -22,10 +22,10 @@ from __future__ import annotations
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,14 +224,17 @@ class BayesNet:
     edges: tuple[tuple[str, str], ...]
     cpts: dict[str, Cpt]
     objective: str | None = None
-    # Elimination plans, filled on first use by posterior() and _joint_table()
-    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def node(self, node_id: str) -> BnNode:
         try:
             return self.nodes[node_id]
         except KeyError:
             raise UnknownNode(f"no node named {node_id!r}") from None
+
+    @cached_property
+    def _plans(self) -> dict:
+        """Elimination plans by (keep, evidence variables), filled by _plan."""
+        return {}
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, ...]:
@@ -405,8 +408,7 @@ def _min_fill_order(scopes: Sequence[tuple[str, ...]], keep: set[str]) -> list[s
     return order
 
 
-@dataclass(frozen=True)
-class _Plan:
+class _Plan(NamedTuple):
     """Everything about a query that depends only on the kept variables and
     on which variables carry evidence, not on their states.
 

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -86,45 +86,39 @@ class Trace(Sequence[TraceRecord]):
         return TraceRecord(dict(zip(self.names, self.x[i].tolist())), self.labels[i])
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     label: str
     n_yes: int
     n_no: int
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(NamedTuple):
     feature: str
     threshold: float
     left: Union["Split", Leaf]   # feature <= threshold
     right: Union["Split", Leaf]  # feature > threshold
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     root: Union[Split, Leaf]
     feature_names: tuple[str, ...]
     constant_features: bool = False  # impure root that no split could separate
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """Conjunction of threshold tests with a Yes/No outcome; one per leaf."""
 
     conjuncts: tuple[tuple[str, str, float], ...]  # (feature, "<=" or ">", threshold)
     outcome: str
 
 
-@dataclass(frozen=True)
-class BoundaryProposal:
+class BoundaryProposal(NamedTuple):
     class_name: str
     current: tuple[Interval, ...]
     proposed: tuple[Interval, ...]
 
 
-@dataclass(frozen=True)
-class RefinementReport:
+class RefinementReport(NamedTuple):
     proposals: tuple[BoundaryProposal, ...]
     yes_regions: tuple[Rule, ...]  # full conjunctive regions, kept for audit
     exit_everywhere: bool

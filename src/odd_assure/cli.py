@@ -188,13 +188,15 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    if not (args.scenario or args.scenario_file):
+        args.usage_error("one of the arguments --scenario --scenario-file is required")
     rows = _load(_read_rows, args.dataset)
     if args.scenario_file:
         scenario = _load(_read_json, args.scenario_file, _scenario)
     else:
         scenario = confidence_templates.ScenarioSpec("scenario", tuple(args.scenario))
     result = confidence_templates.scenario_coverage(rows, scenario)
-    print(json.dumps(dataclasses.asdict(result)))  # scenario, n_occurrences, n_total, m
+    print(json.dumps(result._asdict()))  # scenario, n_occurrences, n_total, m
     return EXIT_OK
 
 
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", action="append", default=[], type=_assignment,
                    metavar="CLASS=STATE")
     p.add_argument("--scenario-file", help="JSON scenario spec {id, conditions}")
-    p.set_defaults(func=_cmd_coverage)
+    p.set_defaults(func=_cmd_coverage, usage_error=p.error)
 
     p = sub.add_parser("refine", help="fit a boundary tree to a trace and print the rules")
     p.add_argument("trace_file", help="CSV of feature columns plus a Yes/No `label` column")

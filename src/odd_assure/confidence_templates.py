@@ -15,8 +15,9 @@ lower-inclusive bins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,8 +88,7 @@ class ScenarioSpec:
                 )
 
 
-@dataclass(frozen=True)
-class CoverageResult:
+class CoverageResult(NamedTuple):
     scenario: str
     n_occurrences: int
     n_total: int
@@ -144,18 +144,18 @@ _FEATURE_PRIOR = (0.9, 0.1)
 _CONFIG_KEYS = {"template", "feature_names", "cpts"}
 
 
-@dataclass(frozen=True)
-class TemplateConfig:
+class TemplateConfig(NamedTuple):
     """Configuration for the template builders.
 
     ``feature_names`` sets the width of the feature layer, the one part of a
     template's wiring that varies; every other node is required. ``cpts``
     overrides the fixture tables per node (rows in the wiring's parent
-    order).
+    order); its default is an empty read-only mapping, so no two configs
+    share a dict.
     """
 
     feature_names: tuple[str, ...] = ("Feat_1", "Feat_2")
-    cpts: Mapping[str, Sequence[Sequence[float]]] = field(default_factory=dict)
+    cpts: Mapping[str, Sequence[Sequence[float]]] = MappingProxyType({})
 
     @staticmethod
     @_base.document_reader("template config", DocumentError)
@@ -303,9 +303,17 @@ def build_from_document(document) -> BayesNet:
 def scenario_coverage(
     records: Sequence[Mapping[str, str]], scenario: ScenarioSpec
 ) -> CoverageResult:
-    """Fraction of dataset rows matching every condition of the scenario."""
+    """Fraction of dataset rows matching every condition of the scenario.
+
+    The dataset's columns are the keys of its first row (``csv.DictReader``
+    gives every row the header's keys); a condition on any other class
+    raises UnknownScenarioReference."""
     if not records:
         raise EmptyDataset("coverage of an empty dataset is undefined")
+    for cls, _ in scenario.conditions:
+        if cls not in records[0]:
+            raise UnknownScenarioReference(
+                f"scenario {scenario.id!r}: the dataset has no column {cls!r}")
     hits = 0
     for row in records:
         if all(row.get(cls) == state for cls, state in scenario.conditions):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Collection, Iterable, Mapping
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from . import _base
 
@@ -71,8 +71,7 @@ class Event:
             raise DocumentError(f"event {self.id!r}: an operating condition names a non-string")
 
 
-@dataclass(frozen=True)
-class CausalEntry:
+class CausalEntry(NamedTuple):
     children: tuple[str, ...]
     op: GateOp
 
@@ -97,15 +96,13 @@ class CausalRelation:
         return self.mapping.get(event_id)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     parent: str
     children: tuple[str, ...]
     op: GateOp
 
 
-@dataclass(frozen=True)
-class Fta:
+class Fta(NamedTuple):
     """Fault tree: top event, ordered event set, and one gate per non-atomic
     event reachable from the top."""
 
@@ -130,8 +127,7 @@ class DependsKind(str, Enum):
     TRIGGER = "trigger"
 
 
-@dataclass(frozen=True)
-class ChainEdge:
+class ChainEdge(NamedTuple):
     kind: DependsKind
     src: str
     dst: str
@@ -173,8 +169,7 @@ class HazardChain:
         raise DanglingReference(f"event {event_id!r} is not part of the chain")
 
 
-@dataclass(frozen=True)
-class FtaDefect:
+class FtaDefect(NamedTuple):
     kind: str
     event_ids: tuple[str, ...]
     message: str

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, NamedTuple, Union
 
@@ -199,8 +199,7 @@ def format_interval(interval: Interval) -> str:
     return f"{open_b}{lo}, {hi}{close_b}"
 
 
-@dataclass(frozen=True)
-class OddAttribute:
+class OddAttribute(NamedTuple):
     """A named state of an ODD class, e.g. ``Rain_Moderate`` with its bounds."""
 
     name: str
@@ -208,8 +207,7 @@ class OddAttribute:
     bounds: Interval
 
 
-@dataclass(frozen=True)
-class OddClass:
+class OddClass(NamedTuple):
     name: str
     parent: str | None
     attributes: tuple[OddAttribute, ...]
@@ -254,8 +252,7 @@ class Observation(NamedTuple):
     readings: Mapping[str, float]
 
 
-@dataclass(frozen=True)
-class OddDefect:
+class OddDefect(NamedTuple):
     kind: str
     class_name: str
     detail: str
@@ -264,17 +261,16 @@ class OddDefect:
         return f"{self.kind}({self.class_name}): {self.detail}"
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(NamedTuple):
     """Per-class discretization of an observation.
 
     ``states`` holds the successful entries (attribute name or OUT_OF_ODD);
     entries that raised are collected in ``errors`` instead of aborting the
-    whole observation.
+    whole observation. Both are required, so no two share a dict.
     """
 
-    states: dict[str, State] = field(default_factory=dict)
-    errors: dict[str, OddModelError] = field(default_factory=dict)
+    states: dict[str, State]
+    errors: dict[str, OddModelError]
 
 
 def _overlap_witness(a: Interval, b: Interval) -> float:

@@ -220,8 +220,7 @@ def make_bundle(odd: OddSpec, net: BayesNet, bindings: Mapping[str, str], acp: A
     return ModelBundle(odd, net, dict(bindings), acp, oodd_policy, dict(worst_states or {}))
 
 
-@dataclass(frozen=True)
-class _TickTable:
+class _TickTable(NamedTuple):
     """What every tick of one bundle shares.
 
     ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, the
@@ -254,12 +253,12 @@ def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str], k
     """Compute and memoize under ``key`` the entry [posterior, mean,
     variance, JSONL part, CSV fields] for the evidence; the first three are
     None when it has ~zero probability."""
-    objective = bundle.acp.objective
+    objective, joint, memo = bundle.acp.objective, table.joint, table.memo
     try:
-        if table.joint is None:
+        if joint is None:
             post = bayes_core.posterior(bundle.net, objective, EvidenceSet(evidence))
         else:
-            cells = table.joint[(slice(None), *(
+            cells = joint[(slice(None), *(
                 index[evidence[node]] if node in evidence else slice(None)
                 for node, index in zip(table.nodes, table.states)
             ))]
@@ -270,9 +269,9 @@ def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str], k
     outcome = [None, None, None, None, None] if post is None else [
         post, *bayes_core.mean_variance(post, bundle.state_values), None, None
     ]
-    if len(table.memo) >= _MEMO_LIMIT:
-        table.memo.clear()
-    table.memo[key] = outcome
+    if len(memo) >= _MEMO_LIMIT:
+        memo.clear()
+    memo[key] = outcome
     return outcome
 
 
@@ -420,10 +419,10 @@ def _json_part(ticks: _TickTable, report: ConfidenceReport) -> str:
     formatted from ``report_to_document`` with the bundle's pre-escaped
     fragments."""
     doc = report_to_document(report)
-    evidence = ", ".join([ticks.evidence_json[item] for item in doc["evidence"].items()])
-    post = doc["posterior"]
+    evidence = ", ".join(map(ticks.evidence_json.__getitem__, doc["evidence"].items()))
+    post, state_json = doc["posterior"], ticks.state_json
     post = "null" if post is None else "{" + ", ".join(
-        [ticks.state_json[state] + _json_number(p) for state, p in post.items()]
+        [state_json[state] + _json_number(p) for state, p in post.items()]
     ) + "}"
     return (f', "evidence": {{{evidence}}}, "posterior": {post}, '
             f'"mean": {_json_number(doc["mean"])}, "variance": {_json_number(doc["variance"])}')

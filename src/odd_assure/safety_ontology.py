@@ -158,7 +158,10 @@ def retract_triple(graph: TripleGraph, triple: Triple) -> TripleGraph:
 def query(graph: TripleGraph, subject=None, predicate=None, object=None) -> list[Triple]:
     """All triples matching the bound positions (None = wildcard), in
     canonical lexicographic order. It filters the smallest bucket of the
-    graph's index among the bound positions."""
+    graph's index among the bound positions. A bound predicate outside the
+    vocabulary and the graph's extensions raises UnknownPredicate."""
+    if predicate is not None and predicate not in VOCABULARY | graph.extension_predicates:
+        raise UnknownPredicate(f"predicate {predicate!r} is not in the vocabulary")
     pattern = (subject, predicate, object)
     bound = [b.get(term, ()) for b, term in zip(graph._index.buckets, pattern) if term is not None]
     return [

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -398,6 +399,14 @@ class TestPosterior:
                 expected = enumerate_posterior(net, query, evidence)
                 assert all(abs(got[s] - expected[s]) <= 1e-9 for s in expected)
                 assert len(net._plans) <= 2
+
+    def test_plan_cache_is_not_a_field(self):
+        # filled plans change neither equality nor repr, nor the fields
+        net, fresh = avp_monitor_bn(), avp_monitor_bn()
+        posterior(net, net.objective, EvidenceSet({}))
+        assert net._plans and not fresh._plans
+        assert net == fresh and repr(net) == repr(fresh)
+        assert [f.name for f in dataclasses.fields(net)] == ["nodes", "edges", "cpts", "objective"]
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -583,6 +583,21 @@ class TestCoverage:
         result = run_cli_process("coverage", data, "--scenario-file", scenario)
         assert_malformed(result, scenario)
 
+    def test_unknown_class_exits_one_naming_it(self, bundle_dir, caplog, capsys):
+        states = bundle_dir / "avp_states.csv"
+        assert run_cli("coverage", states, "--scenario", "Rain=Rain_Heavy",
+                       "--scenario", "Nope=X") == 1
+        assert error_text(caplog) == "scenario 'scenario': the dataset has no column 'Nope'"
+        assert capsys.readouterr().out == ""
+
+    def test_no_scenario_is_a_usage_error(self, bundle_dir, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("coverage", bundle_dir / "avp_states.csv")
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: odd-assure coverage ")
+        assert "one of the arguments --scenario --scenario-file is required" in err
+
 
 class TestRefine:
     def test_rules_and_report(self, bundle_dir, tmp_path, capsys):
@@ -1003,6 +1018,11 @@ class TestOnto:
             "Rain subClassOf Weather_conditions .",
             "Snow subClassOf Weather_conditions .",
         ]
+
+    def test_query_unknown_predicate_exits_one_naming_it(self, bundle_dir, caplog, capsys):
+        assert run_cli("onto", "query", bundle_dir / "avp_ontology.nt", "?", "bogus", "?") == 1
+        assert error_text(caplog) == "predicate 'bogus' is not in the vocabulary"
+        assert capsys.readouterr().out == ""
 
     def test_query_parse_error_exits_two(self, tmp_path):
         path = tmp_path / "g.nt"

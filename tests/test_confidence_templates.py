@@ -173,6 +173,12 @@ class TestScenarioCoverage:
         scenario = ScenarioSpec("s", (("Rain", "Rain_Heavy"), ("Fog", "Fog_Severity_5")))
         assert scenario_coverage(rows, scenario).n_occurrences == 1
 
+    def test_condition_on_a_missing_column(self):
+        rows = [{"Rain": "Rain_Heavy", "Fog": "Fog_Severity_5"}] * 3
+        scenario = ScenarioSpec("s", (("Rain", "Rain_Heavy"), ("Snow", "Snow_light")))
+        with pytest.raises(ct.UnknownScenarioReference, match="the dataset has no column 'Snow'"):
+            scenario_coverage(rows, scenario)
+
     def test_empty_dataset(self):
         with pytest.raises(EmptyDataset):
             scenario_coverage([], ScenarioSpec("s", (("Rain", "Rain_Heavy"),)))

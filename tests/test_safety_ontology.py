@@ -138,6 +138,13 @@ class TestQuery:
     def test_full_wildcard_is_whole_graph(self, graph):
         assert len(query(graph)) == len(graph.triples)
 
+    def test_predicate_outside_the_vocabulary(self, graph):
+        # the predicates import_graph and assert_all accept, no others
+        with pytest.raises(UnknownPredicate, match="predicate 'green' is not in the vocabulary"):
+            query(graph, None, "green", None)
+        g = TripleGraph(extension_predicates=frozenset({"green"}))
+        assert query(g, None, "green", None) == []
+
     def test_matches_linear_filter_on_random_graphs(self):
         rng = random.Random(5)
         subjects = [f"s{i}" for i in range(4)]
