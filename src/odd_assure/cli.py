@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import json
 import logging
 import os
@@ -83,8 +84,25 @@ def _priors(doc) -> dict[str, float]:
 
 
 def _read_rows(path) -> list[dict]:
+    """The dataset's rows, each a dict keyed by the header. The header must
+    not repeat a column and every row must have one cell per column; blank
+    lines are skipped. A row is named by the line it ends on."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise _base.DocumentError(f"malformed dataset: row 1 repeats column {name!r}")
+        rows = []
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise _base.DocumentError(
+                    f"malformed dataset: row {reader.line_num} has {len(cells)} cells, "
+                    f"the header has {len(header)}")
+            rows.append(dict(zip(header, cells)))
+        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +206,6 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
-    if not (args.scenario or args.scenario_file):
-        args.usage_error("one of the arguments --scenario --scenario-file is required")
     rows = _load(_read_rows, args.dataset)
     if args.scenario_file:
         scenario = _load(_read_json, args.scenario_file, _scenario)
@@ -345,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="scenario coverage of an attribute-state dataset")
     p.add_argument("dataset", help="CSV with one column per ODD class, cells are states")
-    p.add_argument("--scenario", action="append", default=[], type=_assignment,
-                   metavar="CLASS=STATE")
-    p.add_argument("--scenario-file", help="JSON scenario spec {id, conditions}")
-    p.set_defaults(func=_cmd_coverage, usage_error=p.error)
+    scenario = p.add_mutually_exclusive_group(required=True)
+    scenario.add_argument("--scenario", action="append", default=[], type=_assignment,
+                          metavar="CLASS=STATE")
+    scenario.add_argument("--scenario-file", help="JSON scenario spec {id, conditions}")
+    p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("refine", help="fit a boundary tree to a trace and print the rules")
     p.add_argument("trace_file", help="CSV of feature columns plus a Yes/No `label` column")
@@ -390,9 +407,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    Once the command line is parsed, every object that exists then (the
+    imported modules, numpy's included) is left outside the cyclic garbage
+    collector until the process exits (``gc.freeze()``), so interpreter
+    shutdown does not walk and free that start-up heap. An in-process caller
+    that keeps running afterwards can call ``gc.unfreeze()``."""
     _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
+    gc.freeze()
     try:
         return args.func(args)
     except BrokenPipeError:

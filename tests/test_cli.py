@@ -1,5 +1,7 @@
 import copy
 import csv
+import gc
+import hashlib
 import io
 import json
 import logging
@@ -57,19 +59,19 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
-def run_python(*args):
+def run_python(*args, text=True):
     """Run a fresh interpreter that imports this checkout's package."""
     src = str(Path(odd_assure.__file__).resolve().parents[1])
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     return subprocess.run(
-        [sys.executable, *(str(a) for a in args)], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *(str(a) for a in args)], capture_output=True, text=text, env=env, timeout=120,
     )
 
 
-def run_cli_process(*argv):
+def run_cli_process(*argv, text=True):
     """Run the CLI in a fresh interpreter so stderr is exactly what a user sees."""
-    return run_python("-m", "odd_assure.cli", *argv)
+    return run_python("-m", "odd_assure.cli", *argv, text=text)
 
 
 def test_importing_the_package_loads_no_module():
@@ -598,6 +600,44 @@ class TestCoverage:
         assert err.startswith("usage: odd-assure coverage ")
         assert "one of the arguments --scenario --scenario-file is required" in err
 
+    def test_both_scenario_sources_are_a_usage_error(self, bundle_dir, tmp_path, capsys):
+        # the file's scenario alone was read, and the option silently dropped
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"conditions": [["Rain", "Rain_Heavy"]]}), encoding="utf-8")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("coverage", bundle_dir / "avp_states.csv", "--scenario", "Fog=Fog_Severity_5",
+                    "--scenario-file", scenario)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: odd-assure coverage ")
+        assert "argument --scenario-file: not allowed with argument --scenario" in captured.err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + ["Rain_light"] + lines[3:],
+         "row 3 has 1 cells, the header has 2"),
+        (lambda lines: lines[:2] + [lines[2] + ",Rain_light"] + lines[3:],
+         "row 3 has 3 cells, the header has 2"),
+        (lambda lines: ["Rain,Rain"] + lines[1:], "row 1 repeats column 'Rain'"),
+    ], ids=["missing_cell", "extra_cell", "repeated_column"])
+    def test_malformed_dataset_exits_two_naming_file_and_row(
+        self, bundle_dir, tmp_path, caplog, capsys, edit, message
+    ):
+        # each of these was read as a dataset of four rows
+        lines = (bundle_dir / "avp_states.csv").read_text(encoding="utf-8").splitlines()[:5]
+        data = tmp_path / "states.csv"
+        data.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        assert run_cli("coverage", data, "--scenario", "Rain=Rain_Heavy") == 2
+        assert error_text(caplog) == f"{data}: malformed dataset: {message}"
+        assert capsys.readouterr().out == ""
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("Rain,Fog\n\nRain_Heavy,Fog_Severity_1\n\nRain_light,Fog_Severity_1\n",
+                        encoding="utf-8")
+        assert run_cli("coverage", data, "--scenario", "Rain=Rain_Heavy") == 0
+        assert json.loads(capsys.readouterr().out)["n_total"] == 2
+
 
 class TestRefine:
     def test_rules_and_report(self, bundle_dir, tmp_path, capsys):
@@ -1032,3 +1072,67 @@ class TestOnto:
     def test_query_bad_term_exits_two_naming_the_term(self, bundle_dir, caplog):
         assert run_cli("onto", "query", bundle_dir / "avp_ontology.nt", '"abc', "?", "?") == 2
         assert error_text(caplog) == """term '"abc': unterminated literal '"abc'"""
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestFrozenStartUpHeap:
+    """``main`` freezes the heap its command starts with; each command still
+    ends as it did before: same bytes out, same exit code, files complete."""
+
+    # sha256 of the fixture commands' outputs, pinned so that how a process
+    # exits cannot change a byte of what it wrote.
+    SYNTH_SEED_3 = "335e12a023650035932c062ffac16a492c18357040129f5f65c9053f20ef9d35"
+    MONITOR = {"jsonl": "5b7635477df57970a115357e890d0de853593a0eade02a307717eb44ab34add3",
+               "csv": "98a99401c87b72ff17d5306b90642ddc0c7f93222a604fd9db1234f42a75f2dd"}
+    COMPILED_BN = "c5c2bc6c155ef461ddac67f8d88b21067af6c66f2b344956df0293b8b938c111"
+
+    def test_main_freezes_the_heap_its_command_starts_with(self, bundle_dir, capsys):
+        assert gc.get_freeze_count() == 0
+        assert run_cli("validate", bundle_dir / "avp_odd.json") == 0
+        assert gc.get_freeze_count() > 0
+
+    def test_importing_the_cli_leaves_the_collector_alone(self):
+        result = run_python("-c", "import gc, odd_assure.cli; print(gc.get_freeze_count())")
+        assert (result.returncode, result.stdout) == (0, "0\n")
+
+    def test_synth_then_monitor_in_fresh_processes(self, bundle_dir, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        result = run_cli_process("synth", bundle_dir / "fog_ramp.json", "--seed", 3, "--out", stream)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert _sha256(stream.read_bytes()) == self.SYNTH_SEED_3
+        for fmt, digest in self.MONITOR.items():
+            result = run_cli_process("monitor", bundle_dir / "avp_bundle.json", "--stream", stream,
+                                     "--format", fmt, text=False)
+            assert (result.returncode, _sha256(result.stdout), result.stderr) == (0, digest, b"")
+
+    def test_compile_fta_output_reads_back_complete(self, bundle_dir, tmp_path):
+        out = tmp_path / "compiled.json"
+        result = run_cli_process(
+            "compile-fta", bundle_dir / "avp_hara.json", bundle_dir / "avp_priors.json", out
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+        assert _sha256(out.read_bytes()) == self.COMPILED_BN
+        assert bayes_core.load_bn(out).objective == HAZARD_ID
+
+    def test_malformed_stream_exits_two_naming_it(self, bundle_dir, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        stream.write_text('{"t": 0}\nnot json\n', encoding="utf-8")
+        result = run_cli_process("monitor", bundle_dir / "avp_bundle.json", "--stream", stream)
+        assert result.returncode == 2
+        assert f"{stream} line 2: malformed observation" in result.stderr
+        assert "Traceback" not in result.stderr
+        assert len(result.stdout.splitlines()) == 1  # the report of line 1 is flushed
+
+    def test_usage_error_exits_two_unfrozen(self, bundle_dir, capsys):
+        argv = ("monitor", bundle_dir / "avp_bundle.json", "--format", "xml")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv)
+        assert exit_info.value.code == 2
+        assert gc.get_freeze_count() == 0  # parse_args failed before the freeze
+        result = run_cli_process(*argv)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("usage: odd-assure monitor ")
+        assert "Traceback" not in result.stderr
