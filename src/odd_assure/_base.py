@@ -1,12 +1,13 @@
 """Pieces several modules share: the malformed-document rule, one rule per
 JSON value type (``number``, ``json_array``, ``json_object`` and, for strings,
-booleans and integers, ``json_scalar``), the number-text rule and the DAG
-walker. Each value rule raises a TypeError or ValueError, so a document reader
-reports a value of the wrong type or length as malformed. This module imports
-nothing from the package."""
+booleans and integers, ``json_scalar``), the CSV table rule, the number-text
+rule and the DAG walker. Each value rule raises a TypeError or ValueError, so
+a document reader reports a value of the wrong type or length as malformed.
+This module imports nothing from the package."""
 
 from __future__ import annotations
 
+import csv
 import functools
 import heapq
 import json
@@ -119,6 +120,27 @@ def json_scalar(value, what: str, kind: type = str):
         name = {str: "a string", bool: "true or false", int: "an integer"}[kind]
         raise TypeError(f"{what} must be {name}, got {value!r}")
     return value
+
+
+def csv_table(lines) -> tuple[list[str], list[list[str]], list[int]]:
+    """The header, the rows and the line each row ends on of CSV ``lines``,
+    read by ``csv.reader`` with blank lines skipped. A header that repeats a
+    column, or a row without one cell per column (RFC 4180 §2), is a
+    ValueError naming the row by the line it ends on; the header is row 1."""
+    reader = csv.reader(lines)
+    header = next(reader, [])
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise ValueError(f"row 1 repeats column {name!r}")
+    rows, ends = [], []
+    for cells in reader:
+        if cells:
+            if len(cells) != len(header):
+                raise ValueError(f"row {reader.line_num} has {len(cells)} cells, "
+                                 f"the header has {len(header)}")
+            rows.append(cells)
+            ends.append(reader.line_num)
+    return header, rows, ends
 
 
 #: A number written as text (an ontology term, an ODD interval bound, a

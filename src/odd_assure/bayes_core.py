@@ -727,6 +727,8 @@ def parse_bn(document) -> BayesNet:
     """
     nodes = [BnNode(n["id"], _base.json_array(n["states"], "states")) for n in document["nodes"]]
     edges = [_base.json_array(e, "an edge", 2) for e in document.get("edges", [])]
+    for end in chain.from_iterable(edges):
+        _base.json_scalar(end, "an edge end")
     tables = []
     for c in document["cpts"]:
         try:

@@ -13,7 +13,6 @@ the lexicographically smaller feature, then the lower threshold.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import re
@@ -361,36 +360,44 @@ def report_to_document(report: RefinementReport) -> dict:
 
 def parse_trace(text: str) -> Trace:
     """Parse a delimited trace, a header of feature names plus a `label`
-    column holding Yes/No, into columns. Rows, row numbers and errors are
-    those of ``csv.DictReader`` (see :func:`_raise_first_bad_row`). A feature
+    column holding Yes/No, into columns. The table is read by
+    ``_base.csv_table``, so a row is named by the line it ends on. A feature
     cell is read with ``float`` but must not hold what :data:`_FORGIVEN`
     matches, so its finite numbers are those of ``_base.NUMBER_TEXT``."""
-    stream = io.StringIO(text)
-    reader = csv.reader(stream)
-    header = next(reader, None)
-    if header is None or "label" not in header:
+    try:
+        header, rows, ends = _base.csv_table(io.StringIO(text))
+    except ValueError as exc:
+        raise DocumentError(f"malformed trace: {exc}") from exc
+    if "label" not in header:
         raise DocumentError("trace needs a header row with a 'label' column")
     features = [n for n in header if n != "label"]
     if not features:
         raise DocumentError("trace has no feature columns")
-    column = {name: i for i, name in enumerate(header)}
-    names = sorted(set(features))
-    # One screen of the body spares checking each cell: text without these
-    # characters has no cell _FORGIVEN matches. A quote can wrap a line break.
-    body = text[stream.tell():]
-    plain = body.isascii() and not any(c in body for c in '_ \t\f\v"')
-    to_float = float if plain else _cell_number
-    try:
-        rows = [row for row in reader if row]
-        x = np.column_stack([np.fromiter(map(to_float, map(itemgetter(column[n]), rows)), float,
-                                         len(rows)) for n in names])
-        labels = list(map(itemgetter(column["label"]), rows))
-    except (csv.Error, IndexError, ValueError):  # an unreadable, short or non-numeric row
-        x, labels = None, ()
-    if x is None or not np.isfinite(x).all() or not set(labels) <= {YES, NO}:
-        _raise_first_bad_row(text, features)
     if not rows:
         raise TooFewRecords("trace has no data rows")
+    column = {name: i for i, name in enumerate(header)}
+    names = sorted(features)
+    # One screen of the body (not the header) spares checking each cell: text
+    # without these characters has no cell _FORGIVEN matches. A quote can wrap
+    # a line break.
+    body = text.partition("\n")[2]
+    plain = body.isascii() and not any(c in body for c in '_ \t\f\v"')
+    to_float = float if plain else _cell_number
+    labels = list(map(itemgetter(column["label"]), rows))
+    try:
+        x = np.column_stack([np.fromiter(map(to_float, map(itemgetter(column[n]), rows)), float,
+                                         len(rows)) for n in names])
+    except ValueError:
+        x = None
+    if x is None or not np.isfinite(x).all() or not set(labels) <= {YES, NO}:
+        for cells, end in zip(rows, ends):  # the first bad row names the error
+            try:
+                values = [_cell_number(cells[column[n]]) for n in features]
+            except ValueError as exc:
+                raise DocumentError(f"row {end}: bad numeric value ({exc})") from exc
+            if not all(map(math.isfinite, values)):
+                raise DocumentError(f"row {end}: feature values must be finite")
+            TraceRecord({}, cells[column["label"]])  # raises on a label but Yes or No
     return Trace(tuple(names), x, labels)
 
 
@@ -399,26 +406,11 @@ def parse_trace(text: str) -> Trace:
 _FORGIVEN = re.compile(r"[\s_]|[^\x00-\x7f]")
 
 
-def _cell_number(cell: str | None) -> float:
-    """``float(cell)``, but a ValueError if the cell holds what
-    :data:`_FORGIVEN` matches. A missing cell (None) is a TypeError."""
-    if cell is not None and _FORGIVEN.search(cell):
+def _cell_number(cell: str) -> float:
+    """``float(cell)``, but a ValueError if the cell holds what :data:`_FORGIVEN` matches."""
+    if _FORGIVEN.search(cell):
         raise ValueError(f"{cell!r} is not a number")
     return float(cell)
-
-
-def _raise_first_bad_row(text: str, features: list[str]) -> None:
-    """Raise the error of the first bad row ``csv.DictReader`` reads: blank
-    rows are skipped and not numbered, extra cells ignored, missing ones
-    None, and the last of a repeated header name is read."""
-    for row_no, cells in enumerate(csv.DictReader(io.StringIO(text)), start=2):
-        try:
-            values = [_cell_number(cells[n]) for n in features]
-        except (TypeError, ValueError) as exc:
-            raise DocumentError(f"row {row_no}: bad numeric value ({exc})") from exc
-        if not all(map(math.isfinite, values)):
-            raise DocumentError(f"row {row_no}: feature values must be finite")
-        TraceRecord({}, cells["label"])  # raises on a label but Yes or No
 
 
 def load_trace(path) -> Trace:

@@ -84,25 +84,14 @@ def _priors(doc) -> dict[str, float]:
 
 
 def _read_rows(path) -> list[dict]:
-    """The dataset's rows, each a dict keyed by the header. The header must
-    not repeat a column and every row must have one cell per column; blank
-    lines are skipped. A row is named by the line it ends on."""
+    """The dataset's rows, each a dict keyed by the header (``_base.csv_table``)."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for i, name in enumerate(header):
-            if name in header[:i]:
-                raise _base.DocumentError(f"malformed dataset: row 1 repeats column {name!r}")
-        rows = []
-        for cells in reader:
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise _base.DocumentError(
-                    f"malformed dataset: row {reader.line_num} has {len(cells)} cells, "
-                    f"the header has {len(header)}")
-            rows.append(dict(zip(header, cells)))
-        return rows
+        lines = fh.readlines()  # decoded first: a UnicodeDecodeError is a ValueError too
+    try:
+        header, rows, _ = _base.csv_table(lines)
+    except ValueError as exc:
+        raise _base.DocumentError(f"malformed dataset: {exc}") from exc
+    return [dict(zip(header, cells)) for cells in rows]
 
 
 # ---------------------------------------------------------------------------

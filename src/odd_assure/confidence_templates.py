@@ -77,16 +77,6 @@ class ScenarioSpec:
         if not self.conditions:
             raise InvalidConfig(f"scenario {self.id!r} has no conditions")
 
-    def check_against(self, odd_spec) -> None:
-        for class_name, state in self.conditions:
-            cls = odd_spec.classes.get(class_name)
-            if cls is None:
-                raise UnknownScenarioReference(f"scenario {self.id!r}: no class {class_name!r}")
-            if state not in {a.name for a in cls.attributes}:
-                raise UnknownScenarioReference(
-                    f"scenario {self.id!r}: {state!r} is not a state of {class_name!r}"
-                )
-
 
 class CoverageResult(NamedTuple):
     scenario: str
@@ -305,9 +295,9 @@ def scenario_coverage(
 ) -> CoverageResult:
     """Fraction of dataset rows matching every condition of the scenario.
 
-    The dataset's columns are the keys of its first row (``csv.DictReader``
-    gives every row the header's keys); a condition on any other class
-    raises UnknownScenarioReference."""
+    The dataset's columns are the keys of its first row (every row has the
+    header's keys); a condition on any other class raises
+    UnknownScenarioReference."""
     if not records:
         raise EmptyDataset("coverage of an empty dataset is undefined")
     for cls, _ in scenario.conditions:

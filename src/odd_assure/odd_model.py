@@ -287,8 +287,9 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
 
     The document schema is ``{"classes": [{name, parent, partition,
     attributes: [{name, unit, interval}]}]}`` with intervals in the string
-    grammar of :func:`parse_interval`. Names and units must be JSON strings
-    and ``partition`` a JSON boolean, else the document is malformed.
+    grammar of :func:`parse_interval`. Names, units and parents (but the
+    root's null) must be JSON strings and ``partition`` a JSON boolean, else
+    the document is malformed.
     Validation enforces unique names, a single-rooted parent tree, non-empty
     leaf classes, and pairwise disjoint intervals for classes flagged
     ``partition: true``.
@@ -306,9 +307,10 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
                 raise DuplicateName(f"attribute {attr_name!r} declared twice in {name!r}")
             unit = scalar(attr["unit"], f"the unit of {attr_name!r}")
             attrs[attr_name] = OddAttribute(attr_name, unit, parse_interval(attr["interval"]))
+        parent = entry.get("parent")
         classes[name] = OddClass(
             name=name,
-            parent=entry.get("parent"),
+            parent=parent if parent is None else scalar(parent, f"the parent of {name!r}"),
             attributes=tuple(attrs.values()),
             partition=scalar(entry.get("partition", False), f"partition of {name!r}", bool),
         )

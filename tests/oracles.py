@@ -346,32 +346,51 @@ def odd_hierarchy_error(parents: dict) -> type | None:
 # Trace parsing
 
 
-def trace_cell(cell):
+def trace_cell(cell: str) -> float:
     """``float(cell)`` for a cell with no whitespace, ``_`` or non-ASCII
-    character, which ``float`` would forgive; None (a missing cell) fails as
-    in ``float``."""
-    if cell is not None and (not cell.isascii() or any(c.isspace() or c == "_" for c in cell)):
+    character, which ``float`` would forgive."""
+    if not cell.isascii() or any(c.isspace() or c == "_" for c in cell):
         raise ValueError(f"{cell!r} is not a number")
     return float(cell)
 
 
+# DictReader's markers: the key of a row's extra cells, the value of a missing cell
+_EXTRA, _MISSING = object(), object()
+
+
 def parse_trace(text: str) -> list:
     """Trace records through ``csv.DictReader``: a dict, a ``trace_cell`` per
-    cell and a ``TraceRecord`` per row."""
-    reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or "label" not in reader.fieldnames:
+    cell and a ``TraceRecord`` per row. Every row is read before a cell is
+    checked. A header that repeats a name, or a row with extra or missing
+    cells, is malformed; ``line_num`` names the row."""
+    reader = csv.DictReader(io.StringIO(text), restkey=_EXTRA, restval=_MISSING)
+    header = reader.fieldnames or []
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise RefinementDocumentError(f"malformed trace: row 1 repeats column {name!r}")
+        seen.add(name)
+    rows = []
+    for row in reader:
+        width = len(header) + len(row.get(_EXTRA, ())) - list(row.values()).count(_MISSING)
+        if width != len(header):
+            raise RefinementDocumentError(
+                f"malformed trace: row {reader.line_num} has {width} cells, "
+                f"the header has {len(header)}")
+        rows.append((reader.line_num, row))
+    if "label" not in header:
         raise RefinementDocumentError("trace needs a header row with a 'label' column")
-    features = [n for n in reader.fieldnames if n != "label"]
+    features = [n for n in header if n != "label"]
     if not features:
         raise RefinementDocumentError("trace has no feature columns")
     records = []
-    for row_no, row in enumerate(reader, start=2):
+    for line, row in rows:
         try:
             values = {n: trace_cell(row[n]) for n in features}
-        except (TypeError, ValueError) as exc:
-            raise RefinementDocumentError(f"row {row_no}: bad numeric value ({exc})") from exc
+        except ValueError as exc:
+            raise RefinementDocumentError(f"row {line}: bad numeric value ({exc})") from exc
         if not all(map(math.isfinite, values.values())):
-            raise RefinementDocumentError(f"row {row_no}: feature values must be finite")
+            raise RefinementDocumentError(f"row {line}: feature values must be finite")
         records.append(TraceRecord(values, row["label"]))
     if not records:
         raise TooFewRecords("trace has no data rows")

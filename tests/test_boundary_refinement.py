@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from odd_assure import _base
+from odd_assure import _base, cli
 from odd_assure.boundary_refinement import (
     NO,
     YES,
@@ -461,7 +461,9 @@ class TestTraceFormat:
     @pytest.mark.parametrize("cell", ["1_0", "\u0663", " 1", "1 ", "\t1", "\f1", "\v1",
                                       '"1\n"', '"1\r\n"'])
     def test_number_cells_follow_the_number_grammar(self, cell):
-        with pytest.raises(DocumentError, match=r"row 3: bad numeric value \(.* is not a number\)"):
+        # a row is named by the line it ends on, past a quoted line break too
+        row = 3 + cell.count("\n")
+        with pytest.raises(DocumentError, match=rf"row {row}: bad numeric value \(.* is not a number\)"):
             parse_trace(f"a,b,label\n1,2,Yes\n1,{cell},Yes\n")
 
     @settings(max_examples=300, deadline=None)
@@ -479,11 +481,39 @@ class TestTraceFormat:
         with pytest.raises(DocumentError, match="row 3: feature values must be finite"):
             parse_trace(f"a,b,label\n1,2,Yes\n1,{value},Yes\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("a,label\n1,Yes,7\n2,No\n", "row 2 has 3 cells, the header has 2"),
+        ("a,label\n1,Yes\n2\n", "row 3 has 1 cells, the header has 2"),
+        ("a,a,label\n1,100,Yes\n2,200,No\n", "row 1 repeats column 'a'"),
+        ("label,label\n1,Yes\n", "row 1 repeats column 'label'"),
+    ], ids=["extra_cell", "short_row", "repeated_feature", "repeated_label"])
+    def test_rows_have_one_cell_per_column(self, text, message):
+        # the first two read as two rows, the third split on the second `a`
+        with pytest.raises(DocumentError, match=f"^malformed trace: {message}$"):
+            parse_trace(text)
+
+    @pytest.mark.parametrize("prefix", ["a,label\n\n\n1,Yes\n\n", '"a\nb",label\n1,Yes\n'],
+                             ids=["blank_lines", "quoted_line_break"])
+    def test_bad_row_is_named_by_the_line_coverage_names(self, tmp_path, prefix):
+        # a short row is the one error both readers report: line 6, or line 4
+        data = tmp_path / "data.csv"
+        data.write_text(prefix + "x\n", encoding="utf-8")
+        with pytest.raises(_base.DocumentError) as coverage:
+            cli._read_rows(data)
+        row = re.fullmatch(r"malformed dataset: row (\d+) has 1 cells, the header has 2",
+                           str(coverage.value)).group(1)
+        assert row == str(prefix.count("\n") + 1)
+        with pytest.raises(DocumentError, match=f"^malformed trace: row {row} has 1 cells"):
+            load_trace(data)
+        for bad, message in (("x,No", "bad numeric value"), ("nan,No", "feature values must be")):
+            with pytest.raises(DocumentError, match=f"^row {row}: {message}"):
+                parse_trace(prefix + bad + "\n")
+
 
 # Trace text: header names that repeat or lack `label`, rows that are blank,
 # short or long, and cells that are numbers, padded numbers, non-finite or not
 # numbers at all.
-trace_names = st.sampled_from(["a", "b", "a", "c", "", "label"])
+trace_names = st.sampled_from(["a", "b", "a", "c", ""])
 trace_cells = st.sampled_from(
     ["1", "2.5", "-3e2", " 4 ", "0", "1_0", "nan", "inf", "-Infinity", "x", "", "Yes", "No",
      '"5"', '"6,7"', "\u0663", '"8\n"', "\t9"]
@@ -492,16 +522,19 @@ trace_cells = st.sampled_from(
 
 @st.composite
 def trace_text(draw):
-    header = draw(st.lists(trace_names, min_size=0, max_size=4))
+    # a header that repeats a name fails before any row is read, so most do not
+    unique = draw(st.sampled_from([True, True, True, False]))
+    header = draw(st.lists(trace_names, min_size=0, max_size=4, unique=unique))
     for _ in range(draw(st.sampled_from([0, 1, 1, 1, 1, 2]))):
         header.insert(draw(st.integers(0, len(header))), "label")
     lines = [",".join(header)] if draw(st.sampled_from([True] * 9 + [False])) else [""]
     for _ in range(draw(st.integers(0, 8))):
-        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "random"]))
+        kind = draw(st.sampled_from(["good"] * 6 + ["blank", "cells", "random"]))
         if kind == "blank":
             lines.append("")
             continue
-        width = len(header) if kind == "good" else draw(st.integers(0, len(header) + 2))
+        # "cells" fills the header's width with any cells; "random" any width
+        width = len(header) if kind != "random" else draw(st.integers(0, len(header) + 2))
         cells = []
         for name in header[:width]:
             if kind == "good":
@@ -522,8 +555,8 @@ def trace_outcome(parse, text):
 
 
 class TestTraceMatchesReference:
-    """parse_trace reads columns with csv.reader; the oracle reads rows with
-    csv.DictReader. Records and error messages must be equal."""
+    """parse_trace reads columns through _base.csv_table; the oracle reads rows
+    with csv.DictReader. Records and error messages must be equal."""
 
     @settings(max_examples=500, deadline=None)
     @given(text=trace_text())
@@ -536,12 +569,13 @@ class TestTraceMatchesReference:
             assert trace.x.shape == (len(got[1]), len(trace.names))
 
     @pytest.mark.parametrize("text", [
-        "a,label\n1\n",  # a short row: the label reads as None
-        "a,b,label\n1,Yes\n",  # ... and so does a feature, which fails first
-        "a,label,a\n1,Yes\n",  # the missing last `a` wins over the first
+        "a,label\n1\n",  # a short row
+        "a,b,label\n1,Yes\n",
+        "a,label,a\n1,Yes\n",  # a repeated column, whatever the rows hold
         "a,label,a\n1,Yes,2\n3,No,x\n",
-        "a,label\n1,Yes,extra,cells\n2,No\n",
-        "a,label\n\n\n1,Yes\n\nx,No\n",  # blank rows are not numbered
+        "a,label\n1,Yes,extra,cells\n2,No\n",  # a long row
+        "a,label\n1,Yes\n2,No\n3\nx,No\n",  # every row is read before a cell is checked
+        "a,label\n\n\n1,Yes\n\nx,No\n",  # blank lines are skipped but counted
         "\na,label\n1,Yes\n",  # a blank first line is the header
         "a,label,label\n1,Yes,No\n2,No,maybe\n",
         "a,b,label\n1,inf,Yes\n2,x,No\n",  # row 2 fails first though row 3 does not parse
@@ -550,21 +584,23 @@ class TestTraceMatchesReference:
         "a,label\n1_0,Yes\n",  # float() reads the next three cells, the grammar does not
         "a,label\n\u0663,Yes\n",
         "a,label\n 1,Yes\n",
-        'a,label\n"1\n",Yes\n',  # a quoted line break
+        'a,label\n"1\n",Yes\n',  # a quoted line break: the row ends on line 3
+        'a,label\n"1\n2",Yes\nx,No\n',
         'a,label\n"5",Yes\n2,No\n',  # a quoted number is a number
         "a b,label\n1,Yes\n",  # the header is not screened
+        "a_b,label\n1,Yes\n",
         "a,label\nnan,Yes\n1_0,No\n",  # the first bad row fails, whatever the rest holds
     ])
     def test_edge_cases(self, text):
         assert trace_outcome(parse_trace, text) == trace_outcome(oracles.parse_trace, text)
 
     def test_unreadable_row_after_a_bad_one(self):
+        # every row is read before a cell is checked, so the unreadable row fails first
         huge = "1" * 200_000  # past csv's field size limit
-        text = f"a,label\nx,Yes\n{huge},No\n"
-        assert trace_outcome(parse_trace, text) == trace_outcome(oracles.parse_trace, text)
         for parse in (parse_trace, oracles.parse_trace):
-            with pytest.raises(csv.Error):
-                parse(f"a,label\n1,Yes\n{huge},No\n")
+            for first in ("x", "1"):
+                with pytest.raises(csv.Error):
+                    parse(f"a,label\n{first},Yes\n{huge},No\n")
 
     def test_trace_is_a_sequence_of_records(self):
         trace = parse_trace("b,a,label\n1,2,Yes\n3,4,No\n5,6,Yes\n")

@@ -253,6 +253,23 @@ def test_malformed_input_exits_two_naming_file(bundle_dir, tmp_path, caplog, cas
     assert str(path) in error_text(caplog)
 
 
+# An identifier of another type was read as a reference: the first two exited
+# 1 ("edge references unknown node 5", UnknownParent), the third 2 only through
+# a TypeError from sorting the edges.
+@pytest.mark.parametrize("content, argv, detail", [
+    (_bn_fork(lambda doc: doc["edges"].__setitem__(0, ["A", 5])), INFER_C, "an edge end"),
+    (_rain(lambda c: c.update(parent=5)), VALIDATE, "the parent of 'Rain'"),
+    (_bn_fork(lambda doc: doc["edges"].__setitem__(0, [5, "C"])), INFER_C, "an edge end"),
+], ids=["bn_edge_target_number", "odd_parent_number", "bn_edge_source_number"])
+def test_identifier_of_another_type_exits_two(tmp_path, caplog, capsys, content, argv, detail):
+    path = tmp_path / "document.json"
+    path.write_bytes(content)
+    assert run_cli(*(a.format(file=path) for a in argv)) == 2
+    assert error_text(caplog).startswith(f"{path}: malformed ")
+    assert error_text(caplog).endswith(f": {detail} must be a string, got 5")
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("base, document_error", [
     (odd_model.OddModelError, odd_model.DocumentError),
     (hara_fta.HaraError, hara_fta.DocumentError),
@@ -671,6 +688,25 @@ class TestRefine:
         )
         assert run_cli("refine", trace, "--max-depth", 100000, "--min-leaf", 1) == 0
         assert len(capsys.readouterr().out.splitlines()) == n
+
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:2] + [lines[2] + ",7"] + lines[3:], "row 3 has 4 cells, the header has 3"),
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         "row 3 has 2 cells, the header has 3"),
+        (lambda lines: [line + "," + line.split(",")[1] for line in lines],
+         "row 1 repeats column 'Fog'"),
+    ], ids=["extra_cell", "short_row", "repeated_column"])
+    def test_malformed_trace_exits_two_naming_file_and_row(self, bundle_dir, tmp_path, edit, message):
+        # the first was read as a trace and the extra cell ignored, the third
+        # split on the last Fog column; both exited 0
+        lines = (bundle_dir / "avp_trace.csv").read_text(encoding="utf-8").splitlines()
+        trace = tmp_path / "trace.csv"
+        trace.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        result = run_cli_process("refine", trace, "--odd", bundle_dir / "avp_odd.json")
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert result.stderr == f"ERROR odd_assure: {trace}: malformed trace: {message}\n"
 
 
 class TestMonitorAndSynth:

@@ -4,7 +4,7 @@ Each example copies the bundle, damages one file (drops a key or cell, swaps
 a value's type, injects NaN or infinity, truncates a line, or inserts bytes
 that are not UTF-8) and runs every command that reads that file. Whatever
 the damage, ``main`` returns 0, 1 or 2 instead of raising, and an exit 2
-names the damaged file.
+names the damaged file. A CSV line with one cell repeated is always an exit 2.
 """
 
 import json
@@ -117,11 +117,30 @@ def _mutate(raw: bytes, name: str, mutation: str, data) -> bytes:
         j = data.draw(st.integers(0, len(cells) - 1))
         if mutation == "drop":
             del cells[j]
+        elif mutation == "extra":
+            cells.insert(j, cells[j])
         else:
             choices = TEXT_NON_FINITE if mutation == "non_finite" else TEXT_SWAPS
             cells[j] = data.draw(st.sampled_from(choices))
         lines[i] = sep.join(cells)
     return ("\n".join(lines) + "\n").encode()
+
+
+def _exits(pristine, caplog, name, mutation, data) -> list[tuple[int, bool]]:
+    """Each exit code of the commands that read ``name``, run on a copy of the
+    bundle with that file mutated, and whether the error names the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for source in pristine.iterdir():
+            shutil.copy(source, directory)
+        path = directory / name
+        path.write_bytes(_mutate(path.read_bytes(), name, mutation, data))
+        exits = []
+        for argv in COMMANDS[name]:
+            caplog.clear()
+            code = cli.main([arg.format(d=directory) for arg in argv])
+            exits.append((code, str(path) in error_text(caplog)))
+        return exits
 
 
 # About 6 s on a 2-vCPU VM; the example count keeps the whole test under 20 s.
@@ -133,15 +152,14 @@ def _mutate(raw: bytes, name: str, mutation: str, data) -> bytes:
 )
 @given(name=st.sampled_from(sorted(COMMANDS)), mutation=st.sampled_from(MUTATIONS), data=st.data())
 def test_mutated_input_exits_cleanly(pristine, caplog, name, mutation, data):
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp)
-        for source in pristine.iterdir():
-            shutil.copy(source, directory)
-        path = directory / name
-        path.write_bytes(_mutate(path.read_bytes(), name, mutation, data))
-        for argv in COMMANDS[name]:
-            caplog.clear()
-            code = cli.main([arg.format(d=directory) for arg in argv])
-            assert code in (0, 1, 2)
-            if code == 2:
-                assert str(path) in error_text(caplog)
+    for code, named in _exits(pristine, caplog, name, mutation, data):
+        assert code in (0, 1, 2)
+        assert named or code != 2
+
+
+# A repeated header cell repeats a column; any other gives its row an extra cell.
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(n for n in COMMANDS if n.endswith(".csv"))), data=st.data())
+def test_extra_cell_exits_two(pristine, caplog, name, data):
+    assert _exits(pristine, caplog, name, "extra", data) == [(2, True)] * len(COMMANDS[name])

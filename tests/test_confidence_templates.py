@@ -26,7 +26,6 @@ from odd_assure.confidence_templates import (
 
 # aliased so pytest does not collect the library function as a test
 distance = ct.test_distance
-from odd_assure.fixtures import avp_odd_spec
 from odd_assure.odd_model import discretize, parse_odd_spec
 
 
@@ -201,12 +200,6 @@ class TestScenarioCoverage:
             result = scenario_coverage(rows, scenario)
             assert result.n_occurrences == expected
             assert result.m == expected / len(rows)
-
-    def test_check_against_spec(self):
-        spec = avp_odd_spec()
-        ScenarioSpec("ok", (("Rain", "Rain_Heavy"),)).check_against(spec)
-        with pytest.raises(ct.UnknownScenarioReference):
-            ScenarioSpec("bad", (("Rain", "Sideways"),)).check_against(spec)
 
 
 class TestMetricToState:

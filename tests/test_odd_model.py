@@ -222,6 +222,9 @@ class TestParseOddSpec:
          "an attribute name of 'Rain' must be a string, got 7"),
         (lambda rain: rain["attributes"][0].update(unit=["m"]),
          "the unit of 'Rain_light' must be a string, got ['m']"),
+        # UnknownParent (exit 1) before; a null parent is still the root
+        (lambda rain: rain.update(parent=5), "the parent of 'Rain' must be a string, got 5"),
+        (lambda rain: rain.update(parent=False), "the parent of 'Rain' must be a string, got False"),
     ])
     def test_names_units_and_partition_have_their_json_types(self, edit, detail):
         doc = copy.deepcopy(AVP_ODD_DOCUMENT)
