@@ -125,21 +125,25 @@ def json_scalar(value, what: str, kind: type = str):
 def csv_table(lines) -> tuple[list[str], list[list[str]], list[int]]:
     """The header, the rows and the line each row ends on of CSV ``lines``,
     read by ``csv.reader`` with blank lines skipped. A header that repeats a
-    column, or a row without one cell per column (RFC 4180 §2), is a
-    ValueError naming the row by the line it ends on; the header is row 1."""
+    column, a row without one cell per column (RFC 4180 §2), or a row
+    ``csv`` cannot read (a cell past its field size limit) is a ValueError
+    naming the row by the line it ends on; the header is row 1."""
     reader = csv.reader(lines)
-    header = next(reader, [])
-    for i, name in enumerate(header):
-        if name in header[:i]:
-            raise ValueError(f"row 1 repeats column {name!r}")
-    rows, ends = [], []
-    for cells in reader:
-        if cells:
-            if len(cells) != len(header):
-                raise ValueError(f"row {reader.line_num} has {len(cells)} cells, "
-                                 f"the header has {len(header)}")
-            rows.append(cells)
-            ends.append(reader.line_num)
+    try:
+        header = next(reader, [])
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ValueError(f"row 1 repeats column {name!r}")
+        rows, ends = [], []
+        for cells in reader:
+            if cells:
+                if len(cells) != len(header):
+                    raise ValueError(f"row {reader.line_num} has {len(cells)} cells, "
+                                     f"the header has {len(header)}")
+                rows.append(cells)
+                ends.append(reader.line_num)
+    except csv.Error as exc:
+        raise ValueError(f"row {reader.line_num}: {exc}") from exc
     return header, rows, ends
 
 

@@ -23,8 +23,9 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -564,11 +565,15 @@ def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) ->
 
 def _normalized(node: BnNode, unnormalized: np.ndarray, evidence: Mapping[str, str]) -> Posterior:
     """``node``'s posterior from its unnormalized weights under ``evidence``;
-    ZeroProbabilityEvidence if their sum, P(evidence), is ~zero."""
-    z = float(unnormalized.sum())
+    ZeroProbabilityEvidence if their sum, P(evidence), is ~zero. Bit for bit
+    numpy's ``u / u.sum()``, done on Python floats."""
+    weights = unnormalized.tolist()
+    # np.sum adds fewer than 8 terms one by one from 0.0, and pairs longer runs
+    # up; Python's sum is compensated from 3.12 on, so it would not match.
+    z = reduce(add, weights, 0.0) if len(weights) < 8 else float(unnormalized.sum())
     if z <= ZERO_EVIDENCE_TOL:
         raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability {z!r}")
-    return Posterior(node.id, node.states, tuple((unnormalized / z).tolist()))
+    return Posterior(node.id, node.states, tuple([w / z for w in weights]))
 
 
 def _joint_table(net: BayesNet, keep: tuple[str, ...]) -> np.ndarray | None:
@@ -693,17 +698,19 @@ def mean_variance(post: Posterior, state_values: Mapping[str, float]) -> tuple[f
     if a state has no value, and ``BayesError`` naming the values if either
     moment is not finite.
     """
-    missing = [s for s in post.states if s not in state_values]
-    if missing:
-        raise MissingStateValue(f"no value for states {missing}")
     try:
-        mean = sum(p * state_values[s] for p, s in zip(post.probs, post.states))
-        second = sum(p * state_values[s] ** 2 for p, s in zip(post.probs, post.states))
+        values = [state_values[s] for s in post.states]
+    except KeyError:
+        missing = [s for s in post.states if s not in state_values]
+        raise MissingStateValue(f"no value for states {missing}") from None
+    try:
+        mean = sum([p * v for p, v in zip(post.probs, values)])
+        second = sum([p * v ** 2 for p, v in zip(post.probs, values)])
     except OverflowError:  # ** raises where * would give inf
         mean = second = math.inf
     variance = second - mean * mean
     if not math.isfinite(variance):  # as it is whenever the mean is not finite
-        values = {s: state_values[s] for s in post.states}
+        values = dict(zip(post.states, values))
         raise BayesError(f"state values {values} give a non-finite mean or variance")
     # cancellation in second - mean^2 can land an ulp below zero
     return mean, max(0.0, variance)

@@ -38,7 +38,7 @@ EXIT_OK = 0
 EXIT_DEFECTS = 1
 EXIT_UNREADABLE = 2
 
-_PARSE_FAILURES = (OSError, UnicodeDecodeError, csv.Error, _base.DocumentError)
+_PARSE_FAILURES = (OSError, UnicodeDecodeError, _base.DocumentError)
 
 
 class FileContextError(Exception):

@@ -49,6 +49,7 @@ WORST_CASE = "worst-case"
 
 _MEMO_LIMIT = 1024  # outcomes kept per bundle; emptied when full
 _INF = math.inf
+_ALL = slice(None)
 _FLOAT = {float}
 
 log = logging.getLogger("odd_assure.runtime_monitor")
@@ -99,7 +100,8 @@ class ModelBundle:
         """What every tick shares, built by the first one."""
         net, objective = self.net, self.acp.objective
         nodes = tuple(sorted(set(self.bindings.values())))
-        states = tuple({s: i for i, s in enumerate(net.node(n).states)} for n in nodes)
+        states = tuple({s: i for i, s in enumerate(net.node(n).states)} | {None: _ALL}
+                       for n in nodes)
         # The objective's axis is innermost in memory and first in the view;
         # the order, and so the rounding, of a tick's sums follows this layout.
         joint = bayes_core._joint_table(net, (*nodes, objective))
@@ -110,7 +112,8 @@ class ModelBundle:
         evidence_json = {(node, state): f"{json.dumps(node)}: {json.dumps(state)}"
                          for node in nodes for state in net.node(node).states}
         state_json = {state: f"{json.dumps(state)}: " for state in net.node(objective).states}
-        return _TickTable(nodes, states, joint, readers, evidence_json, state_json, {})
+        class_json = {name: json.dumps(name) for name in self.odd.classes}
+        return _TickTable(nodes, states, joint, readers, evidence_json, state_json, class_json, {})
 
 
 class ConfidenceReport(NamedTuple):
@@ -200,11 +203,14 @@ def _read_manifest(manifest, directory: Path) -> tuple[Path, Path, dict]:
     json_object = _base.json_object
     acp_doc = json_object(manifest["acp"], "acp")
     state_values = json_object(acp_doc["state_values"], "acp.state_values")
+    objective = acp_doc["objective"]  # null: _check_bindings reports the mismatch
+    if objective is not None:
+        _base.json_scalar(objective, "acp.objective")
     parts = dict(
         bindings=dict(json_object(manifest.get("bindings", {}), "bindings", str)),
         acp=AcpBinding(
             solution_id=_base.json_scalar(acp_doc["solution_id"], "acp.solution_id"),
-            objective=acp_doc["objective"],
+            objective=objective,
             state_values={k: _base.number(v, f"state value {k!r}")
                           for k, v in state_values.items()},
         ),
@@ -226,26 +232,29 @@ class _TickTable(NamedTuple):
     ``joint`` is P(objective, *nodes) from ``bayes_core._joint_table``, the
     only copy kept, or None when the bundle is queried through
     ``bayes_core.posterior``. ``states`` maps each bound node's states to
-    their indices. ``readers`` maps each ODD class with attributes to
-    (points, labels, bound node or None), where (points, labels) is the
-    spec's table for the class (see ``odd_model``), so a finite reading
-    costs one bisection and one comparison. ``evidence_json`` maps each
-    (bound node, state) to its JSON text ``"node": "state"`` and
-    ``state_json`` each objective state to ``"state": ``. ``memo`` maps the
-    evidence items, in insertion order, to [posterior, mean, variance,
-    JSONL part, CSV fields]: the first three all None for a degenerate tick,
-    the last two None until ``report_to_json_line`` and
+    their indices, and None (no evidence on the node) to all of them, so a
+    tick's index takes one lookup per node. ``readers`` maps each ODD class
+    with attributes to (points, labels, bound node or None), where (points,
+    labels) is the spec's table for the class (see ``odd_model``), so a
+    finite reading costs one bisection and one comparison.
+    ``evidence_json`` maps each (bound node, state) to its JSON text
+    ``"node": "state"``, ``state_json`` each objective state to
+    ``"state": `` and ``class_json`` each ODD class name to its JSON string.
+    ``memo`` maps the evidence items, in insertion order, to [posterior,
+    mean, variance, JSONL part, CSV fields]: the first three all None for a
+    degenerate tick, the last two None until ``report_to_json_line`` and
     ``report_to_csv_line`` fill them.
     It lives on the bundle, not the network, because the mean and variance
     depend on the bundle's state values.
     """
 
     nodes: tuple[str, ...]
-    states: tuple[dict[str, int], ...]
+    states: tuple[dict[str | None, int | slice], ...]
     joint: np.ndarray | None
     readers: dict[str, tuple]
     evidence_json: dict[tuple[str, str], str]
     state_json: dict[str, str]
+    class_json: dict[str, str]
     memo: dict
 
 
@@ -258,10 +267,8 @@ def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str], k
         if joint is None:
             post = bayes_core.posterior(bundle.net, objective, EvidenceSet(evidence))
         else:
-            cells = joint[(slice(None), *(
-                index[evidence[node]] if node in evidence else slice(None)
-                for node, index in zip(table.nodes, table.states)
-            ))]
+            cells = joint[(_ALL, *map(dict.__getitem__, table.states,
+                                      map(evidence.get, table.nodes)))]
             post = bayes_core._normalized(bundle.net.nodes[objective],
                                           cells.reshape(len(cells), -1).sum(axis=1), evidence)
     except bayes_core.ZeroProbabilityEvidence:
@@ -439,16 +446,20 @@ def report_to_json_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
     entry for the evidence items in insertion order (the order the line
     lists them in); a later line formats only ``t``, ``in_odd``,
     ``dropped_readings`` and ``degenerate``. A line whose entry has been
-    evicted is formatted the same way and not kept.
+    evicted is formatted the same way and not kept. Dropped class names
+    the ODD declares are written from the bundle's pre-escaped names.
     """
     part = _evidence_part(bundle, report, 3, _json_part)
     t = report.time
     # json.dumps spells a finite float with float.__repr__
     t = float.__repr__(t) if type(t) is float and -_INF < t < _INF else json.dumps(t)
-    dropped = json.dumps(list(report.dropped_readings)) if report.dropped_readings else "[]"
+    dropped = ""
+    if report.dropped_readings:
+        names = bundle._ticks.class_json
+        dropped = ", ".join([names.get(n) or json.dumps(n) for n in report.dropped_readings])
     return (
         f'{{"t": {t}{part}, "in_odd": {"true" if report.in_odd else "false"}, '
-        f'"dropped_readings": {dropped}, '
+        f'"dropped_readings": [{dropped}], '
         f'"degenerate": {"true" if report.degenerate else "false"}}}\n'
     )
 

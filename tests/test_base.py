@@ -1,4 +1,4 @@
-"""The JSON value rules every document reader shares."""
+"""The JSON value rules and the CSV table rule every document reader shares."""
 
 import pytest
 
@@ -84,3 +84,22 @@ class TestJsonScalar:
         assert _base.json_scalar("a", "x") == "a"
         with pytest.raises(TypeError, match="^x must be a string, got 1$"):
             _base.json_scalar(1, "x")
+
+
+class TestCsvTable:
+    HUGE = "1" * 200_000  # past csv's field size limit of 131072 characters
+
+    @pytest.mark.parametrize("text, row", [
+        (f"{HUGE},label\n1,Yes\n", 1),
+        (f"a,label\n1,Yes\n{HUGE},No\n", 3),
+        (f'a,label\n\n1,Yes\n\n"{HUGE}",No\n', 5),  # blank lines count
+        (f'a,label\n"1\n2",Yes\n"{HUGE}",No\n', 4),  # as does a quoted line break
+    ], ids=["header", "row", "after_blank_lines", "after_quoted_line_break"])
+    def test_a_cell_past_the_field_limit_names_its_row(self, text, row):
+        with pytest.raises(ValueError) as raised:
+            _base.csv_table(text.splitlines(keepends=True))
+        assert str(raised.value) == f"row {row}: field larger than field limit (131072)"
+
+    def test_rows_and_the_lines_they_end_on(self):
+        assert _base.csv_table(['a,b\n', '\n', '"1\n', '2",3\n', '4,5\n']) == (
+            ["a", "b"], [["1\n2", "3"], ["4", "5"]], [4, 5])

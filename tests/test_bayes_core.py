@@ -8,10 +8,11 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from odd_assure import bayes_core
 from odd_assure.bayes_core import (
@@ -926,7 +927,50 @@ class TestFitCpts:
                     assert abs(p - q) <= 0.05
 
 
+def _hexes(floats) -> list[str]:
+    return [float.hex(x) for x in floats]
+
+
+class TestNormalized:
+    """_normalized divides in Python floats; every posterior must equal what
+    numpy's ``u / u.sum()`` gives, bit for bit, for any number of states."""
+
+    @staticmethod
+    def node(k):  # what _normalized reads of a node; a BnNode has 2 states or more
+        return SimpleNamespace(id="n", states=tuple(f"s{i}" for i in range(k)))
+
+    @settings(max_examples=400, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    def test_matches_numpy_bit_for_bit(self, weights):
+        u = np.array(weights)
+        z = float(u.sum())
+        assume(z > bayes_core.ZERO_EVIDENCE_TOL)
+        post = bayes_core._normalized(self.node(len(weights)), u, {})
+        assert _hexes(post.probs) == _hexes((u / z).tolist())
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 8, 20])
+    @pytest.mark.parametrize("scale", [0.0, 1e-13])
+    def test_zero_sum_raises(self, k, scale):
+        u = np.full(k, scale / k)
+        with pytest.raises(ZeroProbabilityEvidence,
+                           match=rf"^evidence \{{'A': 'a'\}} has probability {float(u.sum())!r}$"):
+            bayes_core._normalized(self.node(k), u, {"A": "a"})
+
+
 class TestMeanVariance:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 20))
+    def test_matches_the_generator_formula_bit_for_bit(self, data, k):
+        raw = data.draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+        probs = tuple(w / sum(raw) for w in raw)
+        states = tuple(f"s{i}" for i in range(k))
+        values = dict(zip(states, data.draw(
+            st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k))))
+        post = Posterior("n", states, probs)
+        mean = sum(p * values[s] for p, s in zip(probs, states))
+        second = sum(p * values[s] ** 2 for p, s in zip(probs, states))
+        assert _hexes(mean_variance(post, values)) == _hexes((mean, max(0.0, second - mean * mean)))
+
     def test_degenerate(self):
         post = Posterior("n", ("t", "f"), (1.0, 0.0))
         assert mean_variance(post, {"t": 1.0, "f": 0.0}) == (1.0, 0.0)
@@ -937,9 +981,17 @@ class TestMeanVariance:
         assert (mean, var) == (0.5, 0.25)
 
     def test_missing_state_value(self):
-        post = Posterior("n", ("t", "f"), (0.5, 0.5))
-        with pytest.raises(MissingStateValue):
+        post = Posterior("n", ("t", "u", "f"), (0.5, 0.25, 0.25))
+        with pytest.raises(MissingStateValue, match=r"^no value for states \['u', 'f'\]$"):
             mean_variance(post, {"t": 1.0})
+
+    @pytest.mark.parametrize("value, text", [(1e200, "1e+200"), (10**400, "1" + "0" * 400)])
+    def test_overflow_names_the_values(self, value, text):
+        post = Posterior("n", ("t", "f"), (0.5, 0.5))
+        with pytest.raises(BayesError) as raised:
+            mean_variance(post, {"f": 0.0, "t": value})
+        assert str(raised.value) == (
+            f"state values {{'t': {text}, 'f': 0.0}} give a non-finite mean or variance")
 
     @pytest.mark.parametrize("value", [1e200, 1.7976931348623157e308, 10**400, math.inf,
                                        -math.inf, math.nan],

@@ -636,7 +636,10 @@ class TestCoverage:
         (lambda lines: lines[:2] + [lines[2] + ",Rain_light"] + lines[3:],
          "row 3 has 3 cells, the header has 2"),
         (lambda lines: ["Rain,Rain"] + lines[1:], "row 1 repeats column 'Rain'"),
-    ], ids=["missing_cell", "extra_cell", "repeated_column"])
+        # csv's own error, once printed bare: no "malformed dataset", no row
+        (lambda lines: lines[:2] + [HUGE_CELL.decode() + ",x"] + lines[3:],
+         "row 3: field larger than field limit (131072)"),
+    ], ids=["missing_cell", "extra_cell", "repeated_column", "cell_past_field_limit"])
     def test_malformed_dataset_exits_two_naming_file_and_row(
         self, bundle_dir, tmp_path, caplog, capsys, edit, message
     ):
@@ -696,10 +699,13 @@ class TestRefine:
          "row 3 has 2 cells, the header has 3"),
         (lambda lines: [line + "," + line.split(",")[1] for line in lines],
          "row 1 repeats column 'Fog'"),
-    ], ids=["extra_cell", "short_row", "repeated_column"])
+        (lambda lines: lines[:2] + [HUGE_CELL.decode() + ",1,Yes"] + lines[3:],
+         "row 3: field larger than field limit (131072)"),
+    ], ids=["extra_cell", "short_row", "repeated_column", "cell_past_field_limit"])
     def test_malformed_trace_exits_two_naming_file_and_row(self, bundle_dir, tmp_path, edit, message):
         # the first was read as a trace and the extra cell ignored, the third
-        # split on the last Fog column; both exited 0
+        # split on the last Fog column; both exited 0. The fourth printed
+        # csv's error bare, with neither "malformed trace" nor the row.
         lines = (bundle_dir / "avp_trace.csv").read_text(encoding="utf-8").splitlines()
         trace = tmp_path / "trace.csv"
         trace.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
@@ -807,6 +813,26 @@ class TestMonitorAndSynth:
         stream = tmp_path / "stream.jsonl"
         stream.write_text('{"t": 0, "readings": {"Fog": 100.0}}\n', encoding="utf-8")
         assert_malformed(run_cli_process("monitor", path, "--stream", stream), path)
+
+    @pytest.mark.parametrize("objective, code, message", [
+        (5, 2, "malformed bundle manifest: acp.objective must be a string, got 5"),
+        (True, 2, "malformed bundle manifest: acp.objective must be a string, got True"),
+        (["x"], 2, "malformed bundle manifest: acp.objective must be a string, got ['x']"),
+        (None, 1, f"ACP objective None is not the net objective {HAZARD_ID!r}"),
+    ], ids=["number", "bool", "list", "null"])
+    def test_monitor_objective_must_be_a_string(
+        self, bundle_dir, tmp_path, caplog, capsys, objective, code, message
+    ):
+        # the first three exited 1: "ACP objective 5 is not the net objective ..."
+        manifest = json.loads((bundle_dir / "avp_bundle.json").read_text(encoding="utf-8"))
+        manifest["acp"]["objective"] = objective
+        for key in ("odd", "net"):
+            manifest[key] = str(bundle_dir / manifest[key])
+        path = tmp_path / "bundle.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert run_cli("monitor", path, "--stream", "-") == code
+        assert error_text(caplog) == f"{path}: {message}"
+        assert capsys.readouterr().out == ""
 
     def test_worst_case_policy_with_states(self, bundle_dir, tmp_path, capsys):
         manifest = json.loads((bundle_dir / "avp_bundle.json").read_text(encoding="utf-8"))

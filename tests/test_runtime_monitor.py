@@ -943,6 +943,28 @@ class TestObservationLines:
             line = rm.report_to_json_line(bundle, report)
             assert line == json.dumps(rm.report_to_document(report)) + "\n"
 
+    def test_dropped_names_are_written_as_json_dumps_writes_them(self):
+        # names the ODD declares come from the bundle's pre-escaped text, the
+        # rest from json.dumps; the line must not tell them apart
+        declared = ('Q"uote', "back\\slash", "Nebel\u00e9\u2603")
+        odd = two_state_odd(("W0", *declared), ("adequate", "inadequate"))
+        net = confidence_templates.build_testing_adequacy_bn(
+            confidence_templates.TemplateConfig(feature_names=("W0",)))
+        acp = AcpBinding("SnW", confidence_templates.TEST_OBJECTIVE,
+                         {"adequate": 1.0, "inadequate": 0.0})
+        bundle = make_bundle(odd, net, {"W0": "W0"}, acp)
+        names = (*declared, "W0", "ODD", 'Un"known', "\u00fcber\\")
+        rng = random.Random(71)
+        dropped = set()
+        for t in range(80):
+            readings = {name: rng.choice((0.5, 7.0, math.nan)) for name in names
+                        if rng.random() < 0.7}
+            report = step(bundle, Observation(float(t), 0.0, 0.0, readings))
+            dropped.update(report.dropped_readings)
+            line = rm.report_to_json_line(bundle, report)
+            assert line == json.dumps(rm.report_to_document(report)) + "\n"
+        assert dropped == set(names)
+
     def test_roundtrip(self):
         obs = Observation(1.0, 0.0, 0.0, {"Fog": 30.0, "Rain": 0.1})
         assert parse_observation(rm.observation_to_line(obs)) == obs
