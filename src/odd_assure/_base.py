@@ -80,12 +80,22 @@ def _decode(text: str):
 NUMBER_TYPES = (float, int)  # JSON numbers; a bool is not one
 
 
+def _spelled(value) -> str:
+    """``value`` as the JSON text that holds it (``true``, ``null``,
+    ``"x"``), so an error names what the document says; ``repr`` for a value
+    JSON cannot encode."""
+    try:
+        return json.dumps(value, ensure_ascii=False)
+    except (TypeError, ValueError):
+        return repr(value)
+
+
 def number(value, what: str) -> float:
     """``value`` as a float if it is a JSON number. A bool, a string or any
     other value is a TypeError, an integer too large for a float a
     ValueError, so a document reader reports either as malformed."""
     if type(value) not in NUMBER_TYPES:
-        raise TypeError(f"{what} must be a number, got {value!r}")
+        raise TypeError(f"{what} must be a number, got {_spelled(value)}")
     try:
         return float(value)
     except OverflowError:
@@ -98,9 +108,9 @@ def json_array(value, what: str, length: int | None = None) -> tuple:
     array of its characters, nor an object as the array of its keys. An array
     of other than ``length`` items, when given, is a ValueError."""
     if type(value) not in (list, tuple):
-        raise TypeError(f"{what} must be an array, got {value!r}")
+        raise TypeError(f"{what} must be an array, got {_spelled(value)}")
     if length is not None and len(value) != length:
-        raise ValueError(f"{what} must be an array of {length} items, got {value!r}")
+        raise ValueError(f"{what} must be an array of {length} items, got {_spelled(value)}")
     return tuple(value)
 
 
@@ -108,7 +118,7 @@ def json_object(value, what: str, values: type = object) -> dict:
     """``value`` if it is a JSON object whose values are all ``values``, else a TypeError."""
     if not isinstance(value, dict) or not all(isinstance(v, values) for v in value.values()):
         kind = "an object" if values is object else f"an object of {values.__name__} values"
-        raise TypeError(f"{what} must be {kind}, got {value!r}")
+        raise TypeError(f"{what} must be {kind}, got {_spelled(value)}")
     return value
 
 
@@ -118,7 +128,7 @@ def json_scalar(value, what: str, kind: type = str):
     neither a string nor an integer."""
     if type(value) is not kind:
         name = {str: "a string", bool: "true or false", int: "an integer"}[kind]
-        raise TypeError(f"{what} must be {name}, got {value!r}")
+        raise TypeError(f"{what} must be {name}, got {_spelled(value)}")
     return value
 
 

@@ -526,19 +526,6 @@ def _run(plan: _Plan, arrays: tuple[np.ndarray, ...], key: tuple[int, ...]) -> n
     return values[-1]
 
 
-def joint_probability(net: BayesNet, full_assignment: Mapping[str, str]) -> float:
-    """Probability of one complete assignment: the product over every node of
-    its CPT entry given the assigned parent states."""
-    missing = sorted(set(net.nodes) - set(full_assignment))
-    if missing:
-        raise IncompleteAssignment(f"assignment misses nodes {missing}")
-    prob = 1.0
-    for (nid, node), arr in zip(net.nodes.items(), net._arrays):
-        index = [net.nodes[p].state_index(full_assignment[p]) for p in net.cpts[nid].parent_order]
-        prob *= float(arr[(*index, node.state_index(full_assignment[nid]))])
-    return prob
-
-
 def posterior(net: BayesNet, query: str, evidence: EvidenceSet | None = None) -> Posterior:
     """P(query | evidence) by variable elimination.
 

@@ -289,11 +289,6 @@ def avp_fta() -> hara_fta.Fta:
     return hara_fta.compute_fta(events[hazards[0]], events.values(), relation)
 
 
-def avp_compiled_bn() -> bayes_core.BayesNet:
-    """The hazard fault tree compiled with flat leaf priors."""
-    return bayes_core.compile_fta_to_bn(avp_fta(), AVP_LEAF_PRIORS)
-
-
 # Risk weight of each observable state, scaled into failure probabilities by
 # the event CPT builders below. Index order matches the node state order.
 _FOG_STATES = ("Fog_Severity_1", "Fog_Severity_2", "Fog_Severity_3", "Fog_Severity_4", "Fog_Severity_5")
@@ -429,12 +424,12 @@ def write_avp_bundle(directory) -> Path:
     return directory / "avp_bundle.json"
 
 
-def example_trace_csv(n: int = 400, seed: int = 12) -> str:
-    """Labeled refinement trace: safe iff lighting stays low and fog
-    visibility stays high (a planted two-feature concept)."""
-    rng = random.Random(seed)
+def example_trace_csv() -> str:
+    """Labeled refinement trace of 400 rows: safe iff lighting stays low and
+    fog visibility stays high (a planted two-feature concept)."""
+    rng = random.Random(12)
     lines = ["Vehicle_lighting,Fog,label"]
-    for _ in range(n):
+    for _ in range(400):
         lighting = rng.uniform(0.0, 150.0)
         fog = rng.uniform(0.0, 3000.0)
         label = "Yes" if lighting <= 60.48 and fog > 244.0 else "No"
@@ -442,13 +437,13 @@ def example_trace_csv(n: int = 400, seed: int = 12) -> str:
     return "\n".join(lines) + "\n"
 
 
-def example_states_csv(n: int = 500, seed: int = 21) -> str:
-    """Attribute-state dataset for coverage queries over Rain and Fog."""
-    rng = random.Random(seed)
+def example_states_csv() -> str:
+    """Attribute-state dataset of 500 rows for coverage queries over Rain and Fog."""
+    rng = random.Random(21)
     rain = ("Rain_light", "Rain_Moderate", "Rain_Heavy")
     fog = ("Fog_Severity_1", "Fog_Severity_2", "Fog_Severity_3", "Fog_Severity_4", "Fog_Severity_5")
     lines = ["Rain,Fog"]
-    for _ in range(n):
+    for _ in range(500):
         lines.append(f"{rng.choice(rain)},{rng.choice(fog)}")
     return "\n".join(lines) + "\n"
 

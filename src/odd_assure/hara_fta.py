@@ -380,15 +380,17 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     "chains": [{hazardous, occurrence, consequence, edges}]}``. The chains
     section is optional. Every field the schema shows as an array must be a
     JSON array, each operating condition one of two items, and ``atomic`` a
-    JSON boolean, else the document is malformed.
+    JSON boolean, and every event id named outside ``events`` (a hazard, a
+    causal parent or child, a chain member, an edge end) a JSON string, else
+    the document is malformed.
     """
-    array = _base.json_array
+    array, scalar = _base.json_array, _base.json_scalar
     events: dict[str, Event] = {}
     for entry in array(document["events"], "events"):
         eid = entry["id"]
         if eid in events:
             raise DocumentError(f"event {eid!r} declared twice")
-        atomic = _base.json_scalar(entry.get("atomic", False), f"atomic of {eid!r}", bool)
+        atomic = scalar(entry.get("atomic", False), f"atomic of {eid!r}", bool)
         conditions = tuple(array(c, f"event {eid!r}: an operating condition", 2)
                            for c in array(entry.get("oper_conditions", []), "oper_conditions"))
         role = entry.get("role")
@@ -397,26 +399,34 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
 
     mapping = {}
     for entry in array(document.get("causal", []), "causal"):
-        if entry["parent"] in mapping:
-            raise DocumentError(f"two causal entries for {entry['parent']!r}")
+        parent = scalar(entry["parent"], "causal parent")
+        if parent in mapping:
+            raise DocumentError(f"two causal entries for {parent!r}")
         op = GateOp(entry["op"].upper())
-        mapping[entry["parent"]] = CausalEntry(array(entry["children"], "children"), op)
+        children = tuple(scalar(c, f"a children entry of {parent!r}")
+                         for c in array(entry["children"], "children"))
+        mapping[parent] = CausalEntry(children, op)
     relation = CausalRelation(mapping)
 
-    hazards = list(array(document.get("hazards", []), "hazards"))
+    hazards = [scalar(h, "a hazards entry") for h in array(document.get("hazards", []), "hazards")]
     for hid in hazards:
         if hid not in events:
             raise DanglingReference(f"hazard {hid!r} not declared in events")
 
     chains = []
     for entry in array(document.get("chains", []), "chains"):
+        hazardous = scalar(entry["hazardous"], "chain hazardous")
+        where = f"of chain {hazardous!r}"
         chains.append(
             HazardChain(
-                hazardous_event=entry["hazardous"],
-                occurrence_events=array(entry.get("occurrence", []), "occurrence"),
-                consequence_events=array(entry.get("consequence", []), "consequence"),
+                hazardous_event=hazardous,
+                occurrence_events=tuple(scalar(e, f"an occurrence entry {where}")
+                                        for e in array(entry.get("occurrence", []), "occurrence")),
+                consequence_events=tuple(scalar(e, f"a consequence entry {where}")
+                                         for e in array(entry.get("consequence", []), "consequence")),
                 edges=tuple(
-                    ChainEdge(DependsKind(e["kind"]), e["from"], e["to"])
+                    ChainEdge(DependsKind(e["kind"]), scalar(e["from"], f"edge from {where}"),
+                              scalar(e["to"], f"edge to {where}"))
                     for e in array(entry.get("edges", []), "edges")
                 ),
             )

@@ -227,12 +227,6 @@ class OddSpec:
     def children(self, name: str) -> tuple[str, ...]:
         return tuple(c.name for c in self.classes.values() if c.parent == name)
 
-    def is_leaf(self, name: str) -> bool:
-        return not self.children(name)
-
-    def leaf_classes(self) -> tuple[str, ...]:
-        return tuple(n for n in self.classes if self.is_leaf(n))
-
     @cached_property
     def _tables(self) -> dict[str, tuple[tuple[float, ...], tuple[tuple, ...]]]:
         """The ``(points, labels)`` table of every class with attributes."""

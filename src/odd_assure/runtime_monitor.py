@@ -214,7 +214,7 @@ def _read_manifest(manifest, directory: Path) -> tuple[Path, Path, dict]:
             state_values={k: _base.number(v, f"state value {k!r}")
                           for k, v in state_values.items()},
         ),
-        oodd_policy=manifest.get("oodd_policy", DROP),
+        oodd_policy=_base.json_scalar(manifest.get("oodd_policy", DROP), "oodd_policy"),
         worst_states=dict(json_object(manifest.get("worst_states", {}), "worst_states", str)),
     )
     return odd_path, net_path, parts

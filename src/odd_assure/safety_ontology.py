@@ -33,10 +33,6 @@ class UnknownPredicate(OntologyError):
     pass
 
 
-class TypeViolation(OntologyError):
-    pass
-
-
 class ParseError(OntologyError, _base.DocumentError):
     """Unreadable ontology text, on line ``line_no`` of a graph or, for a term
     parsed on its own (``line_no`` None), in the term ``token``."""
@@ -110,35 +106,24 @@ class TripleGraph:
     use and kept; readers that race to build it each get a complete, equal one."""
 
     triples: frozenset[Triple] = frozenset()
-    extension_predicates: frozenset[str] = frozenset()
-
-    def has_type(self, term: Term, cls: str) -> bool:
-        return Triple(term, RDF_TYPE, cls) in self.triples
 
     @cached_property
     def _index(self) -> "_GraphIndex":
         return _GraphIndex(self.triples)
 
 
-def assert_triple(graph: TripleGraph, triple: Triple) -> TripleGraph:
-    """Insert a fact (set semantics: re-asserting is a no-op).
+def assert_all(graph: TripleGraph, triples: Iterable[Triple]) -> TripleGraph:
+    """Insert every fact into one new graph (set semantics: re-asserting is
+    a no-op).
 
     supportedBy and supports are each other's inverse, and hasInference /
     hasEvidence are subsumed by supportedBy; the entailed facts are
-    materialized on insert so pattern queries see them.
+    materialized on insert so pattern queries see them. Raises
+    UnknownPredicate on the first triple outside the vocabulary.
     """
-    return assert_all(graph, (triple,))
-
-
-def assert_all(graph: TripleGraph, triples: Iterable[Triple]) -> TripleGraph:
-    """Insert every fact as :func:`assert_triple` would, into one new set.
-
-    Raises UnknownPredicate on the first triple outside the vocabulary.
-    """
-    allowed = VOCABULARY | graph.extension_predicates
     new = set(graph.triples)
     for triple in triples:
-        if triple.predicate not in allowed:
+        if triple.predicate not in VOCABULARY:
             raise UnknownPredicate(f"predicate {triple.predicate!r} is not in the vocabulary")
         new.add(triple)
         if triple.predicate == "supportedBy":
@@ -148,19 +133,19 @@ def assert_all(graph: TripleGraph, triples: Iterable[Triple]) -> TripleGraph:
         elif triple.predicate in ("hasInference", "hasEvidence"):
             new.add(Triple(triple.subject, "supportedBy", triple.object))
             new.add(Triple(triple.object, "supports", triple.subject))
-    return TripleGraph(frozenset(new), graph.extension_predicates)
+    return TripleGraph(frozenset(new))
 
 
 def retract_triple(graph: TripleGraph, triple: Triple) -> TripleGraph:
-    return TripleGraph(graph.triples - {triple}, graph.extension_predicates)
+    return TripleGraph(graph.triples - {triple})
 
 
 def query(graph: TripleGraph, subject=None, predicate=None, object=None) -> list[Triple]:
     """All triples matching the bound positions (None = wildcard), in
     canonical lexicographic order. It filters the smallest bucket of the
     graph's index among the bound positions. A bound predicate outside the
-    vocabulary and the graph's extensions raises UnknownPredicate."""
-    if predicate is not None and predicate not in VOCABULARY | graph.extension_predicates:
+    vocabulary raises UnknownPredicate."""
+    if predicate is not None and predicate not in VOCABULARY:
         raise UnknownPredicate(f"predicate {predicate!r} is not in the vocabulary")
     pattern = (subject, predicate, object)
     bound = [b.get(term, ()) for b, term in zip(graph._index.buckets, pattern) if term is not None]
@@ -180,11 +165,6 @@ def _sort_key(t: Triple) -> tuple:
     s_kind, o_kind = isinstance(subject, Literal), isinstance(obj, Literal)
     return (s_kind, format_term(subject) if s_kind else subject, predicate,
             o_kind, format_term(obj) if o_kind else obj)
-
-
-def _term_key(term: Term) -> tuple:
-    """The (kind, text) part of ``_sort_key`` for one term."""
-    return _sort_key((term, "", term))[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +364,6 @@ def classify_goals(graph: TripleGraph) -> dict[Term, str]:
     }
 
 
-def attach_confidence(
-    graph: TripleGraph, solution_id: str, objective_node_id: str, value: float
-) -> TripleGraph:
-    """Record a computed confidence value at a GSN solution's claim point."""
-    if not graph.has_type(solution_id, "Solution"):
-        raise TypeViolation(f"{solution_id!r} is not typed Solution")
-    if not graph.has_type(objective_node_id, "ObjNode"):
-        raise TypeViolation(f"{objective_node_id!r} is not typed ObjNode")
-    if not 0.0 <= value <= 1.0:
-        raise TypeViolation(f"confidence {value!r} is outside [0, 1]")
-    graph = assert_triple(graph, Triple(solution_id, "hasConfidence", objective_node_id))
-    graph = assert_triple(graph, Triple(objective_node_id, "hasACP", Literal(value)))
-    return graph
-
-
 # ---------------------------------------------------------------------------
 # Line format
 
@@ -451,15 +416,13 @@ def export_graph(graph: TripleGraph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def import_graph(text: str, extension_predicates: Iterable[str] = ()) -> TripleGraph:
+def import_graph(text: str) -> TripleGraph:
     """Inverse of :func:`export_graph`; raises ParseError with a line number.
 
     Triples are loaded verbatim (no materialization on import), so a
     hand-written file missing its inverse supports facts will fail the A28
     check rather than being silently repaired.
     """
-    extensions = frozenset(extension_predicates)
-    allowed = VOCABULARY | extensions
     terms: dict[str, Term] = {}  # each distinct subject or object token parses once
     triples = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -474,17 +437,17 @@ def import_graph(text: str, extension_predicates: Iterable[str] = ()) -> TripleG
         subject, predicate, obj = tokens[:3]
         if subject not in terms:
             terms[subject] = _parse_term(subject, line_no)
-        if predicate not in allowed:
+        if predicate not in VOCABULARY:
             raise ParseError(f"unknown predicate {predicate!r}", line_no)
         if obj not in terms:
             terms[obj] = _parse_term(obj, line_no)
         triples.add(Triple(terms[subject], predicate, terms[obj]))
-    return TripleGraph(frozenset(triples), extensions)
+    return TripleGraph(frozenset(triples))
 
 
-def load_graph(path, extension_predicates: Iterable[str] = ()) -> TripleGraph:
+def load_graph(path) -> TripleGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return import_graph(fh.read(), extension_predicates)
+        return import_graph(fh.read())
 
 
 def save_graph(graph: TripleGraph, path) -> None:

@@ -563,9 +563,8 @@ def split_terms(line: str, line_no: int) -> list[str]:
     return tokens
 
 
-def import_graph(text: str, extension_predicates=()):
+def import_graph(text: str):
     """The line format read by the character loop, every token parsed anew."""
-    extensions = frozenset(extension_predicates)
     triples = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -576,11 +575,11 @@ def import_graph(text: str, extension_predicates=()):
             raise so.ParseError("expected `subject predicate object .`", line_no)
         subject = _parse_term(tokens[0], line_no)
         predicate = tokens[1]
-        if predicate not in so.VOCABULARY | extensions:
+        if predicate not in so.VOCABULARY:
             raise so.ParseError(f"unknown predicate {predicate!r}", line_no)
         obj = _parse_term(tokens[2], line_no)
         triples.add(so.Triple(subject, predicate, obj))
-    return so.TripleGraph(frozenset(triples), extensions)
+    return so.TripleGraph(frozenset(triples))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +596,7 @@ def _types_of(graph, term) -> set[str]:
 
 def _individuals_of(graph, cls: str) -> list:
     found = {t.subject for t in graph.triples if t.predicate == so.RDF_TYPE and t.object == cls}
-    return sorted(found, key=so._term_key)
+    return sorted(found, key=lambda term: so._sort_key((term, "", term))[:2])
 
 
 def check_axioms(graph) -> list:

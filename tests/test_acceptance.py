@@ -33,7 +33,7 @@ from odd_assure.safety_ontology import (
     Literal,
     Triple,
     TripleGraph,
-    assert_triple,
+    assert_all,
     check_axioms,
     export_graph,
     import_graph,
@@ -267,7 +267,7 @@ def test_criterion_7_ontology_integrity():
     assert len(MUTATIONS) == 20
     failures = []
     for axiom, triple in MUTATIONS:
-        mutated = assert_triple(base, triple)
+        mutated = assert_all(base, [triple])
         violations = check_axioms(mutated)
         if len(violations) != 1 or violations[0].axiom != axiom:
             failures.append(

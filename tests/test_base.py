@@ -6,10 +6,13 @@ from odd_assure import _base
 
 
 class TestNumber:
-    @pytest.mark.parametrize("value", [True, False, "1", None, [1.0]])
-    def test_a_bool_and_a_string_are_not_numbers(self, value):
-        with pytest.raises(TypeError, match=r"^x must be a number, got "):
+    @pytest.mark.parametrize("value, spelled", [
+        (True, "true"), (False, "false"), ("1", '"1"'), (None, "null"), ([1.0], "[1.0]"),
+    ])
+    def test_a_bool_and_a_string_are_not_numbers(self, value, spelled):
+        with pytest.raises(TypeError) as raised:
             _base.number(value, "x")
+        assert str(raised.value) == f"x must be a number, got {spelled}"
 
     def test_int_too_large_for_a_float(self):
         with pytest.raises(ValueError, match="^x is too large for a float$"):
@@ -24,20 +27,24 @@ class TestJsonArray:
         assert _base.json_array(["a", "b"], "x") == ("a", "b")
         assert _base.json_array(("a", "b"), "x", 2) == ("a", "b")
 
-    @pytest.mark.parametrize("value", ["ab", {"a": 1}, None, 2])
-    def test_other_values_are_not(self, value):
+    @pytest.mark.parametrize("value, spelled", [
+        ("ab", '"ab"'), ({"a": 1}, '{"a": 1}'), (None, "null"), (2, "2"),
+    ])
+    def test_other_values_are_not(self, value, spelled):
         with pytest.raises(TypeError) as raised:
             _base.json_array(value, "x")
-        assert str(raised.value) == f"x must be an array, got {value!r}"
+        assert str(raised.value) == f"x must be an array, got {spelled}"
 
-    @pytest.mark.parametrize("value", [["a", "b", "c"], ["a"], []])
-    def test_a_pair_has_two_items(self, value):
+    @pytest.mark.parametrize("value, spelled", [
+        (["a", "b", "c"], '["a", "b", "c"]'), (("a",), '["a"]'), ([], "[]"),
+    ])
+    def test_a_pair_has_two_items(self, value, spelled):
         with pytest.raises(ValueError) as raised:
             _base.json_array(value, "x", 2)
-        assert str(raised.value) == f"x must be an array of 2 items, got {value!r}"
+        assert str(raised.value) == f"x must be an array of 2 items, got {spelled}"
 
     def test_a_pair_string_is_not_a_pair(self):
-        with pytest.raises(TypeError, match="^x must be an array, got 'FC'$"):
+        with pytest.raises(TypeError, match='^x must be an array, got "FC"$'):
             _base.json_array("FC", "x", 2)
 
 
@@ -47,17 +54,22 @@ class TestJsonObject:
         assert _base.json_object(value, "x") is value
         assert _base.json_object(value, "x", str) is value
 
-    @pytest.mark.parametrize("value", [[["a", "b"]], "ab", None])
-    def test_other_values_are_not_objects(self, value):
+    @pytest.mark.parametrize("value, spelled", [
+        ([["a", "b"]], '[["a", "b"]]'), ("ab", '"ab"'), (None, "null"),
+    ])
+    def test_other_values_are_not_objects(self, value, spelled):
         with pytest.raises(TypeError) as raised:
             _base.json_object(value, "x")
-        assert str(raised.value) == f"x must be an object, got {value!r}"
+        assert str(raised.value) == f"x must be an object, got {spelled}"
 
-    @pytest.mark.parametrize("value", [{"a": 1}, {"a": ["b"]}, {"a": "b", "c": None}])
-    def test_values_of_another_type(self, value):
+    @pytest.mark.parametrize("value, spelled", [
+        ({"a": 1}, '{"a": 1}'), ({"a": ["b"]}, '{"a": ["b"]}'),
+        ({"a": "b", "c": None}, '{"a": "b", "c": null}'),
+    ])
+    def test_values_of_another_type(self, value, spelled):
         with pytest.raises(TypeError) as raised:
             _base.json_object(value, "x", str)
-        assert str(raised.value) == f"x must be an object of str values, got {value!r}"
+        assert str(raised.value) == f"x must be an object of str values, got {spelled}"
 
 
 class TestJsonScalar:
@@ -66,14 +78,15 @@ class TestJsonScalar:
         assert _base.json_scalar(value, "x", kind) is value
 
     @pytest.mark.parametrize("value, kind, message", [
-        ("false", bool, "x must be true or false, got 'false'"),
+        ("false", bool, 'x must be true or false, got "false"'),
         (0, bool, "x must be true or false, got 0"),
-        (None, bool, "x must be true or false, got None"),
-        (True, str, "x must be a string, got True"),
+        (None, bool, "x must be true or false, got null"),
+        (True, str, "x must be a string, got true"),
         (7, str, "x must be a string, got 7"),
-        (["m"], str, "x must be a string, got ['m']"),
-        (True, int, "x must be an integer, got True"),
+        (["m"], str, 'x must be a string, got ["m"]'),
+        (True, int, "x must be an integer, got true"),
         (2.0, int, "x must be an integer, got 2.0"),
+        ({"é": "\n"}, str, 'x must be a string, got {"é": "\\n"}'),  # as the JSON text writes it
     ])
     def test_other_types_are_refused(self, value, kind, message):
         with pytest.raises(TypeError) as raised:
@@ -84,6 +97,16 @@ class TestJsonScalar:
         assert _base.json_scalar("a", "x") == "a"
         with pytest.raises(TypeError, match="^x must be a string, got 1$"):
             _base.json_scalar(1, "x")
+
+    @pytest.mark.parametrize("value, spelled", [
+        ({1.5}, "{1.5}"),  # a set, built in Python: no JSON spelling
+        ([b"b"], "[b'b']"),
+        (float("nan"), "NaN"),  # as json.loads reads it
+    ])
+    def test_a_value_json_cannot_encode_is_spelled_by_repr(self, value, spelled):
+        with pytest.raises(TypeError) as raised:
+            _base.json_scalar(value, "x")
+        assert str(raised.value) == f"x must be a string, got {spelled}"
 
 
 class TestCsvTable:

@@ -34,7 +34,6 @@ from odd_assure.bayes_core import (
     compile_fta_to_bn,
     fit_cpts,
     gate_cpt,
-    joint_probability,
     mean_variance,
     parse_bn,
     posterior,
@@ -44,7 +43,6 @@ from odd_assure.fixtures import (
     AVP_LEAF_PRIORS,
     HAZARD_ID,
     avp_bundle,
-    avp_compiled_bn,
     avp_fta,
     avp_monitor_bn,
 )
@@ -191,42 +189,6 @@ class TestConstruction:
         cpt_b = Cpt("b", ("a",), ((0.5, 0.5),))
         with pytest.raises(BadCpt):
             build_net([a, b], [("a", "b")], [cpt_a, cpt_b])
-
-
-class TestJointProbability:
-    def test_single_node(self):
-        assert joint_probability(single_node_net(0.3), {"n": "t"}) == 0.3
-
-    def test_two_independent_nodes(self):
-        a, cpt_a = _binary("a", 0.3)
-        b, cpt_b = _binary("b", 0.5)
-        net = build_net([a, b], [], [cpt_a, cpt_b])
-        assert joint_probability(net, {"a": "t", "b": "t"}) == pytest.approx(0.15, abs=0)
-
-    def test_incomplete_assignment(self):
-        with pytest.raises(IncompleteAssignment):
-            joint_probability(chain_net(), {"A": "t"})
-
-    def test_unknown_state(self):
-        with pytest.raises(UnknownState):
-            joint_probability(single_node_net(), {"n": "maybe"})
-
-    def test_joint_sums_to_one_on_random_nets(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            net = random_net(rng, rng.randint(2, 6))
-            total = sum(
-                joint_probability(net, assignment) for assignment in all_assignments(net)
-            )
-            assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_matches_enumeration_factorization(self):
-        rng = random.Random(4)
-        net = random_net(rng, 6)
-        for assignment in list(all_assignments(net))[:32]:
-            assert joint_probability(net, assignment) == pytest.approx(
-                enumerate_joint(net, assignment), abs=1e-15
-            )
 
 
 class TestPosterior:
@@ -723,7 +685,7 @@ def _template_queries(width):
 
 
 def _avp_queries():
-    for net in (avp_compiled_bn(), avp_monitor_bn()):
+    for net in (compile_fta_to_bn(avp_fta(), AVP_LEAF_PRIORS), avp_monitor_bn()):
         for query in net.nodes:
             yield net, (query,), ()
     bundle = avp_bundle()
@@ -851,7 +813,7 @@ class TestCompileFta:
         assert any(d.kind == "MissingGate" for d in err.value.defects)
 
     def test_avp_tree_matches_gate_formula(self):
-        net = avp_compiled_bn()
+        net = compile_fta_to_bn(avp_fta(), AVP_LEAF_PRIORS)
         expected = gate_formula_top_probability(avp_fta(), AVP_LEAF_PRIORS)
         got = posterior(net, HAZARD_ID).as_dict()["occurs"]
         assert got == pytest.approx(expected, abs=1e-12)
@@ -893,6 +855,14 @@ class TestFitCpts:
     def test_empty_data_no_smoothing(self):
         with pytest.raises(EmptyData):
             fit_cpts(single_node_net(), [], smoothing=0.0)
+
+    def test_record_missing_a_node(self):
+        with pytest.raises(IncompleteAssignment, match=r"record misses \['B'\]"):
+            fit_cpts(chain_net(), [{"A": "t", "B": "t"}, {"A": "t"}])
+
+    def test_record_with_an_unknown_state(self):
+        with pytest.raises(UnknownState, match="node 'B' has no state 'maybe'"):
+            fit_cpts(chain_net(), [{"A": "t", "B": "maybe"}])
 
     @pytest.mark.parametrize("smoothing", [-1.0, math.nan, math.inf])
     def test_smoothing_must_be_finite_and_non_negative(self, smoothing):
@@ -1045,7 +1015,7 @@ def _fitted_monitor_net():
 # the templates' BnModelUnc node sum to 0.9999999999999999 under a plain
 # left-to-right sum, but to 1.0 exactly, so they load unchanged.
 _ROUNDTRIP_NETS = {
-    "avp_compiled": (avp_compiled_bn, set()),
+    "avp_compiled": (lambda: compile_fta_to_bn(avp_fta(), AVP_LEAF_PRIORS), set()),
     "avp_monitor": (avp_monitor_bn, set()),
     "template_12": (lambda: build_testing_adequacy_bn(_TWELVE_FEATURES), set()),
     "fitted": (_fitted_monitor_net, set()),
@@ -1317,7 +1287,7 @@ class TestTablesCheckedTogether:
         ({2: [[1.5, -0.5]], 3: [["x", 0.5, 0.5]]}, BadCpt, r"cpt for 'b2' has entries outside"),
         ({2: [[1.5, -0.5]], 3: "rows"}, BadCpt, r"cpt for 'b2' has entries outside"),
         ({1: [["x", 0.5, 0.5]], 2: [[1.5, -0.5]]}, bayes_core.DocumentError,
-         "malformed BN document: a cpt entry must be a number, got 'x'"),
+         'malformed BN document: a cpt entry must be a number, got "x"'),
     ])
     def test_first_bad_table_in_document_order_is_reported(self, bad, error, message):
         # parentless tables alternate between two and three states: b0, w1, b2, w3, b4, w5
@@ -1350,7 +1320,7 @@ class TestTablesCheckedTogether:
             for c in doc["cpts"]:
                 if any(isinstance(p, str) for row in c["rows"] for p in row):
                     expected = (bayes_core.DocumentError,
-                                "malformed BN document: a cpt entry must be a number, got 'x'")
+                                'malformed BN document: a cpt entry must be a number, got "x"')
                     break
                 try:
                     Cpt(c["node"], tuple(c["parents"]), oracles.renormalized_rows(c["rows"]))

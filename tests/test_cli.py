@@ -253,18 +253,39 @@ def test_malformed_input_exits_two_naming_file(bundle_dir, tmp_path, caplog, cas
     assert str(path) in error_text(caplog)
 
 
+_CHAIN = f"of chain {HAZARD_ID!r}"
+
+
 # An identifier of another type was read as a reference: the first two exited
 # 1 ("edge references unknown node 5", UnknownParent), the third 2 only through
-# a TypeError from sorting the edges.
+# a TypeError from sorting the edges. Each HARA identifier exited 1 naming an
+# unknown event or a DanglingReference.
 @pytest.mark.parametrize("content, argv, detail", [
     (_bn_fork(lambda doc: doc["edges"].__setitem__(0, ["A", 5])), INFER_C, "an edge end"),
     (_rain(lambda c: c.update(parent=5)), VALIDATE, "the parent of 'Rain'"),
     (_bn_fork(lambda doc: doc["edges"].__setitem__(0, [5, "C"])), INFER_C, "an edge end"),
-], ids=["bn_edge_target_number", "odd_parent_number", "bn_edge_source_number"])
-def test_identifier_of_another_type_exits_two(tmp_path, caplog, capsys, content, argv, detail):
+    (_hara(lambda doc: doc["hazards"].__setitem__(0, 5)), VALIDATE_HARA, "a hazards entry"),
+    (_hara(lambda doc: doc["causal"][0].update(parent=5)), VALIDATE_HARA, "causal parent"),
+    (_hara(lambda doc: doc["causal"][0]["children"].__setitem__(1, 5)), VALIDATE_HARA,
+     f"a children entry of {HAZARD_ID!r}"),
+    (_hara(lambda doc: doc["chains"][0].update(hazardous=5)), VALIDATE_HARA, "chain hazardous"),
+    (_hara(lambda doc: doc["chains"][0]["occurrence"].__setitem__(0, 5)), VALIDATE_HARA,
+     f"an occurrence entry {_CHAIN}"),
+    (_hara(lambda doc: doc["chains"][0]["consequence"].__setitem__(0, 5)), VALIDATE_HARA,
+     f"a consequence entry {_CHAIN}"),
+    (_hara(lambda doc: doc["chains"][0]["edges"][0].update({"from": 5})), VALIDATE_HARA,
+     f"edge from {_CHAIN}"),
+    (_hara(lambda doc: doc["chains"][0]["edges"][0].update(to=5)), VALIDATE_HARA,
+     f"edge to {_CHAIN}"),
+], ids=["bn_edge_target_number", "odd_parent_number", "bn_edge_source_number",
+        "hara_hazard_number", "hara_causal_parent_number", "hara_child_number",
+        "hara_chain_hazardous_number", "hara_occurrence_number", "hara_consequence_number",
+        "hara_edge_from_number", "hara_edge_to_number"])
+def test_identifier_of_another_type_exits_two(bundle_dir, tmp_path, caplog, capsys, content, argv,
+                                              detail):
     path = tmp_path / "document.json"
     path.write_bytes(content)
-    assert run_cli(*(a.format(file=path) for a in argv)) == 2
+    assert run_cli(*(a.format(file=path, odd=bundle_dir / "avp_odd.json") for a in argv)) == 2
     assert error_text(caplog).startswith(f"{path}: malformed ")
     assert error_text(caplog).endswith(f": {detail} must be a string, got 5")
     assert capsys.readouterr().out == ""
@@ -816,8 +837,8 @@ class TestMonitorAndSynth:
 
     @pytest.mark.parametrize("objective, code, message", [
         (5, 2, "malformed bundle manifest: acp.objective must be a string, got 5"),
-        (True, 2, "malformed bundle manifest: acp.objective must be a string, got True"),
-        (["x"], 2, "malformed bundle manifest: acp.objective must be a string, got ['x']"),
+        (True, 2, "malformed bundle manifest: acp.objective must be a string, got true"),
+        (["x"], 2, 'malformed bundle manifest: acp.objective must be a string, got ["x"]'),
         (None, 1, f"ACP objective None is not the net objective {HAZARD_ID!r}"),
     ], ids=["number", "bool", "list", "null"])
     def test_monitor_objective_must_be_a_string(

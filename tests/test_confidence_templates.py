@@ -382,9 +382,9 @@ class TestAcpBinding:
 
     @pytest.mark.parametrize("document, detail", [
         # each was read as a config: a string as its characters, pairs as an object
-        ({"feature_names": "AB"}, "feature_names must be an array, got 'AB'"),
+        ({"feature_names": "AB"}, 'feature_names must be an array, got "AB"'),
         ({"feature_names": {"A": 1, "B": 2}}, "feature_names must be an array"),
-        ({"cpts": [["A", [[0.5, 0.5]]]]}, "cpts must be an object, got [['A'"),
+        ({"cpts": [["A", [[0.5, 0.5]]]]}, 'cpts must be an object, got [["A", [[0.5, 0.5]]]]'),
         ({"cpts": []}, "cpts must be an object, got []"),
     ])
     def test_feature_names_must_be_an_array_and_cpts_an_object(self, document, detail):

@@ -427,12 +427,12 @@ class TestHaraTypes:
         (lambda doc: doc["events"][1].update(oper_conditions=""),
          "oper_conditions must be an array"),
         (lambda doc: doc["events"][1].update(oper_conditions=["Rain"]),
-         "event 'Presence_of_object': an operating condition must be an array, got 'Rain'"),
+         'event \'Presence_of_object\': an operating condition must be an array, got "Rain"'),
         (lambda doc: doc["events"][1].update(oper_conditions=[["Rain", "Rain_Heavy", "x"]]),
          "event 'Presence_of_object': an operating condition must be an array of 2 items, "
-         "got ['Rain', 'Rain_Heavy', 'x']"),
+         'got ["Rain", "Rain_Heavy", "x"]'),
         (lambda doc: doc["events"][1].update(atomic="false"),
-         "atomic of 'Presence_of_object' must be true or false, got 'false'"),
+         'atomic of \'Presence_of_object\' must be true or false, got "false"'),
         (lambda doc: doc["events"][0].update(atomic=0),
          f"atomic of {HAZARD_ID!r} must be true or false, got 0"),
         (lambda doc: doc["events"][1].update(role=False), "False is not a valid EventRole"),

@@ -182,7 +182,7 @@ class TestParseOddSpec:
         assert spec.root == "ODD"
         assert len(spec.classes["Rain"].attributes) == 3
         assert spec.classes["Rain"].parent == "Weather_conditions"
-        assert "Fog" in spec.leaf_classes()
+        assert spec.children("Fog") == ()
 
     def test_accepts_json_text(self):
         spec = parse_odd_spec(json.dumps(AVP_ODD_DOCUMENT))
@@ -217,14 +217,14 @@ class TestParseOddSpec:
 
     @pytest.mark.parametrize("edit, detail", [
         (lambda rain: rain.update(name=5), "class name must be a string, got 5"),
-        (lambda rain: rain.update(partition="no"), "partition of 'Rain' must be true or false, got 'no'"),
+        (lambda rain: rain.update(partition="no"), 'partition of \'Rain\' must be true or false, got "no"'),
         (lambda rain: rain["attributes"][0].update(name=7),
          "an attribute name of 'Rain' must be a string, got 7"),
         (lambda rain: rain["attributes"][0].update(unit=["m"]),
-         "the unit of 'Rain_light' must be a string, got ['m']"),
+         'the unit of \'Rain_light\' must be a string, got ["m"]'),
         # UnknownParent (exit 1) before; a null parent is still the root
         (lambda rain: rain.update(parent=5), "the parent of 'Rain' must be a string, got 5"),
-        (lambda rain: rain.update(parent=False), "the parent of 'Rain' must be a string, got False"),
+        (lambda rain: rain.update(parent=False), "the parent of 'Rain' must be a string, got false"),
     ])
     def test_names_units_and_partition_have_their_json_types(self, edit, detail):
         doc = copy.deepcopy(AVP_ODD_DOCUMENT)

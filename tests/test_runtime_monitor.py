@@ -77,7 +77,8 @@ class TestLoadBundle:
         kind = "an object of str values" if key in ("bindings", "worst_states") else "an object"
         with pytest.raises(rm.DocumentError) as raised:
             load_bundle(manifest)
-        assert str(raised.value) == f"malformed bundle manifest: {section} must be {kind}, got {value!r}"
+        assert str(raised.value) == (
+            f"malformed bundle manifest: {section} must be {kind}, got {json.dumps(value)}")
 
     @pytest.mark.parametrize("value", [7, None, ["Sn8.1"]])
     def test_solution_id_is_a_string(self, tmp_path, value):
@@ -88,7 +89,7 @@ class TestLoadBundle:
         with pytest.raises(rm.DocumentError) as raised:
             load_bundle(manifest)
         assert str(raised.value) == (
-            f"malformed bundle manifest: acp.solution_id must be a string, got {value!r}")
+            f"malformed bundle manifest: acp.solution_id must be a string, got {json.dumps(value)}")
 
     def test_non_numeric_state_value_rejected(self, tmp_path):
         manifest = write_avp_bundle(tmp_path)
@@ -905,7 +906,7 @@ class TestObservationLines:
     def test_non_numbers_rejected(self):
         with pytest.raises(rm.DocumentError, match="malformed observation: t must be finite"):
             parse_observation('{"t": true, "readings": {"Fog": "12.5", "Rain": false}}')
-        with pytest.raises(rm.DocumentError, match="reading 'Fog' must be a number, got '12.5'"):
+        with pytest.raises(rm.DocumentError, match="reading 'Fog' must be a number, got \"12.5\""):
             parse_observation('{"t": 1, "readings": {"Fog": "12.5", "Rain": false}}')
 
     @pytest.mark.parametrize("value", [True, False, None, "1.5", [1.5], {"v": 1.5}])

@@ -19,11 +19,8 @@ from odd_assure.safety_ontology import (
     ParseError,
     Triple,
     TripleGraph,
-    TypeViolation,
     UnknownPredicate,
     assert_all,
-    assert_triple,
-    attach_confidence,
     check_axioms,
     classify_goals,
     export_graph,
@@ -48,34 +45,29 @@ typings = st.builds(
 facts = st.builds(Triple, any_terms, st.sampled_from(sorted(VOCABULARY)), any_terms)
 
 
-class TestAssertTriple:
+class TestAssertOneFact:
     def test_set_semantics(self):
         g = TripleGraph()
         t = Triple("Rain", "subClassOf", "Weather_conditions")
-        g = assert_triple(g, t)
-        g = assert_triple(g, t)
+        g = assert_all(g, [t])
+        g = assert_all(g, [t])
         assert len(query(g, "Rain", "subClassOf", None)) == 1
 
     def test_unknown_predicate(self):
         with pytest.raises(UnknownPredicate):
-            assert_triple(TripleGraph(), Triple("a", "green", "b"))
-
-    def test_extension_predicates(self):
-        g = TripleGraph(extension_predicates=frozenset({"green"}))
-        g = assert_triple(g, Triple("a", "green", "b"))
-        assert query(g, None, "green", None)
+            assert_all(TripleGraph(), [Triple("a", "green", "b")])
 
     def test_supported_by_materializes_inverse(self):
-        g = assert_triple(TripleGraph(), Triple("G1", "supportedBy", "S1"))
+        g = assert_all(TripleGraph(), [Triple("G1", "supportedBy", "S1")])
         assert Triple("S1", "supports", "G1") in g.triples
-        g = assert_triple(TripleGraph(), Triple("S1", "supports", "G1"))
+        g = assert_all(TripleGraph(), [Triple("S1", "supports", "G1")])
         assert Triple("G1", "supportedBy", "S1") in g.triples
 
     def test_evidence_entails_supported_by(self):
-        g = assert_triple(TripleGraph(), Triple("G8", "hasEvidence", "Sn8.1"))
+        g = assert_all(TripleGraph(), [Triple("G8", "hasEvidence", "Sn8.1")])
         assert query(g, "G8", "supportedBy", "Sn8.1")
         assert query(g, "Sn8.1", "supports", "G8")
-        g = assert_triple(g, Triple("G1", "hasInference", "G8"))
+        g = assert_all(g, [Triple("G1", "hasInference", "G8")])
         assert query(g, "G1", "supportedBy", "G8")
         assert query(g, "G8", "supports", "G1")
 
@@ -89,7 +81,7 @@ class TestAssertTriple:
         shadow = set()
         for t in universe:
             if rng.random() < 0.7:
-                g = assert_triple(g, t)
+                g = assert_all(g, [t])
                 shadow.add(t)
             else:
                 g = retract_triple(g, t)
@@ -111,14 +103,13 @@ class TestAssertAll:
             ),
             max_size=30,
         ),
-        extensions=st.sampled_from([frozenset(), frozenset({"green"})]),
     )
-    def test_equals_folding_assert_triple(self, triples, extensions):
-        start = TripleGraph(frozenset({Triple("a", "dependsOn", "b")}), extensions)
+    def test_equals_folding_one_fact_at_a_time(self, triples):
+        start = TripleGraph(frozenset({Triple("a", "dependsOn", "b")}))
         folded = start
         try:
             for t in triples:
-                folded = assert_triple(folded, t)
+                folded = assert_all(folded, [t])
         except UnknownPredicate as exc:
             with pytest.raises(UnknownPredicate, match=re.escape(str(exc))):
                 assert_all(start, iter(triples))
@@ -142,8 +133,6 @@ class TestQuery:
         # the predicates import_graph and assert_all accept, no others
         with pytest.raises(UnknownPredicate, match="predicate 'green' is not in the vocabulary"):
             query(graph, None, "green", None)
-        g = TripleGraph(extension_predicates=frozenset({"green"}))
-        assert query(g, None, "green", None) == []
 
     def test_matches_linear_filter_on_random_graphs(self):
         rng = random.Random(5)
@@ -210,7 +199,7 @@ class TestQueryMatchesReference:
     def test_derived_graphs_get_their_own_index(self):
         g = avp_ontology()
         assert query(g, "x") == []
-        g2 = assert_triple(g, Triple("x", RDF_TYPE, "Goal"))
+        g2 = assert_all(g, [Triple("x", RDF_TYPE, "Goal")])
         assert query(g2, "x") == [Triple("x", RDF_TYPE, "Goal")]
         assert query(retract_triple(g2, Triple("x", RDF_TYPE, "Goal")), "x") == []
         assert g == avp_ontology()  # the mutators left their input graph as it was
@@ -307,7 +296,7 @@ class TestCheckAxioms:
     def test_violations_vanish_with_offending_triple(self):
         g = avp_ontology()
         bad = Triple("Rain_heavy", "hasAttribute", "Rain_light")
-        g_bad = assert_triple(g, bad)
+        g_bad = assert_all(g, [bad])
         assert [v.axiom for v in check_axioms(g_bad)] == ["A4"]
         assert check_axioms(retract_triple(g_bad, bad)) == []
 
@@ -321,7 +310,7 @@ class TestCheckAxioms:
             ],
         )
         assert check_axioms(g) == []
-        g2 = assert_triple(g, Triple("h", "trigger", "o"))
+        g2 = assert_all(g, [Triple("h", "trigger", "o")])
         assert {v.axiom for v in check_axioms(g2)} == {"A13", "A14"}
 
     def test_has_text_rejects_non_strings(self):
@@ -343,6 +332,10 @@ class TestCheckAxioms:
             ],
         )
         assert [v.axiom for v in check_axioms(g)] == ["A46"]
+
+    def test_claim_point_needs_an_objective_node(self):
+        g = assert_all(avp_ontology(), [Triple("Sn8.1", "hasConfidence", "OddSuff")])
+        assert [v.axiom for v in check_axioms(g)] == ["A36"]
 
     def test_matches_rule_by_rule_filter(self):
         # independent per-axiom filters for A3/A4 (hasAttribute) and
@@ -446,7 +439,7 @@ class TestClassifyGoals:
         assert classify_goals(g) == {"G1": "TopLevelGoal", "G2": "SupportGoal"}
 
     def test_isolated_goal_is_top_level(self):
-        g = assert_triple(TripleGraph(), Triple("G", RDF_TYPE, "Goal"))
+        g = assert_all(TripleGraph(), [Triple("G", RDF_TYPE, "Goal")])
         assert classify_goals(g) == {"G": "TopLevelGoal"}
 
     def test_roots_of_random_gsn_trees(self):
@@ -456,37 +449,16 @@ class TestClassifyGoals:
             g = TripleGraph()
             parents = {}
             for i in range(n):
-                g = assert_triple(g, Triple(f"G{i}", RDF_TYPE, "Goal"))
+                g = assert_all(g, [Triple(f"G{i}", RDF_TYPE, "Goal")])
                 if i > 0:
                     parents[i] = rng.randrange(i)
-                    g = assert_triple(g, Triple(f"G{parents[i]}", "supportedBy", f"G{i}"))
+                    g = assert_all(g, [Triple(f"G{parents[i]}", "supportedBy", f"G{i}")])
             classified = classify_goals(g)
             for i in range(n):
                 expected = "TopLevelGoal" if i == 0 else "SupportGoal"
                 assert classified[f"G{i}"] == expected
             partition = set(classified.values())
             assert partition <= {"TopLevelGoal", "SupportGoal"}
-
-
-class TestAttachConfidence:
-    def test_attach_keeps_graph_clean(self):
-        g = avp_ontology()
-        g = attach_confidence(g, "Sn8.1", "DataComp", 0.82)
-        assert Triple("Sn8.1", "hasConfidence", "DataComp") in g.triples
-        assert Triple("DataComp", "hasACP", Literal(0.82)) in g.triples
-        assert check_axioms(g) == []
-
-    def test_non_solution_rejected(self):
-        with pytest.raises(TypeViolation):
-            attach_confidence(avp_ontology(), "G1", "DataComp", 0.5)
-
-    def test_non_objnode_rejected(self):
-        with pytest.raises(TypeViolation):
-            attach_confidence(avp_ontology(), "Sn8.1", "OddSuff", 0.5)
-
-    def test_value_out_of_range(self):
-        with pytest.raises(TypeViolation):
-            attach_confidence(avp_ontology(), "Sn8.1", "DataComp", 1.2)
 
 
 class TestLineFormat:
@@ -509,15 +481,13 @@ class TestLineFormat:
 
     def test_literal_escaping(self):
         tricky = 'say "hi"\\ twice\nplease'
-        g = assert_triple(
-            TripleGraph(), Triple("G1", "hasText", Literal(tricky))
-        )
+        g = assert_all(TripleGraph(), [Triple("G1", "hasText", Literal(tricky))])
         again = import_graph(export_graph(g))
         (t,) = again.triples
         assert t.object == Literal(tricky)
 
     def test_numeric_literals_roundtrip(self):
-        g = assert_triple(TripleGraph(), Triple("n", "hasACP", Literal(0.8200000000000001)))
+        g = assert_all(TripleGraph(), [Triple("n", "hasACP", Literal(0.8200000000000001))])
         again = import_graph(export_graph(g))
         (t,) = again.triples
         assert t.object.value == 0.8200000000000001
@@ -625,18 +595,17 @@ class TestImportMatchesReference:
     distinct token once; the oracle runs the character loop on every line."""
 
     @staticmethod
-    def outcome(parse, text, extensions):
+    def outcome(parse, text):
         try:
-            g = parse(text, extensions)
+            g = parse(text)
         except ParseError as exc:
             return ("error", str(exc), exc.line_no)
         return ("graph", g)
 
     @settings(max_examples=400, deadline=None)
-    @given(text=ontology_text(), extensions=st.sampled_from([(), ("ext", "sparkles")]))
-    def test_fuzzed_text(self, text, extensions):
-        got = self.outcome(import_graph, text, extensions)
-        assert got == self.outcome(oracles.import_graph, text, extensions)
+    @given(text=ontology_text())
+    def test_fuzzed_text(self, text):
+        assert self.outcome(import_graph, text) == self.outcome(oracles.import_graph, text)
 
     @pytest.mark.parametrize("text, line_no", [
         ('a hasText "dangling\\" .\n', 1),
@@ -649,8 +618,8 @@ class TestImportMatchesReference:
         ('a dependsOn b .\nc hasText "t" "u" .\n', 2),
     ])
     def test_errors_name_the_reference_line(self, text, line_no):
-        got = self.outcome(import_graph, text, ())
-        assert got == self.outcome(oracles.import_graph, text, ())
+        got = self.outcome(import_graph, text)
+        assert got == self.outcome(oracles.import_graph, text)
         assert got[0] == "error" and got[2] == line_no
 
     def test_megabyte_literal_full_of_escapes(self):
