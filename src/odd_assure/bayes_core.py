@@ -560,7 +560,9 @@ def _normalized(node: BnNode, unnormalized: np.ndarray, evidence: Mapping[str, s
     z = reduce(add, weights, 0.0) if len(weights) < 8 else float(unnormalized.sum())
     if z <= ZERO_EVIDENCE_TOL:
         raise ZeroProbabilityEvidence(f"evidence {dict(evidence)} has probability {z!r}")
-    return Posterior(node.id, node.states, tuple([w / z for w in weights]))
+    post = object.__new__(Posterior)  # normalized here, so Posterior's check is skipped
+    vars(post).update(node=node.id, states=node.states, probs=tuple([w / z for w in weights]))
+    return post
 
 
 def _joint_table(net: BayesNet, keep: tuple[str, ...]) -> np.ndarray | None:
@@ -690,9 +692,12 @@ def mean_variance(post: Posterior, state_values: Mapping[str, float]) -> tuple[f
     except KeyError:
         missing = [s for s in post.states if s not in state_values]
         raise MissingStateValue(f"no value for states {missing}") from None
+    # plain adds from 0.0, as _normalized's; Python's sum is compensated from 3.12 on
+    mean = second = 0.0
     try:
-        mean = sum([p * v for p, v in zip(post.probs, values)])
-        second = sum([p * v ** 2 for p, v in zip(post.probs, values)])
+        for p, v in zip(post.probs, values):
+            mean += p * v
+            second += p * v ** 2
     except OverflowError:  # ** raises where * would give inf
         mean = second = math.inf
     variance = second - mean * mean

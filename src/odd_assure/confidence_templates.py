@@ -164,18 +164,15 @@ class TemplateConfig(NamedTuple):
 
 
 def _preset_rows(node: str, parents: Sequence[str]) -> Sequence[Sequence[float]]:
-    """Fixture CPT: P(good) = 0.05 + 0.9 * mean parent goodness."""
-    states, _ = _node_states_goodness(node)
+    """Fixture CPT: P(good) = 0.05 + 0.9 * mean parent goodness. Every
+    template node with parents is binary."""
     if not parents:
         return (_ROOT_PRIORS.get(node, _FEATURE_PRIOR),)
     # One axis per parent, first parent outermost: the grid flattens in
     # Cpt row order. Summing in parent order matches a per-row sum exactly.
     grids = np.ix_(*(np.asarray(_node_states_goodness(p)[1]) for p in parents))
     p_good = (0.05 + 0.9 * (sum(grids) / len(parents))).ravel()
-    if len(states) == 2:
-        return np.column_stack((p_good, 1.0 - p_good))
-    # Three-valued child: spread the residual over the lower grades.
-    return np.column_stack((p_good, (1.0 - p_good) * 0.6, (1.0 - p_good) * 0.4))
+    return np.column_stack((p_good, 1.0 - p_good))
 
 
 def _node_states_goodness(node: str) -> tuple[tuple[str, ...], tuple[float, ...]]:

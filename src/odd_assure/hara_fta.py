@@ -380,14 +380,14 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     "chains": [{hazardous, occurrence, consequence, edges}]}``. The chains
     section is optional. Every field the schema shows as an array must be a
     JSON array, each operating condition one of two items, and ``atomic`` a
-    JSON boolean, and every event id named outside ``events`` (a hazard, a
-    causal parent or child, a chain member, an edge end) a JSON string, else
-    the document is malformed.
+    JSON boolean, and every event id, in ``events`` or named outside it (a
+    hazard, a causal parent or child, a chain member, an edge end), a JSON
+    string, else the document is malformed.
     """
     array, scalar = _base.json_array, _base.json_scalar
     events: dict[str, Event] = {}
     for entry in array(document["events"], "events"):
-        eid = entry["id"]
+        eid = scalar(entry["id"], "an event id")
         if eid in events:
             raise DocumentError(f"event {eid!r} declared twice")
         atomic = scalar(entry.get("atomic", False), f"atomic of {eid!r}", bool)

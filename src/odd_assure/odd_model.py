@@ -281,9 +281,9 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
 
     The document schema is ``{"classes": [{name, parent, partition,
     attributes: [{name, unit, interval}]}]}`` with intervals in the string
-    grammar of :func:`parse_interval`. Names, units and parents (but the
-    root's null) must be JSON strings and ``partition`` a JSON boolean, else
-    the document is malformed.
+    grammar of :func:`parse_interval`. Names, units, intervals and parents
+    (but the root's null) must be JSON strings and ``partition`` a JSON
+    boolean, else the document is malformed.
     Validation enforces unique names, a single-rooted parent tree, non-empty
     leaf classes, and pairwise disjoint intervals for classes flagged
     ``partition: true``.
@@ -300,7 +300,8 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
             if attr_name in attrs:
                 raise DuplicateName(f"attribute {attr_name!r} declared twice in {name!r}")
             unit = scalar(attr["unit"], f"the unit of {attr_name!r}")
-            attrs[attr_name] = OddAttribute(attr_name, unit, parse_interval(attr["interval"]))
+            interval = scalar(attr["interval"], f"the interval of {attr_name!r}")
+            attrs[attr_name] = OddAttribute(attr_name, unit, parse_interval(interval))
         parent = entry.get("parent")
         classes[name] = OddClass(
             name=name,

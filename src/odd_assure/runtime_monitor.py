@@ -6,17 +6,18 @@ tick discretizes the incoming readings, feeds the resulting states in as
 evidence, and reports the posterior over the objective node together with its
 mean and variance under the bundle's state values. Ticks are independent: no
 state is carried between observations, so a shared bundle may serve many
-threads.
+threads. A tick leaves only its (evidence dict, memo record) pair for the
+renderers, stored and read whole, so no thread sees a torn pair.
 
 A tick bisects each reading into the ODD spec's class tables, the ones
 ``odd_model.discretize`` reads.
 Only the bound nodes ever carry evidence, so the network is reduced once per
 bundle to the joint table P(objective, bound nodes). A tick indexes the
 observed axes, sums the others out and normalizes; a bounded memo keyed by
-the evidence keeps each distinct outcome, and ``report_to_json_line`` and
-``report_to_csv_line`` add to it the part of a report line that depends only
-on the evidence. A network whose table would be too large is queried with
-``bayes_core.posterior`` instead, through the same memo.
+the evidence keeps one record per assignment, and ``report_to_json_line``
+and ``report_to_csv_line`` add to it the part of a report line that depends
+only on the evidence. A network whose table would be too large is queried
+with ``bayes_core.posterior`` instead, through the same memo.
 
 Readings that leave the ODD are, by default, dropped from the evidence and
 flagged; a bundle may instead declare a worst-case state per class to pin
@@ -47,7 +48,7 @@ from .odd_model import Observation, OddSpec, OUT_OF_ODD
 DROP = "drop"
 WORST_CASE = "worst-case"
 
-_MEMO_LIMIT = 1024  # outcomes kept per bundle; emptied when full
+_MEMO_LIMIT = 1024  # records kept per bundle; emptied when full
 _INF = math.inf
 _ALL = slice(None)
 _FLOAT = {float}
@@ -113,7 +114,8 @@ class ModelBundle:
                          for node in nodes for state in net.node(node).states}
         state_json = {state: f"{json.dumps(state)}: " for state in net.node(objective).states}
         class_json = {name: json.dumps(name) for name in self.odd.classes}
-        return _TickTable(nodes, states, joint, readers, evidence_json, state_json, class_json, {})
+        return _TickTable(nodes, states, joint, readers, evidence_json, state_json, class_json,
+                          {}, [(None, None)])
 
 
 class ConfidenceReport(NamedTuple):
@@ -240,10 +242,9 @@ class _TickTable(NamedTuple):
     ``evidence_json`` maps each (bound node, state) to its JSON text
     ``"node": "state"``, ``state_json`` each objective state to
     ``"state": `` and ``class_json`` each ODD class name to its JSON string.
-    ``memo`` maps the evidence items, in insertion order, to [posterior,
-    mean, variance, JSONL part, CSV fields]: the first three all None for a
-    degenerate tick, the last two None until ``report_to_json_line`` and
-    ``report_to_csv_line`` fill them.
+    ``memo`` maps the evidence items, in insertion order, to their
+    ``_MemoRecord``. ``last`` holds one pair, the latest tick's evidence dict
+    and record, which ``step`` replaces with one store.
     It lives on the bundle, not the network, because the mean and variance
     depend on the bundle's state values.
     """
@@ -256,30 +257,42 @@ class _TickTable(NamedTuple):
     state_json: dict[str, str]
     class_json: dict[str, str]
     memo: dict
+    last: list
 
 
-def _outcome(bundle: ModelBundle, table: _TickTable, evidence: dict[str, str], key) -> list:
-    """Compute and memoize under ``key`` the entry [posterior, mean,
-    variance, JSONL part, CSV fields] for the evidence; the first three are
-    None when it has ~zero probability."""
-    objective, joint, memo = bundle.acp.objective, table.joint, table.memo
+class _MemoRecord:
+    """What one evidence assignment gives. ``key`` is its items in insertion
+    order; ``posterior``, ``mean`` and ``variance`` are all None when it has
+    ~zero probability; ``json`` and ``csv`` are the parts of a report line
+    that follow from the evidence alone, None until ``report_to_json_line``
+    and ``report_to_csv_line`` first format them from the record."""
+
+    __slots__ = ("key", "posterior", "mean", "variance", "json", "csv")
+
+    def __init__(self, key: tuple, posterior=None, mean=None, variance=None) -> None:
+        self.key, self.posterior, self.mean, self.variance = key, posterior, mean, variance
+        self.json = self.csv = None
+
+
+def _outcome(bundle: ModelBundle, ticks: _TickTable, evidence: dict, key) -> _MemoRecord:
+    """Compute and memoize under ``key`` the record for the evidence."""
+    objective, joint, memo = bundle.acp.objective, ticks.joint, ticks.memo
     try:
         if joint is None:
             post = bayes_core.posterior(bundle.net, objective, EvidenceSet(evidence))
         else:
-            cells = joint[(_ALL, *map(dict.__getitem__, table.states,
-                                      map(evidence.get, table.nodes)))]
+            cells = joint[(_ALL, *map(dict.__getitem__, ticks.states,
+                                      map(evidence.get, ticks.nodes)))]
             post = bayes_core._normalized(bundle.net.nodes[objective],
                                           cells.reshape(len(cells), -1).sum(axis=1), evidence)
     except bayes_core.ZeroProbabilityEvidence:
-        post = None
-    outcome = [None, None, None, None, None] if post is None else [
-        post, *bayes_core.mean_variance(post, bundle.state_values), None, None
-    ]
+        record = _MemoRecord(key)
+    else:
+        record = _MemoRecord(key, post, *bayes_core.mean_variance(post, bundle.state_values))
     if len(memo) >= _MEMO_LIMIT:
         memo.clear()
-    memo[key] = outcome
-    return outcome
+    memo[key] = record
+    return record
 
 
 def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
@@ -291,7 +304,8 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
     dropped and flagged, or, under the worst-case policy, an out-of-ODD
     reading of a bound class is pinned to its worst state. Only an
     out-of-ODD reading clears ``in_odd``. Evidence with ~zero probability
-    yields a degenerate report instead of raising.
+    yields a degenerate report instead of raising. Its record is left for
+    the renderers (see ``_record``).
     """
     ticks = bundle._ticks
     readers, readings = ticks.readers, obs.readings
@@ -306,7 +320,7 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
             continue
         points, labels, node_id = reader
         i = bisect_left(points, value)
-        state = labels[i][1] if points[i] == value else labels[i][0]
+        state = labels[i][points[i] == value]
         if type(state) is tuple:
             dropped.append(class_name)
         elif state is OUT_OF_ODD:
@@ -319,9 +333,10 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
             evidence[node_id] = state
 
     key = tuple(evidence.items())
-    outcome = ticks.memo.get(key) or _outcome(bundle, ticks, evidence, key)
-    post = outcome[0]
-    return ConfidenceReport(obs.time, evidence, post, outcome[1], outcome[2], in_odd,
+    record = ticks.memo.get(key) or _outcome(bundle, ticks, evidence, key)
+    ticks.last[0] = (evidence, record)
+    post = record.posterior
+    return ConfidenceReport(obs.time, evidence, post, record.mean, record.variance, in_odd,
                             tuple(dropped), post is None)
 
 
@@ -364,8 +379,6 @@ def parse_observation(doc) -> Observation:
     reading is left for ``step`` to drop."""
     time, x, y = doc["t"], doc.get("x", 0.0), doc.get("y", 0.0)
     if type(time) is not float:
-        if type(time) is not int:
-            raise ValueError(f"t must be finite, got {time!r}")
         time = _base.number(time, "t")
     if not -_INF < time < _INF:
         raise ValueError(f"t must be finite, got {time!r}")
@@ -401,38 +414,31 @@ def report_to_document(report: ConfidenceReport) -> dict:
     }
 
 
-def _json_number(value) -> str:
-    """``json.dumps(value)`` for None or a finite float (probabilities, and
-    means and variances of state values in [0, 1])."""
-    return "null" if value is None else float.__repr__(value)
+def _record(ticks: _TickTable, report: ConfidenceReport) -> _MemoRecord:
+    """The memo record of the report's evidence: the one ``step`` left with
+    the report's own evidence dict, else the memo's for the evidence items,
+    else (evicted) a new one made from the report and kept nowhere."""
+    evidence, record = ticks.last[0]  # one load: a whole pair, whichever thread stored it
+    if evidence is not report.evidence:
+        key = tuple(report.evidence.items())
+        record = ticks.memo.get(key) or _MemoRecord(key, report.posterior, report.mean,
+                                                    report.variance)
+    return record
 
 
-def _evidence_part(bundle: ModelBundle, report: ConfidenceReport, slot: int, render):
-    """The part of a report line that depends only on the evidence: kept in
-    ``slot`` of the report's memo entry, and made by ``render(ticks,
-    report)`` when the slot is empty or the entry has been evicted."""
-    ticks = bundle._ticks
-    entry = ticks.memo.get(tuple(report.evidence.items()))
-    part = None if entry is None else entry[slot]
-    if part is None:
-        part = render(ticks, report)
-        if entry is not None:
-            entry[slot] = part
-    return part
-
-
-def _json_part(ticks: _TickTable, report: ConfidenceReport) -> str:
-    """The ``evidence`` to ``variance`` part of the report's JSON line,
-    formatted from ``report_to_document`` with the bundle's pre-escaped
-    fragments."""
-    doc = report_to_document(report)
-    evidence = ", ".join(map(ticks.evidence_json.__getitem__, doc["evidence"].items()))
-    post, state_json = doc["posterior"], ticks.state_json
-    post = "null" if post is None else "{" + ", ".join(
-        [state_json[state] + _json_number(p) for state, p in post.items()]
-    ) + "}"
-    return (f', "evidence": {{{evidence}}}, "posterior": {post}, '
-            f'"mean": {_json_number(doc["mean"])}, "variance": {_json_number(doc["variance"])}')
+def _json_part(ticks: _TickTable, record: _MemoRecord, report: ConfidenceReport) -> str:
+    """The ``evidence`` to ``variance`` part of a JSON line for the record,
+    formatted with the bundle's pre-escaped fragments; its numbers are finite
+    floats, which ``json.dumps`` spells with ``float.__repr__``."""
+    report_to_document(report)  # a traced benchmark pass times serialization from this call
+    evidence = ", ".join(map(ticks.evidence_json.__getitem__, record.key))
+    post = record.posterior
+    if post is None:
+        return f', "evidence": {{{evidence}}}, "posterior": null, "mean": null, "variance": null'
+    state_json, text = ticks.state_json, float.__repr__
+    post = ", ".join([state_json[state] + text(p) for state, p in zip(post.states, post.probs)])
+    return (f', "evidence": {{{evidence}}}, "posterior": {{{post}}}, '
+            f'"mean": {text(record.mean)}, "variance": {text(record.variance)}')
 
 
 def report_to_json_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
@@ -440,22 +446,26 @@ def report_to_json_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
     report that ``step`` made from ``bundle``.
 
     The evidence, posterior, mean and variance of a report follow from its
-    evidence alone. That part of the line is formatted once per evidence
-    assignment, from ``report_to_document`` with the bundle's pre-escaped
-    node, state and objective-state fragments, and kept in the bundle's memo
-    entry for the evidence items in insertion order (the order the line
-    lists them in); a later line formats only ``t``, ``in_odd``,
-    ``dropped_readings`` and ``degenerate``. A line whose entry has been
-    evicted is formatted the same way and not kept. Dropped class names
-    the ODD declares are written from the bundle's pre-escaped names.
+    evidence alone. That part of the line is formatted once per memo record,
+    from the record's own evidence items (in insertion order, the order the
+    line lists them in), posterior and moments with the bundle's pre-escaped
+    node, state and objective-state fragments, and kept in the record; a
+    later line formats only ``t``, ``in_odd``, ``dropped_readings`` and
+    ``degenerate``. A line whose record has been evicted is formatted the
+    same way and not kept. Dropped class names the ODD declares are written
+    from the bundle's pre-escaped names.
     """
-    part = _evidence_part(bundle, report, 3, _json_part)
+    ticks = bundle._ticks
+    record = _record(ticks, report)
+    part = record.json
+    if part is None:
+        part = record.json = _json_part(ticks, record, report)
     t = report.time
     # json.dumps spells a finite float with float.__repr__
     t = float.__repr__(t) if type(t) is float and -_INF < t < _INF else json.dumps(t)
     dropped = ""
     if report.dropped_readings:
-        names = bundle._ticks.class_json
+        names = ticks.class_json
         dropped = ", ".join([names.get(n) or json.dumps(n) for n in report.dropped_readings])
     return (
         f'{{"t": {t}{part}, "in_odd": {"true" if report.in_odd else "false"}, '
@@ -501,10 +511,12 @@ def _csv_field(text: str) -> str:
     return buffer.getvalue()[:-3]  # the separator and the "\r\n" terminator
 
 
-def _csv_part(ticks: _TickTable, report: ConfidenceReport) -> tuple[str, str, str]:
+def _csv_part(record: _MemoRecord) -> tuple[str, str, str]:
     """The quoted ``mean,variance``, ``evidence`` and ``posterior`` fields of
-    ``report_to_csv_row(report)``."""
-    row = report_to_csv_row(report)
+    ``report_to_csv_row`` for the record."""
+    # time, in_odd and dropped readings are placeholders these fields do not show
+    row = report_to_csv_row(ConfidenceReport(0.0, dict(record.key), record.posterior,
+                                             record.mean, record.variance, True, ()))
     return f"{_csv_field(row[2])},{_csv_field(row[3])}", _csv_field(row[5]), _csv_field(row[7])
 
 
@@ -513,13 +525,16 @@ def report_to_csv_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
     report that ``step`` made from ``bundle``.
 
     The ``mean``, ``variance``, ``evidence`` and ``posterior`` fields follow
-    from the evidence alone. They are taken from ``report_to_csv_row`` once
-    per evidence assignment and kept, quoted, in the bundle's memo entry for
-    the evidence, so a later row formats only ``t``, ``in_odd``,
-    ``degenerate`` and ``dropped_readings``. A row whose entry has been
-    evicted is formatted the same way and not kept.
+    from the evidence alone. They are taken from ``report_to_csv_row`` of the
+    memo record's own evidence once per record and kept in it, quoted, so a
+    later row formats only ``t``, ``in_odd``, ``degenerate`` and
+    ``dropped_readings``. A row whose record has been evicted is formatted
+    the same way and not kept.
     """
-    mean_variance, evidence, post = _evidence_part(bundle, report, 4, _csv_part)
+    record = _record(bundle._ticks, report)
+    if record.csv is None:
+        record.csv = _csv_part(record)
+    mean_variance, evidence, post = record.csv
     t = report.time
     t = float.__repr__(t) if type(t) is float else _csv_field(repr(t))
     dropped = _csv_field(";".join(report.dropped_readings)) if report.dropped_readings else ""

@@ -926,6 +926,20 @@ class TestNormalized:
                            match=rf"^evidence \{{'A': 'a'\}} has probability {float(u.sum())!r}$"):
             bayes_core._normalized(self.node(k), u, {"A": "a"})
 
+    def test_builds_the_posterior_a_checked_construction_builds(self):
+        # _normalized skips Posterior's normalization check, having just normalized
+        post = bayes_core._normalized(self.node(3), np.array([1.0, 2.0, 1.0]), {})
+        assert post == Posterior("n", ("s0", "s1", "s2"), (0.25, 0.5, 0.25))
+        assert repr(post) == (
+            "Posterior(node='n', states=('s0', 's1', 's2'), probs=(0.25, 0.5, 0.25))")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            post.probs = (1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("probs", [(0.5, 0.6), (0.5, 0.4), (1.0 + 2e-9, 0.0)])
+    def test_a_directly_built_posterior_must_normalize(self, probs):
+        with pytest.raises(BayesError, match=r"^posterior over 'n' does not normalize$"):
+            Posterior("n", ("a", "b"), probs)
+
 
 class TestMeanVariance:
     @settings(max_examples=300, deadline=None)
@@ -937,8 +951,12 @@ class TestMeanVariance:
         values = dict(zip(states, data.draw(
             st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k))))
         post = Posterior("n", states, probs)
-        mean = sum(p * values[s] for p, s in zip(probs, states))
-        second = sum(p * values[s] ** 2 for p, s in zip(probs, states))
+        # plain left-to-right adds from 0.0, not the built-in sum, which is
+        # compensated from Python 3.12 on
+        mean = second = 0.0
+        for p, s in zip(probs, states):
+            mean += p * values[s]
+            second += p * values[s] ** 2
         assert _hexes(mean_variance(post, values)) == _hexes((mean, max(0.0, second - mean * mean)))
 
     def test_degenerate(self):

@@ -771,7 +771,9 @@ class TestMonitorAndSynth:
             encoding="utf-8",
         )
         assert run_cli("monitor", bundle_dir / "avp_bundle.json", "--stream", stream) == 2
-        assert f"{stream} line 2: malformed observation: t must be finite" in error_text(caplog)
+        # a string is not a number, whatever it spells
+        detail = f"t must be a number, got {t}" if t.startswith('"') else "t must be finite"
+        assert f"{stream} line 2: malformed observation: {detail}" in error_text(caplog)
         assert len(capsys.readouterr().out.splitlines()) == 1
 
     @pytest.mark.parametrize(

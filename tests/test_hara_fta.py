@@ -449,7 +449,9 @@ class TestHaraTypes:
         # an integer id would reach the DAG walker's sort beside string ids
         doc = copy.deepcopy(AVP_HARA_DOCUMENT)
         doc["events"][4][field] = 7
-        with pytest.raises(DocumentError, match="the id and text must be strings"):
+        detail = {"id": "malformed HARA document: an event id must be a string, got 7",
+                  "text": "the id and text must be strings"}[field]
+        with pytest.raises(DocumentError, match=detail):
             parse_hara(doc)
 
     def test_chains_and_atomic_are_optional(self):

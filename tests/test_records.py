@@ -56,12 +56,13 @@ RECORDS = [
      "cells=4)"),
     (rm._TickTable(("N",), ({"a": 0, None: slice(None)},), None,
                    {"C": ((1.0,), (("a", "a"),), "N")}, {("N", "a"): '"N": "a"'}, {"s": '"s": '},
-                   {"C": '"C"'}, {}),
-     ("nodes", "states", "joint", "readers", "evidence_json", "state_json", "class_json", "memo"),
+                   {"C": '"C"'}, {}, [(None, None)]),
+     ("nodes", "states", "joint", "readers", "evidence_json", "state_json", "class_json", "memo",
+      "last"),
      {},
      "_TickTable(nodes=('N',), states=({'a': 0, None: slice(None, None, None)},), joint=None, "
      "readers={'C': ((1.0,), (('a', 'a'),), 'N')}, evidence_json={('N', 'a'): '\"N\": \"a\"'}, "
-     "state_json={'s': '\"s\": '}, class_json={'C': '\"C\"'}, memo={})"),
+     "state_json={'s': '\"s\": '}, class_json={'C': '\"C\"'}, memo={}, last=[(None, None)])"),
     (om.OddAttribute("Rain_light", "mm/h", IV), ("name", "unit", "bounds"), {},
      f"OddAttribute(name='Rain_light', unit='mm/h', bounds={IV_TEXT})"),
     (om.OddClass("Rain", "Weather", (om.OddAttribute("Rain_light", "mm/h", IV),)),

@@ -35,7 +35,8 @@ from odd_assure.runtime_monitor import (
     synth_trace,
 )
 
-from .oracles import all_assignments, enumerate_joint, enumerate_posterior, random_net
+from .oracles import (all_assignments, enumerate_joint, enumerate_posterior, random_net,
+                      report_csv_line, report_json_line)
 
 AVP_WORST_STATES = {"Fog": "Fog_Severity_5", "Rain": "Rain_Heavy", "Ego_speed": "Speed_High"}
 
@@ -264,11 +265,14 @@ def wide_bundle(policy=rm.DROP, n_features=4):
                        worst_states={n: "inadequate" for n in names})
 
 
-def wide_observations(n=40, seed=67):
+def wide_observations(n=40, seed=67, n_features=4):
+    """Readings for wide_bundle(n_features=n_features): each feature in either
+    state, out of the ODD, non-finite or missing, so with 12 features the
+    evidence sets are mostly distinct."""
     rng = random.Random(seed)
     return [
         Observation(float(t), 0.0, 0.0, {
-            name: value for name in ("W0", "W1", "W2", "W3")
+            f"W{i}": value for i in range(n_features)
             if (value := rng.choice(TWO_STATE_READINGS)) is not None
         })
         for t in range(n)
@@ -709,6 +713,89 @@ class TestSharedBundle:
             assert any(r.degenerate for r in expected)
 
 
+RENDERERS = [rm.report_to_json_line, rm.report_to_csv_line]
+
+
+class TestMemoRecords:
+    """``step`` hands its memo record to the renderers with the report's
+    evidence dict; a report rendered any other way finds its record by key,
+    and every line is the one its report gives."""
+
+    @pytest.mark.parametrize("render", RENDERERS)
+    def test_line_rendered_after_a_later_step_is_the_same(self, render):
+        obs = wide_observations(60)
+        bundle = wide_bundle()
+        at_once = [render(bundle, step(bundle, o)) for o in obs]
+        bundle = wide_bundle()
+        reports = [step(bundle, o) for o in obs]
+        # each report rendered after every later step, last first
+        later = [render(bundle, r) for r in reversed(reports)][::-1]
+        assert later == at_once
+        assert len({tuple(r.evidence.items()) for r in reports}) > 10
+
+    @pytest.mark.parametrize("render", RENDERERS)
+    def test_editing_report_evidence_changes_no_later_line(self, render):
+        obs = wide_observations(60)
+        clean = wide_bundle()
+        expected = [render(clean, step(clean, o)) for o in obs]
+        flip = {"adequate": "inadequate", "inadequate": "adequate"}
+        bundle = wide_bundle()
+        for o in obs:
+            report = step(bundle, o)
+            flipped = {node: flip[state] for node, state in report.evidence.items()}
+            report.evidence.clear()
+            report.evidence.update(flipped)
+            render(bundle, report)
+        # every assignment is now in the memo, its part made from an edited report
+        assert [render(bundle, step(bundle, o)) for o in obs] == expected
+
+    def test_two_threads_give_the_single_thread_lines(self):
+        obs = wide_observations(400, 83, n_features=12)
+        single = wide_bundle(n_features=12)
+        expected = []
+        for o in obs:
+            report = step(single, o)
+            expected.append(tuple(render(single, report) for render in RENDERERS))
+        shared = wide_bundle(n_features=12)
+        start = threading.Barrier(2, timeout=30)
+
+        def worker(reverse):
+            start.wait()
+            order = range(len(obs) - 1, -1, -1) if reverse else range(len(obs))
+            out = {}
+            for i in order:
+                report = step(shared, obs[i])
+                out[i] = tuple(render(shared, report) for render in RENDERERS)
+            return out
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(worker, (False, True), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for out in results:
+            assert [out[i] for i in range(len(obs))] == expected
+
+    def test_evicting_stream_matches_the_oracles(self, monkeypatch):
+        # more distinct evidence sets than the memo keeps, so it is emptied
+        # while the stream runs; lines rendered at once, as the monitor
+        # command renders them, and again after the whole stream
+        obs = wide_observations(1500, 89, n_features=12)
+        bundle = wide_bundle(n_features=12)
+        reports = list(run(bundle, obs))
+        lines = [(rm.report_to_json_line(bundle, r), rm.report_to_csv_line(bundle, r))
+                 for r in reports]
+        assert len({tuple(r.evidence.items()) for r in reports}) > rm._MEMO_LIMIT
+        assert len(bundle._ticks.memo) < rm._MEMO_LIMIT
+        assert lines == [(report_json_line(r), report_csv_line(r)) for r in reports]
+        assert [(rm.report_to_json_line(bundle, r), rm.report_to_csv_line(bundle, r))
+                for r in reports] == lines
+        monkeypatch.setattr(rm, "_MEMO_LIMIT", 10**6)  # evicts nothing
+        assert list(run(wide_bundle(n_features=12), obs)) == reports
+
+
 class TestRun:
     def test_empty_stream(self, bundle):
         assert list(run(bundle, [])) == []
@@ -904,7 +991,8 @@ class TestObservationLines:
         assert all(type(v) is float for v in (obs.time, obs.x, obs.y, *obs.readings.values()))
 
     def test_non_numbers_rejected(self):
-        with pytest.raises(rm.DocumentError, match="malformed observation: t must be finite"):
+        with pytest.raises(rm.DocumentError,
+                           match="malformed observation: t must be a number, got true"):
             parse_observation('{"t": true, "readings": {"Fog": "12.5", "Rain": false}}')
         with pytest.raises(rm.DocumentError, match="reading 'Fog' must be a number, got \"12.5\""):
             parse_observation('{"t": 1, "readings": {"Fog": "12.5", "Rain": false}}')

@@ -98,3 +98,26 @@ def test_every_value_of_another_type_is_malformed(name):
             else:
                 escaped.append(f"{list(path)}: {json.dumps(value)} -> accepted")
     assert escaped == []
+
+
+@pytest.mark.parametrize("name, key, field", [
+    ("hara", "id", lambda parent: "an event id"),
+    ("odd", "interval", lambda parent: f"the interval of {parent['name']!r}"),
+])
+def test_identifier_of_another_type_names_its_field(name, key, field):
+    # these values are hashed or matched first, so the value rule must read
+    # them before Python's own "unhashable type" or "expected string" could
+    read, document, error, _ = READERS[name]
+    document = copy.deepcopy(document())
+    path = next(p for p in value_paths(document) if p and p[-1] == key)
+    parent = document
+    for step in path[:-1]:
+        parent = parent[step]
+    what = {"hara": "HARA document", "odd": "ODD document"}[name]
+    for value in SWAPS:
+        if type(value) is str:
+            continue
+        with pytest.raises(error) as raised:
+            read(swapped(document, path, value))
+        assert str(raised.value) == (
+            f"malformed {what}: {field(parent)} must be a string, got {json.dumps(value)}")
