@@ -15,8 +15,8 @@ interval endpoints followed by ``+inf``, and ``labels[i]`` is the pair
 (label of the open gap just below ``points[i]``, label of ``points[i]``).
 A label is an attribute name, OUT_OF_ODD, or the tuple of names whose
 intervals overlap there. Discretizing a finite reading is one bisection and
-one comparison; ``discretize`` and the runtime monitor's ``step`` read the
-same table.
+one comparison; parsing, ``validate_odd``, ``discretize`` and the runtime
+monitor's ``step`` read the same table.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import re
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Mapping, NamedTuple, Union
 
 from . import _base
@@ -131,25 +132,9 @@ class Interval:
 
     def contains(self, value: float) -> bool:
         """Exact membership test; boundary comparisons carry no epsilon."""
-        if self.lo_inclusive:
-            above = value >= self.lo
-        else:
-            above = value > self.lo
-        if self.hi_inclusive:
-            below = value <= self.hi
-        else:
-            below = value < self.hi
+        above = value >= self.lo if self.lo_inclusive else value > self.lo
+        below = value <= self.hi if self.hi_inclusive else value < self.hi
         return above and below
-
-    def overlaps(self, other: "Interval") -> bool:
-        """True when some value lies in both intervals."""
-        lo_ok = self.lo < other.hi or (
-            self.lo == other.hi and self.lo_inclusive and other.hi_inclusive
-        )
-        hi_ok = other.lo < self.hi or (
-            other.lo == self.hi and other.lo_inclusive and self.hi_inclusive
-        )
-        return lo_ok and hi_ok
 
 
 _INTERVAL_RE = re.compile(r"\s*([\[\](])\s*([^,\s]+)\s*,\s*([^,\s]+)\s*([\[\])])\s*")
@@ -217,9 +202,9 @@ class OddClass(NamedTuple):
 @dataclass(frozen=True)
 class OddSpec:
     """Fully linked ODD specification. Immutable after parsing; all
-    operations on it are pure and safe for concurrent readers. Its lookup
-    tables are built on first use and kept; readers that race to build them
-    each get equal ones."""
+    operations on it are pure and safe for concurrent readers. Parsing builds
+    its lookup tables; a spec built by hand builds them on first use and
+    keeps them, and readers that race to build them each get equal ones."""
 
     root: str
     classes: dict[str, OddClass]
@@ -265,14 +250,6 @@ class Interpretation(NamedTuple):
 
     states: dict[str, State]
     errors: dict[str, OddModelError]
-
-
-def _overlap_witness(a: Interval, b: Interval) -> float:
-    lo = max(a.lo, b.lo)
-    hi = min(a.hi, b.hi)
-    if a.contains(lo) and b.contains(lo):
-        return lo
-    return (lo + hi) / 2.0
 
 
 @_base.document_reader("ODD document", DocumentError)
@@ -324,30 +301,45 @@ def parse_odd_spec(document: Union[str, dict]) -> OddSpec:
     if cycle:
         raise MalformedHierarchy(f"cycle in parent links: {' -> '.join(map(repr, cycle))}")
 
+    spec = OddSpec(root=roots[0], classes=classes)
+    tables = spec._tables
     parents = {c.parent for c in classes.values()}
     for cls in classes.values():
         if cls.name not in parents and not cls.attributes:
             raise EmptyClass(f"leaf class {cls.name!r} has no attributes")
-        if cls.partition:
-            for defect in _class_overlaps(cls):
+        if cls.partition and cls.attributes:
+            for defect in _class_overlaps(cls, tables[cls.name]):
                 raise OverlappingIntervals(str(defect))
-    return OddSpec(root=roots[0], classes=classes)
+    return spec
 
 
-def _class_overlaps(cls: OddClass) -> list[OddDefect]:
+def _class_overlaps(cls: OddClass, table) -> list[OddDefect]:
+    """One defect per pair of attributes that a label of the class table
+    names together, in attribute order. The witness is the lowest table point
+    both hold, else a finite value in the lowest gap they share, written in
+    ``:g`` form unless that would round it."""
+    points, labels = table
+    witness: dict[tuple[str, str], float] = {}
+    for at in (1, 0):  # the table points, then the gaps below them
+        for lo, point, label in zip((-math.inf, *points), points, labels):
+            if type(label[at]) is tuple:
+                for pair in combinations(label[at], 2):
+                    witness.setdefault(pair, point if at else _inside(lo, point))
+    rank = {a.name: i for i, a in enumerate(cls.attributes)}
     defects = []
-    for i, a in enumerate(cls.attributes):
-        for b in cls.attributes[i + 1 :]:
-            if a.bounds.overlaps(b.bounds):
-                witness = _overlap_witness(a.bounds, b.bounds)
-                defects.append(
-                    OddDefect(
-                        "OverlappingIntervals",
-                        cls.name,
-                        f"{a.name} and {b.name} both contain {witness:g}",
-                    )
-                )
+    for (a, b), value in sorted(witness.items(), key=lambda kv: [rank[n] for n in kv[0]]):
+        text = f"{value:g}" if float(f"{value:g}") == value else repr(value)
+        defects.append(OddDefect("OverlappingIntervals", cls.name,
+                                 f"{a} and {b} both contain {text}"))
     return defects
+
+
+def _inside(lo: float, hi: float) -> float:
+    """A finite value in ``]lo, hi[``: the midpoint, or one in from the finite
+    end (one float step where floats are spaced wider than 1)."""
+    if lo == -math.inf:
+        return 0.0 if hi == math.inf else hi - max(1.0, math.ulp(hi))
+    return lo + max(1.0, math.ulp(lo)) if hi == math.inf else lo / 2 + hi / 2
 
 
 def validate_odd(spec: OddSpec) -> list[OddDefect]:
@@ -357,10 +349,8 @@ def validate_odd(spec: OddSpec) -> list[OddDefect]:
     parsed spec surfaces overlaps an author left in non-partition classes
     (e.g. two states sharing a boundary point).
     """
-    defects: list[OddDefect] = []
-    for cls in spec.classes.values():
-        defects.extend(_class_overlaps(cls))
-    return defects
+    return [defect for name, table in spec._tables.items()
+            for defect in _class_overlaps(spec.classes[name], table)]
 
 
 def _compile_class(cls: OddClass) -> tuple[tuple[float, ...], tuple[tuple, ...]]:

@@ -14,6 +14,7 @@ readers never see a half-applied update.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,12 +120,17 @@ def assert_all(graph: TripleGraph, triples: Iterable[Triple]) -> TripleGraph:
     supportedBy and supports are each other's inverse, and hasInference /
     hasEvidence are subsumed by supportedBy; the entailed facts are
     materialized on insert so pattern queries see them. Raises
-    UnknownPredicate on the first triple outside the vocabulary.
+    UnknownPredicate on the first triple outside the vocabulary, and
+    OntologyError on one with a NaN or infinite literal, which
+    :func:`export_graph` could not write as a number.
     """
     new = set(graph.triples)
     for triple in triples:
         if triple.predicate not in VOCABULARY:
             raise UnknownPredicate(f"predicate {triple.predicate!r} is not in the vocabulary")
+        for t in (triple.subject, triple.object):
+            if isinstance(t, Literal) and isinstance(t.value, float) and not math.isfinite(t.value):
+                raise OntologyError(f"number literal in {triple} is not finite")
         new.add(triple)
         if triple.predicate == "supportedBy":
             new.add(Triple(triple.object, "supports", triple.subject))

@@ -5,6 +5,28 @@ import pytest
 from odd_assure import _base
 
 
+class TestDecode:
+    """A document reader decodes text as ``json.loads`` does. A value followed
+    by other text than one newline takes ``json.loads``'s own path."""
+
+    @staticmethod
+    @_base.document_reader("test document")
+    def read(document):
+        return document
+
+    def test_a_stream_line_with_trailing_spaces_reads_as_the_bare_line(self):
+        line = '{"t": 1.5, "readings": {"Fog": 30.0}}'
+        assert self.read(line + "  ") == self.read(line + " \n") == self.read(line)
+
+    def test_a_document_followed_by_blank_lines_reads_as_the_bare_document(self):
+        document = '{\n  "classes": [\n    {"name": "ODD", "parent": null}\n  ]\n}'
+        assert self.read(document + "\n\n\n") == self.read(document)
+
+    def test_text_after_the_value_is_malformed(self):
+        with pytest.raises(_base.DocumentError, match="^malformed test document: Extra data"):
+            self.read("{} x")
+
+
 class TestNumber:
     @pytest.mark.parametrize("value, spelled", [
         (True, "true"), (False, "false"), ("1", '"1"'), (None, "null"), ([1.0], "[1.0]"),

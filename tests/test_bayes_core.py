@@ -155,6 +155,10 @@ class TestConstruction:
         with pytest.raises(bayes_core.DocumentError):
             BnNode("n", ("only",))
 
+    def test_node_names_each_state_once(self):
+        with pytest.raises(bayes_core.DocumentError, match="^node 'n' repeats a state name$"):
+            BnNode("n", ("t", "f", "t"))
+
     @pytest.mark.parametrize("node", [{"id": 1, "states": ["t", "f"]},
                                       {"id": "n", "states": ["t", None]}])
     def test_ids_and_state_names_are_strings(self, node):
@@ -760,6 +764,11 @@ class TestGateCpt:
         rows = gate_cpt(GateOp.OR, 3)
         assert rows[-1] == (0.0, 1.0)         # (not, not, not)
         assert rows[0] == (1.0, 0.0)
+
+    @pytest.mark.parametrize("op", [GateOp.AND, GateOp.OR])
+    def test_gate_needs_a_parent(self, op):
+        with pytest.raises(bayes_core.BayesError, match="^a gate needs at least one parent$"):
+            gate_cpt(op, 0)
 
     @pytest.mark.parametrize("op", [GateOp.AND, GateOp.OR])
     @pytest.mark.parametrize("n", list(range(1, 11)))

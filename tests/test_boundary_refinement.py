@@ -16,6 +16,7 @@ from odd_assure.boundary_refinement import (
     DocumentError,
     Leaf,
     MissingFeature,
+    RefinementError,
     Rule,
     Split,
     TooFewRecords,
@@ -80,6 +81,12 @@ class TestFitTree:
         records = [TraceRecord({"v": 1.0}, YES)] * 5
         with pytest.raises(TooFewRecords):
             fit_tree(records, min_leaf=3)
+
+    @pytest.mark.parametrize("max_depth, min_leaf", [(-1, 1), (3, 0)])
+    def test_tree_limits_must_be_in_range(self, max_depth, min_leaf):
+        records = [TraceRecord({"v": float(i)}, YES if i % 2 else NO) for i in range(10)]
+        with pytest.raises(RefinementError, match="^max_depth must be >= 0 and min_leaf >= 1$"):
+            fit_tree(records, max_depth, min_leaf)
 
     def test_inconsistent_features_rejected(self):
         records = [TraceRecord({"a": 1.0}, YES), TraceRecord({"b": 1.0}, NO)]

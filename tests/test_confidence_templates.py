@@ -64,6 +64,10 @@ class TestDataAppropriatenessTemplate:
         with pytest.raises(InvalidConfig):
             build_data_appropriateness_bn(TemplateConfig(feature_names=()))
 
+    def test_repeated_feature_names_rejected(self):
+        with pytest.raises(InvalidConfig, match="^feature names repeat$"):
+            build_data_appropriateness_bn(TemplateConfig(feature_names=("F_a", "F_b", "F_a")))
+
 
 @pytest.mark.parametrize(
     "build", [build_data_appropriateness_bn, build_model_robustness_bn, build_testing_adequacy_bn]
@@ -282,6 +286,8 @@ class TestTestDistance:
             distance({1}, {2}, "euclidean")
         with pytest.raises(KindMismatch):
             distance((1, 2), (1, 2), "jaccard")
+        with pytest.raises(KindMismatch, match="^unknown metric 'cosine'$"):
+            distance((1, 2), (1, 2), "cosine")
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):

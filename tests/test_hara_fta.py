@@ -95,6 +95,12 @@ class TestComputeFta:
         with pytest.raises(DanglingReference):
             compute_fta(events[0], events, rel)
 
+    def test_atomic_event_with_causes_rejected(self):
+        events = _events("top", "a", atomic=("top", "a"))
+        rel = CausalRelation({"top": CausalEntry(("a",), GateOp.OR)})
+        with pytest.raises(DocumentError, match="^atomic event 'top' cannot have cause events$"):
+            compute_fta(events[0], events, rel)
+
     def test_hazard_missing_from_events(self):
         with pytest.raises(DanglingReference):
             compute_fta(Event("h", "h", atomic=True), _events("other", atomic=("other",)), CausalRelation({}))
@@ -249,6 +255,7 @@ class TestValidateFta:
         ("top", "top", [("top", ())], "EmptyGate"),
         ("top", "top", [("top", ("ghost",))], "DanglingReference"),
         ("top", "top", [("top", ("top",))], "SelfLoop"),
+        ("top a", "top", [("top", ("a",)), ("top", ("a",))], "DuplicateGate"),
     ])
     def test_defects_are_data_not_exceptions(self, events, top, gates, kind):
         # structures compute_fta never builds are reported, not raised
@@ -396,17 +403,25 @@ class TestHaraDocument:
         with pytest.raises(DocumentError):
             parse_hara(doc)
 
-    @pytest.mark.parametrize(
-        "malformed",
-        [
-            "unknown_role",
-            "chain_without_hazardous",
-            "unknown_edge_kind",
-        ],
-    )
-    def test_malformed_sections_raise_document_error(self, malformed):
+    @pytest.mark.parametrize("malformed, message", [pytest.param(*case, id=case[0]) for case in [
+        ("unknown_role", "malformed HARA document: 'bystander' is not a valid EventRole"),
+        ("chain_without_hazardous", "malformed HARA document: missing key 'hazardous'"),
+        ("unknown_edge_kind", "malformed HARA document: 'dependsOnWeather' is not a valid DependsKind"),
+        ("childless_causal_entry", f"causal entry for {HAZARD_ID!r} has no children"),
+        ("causal_child_is_its_parent", f"causal entry for {HAZARD_ID!r} references itself"),
+        ("repeated_causal_child", f"causal entry for {HAZARD_ID!r} repeats a child"),
+        ("event_declared_twice", "event 'Presence_of_object' declared twice"),
+        ("two_causal_entries", f"two causal entries for {HAZARD_ID!r}"),
+    ]])
+    def test_malformed_sections_raise_document_error(self, malformed, message):
         doc = malformed_hara_document(malformed)
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError, match=f"^{re.escape(message)}$"):
+            parse_hara(doc)
+
+    def test_undeclared_hazard(self):
+        doc = copy.deepcopy(AVP_HARA_DOCUMENT)
+        doc["hazards"].append("Ghost")
+        with pytest.raises(DanglingReference, match="^hazard 'Ghost' not declared in events$"):
             parse_hara(doc)
 
 
@@ -465,10 +480,15 @@ class TestHaraTypes:
 def malformed_hara_document(kind):
     """The AVP HARA document with one defect planted."""
     doc = copy.deepcopy(AVP_HARA_DOCUMENT)
-    if kind == "unknown_role":
-        doc["events"][0]["role"] = "bystander"
-    elif kind == "chain_without_hazardous":
-        del doc["chains"][0]["hazardous"]
-    else:
-        doc["chains"][0]["edges"][0]["kind"] = "dependsOnWeather"
+    causal = doc["causal"][0]
+    {
+        "unknown_role": lambda: doc["events"][0].update(role="bystander"),
+        "chain_without_hazardous": lambda: doc["chains"][0].pop("hazardous"),
+        "unknown_edge_kind": lambda: doc["chains"][0]["edges"][0].update(kind="dependsOnWeather"),
+        "childless_causal_entry": lambda: causal.update(children=[]),
+        "causal_child_is_its_parent": lambda: causal["children"].append(causal["parent"]),
+        "repeated_causal_child": lambda: causal["children"].append(causal["children"][0]),
+        "event_declared_twice": lambda: doc["events"].append(doc["events"][1]),
+        "two_causal_entries": lambda: doc["causal"].append(causal),
+    }[kind]()
     return doc

@@ -115,20 +115,72 @@ class TestIntervalSemantics:
         for _ in range(300):
             a = Interval(rng.uniform(0, 10), rng.uniform(10.001, 20), rng.random() < 0.5, rng.random() < 0.5)
             b = Interval(rng.uniform(0, 10), rng.uniform(10.001, 20), rng.random() < 0.5, rng.random() < 0.5)
-            assert a.overlaps(b) == b.overlaps(a)
-            hit = any(
-                a.contains(v) and b.contains(v)
-                for v in [rng.uniform(-1, 21) for _ in range(200)] + [a.lo, a.hi, b.lo, b.hi]
-            )
-            if hit:
-                assert a.overlaps(b)
+            self.check_overlap_report(rng, a, b)
+        # Small integer bounds, some unbounded, so intervals also touch at an
+        # endpoint or miss each other.
+        ends = [-math.inf, 0.0, 1.0, 2.0, 3.0, math.inf]
+        for _ in range(300):
+            a, b = (self.grid_interval(rng, ends) for _ in "ab")
+            self.check_overlap_report(rng, a, b)
+
+    @staticmethod
+    def grid_interval(rng, ends) -> Interval:
+        lo, hi = sorted(rng.sample(ends, 2))
+        if rng.random() < 0.1 and math.isfinite(lo):
+            return Interval(lo, lo, True, True)
+        return Interval(lo, hi, math.isfinite(lo) and rng.random() < 0.5,
+                        math.isfinite(hi) and rng.random() < 0.5)
+
+    @staticmethod
+    def check_overlap_report(rng, a, b):
+        # validate_odd names the pair exactly when some value lies in both,
+        # whichever comes first, and its witness is a value both hold.
+        report, swapped = overlap_report(a, b), overlap_report(b, a)
+        assert [r.split()[-1] for r in report] == [r.split()[-1] for r in swapped]
+        finite = [x for x in (a.lo, a.hi, b.lo, b.hi) if math.isfinite(x)]
+        hit = any(
+            a.contains(v) and b.contains(v)
+            for v in [rng.uniform(-1, 21) for _ in range(200)] + finite
+        )
+        if hit:
+            assert report
+        if report:
+            witness = float(report[0].split()[-1])
+            assert a.contains(witness) and b.contains(witness), (a, b, report)
 
     def test_touching_boundary_overlap(self):
         closed = parse_interval("[31, 60]")
         high = parse_interval("[60, +[")
         low = parse_interval("[0, 31[")
-        assert closed.overlaps(high)       # both contain 60
-        assert not low.overlaps(closed)    # 31 excluded from the low side
+        assert overlap_report(closed, high) == ["S0 and S1 both contain 60"]
+        assert overlap_report(low, closed) == []  # 31 excluded from the low side
+
+    @pytest.mark.parametrize("a, b, witness", [
+        ("]-, 5[", "]-, 3[", "2"),      # one in from the finite end
+        ("]5, +[", "]7, +[", "8"),
+        ("]-, +[", "]-, +[", "0"),
+        ("]0, 4[", "]0, 3[", "1.5"),    # the midpoint of the lowest shared gap
+        ("]0, 5[", "]1, 3]", "3"),      # a shared endpoint before any gap
+        ("]1000000, +[", "]2000000, +[", "2000001.0"),  # :g would print 2e+06
+        ("[0, 1234567]", "[1234567, 2000000]", "1234567.0"),  # :g: 1.23457e+06
+        ("[0, 0.1234567]", "[0.1234567, 1]", "0.1234567"),    # :g: 0.123457
+        # Where floats are spaced wider than 1, one step in is one float step,
+        # and the midpoint of two huge bounds does not overflow.
+        ("]1e17, +[", "]2e17, +[", "2.0000000000000003e+17"),
+        ("]-, 1e17[", "]-, 2e17[", "9.999999999999998e+16"),
+        ("]1e308, 1.7e308[", "]1e308, 1.6e308[", "1.3e+308"),
+    ])
+    def test_overlap_witness_is_a_value_both_hold(self, a, b, witness):
+        a, b = parse_interval(a), parse_interval(b)
+        assert overlap_report(a, b) == [f"S0 and S1 both contain {witness}"]
+        assert a.contains(float(witness)) and b.contains(float(witness))
+
+
+def overlap_report(*bounds: Interval) -> list[str]:
+    """``validate_odd``'s details for one class holding ``bounds`` as S0, S1, ..."""
+    cls = odd_model.OddClass("C", None, tuple(
+        odd_model.OddAttribute(f"S{i}", "u", b) for i, b in enumerate(bounds)))
+    return [d.detail for d in validate_odd(odd_model.OddSpec("C", {"C": cls}))]
 
 
 _CLASS_NAMES = ["", "a", "b", "c", "d", "e"]
@@ -441,10 +493,10 @@ class TestCompiledDiscretize:
 
     def test_spec_compiled_once(self):
         spec = avp_odd_spec()
-        assert "_tables" not in vars(spec)
+        tables = vars(spec)["_tables"]  # parsing built them
         discretize(spec, "Rain", 0.1)
-        tables = spec._tables
         in_odd(spec, Observation(0.0, 0.0, 0.0, {"Fog": 30.0, "Rain": 0.1}))
+        validate_odd(spec)
         assert spec._tables is tables
         assert "Weather_conditions" not in tables  # no attributes, so no table
         assert tables["Fog"][0] == (0.0, 60.0, 244.0, 805.0, 1610.0, math.inf)

@@ -163,7 +163,8 @@ class TestLoadBundle:
     @pytest.mark.parametrize("bindings, policy, message", [
         ({"Rain": "Fog"}, rm.DROP, "do not match attributes of class 'Rain'"),
         (AVP_BINDINGS, rm.WORST_CASE, "needs a worst state for 'Fog'"),
-    ], ids=["state_mismatch", "worst_case_without_states"])
+        ({"Hail": "Fog"}, rm.DROP, "binding names unknown ODD class 'Hail'"),
+    ], ids=["state_mismatch", "worst_case_without_states", "unknown_class"])
     def test_direct_construction_is_validated(self, bindings, policy, message):
         # a bundle checks itself, however it is built, before any tick
         with pytest.raises(BindingMismatch, match=message):
@@ -175,6 +176,9 @@ class TestLoadBundle:
             dataclasses.replace(bundle, oodd_policy=rm.WORST_CASE)
         with pytest.raises(rm.DocumentError, match="unknown out-of-ODD policy 'pin'"):
             dataclasses.replace(bundle, oodd_policy="pin")
+        with pytest.raises(BindingMismatch, match="worst state 'Fog_Purple' is not a state of 'Fog'"):
+            dataclasses.replace(bundle, oodd_policy=rm.WORST_CASE,
+                                worst_states=dict(AVP_WORST_STATES, Fog="Fog_Purple"))
         worst = dataclasses.replace(bundle, oodd_policy=rm.WORST_CASE,
                                     worst_states=AVP_WORST_STATES)
         assert worst.bindings is bundle.bindings and worst.oodd_policy == rm.WORST_CASE
@@ -686,7 +690,10 @@ class TestSharedBundle:
         obs = observations()
         expected = [step(make(), o) for o in obs]
         lines = [json.dumps(rm.report_to_document(r)) + "\n" for r in expected]
+        # Parsing builds the ODD tables, so the shared bundle gets a spec
+        # built by hand, whose tables the threads race to build too.
         shared = make()
+        shared = dataclasses.replace(shared, odd=odd_model.OddSpec(shared.odd.root, shared.odd.classes))
         assert "_tables" not in vars(shared.odd) and "_ticks" not in vars(shared)
         start = threading.Barrier(8, timeout=30)
 
@@ -826,6 +833,10 @@ class TestRun:
         with pytest.raises(rm.MonitorError, match="timestamp must be finite"):
             list(run(bundle, stream, on_out_of_order=policy))
 
+    def test_unknown_out_of_order_policy(self, bundle):
+        with pytest.raises(rm.MonitorError, match="^on_out_of_order must be 'raise' or 'warn', got 'x'$"):
+            list(run(bundle, [], on_out_of_order="x"))
+
     def test_equal_timestamps_are_in_order(self, bundle):
         stream = [Observation(1.0, 0.0, 0.0, {}), Observation(1.0, 0.0, 0.0, {"Fog": 30.0})]
         assert list(run(bundle, stream)) == [step(bundle, o) for o in stream]
@@ -882,12 +893,13 @@ class TestSynthTrace:
                     "segments": [
                         {"mode": "const", "value": 5.0, "ticks": 3},
                         {"mode": "ramp", "start": 5.0, "end": 8.0, "ticks": 4},
+                        {"mode": "ramp", "start": 9.0, "end": 20.0, "ticks": 1},  # its start
                     ]
                 }
             }
         }
         values = [o.readings["Fog"] for o in synth_trace(script, seed=0)]
-        assert values == [5.0, 5.0, 5.0, 5.0, 6.0, 7.0, 8.0]
+        assert values == [5.0, 5.0, 5.0, 5.0, 6.0, 7.0, 8.0, 9.0]
 
     def test_timestamps_spacing(self):
         script = dict(fog_ramp_script(ticks=4), t0=10.0, dt=0.5)
@@ -951,6 +963,11 @@ class TestSynthTrace:
     def test_non_finite_script_parameter(self, key, value):
         with pytest.raises(BadScript, match="must be finite"):
             synth_trace(dict(fog_ramp_script(ticks=3), **{key: value}), seed=0)
+
+    @pytest.mark.parametrize("dt", [0.0, -0.5])
+    def test_time_step_must_be_positive(self, dt):
+        with pytest.raises(BadScript, match="^dt must be positive$"):
+            synth_trace(dict(fog_ramp_script(ticks=3), dt=dt), seed=0)
 
     @pytest.mark.parametrize("noise", [math.nan, math.inf, -1.0])
     def test_bad_noise_amplitude(self, noise):

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 import re
 import sys
@@ -16,6 +17,7 @@ from odd_assure.safety_ontology import (
     VOCABULARY,
     AxiomViolation,
     Literal,
+    OntologyError,
     ParseError,
     Triple,
     TripleGraph,
@@ -491,6 +493,22 @@ class TestLineFormat:
         again = import_graph(export_graph(g))
         (t,) = again.triples
         assert t.object.value == 0.8200000000000001
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("position", ["subject", "object"])
+    def test_number_literal_that_is_not_finite_is_refused(self, value, position):
+        # Exported as `nan` or `inf`, it would re-import as an identifier
+        triple = Triple("n", "hasACP", Literal(0.5))._replace(**{position: Literal(value)})
+        with pytest.raises(OntologyError, match=re.escape(f"number literal in {triple} is not finite")):
+            assert_all(TripleGraph(), [triple])
+
+    def test_asserted_graph_roundtrips(self):
+        g = assert_all(TripleGraph(), [
+            Triple("n", "hasACP", Literal(0.8200000000000001)), Triple("n", "hasACP", Literal(-3)),
+            Triple(Literal(1e-300), "relatedTo", Literal("a \"quoted\"\nline")),
+            Triple("G1", "hasEvidence", "Sn8.1"), Triple("S1", "supports", "G1"),
+        ])
+        assert import_graph(export_graph(g)) == g
 
     @pytest.mark.parametrize("token", ["1e400", "-1e400", "1e309", "+99999e999"])
     def test_number_that_overflows_a_float_is_rejected(self, token):
