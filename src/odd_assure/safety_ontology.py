@@ -14,10 +14,10 @@ readers never see a half-applied update.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Union
 
 from . import _base
@@ -121,16 +121,20 @@ def assert_all(graph: TripleGraph, triples: Iterable[Triple]) -> TripleGraph:
     hasEvidence are subsumed by supportedBy; the entailed facts are
     materialized on insert so pattern queries see them. Raises
     UnknownPredicate on the first triple outside the vocabulary, and
-    OntologyError on one with a NaN or infinite literal, which
-    :func:`export_graph` could not write as a number.
+    OntologyError on one with a term whose exported token does not read
+    back as an equal term, so the graph exports text that imports equal.
     """
     new = set(graph.triples)
+    readable = set()  # (term, type of its value): equal terms of one type read alike
     for triple in triples:
         if triple.predicate not in VOCABULARY:
             raise UnknownPredicate(f"predicate {triple.predicate!r} is not in the vocabulary")
-        for t in (triple.subject, triple.object):
-            if isinstance(t, Literal) and isinstance(t.value, float) and not math.isfinite(t.value):
-                raise OntologyError(f"number literal in {triple} is not finite")
+        for side, term in (("subject", triple.subject), ("object", triple.object)):
+            key = (term, type(term.value) if isinstance(term, Literal) else type(term))
+            if key not in readable:
+                if not _reads_back(term):
+                    raise OntologyError(f"{side} of {triple} does not read back from its token")
+                readable.add(key)
         new.add(triple)
         if triple.predicate == "supportedBy":
             new.add(Triple(triple.object, "supports", triple.subject))
@@ -223,11 +227,12 @@ _DOMAIN_RULES: dict[str, tuple[str, frozenset[str]]] = {
 
 
 class _GraphIndex:
-    """A graph's triples in canonical order; ``buckets`` maps each subject,
-    predicate and object to its triples in that order, and ``types`` each
-    subject to its identifier classes."""
+    """A graph's ``triples``, and them ``ordered`` canonically; ``buckets``
+    maps each subject, predicate and object to its triples in that order,
+    and ``types`` each subject to its identifier classes."""
 
     def __init__(self, triples: frozenset[Triple]):
+        self.triples = triples
         self.ordered = tuple(sorted(triples, key=_sort_key))
         self.buckets = by_subject, by_predicate, by_object = {}, {}, {}
         self.types: dict[Term, set[str]] = {}
@@ -237,9 +242,6 @@ class _GraphIndex:
             by_object.setdefault(t.object, []).append(t)
             if t.predicate == RDF_TYPE and isinstance(t.object, str):
                 self.types.setdefault(t.subject, set()).add(t.object)
-
-    def types_of(self, term: Term) -> set[str]:
-        return self.types.get(term, set())
 
     def members(self, cls: str) -> list[Term]:
         """The individuals of ``cls``, in the order of the violation list."""
@@ -253,68 +255,57 @@ class _GraphIndex:
 def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
     """Closed-world integrity check; empty list means consistent.
 
-    It reads the graph's kept index, so a check is O(n log n) in the number
-    of triples, the index's sort dominating, and a repeat check skips it.
+    It reads the graph's kept index: a first check costs the index's sort
+    plus one visit per triple whose predicate has a rule (rdf_type, with
+    none, is never walked), and a repeat check skips the sort. Violations
+    come in canonical order of their triples, one triple's range first,
+    then domain, then its predicate's own axiom.
     """
     index = graph._index
+    types, untyped = index.types, frozenset()
     violations: list[AxiomViolation] = []
-
-    for t in index.ordered:
-        for rules, position, term in (
-            (_RANGE_RULES, "object", t.object),
-            (_DOMAIN_RULES, "subject", t.subject),
-        ):
-            rule = rules.get(t.predicate)
-            if rule is not None and not index.types_of(term) & rule[1]:
-                violations.append(
-                    AxiomViolation(
-                        rule[0],
-                        t,
-                        f"{position} of {t.predicate} must be typed "
-                        f"{' or '.join(sorted(rule[1]))}, got {format_term(term)}",
-                    )
-                )
-        if t.predicate == "hasConfidence":
-            # A37: the subject must be both a Goal and a Solution.
-            if not ({"Goal", "Solution"} <= index.types_of(t.subject)):
-                violations.append(
-                    AxiomViolation(
-                        "A37",
-                        t,
-                        f"subject of hasConfidence must be typed Goal and Solution, "
-                        f"got {format_term(t.subject)}",
-                    )
-                )
-        if t.predicate == "hasText":
-            if not (isinstance(t.object, Literal) and isinstance(t.object.value, str)):
-                violations.append(
-                    AxiomViolation("A40", t, "object of hasText must be a string literal")
-                )
-        if t.predicate == "hasACP":
-            ok = isinstance(t.object, Literal) and isinstance(t.object.value, (int, float))
-            if ok and not (0.0 <= float(t.object.value) <= 1.0):
-                ok = False
-            if not ok:
-                violations.append(
-                    AxiomViolation(
-                        "A46", t, "object of hasACP must be a numeric literal in [0, 1]"
-                    )
-                )
-        if t.predicate == "supportedBy":
-            if Triple(t.object, "supports", t.subject) not in graph.triples:
-                violations.append(
-                    AxiomViolation("A28", t, "inverse supports fact is not materialized")
-                )
-        if t.predicate in ("hasInference", "hasEvidence"):
-            axiom = "A32" if t.predicate == "hasInference" else "A35"
-            if Triple(t.subject, "supportedBy", t.object) not in graph.triples:
-                violations.append(
-                    AxiomViolation(axiom, t, f"{t.predicate} fact lacks its supportedBy fact")
-                )
-
+    for predicate, bucket in index.buckets[1].items():
+        hits: list[tuple[int, AxiomViolation]] = []  # (place in the bucket, violation)
+        for rules, side, position in ((_RANGE_RULES, 2, "object"), (_DOMAIN_RULES, 0, "subject")):
+            if predicate in rules:
+                axiom, allowed = rules[predicate]
+                rule = f"{position} of {predicate} must be typed {' or '.join(sorted(allowed))}"
+                hits += [(i, AxiomViolation(axiom, t, f"{rule}, got {format_term(t[side])}"))
+                         for i, t in enumerate(bucket)
+                         if types.get(t[side], untyped).isdisjoint(allowed)]
+        if predicate in _OWN_AXIOMS:
+            axiom, message, broken = _OWN_AXIOMS[predicate]
+            hits += [(i, AxiomViolation(axiom, t, message.format(format_term(t.subject))))
+                     for i, t in enumerate(bucket) if broken(t, index)]
+        hits.sort(key=itemgetter(0))
+        violations += [v for _, v in hits]
+    # Stable, as distinct triples can share a key (an int past 2**53 and its float).
+    violations.sort(key=lambda v: _sort_key(v.triple))
     violations.extend(_check_event_classification(index))
     violations.extend(_check_objective_nodes(index))
     return violations
+
+
+# predicate -> (axiom, message, whether a triple breaks it given the graph's
+# index); a message's {} is the subject's term.
+_OWN_AXIOMS = {
+    "hasConfidence": ("A37", "subject of hasConfidence must be typed Goal and Solution, got {}",
+                      lambda t, index: not {"Goal", "Solution"}.issubset(
+                          index.types.get(t.subject, ()))),
+    "hasText": ("A40", "object of hasText must be a string literal",
+                lambda t, index: not (isinstance(t.object, Literal)
+                                      and isinstance(t.object.value, str))),
+    "hasACP": ("A46", "object of hasACP must be a numeric literal in [0, 1]",
+               lambda t, index: not (isinstance(t.object, Literal)
+                                     and isinstance(t.object.value, (int, float))
+                                     and 0.0 <= float(t.object.value) <= 1.0)),
+    "supportedBy": ("A28", "inverse supports fact is not materialized",
+                    lambda t, index: (t.object, "supports", t.subject) not in index.triples),
+    "hasInference": ("A32", "hasInference fact lacks its supportedBy fact",
+                     lambda t, index: (t.subject, "supportedBy", t.object) not in index.triples),
+    "hasEvidence": ("A35", "hasEvidence fact lacks its supportedBy fact",
+                    lambda t, index: (t.subject, "supportedBy", t.object) not in index.triples),
+}
 
 
 _EVENT_AXIOMS = {
@@ -345,7 +336,7 @@ def _check_objective_nodes(index: _GraphIndex) -> list[AxiomViolation]:
     edge and the source of none (the terminal node of the dependency DAG)."""
     violations = []
     for term in index.members("ObjNode"):
-        is_node = "Node" in index.types_of(term)
+        is_node = "Node" in index.types.get(term, ())
         incoming = "dependsOn" in index.predicates(2, term)
         outgoing = "dependsOn" in index.predicates(0, term)
         if not (is_node and incoming and not outgoing):
@@ -403,9 +394,27 @@ def _parse_term(token: str, line_no: int | None) -> Term:
             return Literal(_base.number_text(token))
         except ValueError as exc:  # exported as `inf`, it would re-import as an identifier
             raise ParseError(str(exc), line_no, token) from None
-    if any(c in _IDENT_FORBIDDEN for c in token):
+    if not _IDENT_FORBIDDEN.isdisjoint(token):
         raise ParseError(f"bad identifier {token!r}", line_no, token)
     return token
+
+
+def _reads_back(term: Term) -> bool:
+    """Whether ``term``'s exported token, alone at the start of a line, reads
+    back as an equal term. That is where a token is read strictest (``#``
+    starts a comment there), so a triple of such terms exports one line that
+    imports as the triple."""
+    try:
+        token = format_term(term)
+    except (AttributeError, TypeError, OverflowError):  # None, bytes, an int past float range
+        return False
+    if not (isinstance(token, str) and token.splitlines() == [token]
+            and _TOKEN.findall(token) == [token] and token[0] != "#"):
+        return False
+    try:
+        return _parse_term(token, None) == term
+    except ParseError:
+        return False
 
 
 def parse_term(token: str) -> Term:
@@ -430,24 +439,26 @@ def import_graph(text: str) -> TripleGraph:
     check rather than being silently repaired.
     """
     terms: dict[str, Term] = {}  # each distinct subject or object token parses once
+    get = terms.get
     triples = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = _TOKEN.findall(line) if '"' in line else line.split()  # split is faster
+        if not tokens or tokens[0][0] == "#":
+            continue
         if '"' in tokens:
             raise ParseError("unterminated string literal", line_no)
-        if len(tokens) != 4 or tokens[-1] != ".":
+        if len(tokens) != 4 or tokens[3] != ".":
             raise ParseError("expected `subject predicate object .`", line_no)
-        subject, predicate, obj = tokens[:3]
-        if subject not in terms:
-            terms[subject] = _parse_term(subject, line_no)
+        subject, predicate, obj, _ = tokens
+        s = get(subject)
+        if s is None:
+            s = terms[subject] = _parse_term(subject, line_no)
         if predicate not in VOCABULARY:
             raise ParseError(f"unknown predicate {predicate!r}", line_no)
-        if obj not in terms:
-            terms[obj] = _parse_term(obj, line_no)
-        triples.add(Triple(terms[subject], predicate, terms[obj]))
+        o = get(obj)
+        if o is None:
+            o = terms[obj] = _parse_term(obj, line_no)
+        triples.add(tuple.__new__(Triple, (s, predicate, o)))  # skips Triple.__new__'s frame
     return TripleGraph(frozenset(triples))
 
 

@@ -6,6 +6,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,87 @@ class TestAssertAll:
                 assert_all(start, iter(triples))
             return
         assert assert_all(start, iter(triples)) == folded
+
+
+def _round_trips(triple: Triple) -> bool:
+    """Whether a graph of ``triple`` alone exports text that imports as it."""
+    graph = TripleGraph(frozenset({triple}))
+    try:
+        return import_graph(export_graph(graph)) == graph
+    except (ParseError, AttributeError, TypeError, OverflowError):
+        return False
+
+
+# Terms of every kind, with the characters the line format reads specially:
+# quotes, backslashes, a leading #, whitespace and every str.splitlines break.
+awkward_text = st.text(
+    st.sampled_from(list('ab1.e+-#"\\ \t\n\r\x0b\x0c\x1c\x85\u2028\u3000')) | st.characters(),
+    max_size=4,
+)
+any_term = st.one_of(
+    awkward_text,
+    st.builds(Literal, awkward_text),
+    st.builds(Literal, st.floats()),
+    st.builds(Literal, st.integers() | st.sampled_from([2**53 + 1, 10**400, True])),
+)
+
+
+class TestAssertAllReadsBack:
+    """assert_all accepts a term only if its exported token reads back, on
+    one line, as an equal term."""
+
+    @pytest.mark.parametrize("term", [
+        "1", "x y", "", '"q', "#x", "a\u3000b",
+        Literal(10**400), Literal(None), Literal(b"x"), Literal(2**53 + 1),
+        Literal("a\rb"), Literal("a\x0bb"), Literal("a\x85b"), Literal("a\u2028b"),
+    ])
+    @pytest.mark.parametrize("position", ["subject", "object"])
+    def test_term_that_does_not_read_back_is_refused(self, term, position):
+        triple = Triple("n", "dependsOn", "m")._replace(**{position: term})
+        assert not _round_trips(triple._replace(subject=term, object=term))
+        message = f"{position} of {triple} does not read back"
+        with pytest.raises(OntologyError, match=re.escape(message)):
+            assert_all(TripleGraph(), [Triple("a", "dependsOn", "b"), triple])
+
+    def test_term_equal_to_an_accepted_one_is_checked_too(self):
+        # Decimal(3) == 3.0, but export_graph cannot write it
+        with pytest.raises(OntologyError, match="object of .*Decimal.* does not read back"):
+            assert_all(TripleGraph(), [Triple("a", "dependsOn", Literal(3.0)),
+                                       Triple("b", "dependsOn", Literal(Decimal(3)))])
+
+    def test_entailed_fact_is_checked_too(self):
+        # the materialized inverse would start its line with the object
+        with pytest.raises(OntologyError, match="object of .* does not read back"):
+            assert_all(TripleGraph(), [Triple("G1", "supportedBy", "#S1")])
+
+    @pytest.mark.parametrize("term", [
+        "a", ".", "nan", "x#y", Literal(""), Literal("#x"), Literal('a "b"\\\n\tc'),
+        Literal(-0.0), Literal(True), Literal(2**53), Literal(1e-300),
+    ])
+    def test_term_that_reads_back_is_accepted(self, term):
+        g = assert_all(TripleGraph(), [Triple(term, "supportedBy", term)])
+        assert import_graph(export_graph(g)) == g
+
+    @settings(max_examples=300, deadline=None)
+    @given(triples=st.lists(st.builds(
+        Triple, any_term, st.sampled_from(["dependsOn", "supportedBy", "hasEvidence", "hasText"]),
+        any_term,
+    ), max_size=12))
+    def test_accepted_graph_exports_and_reimports_equal(self, triples):
+        accepted = []
+        for t in triples:
+            try:
+                assert_all(TripleGraph(), [t])
+            except OntologyError:
+                # refused only if one of its terms, written at a line's start, does not read back
+                terms = (t.subject, t.object)
+                assert not all(_round_trips(Triple(x, "dependsOn", x)) for x in terms)
+                continue
+            accepted.append(t)
+        g = assert_all(TripleGraph(), accepted)
+        text = export_graph(g)
+        assert import_graph(text) == g
+        assert export_graph(import_graph(text)) == text
 
 
 class TestQuery:
@@ -394,6 +476,51 @@ class TestCheckAxiomsMatchesReference:
         g = TripleGraph(frozenset(t for t, keep in zip(fixture, kept) if keep) | extra)
         assert check_axioms(g) == oracles.check_axioms(g)
 
+    def test_violation_order_across_and_within_triples(self):
+        # canonical order puts n before s; one triple's range or domain
+        # violation comes before its predicate's own axiom
+        g = TripleGraph(frozenset({
+            Triple("s", "hasConfidence", "o"), Triple("n", "hasACP", Literal(2)),
+            Triple("m", RDF_TYPE, "ObjNode"),
+        }))
+        found = check_axioms(g)
+        assert [(v.axiom, v.triple.subject) for v in found] == [
+            ("A47", "n"), ("A46", "n"), ("A36", "s"), ("A37", "s"), ("A48", "m"),
+        ]
+        assert found == oracles.check_axioms(g)
+
+    @pytest.mark.parametrize("triples", [
+        # Literal(0.0) and Literal(-0.0) are one dict key but export apart
+        [Triple(Literal(0.0), "dependsOn", "a"), Triple("a", "dependsOn", Literal(-0.0)),
+         Triple(Literal(-0.0), RDF_TYPE, "Node"), Triple(Literal(-0.5), "dependsOn", Literal(0)),
+         Triple("b", "hasACP", Literal(-0.0)), Triple("c", "hasACP", Literal(0.0)),
+         Triple("a", RDF_TYPE, "ObjNode")],
+        # distinct triples with one sort key: an int past 2**53 and its float
+        [Triple("a", "dependsOn", Literal(2**53 + 1)), Triple("a", "dependsOn", Literal(2.0**53)),
+         Triple("a", "hasACP", Literal(2**53 + 1)), Triple("a", "hasACP", Literal(2.0**53))],
+    ], ids=["signed-zero", "shared-key"])
+    def test_terms_that_are_equal_or_export_alike(self, triples):
+        g = TripleGraph(frozenset(triples))
+        assert check_axioms(g) == oracles.check_axioms(g)
+        terms = {t.subject for t in triples} | {t.object for t in triples} | {None}
+        for s, o in itertools.product(terms, terms):
+            assert query(g, s, None, o) == oracles.query(g, s, None, o)
+        lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} .\n"
+                 for t in oracles.query(g)]
+        assert export_graph(g) == "".join(lines)
+
+    def test_thousand_triples(self):
+        g = _renamed_avp_copies(14)
+        assert 1000 <= len(g.triples) <= 1100
+        found = check_axioms(g)
+        assert found == oracles.check_axioms(g)
+        assert len(found) > 100 and len({v.triple.predicate for v in found}) >= 10
+        text = export_graph(g)
+        assert import_graph(text) == oracles.import_graph(text) == g
+        for pattern in ((None, RDF_TYPE, "Goal"), ("G1_3", None, None), (None, "supports", None),
+                        (None, None, Literal("cm/h")), ("Rain_heavy_5", "hasAttribute", None)):
+            assert query(g, *pattern) == oracles.query(g, *pattern)
+
     def test_class_names_as_plain_objects(self):
         """A class name in the object position of another predicate makes no
         member of that class."""
@@ -499,7 +626,8 @@ class TestLineFormat:
     def test_number_literal_that_is_not_finite_is_refused(self, value, position):
         # Exported as `nan` or `inf`, it would re-import as an identifier
         triple = Triple("n", "hasACP", Literal(0.5))._replace(**{position: Literal(value)})
-        with pytest.raises(OntologyError, match=re.escape(f"number literal in {triple} is not finite")):
+        message = f"{position} of {triple} does not read back"
+        with pytest.raises(OntologyError, match=re.escape(message)):
             assert_all(TripleGraph(), [triple])
 
     def test_asserted_graph_roundtrips(self):
@@ -640,6 +768,22 @@ class TestImportMatchesReference:
         assert got == self.outcome(oracles.import_graph, text)
         assert got[0] == "error" and got[2] == line_no
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("a dependsOn b .\n \t\u3000 \nc dependsOn d .\n", None),  # a whitespace-only line
+        ("   # comment\na dependsOn b .\n", None),
+        ('# "quoted" comment\na dependsOn b .\n# "open\n', None),
+        ("a\tdependsOn\tb\t.\n\tc dependsOn\td .\n", None),
+        ("a dependsOn b .\na dependsOn b . c\n", 2),  # five tokens
+        ('a dependsOn b .\na hasText "t" . c\n', 2),
+        ("a b c ;\n", 1),
+    ])
+    def test_line_shapes(self, text, line_no):
+        got = self.outcome(import_graph, text)
+        assert got == self.outcome(oracles.import_graph, text)
+        assert got[0] == ("graph" if line_no is None else "error")
+        if line_no is not None:
+            assert got[1:] == (f"line {line_no}: expected `subject predicate object .`", line_no)
+
     def test_megabyte_literal_full_of_escapes(self):
         # user-sized input must not reach a recursion limit
         text = 'a hasText "' + '\\"\\\\\\n.' * 150_000 + '" .\n'
@@ -653,6 +797,29 @@ class TestImportMatchesReference:
             f'n{i} dependsOn n{i + 1} .\nn{i} hasText "t {i}" .\n' for i in range(500)
         )
         assert import_graph(text) == oracles.import_graph(text)
+
+
+def _renamed_avp_copies(copies: int) -> TripleGraph:
+    """Copies of the AVP ontology, each individual renamed per copy (literals
+    and the classes that rdf_type names are shared), each copy without a
+    different seventh of its facts and with facts that break typing, literal
+    and objective-node axioms, so violations of many predicates interleave."""
+    fixture = sorted(avp_ontology().triples, key=safety_ontology._sort_key)
+    classes = {t.object for t in fixture if t.predicate == RDF_TYPE}
+    triples = set()
+    for k in range(copies):
+        def rename(term):
+            return term if isinstance(term, Literal) or term in classes else f"{term}_{k}"
+
+        triples |= {Triple(rename(s), p, rename(o))
+                    for i, (s, p, o) in enumerate(fixture) if i % 7 != k % 7}
+        triples |= {
+            Triple(rename("n"), "hasACP", Literal(k / 4)),
+            Triple(rename("G1"), "hasText", Literal(float(k))),
+            Triple(rename("Rain_heavy"), "hasAttribute", rename("Rain_light")),
+            Triple(rename("x"), RDF_TYPE, "ObjNode"),
+        }
+    return TripleGraph(frozenset(triples))
 
 
 def _damaged_avp_ontology() -> TripleGraph:
