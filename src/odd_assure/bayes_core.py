@@ -185,7 +185,7 @@ def _read_table(node, rows) -> np.ndarray:
     drift = rows.sum(axis=1)
     drift -= 1.0
     if np.abs(drift, out=drift).max(initial=0.0) > PROB_TOL:
-        total = sum(rows[int(np.argmax(drift > PROB_TOL))].tolist())
+        total = reduce(add, rows[int(np.argmax(drift > PROB_TOL))].tolist(), 0.0)
         raise BadCpt(f"cpt row for {node!r} sums to {total!r}, not 1 within {PROB_TOL}")
     return rows
 
@@ -205,7 +205,7 @@ class Posterior:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if abs(sum(self.probs) - 1.0) > PROB_TOL:
+        if abs(reduce(add, self.probs, 0.0) - 1.0) > PROB_TOL:
             raise BayesError(f"posterior over {self.node!r} does not normalize")
 
     def as_dict(self) -> dict[str, float]:
@@ -614,8 +614,7 @@ def compile_fta_to_bn(fta: Fta, leaf_priors: Mapping[str, float]) -> BayesNet:
     if defects:
         raise InvalidFta(defects)
 
-    gated = {g.parent for g in fta.gates}
-    leaves = [e.id for e in fta.events if e.id not in gated]
+    leaves = [e.id for e in fta.atomic_events()]
     missing = sorted(set(leaves) - set(leaf_priors))
     extra = sorted(set(leaf_priors) - set(leaves))
     if missing or extra:

@@ -127,7 +127,7 @@ def _cmd_validate(args) -> int:
     if args.bn:
         _load(bayes_core.load_bn, args.bn)  # build_net re-validates every invariant
 
-    for line in defects:
+    for line in dict.fromkeys(defects):  # hazards sharing an event share its defects
         print(line)
     if defects:
         return EXIT_DEFECTS

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -333,7 +335,8 @@ def test_distance(pred, truth, metric: str) -> float:
 
     ``jaccard`` compares sets (distance form, 0 for two empty sets);
     ``hamming`` counts differing positions of equal-length sequences;
-    ``manhattan`` and ``euclidean`` act on numeric vectors.
+    ``manhattan`` and ``euclidean`` add over numeric vectors left to right
+    from 0.0, so int terms add as floats, rounded at each step.
     """
     metric = metric.lower()
     if metric == "jaccard":
@@ -350,9 +353,9 @@ def test_distance(pred, truth, metric: str) -> float:
     if metric == "hamming":
         return float(sum(1 for a, b in zip(pred, truth) if a != b))
     if metric in ("manhattan", "l1"):
-        return float(sum(abs(a - b) for a, b in zip(pred, truth)))
+        return float(reduce(add, (abs(a - b) for a, b in zip(pred, truth)), 0.0))
     if metric in ("euclidean", "l2"):
-        return math.sqrt(sum((a - b) ** 2 for a, b in zip(pred, truth)))
+        return math.sqrt(reduce(add, ((a - b) ** 2 for a, b in zip(pred, truth)), 0.0))
     raise KindMismatch(f"unknown metric {metric!r}")
 
 

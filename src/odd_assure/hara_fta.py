@@ -92,9 +92,6 @@ class CausalRelation:
             if len(set(entry.children)) != len(entry.children):
                 raise DocumentError(f"causal entry for {parent!r} repeats a child")
 
-    def get(self, event_id: str) -> CausalEntry | None:
-        return self.mapping.get(event_id)
-
 
 class Gate(NamedTuple):
     parent: str
@@ -181,11 +178,11 @@ class FtaDefect(NamedTuple):
 def compute_fta(hazard: Event, events: Iterable[Event], causal_relation: CausalRelation) -> Fta:
     """Construct the fault tree rooted at ``hazard``.
 
-    Worklist traversal with stack semantics: pop an event, look up its cause
-    events, gate non-atomic ones, push the causes. Each event is expanded
-    exactly once and appended to the event set at most once, preserving the
-    child order given by the causal relation. A cycle among the expanded
-    events raises CyclicCausality; one the hazard cannot reach does not.
+    The gates are those of the events the hazard reaches, in the order
+    :func:`_expand` expands them. The event set is the hazard followed by
+    the gates' children, each at its first occurrence, preserving the child
+    order given by the causal relation. A cycle among the reached events
+    raises CyclicCausality; one the hazard cannot reach does not.
     """
     by_id = {e.id: e for e in events}
     if hazard.id not in by_id:
@@ -197,22 +194,10 @@ def compute_fta(hazard: Event, events: Iterable[Event], causal_relation: CausalR
         if by_id[parent].atomic:
             raise DocumentError(f"atomic event {parent!r} cannot have cause events")
 
-    collected = {hazard.id: None}
-    gates: list[Gate] = []
-    expanded: set[str] = set()
-    stack = [hazard.id]
-    while stack:
-        current = stack.pop()
-        if current in expanded:
-            continue
-        expanded.add(current)
-        entry = causal_relation.get(current)
-        if entry is None:
-            continue
-        gates.append(Gate(parent=current, children=entry.children, op=entry.op))
-        for child in entry.children:
-            collected.setdefault(child)
-        stack.extend(entry.children)
+    mapping = causal_relation.mapping
+    reached = _expand(hazard.id, {parent: entry.children for parent, entry in mapping.items()})
+    gates = [Gate(eid, *mapping[eid]) for eid in reached if eid in mapping]
+    collected = dict.fromkeys([hazard.id, *(child for gate in gates for child in gate.children)])
 
     _, cycle = _base.dag_order(_cause_edges(collected, gates))
     if cycle:
@@ -222,6 +207,20 @@ def compute_fta(hazard: Event, events: Iterable[Event], causal_relation: CausalR
         events=tuple(by_id[eid] for eid in collected),
         gates=tuple(gates),
     )
+
+
+def _expand(top: str, causes: Mapping[str, Iterable[str]]) -> dict[str, None]:
+    """The events ``top`` reaches through ``causes`` (event -> cause events),
+    as keys in the order a depth-first worklist expands them: pop an event,
+    skip it if already expanded, else push its causes in order."""
+    expanded: dict[str, None] = {}
+    stack = [top]
+    while stack:
+        current = stack.pop()
+        if current not in expanded:
+            expanded[current] = None
+            stack.extend(causes.get(current, ()))
+    return expanded
 
 
 def _cause_edges(event_ids: Iterable[str], gates: Iterable[Gate]) -> dict[str, set[str]]:
@@ -313,16 +312,8 @@ def validate_fta(fta: Fta) -> list[FtaDefect]:
                 FtaDefect("DuplicateGate", (event.id,), f"{n_gates} gates on one event")
             )
 
-    # Reachability from the top through gate children.
-    reachable = {fta.top}
-    frontier = [fta.top]
-    while frontier:
-        node = frontier.pop()
-        for gate in gates_by_parent.get(node, []):
-            for child in gate.children:
-                if child in by_id and child not in reachable:
-                    reachable.add(child)
-                    frontier.append(child)
+    causes = _cause_edges(by_id, fta.gates)
+    reachable = _expand(fta.top, causes)
     for event in fta.events:
         if event.id not in reachable:
             defects.append(
@@ -332,7 +323,7 @@ def validate_fta(fta: Fta) -> list[FtaDefect]:
     # Cycle detection over gate edges restricted to known ids. The walker
     # orders every event that reaches no cycle through its gates, so the
     # first event left out is the first one that does.
-    order, cycle = _base.dag_order(_cause_edges(by_id, fta.gates))
+    order, cycle = _base.dag_order(causes)
     if cycle:
         acyclic = set(order)
         eid = next(e for e in by_id if e not in acyclic)

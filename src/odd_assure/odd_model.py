@@ -222,7 +222,7 @@ class Observation(NamedTuple):
     """One timestamped environment sample.
 
     ``readings`` maps leaf class names to raw measurements. The (x, y)
-    location is carried for reporting but not interpreted.
+    location is checked and passed through, never interpreted or reported.
     """
 
     time: float

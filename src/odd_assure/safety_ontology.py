@@ -125,16 +125,13 @@ def assert_all(graph: TripleGraph, triples: Iterable[Triple]) -> TripleGraph:
     back as an equal term, so the graph exports text that imports equal.
     """
     new = set(graph.triples)
-    readable = set()  # (term, type of its value): equal terms of one type read alike
+    readable: set[tuple] = set()
     for triple in triples:
         if triple.predicate not in VOCABULARY:
             raise UnknownPredicate(f"predicate {triple.predicate!r} is not in the vocabulary")
-        for side, term in (("subject", triple.subject), ("object", triple.object)):
-            key = (term, type(term.value) if isinstance(term, Literal) else type(term))
-            if key not in readable:
-                if not _reads_back(term):
-                    raise OntologyError(f"{side} of {triple} does not read back from its token")
-                readable.add(key)
+        unreadable = _unreadable(triple, readable)
+        if unreadable:
+            raise OntologyError(unreadable)
         new.add(triple)
         if triple.predicate == "supportedBy":
             new.add(Triple(triple.object, "supports", triple.subject))
@@ -281,8 +278,17 @@ def check_axioms(graph: TripleGraph) -> list[AxiomViolation]:
         violations += [v for _, v in hits]
     # Stable, as distinct triples can share a key (an int past 2**53 and its float).
     violations.sort(key=lambda v: _sort_key(v.triple))
-    violations.extend(_check_event_classification(index))
-    violations.extend(_check_objective_nodes(index))
+    violations += [AxiomViolation(axiom, Triple(term, RDF_TYPE, cls), f"{format_term(term)} "
+                                  f"is typed {cls} but its dependency edges rule that out")
+                   for cls, (axiom, role) in _ROLE_AXIOMS.items() for term in index.members(cls)
+                   if role not in role_candidates(index.predicates(0, term))]
+    # A48: an ObjNode is the terminal node of the dependsOn DAG, a Node with
+    # incoming and no outgoing dependsOn edges.
+    violations += [AxiomViolation("A48", Triple(term, RDF_TYPE, "ObjNode"), f"{format_term(term)} "
+                                  "must be a Node with incoming and no outgoing dependsOn edges")
+                   for term in index.members("ObjNode")
+                   if not ("Node" in types.get(term, ()) and "dependsOn" in index.predicates(2, term)
+                           and "dependsOn" not in index.predicates(0, term))]
     return violations
 
 
@@ -308,47 +314,12 @@ _OWN_AXIOMS = {
 }
 
 
-_EVENT_AXIOMS = {
-    EventRole.OCCURRENCE: ("OccurrenceEvent", "A21"),
-    EventRole.CONSEQUENCE: ("ConsequenceEvent", "A22"),
-    EventRole.HAZARDOUS: ("HazardousEvent", "A23"),
+# class -> (axiom, the EventRole a member's outgoing predicates must allow)
+_ROLE_AXIOMS = {
+    "OccurrenceEvent": ("A21", EventRole.OCCURRENCE),
+    "ConsequenceEvent": ("A22", EventRole.CONSEQUENCE),
+    "HazardousEvent": ("A23", EventRole.HAZARDOUS),
 }
-
-
-def _check_event_classification(index: _GraphIndex) -> list[AxiomViolation]:
-    violations = []
-    for role, (cls, axiom) in _EVENT_AXIOMS.items():
-        for term in index.members(cls):
-            if role not in role_candidates(index.predicates(0, term)):
-                violations.append(
-                    AxiomViolation(
-                        axiom,
-                        Triple(term, RDF_TYPE, cls),
-                        f"{format_term(term)} is typed {cls} but its dependency "
-                        f"edges rule that out",
-                    )
-                )
-    return violations
-
-
-def _check_objective_nodes(index: _GraphIndex) -> list[AxiomViolation]:
-    """A48: an ObjNode is a Node that is the target of at least one dependsOn
-    edge and the source of none (the terminal node of the dependency DAG)."""
-    violations = []
-    for term in index.members("ObjNode"):
-        is_node = "Node" in index.types.get(term, ())
-        incoming = "dependsOn" in index.predicates(2, term)
-        outgoing = "dependsOn" in index.predicates(0, term)
-        if not (is_node and incoming and not outgoing):
-            violations.append(
-                AxiomViolation(
-                    "A48",
-                    Triple(term, RDF_TYPE, "ObjNode"),
-                    f"{format_term(term)} must be a Node with incoming and no "
-                    f"outgoing dependsOn edges",
-                )
-            )
-    return violations
 
 
 def classify_goals(graph: TripleGraph) -> dict[Term, str]:
@@ -417,6 +388,31 @@ def _reads_back(term: Term) -> bool:
         return False
 
 
+def _unreadable(triple: Triple, readable: set[tuple]) -> str | None:
+    """Why ``triple`` cannot be exported, naming its first term whose token
+    does not read back; None if both read back. ``readable`` caches the keys
+    (term, type of its value) that do, as equal terms of one type read alike."""
+    for side, term in (("subject", triple.subject), ("object", triple.object)):
+        key = (term, type(term.value) if isinstance(term, Literal) else type(term))
+        if key not in readable:
+            if not _reads_back(term):
+                return f"{side} of {_triple_text(triple)} does not read back from its token"
+            readable.add(key)
+    return None
+
+
+def _triple_text(triple: Triple) -> str:
+    """``repr(triple)``; where an int literal has more digits than str may
+    print (``sys.get_int_max_str_digits``), its literals' ints print in hex."""
+    try:
+        return repr(triple)
+    except ValueError:
+        subject, obj = (f"Literal(value={hex(t.value)})"
+                        if isinstance(t, Literal) and isinstance(t.value, int) else repr(t)
+                        for t in (triple.subject, triple.object))
+        return f"Triple(subject={subject}, predicate={triple.predicate!r}, object={obj})"
+
+
 def parse_term(token: str) -> Term:
     """Parse one standalone term token (for query patterns and the like). A
     ParseError names the token; its ``line_no`` is None."""
@@ -425,7 +421,15 @@ def parse_term(token: str) -> Term:
 
 def export_graph(graph: TripleGraph) -> str:
     """Canonical serialization: one sorted `subject predicate object .` line
-    per triple. Equal triple sets export byte-identical text."""
+    per triple. Equal triple sets export byte-identical text. A graph built
+    without :func:`assert_all` is held to its rule: each distinct term is read
+    back once, before the sort, and a term that does not read back raises its
+    OntologyError for the triple whose message sorts first, so every export
+    names the same triple."""
+    readable: set[tuple] = set()
+    unreadable = [m for m in (_unreadable(t, readable) for t in graph.triples) if m]
+    if unreadable:
+        raise OntologyError(min(unreadable))
     lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} ."
              for t in graph._index.ordered]
     return "\n".join(lines) + ("\n" if lines else "")
@@ -468,5 +472,6 @@ def load_graph(path) -> TripleGraph:
 
 
 def save_graph(graph: TripleGraph, path) -> None:
+    text = export_graph(graph)  # a refused graph leaves ``path`` untouched
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(export_graph(graph))
+        fh.write(text)

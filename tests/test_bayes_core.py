@@ -102,6 +102,11 @@ class TestConstruction:
         with pytest.raises(BadCpt):
             Cpt("n", ("a",), ((0.5, 0.5), (1.0,)))
 
+    def test_row_total_in_the_message_adds_left_to_right(self):
+        # Python's sum, compensated from 3.12 on, gives 1.1
+        with pytest.raises(BadCpt, match=r"^cpt row for 'n' sums to 1\.0999999999999999, not 1 "):
+            Cpt("n", (), ([0.1] * 11,))
+
     def test_cpt_equality_ignores_input_container(self, tmp_path):
         rows = ((0.25, 0.75), (0.5, 0.5))
         built = [
@@ -118,6 +123,17 @@ class TestConstruction:
             path = tmp_path / f"net{i}.json"
             bayes_core.save_bn(net, path)
             assert bayes_core.load_bn(path) == net
+
+    def test_cpt_is_not_equal_to_other_types(self):
+        cpt = Cpt("n", (), ((0.5, 0.5),))
+        assert cpt.__eq__(object()) is NotImplemented
+        assert cpt != object() and not cpt == ((0.5, 0.5),)
+
+    def test_empty_cpt_is_refused_by_build_net(self):
+        empty = Cpt("x", (), [])
+        assert empty.rows.shape == (0, 0)
+        with pytest.raises(BadCpt, match=r"^cpt for 'x' has 0 rows, expected 1$"):
+            build_net([BnNode("x", ("t", "f"))], [], [empty])
 
     def test_cpt_rows_are_a_read_only_copy(self):
         rows = np.array([[0.25, 0.75]])
@@ -944,10 +960,12 @@ class TestNormalized:
         with pytest.raises(dataclasses.FrozenInstanceError):
             post.probs = (1.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("probs", [(0.5, 0.6), (0.5, 0.4), (1.0 + 2e-9, 0.0)])
+    # (1.0, 1e100, -1e100) adds to 0.0 left to right, to 1.0 under 3.12's compensated sum
+    @pytest.mark.parametrize("probs", [(0.5, 0.6), (0.5, 0.4), (1.0 + 2e-9, 0.0),
+                                       (1.0, 1e100, -1e100)])
     def test_a_directly_built_posterior_must_normalize(self, probs):
         with pytest.raises(BayesError, match=r"^posterior over 'n' does not normalize$"):
-            Posterior("n", ("a", "b"), probs)
+            Posterior("n", ("a", "b", "c")[:len(probs)], probs)
 
 
 class TestMeanVariance:

@@ -411,6 +411,22 @@ class TestValidate:
         assert run_cli("validate", bundle_dir / "avp_odd.json", "--hara", hara) == 0
         assert capsys.readouterr().out.strip() == "ok"
 
+    def test_defect_of_a_shared_event_prints_once(self, bundle_dir, tmp_path, capsys):
+        doc = {
+            "hazards": ["H1", "H2"],
+            "events": [{"id": "H1"}, {"id": "H2"}, {"id": "M"},
+                       {"id": "E", "atomic": True, "oper_conditions": [["Rain", "Rain_Purple"]]}],
+            "causal": [{"parent": h, "op": "OR", "children": ["M", "E"]} for h in ("H1", "H2")],
+        }
+        hara = tmp_path / "shared.json"
+        hara.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("validate", bundle_dir / "avp_odd.json", "--hara", hara) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{hara}: MissingGate['M']: non-atomic event has no gate",
+            f"{hara}: UnknownOperCondState['E']: 'Rain_Purple' is neither attribute nor "
+            "subclass of 'Rain'",
+        ]
+
     @pytest.mark.parametrize(
         "malformed", ["unknown_role", "chain_without_hazardous", "unknown_edge_kind"]
     )

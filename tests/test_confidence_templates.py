@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 
@@ -271,6 +272,14 @@ class TestTestDistance:
 
     def test_manhattan(self):
         assert distance((0.0, 0.0), (3.0, 4.0), "manhattan") == 7.0
+
+    def test_terms_add_left_to_right_on_every_python(self):
+        # Python's sum, compensated from 3.12 on, gives 1.0 and sqrt(0.8999999999999999)
+        assert distance([0.1] * 10, [0.0] * 10, "manhattan") == 0.9999999999999999
+        assert distance([0.3] * 10, [0.0] * 10, "euclidean") == math.sqrt(0.8999999999999998)
+        # int terms add as floats: an exact int sum gives 2.0**53 + 2 and 2.0**27 + 2**-25
+        assert distance([2**53, 1, 1], [0, 0, 0], "manhattan") == 2.0**53
+        assert distance([2**27] + [1] * 8, [0] * 9, "euclidean") == 2.0**27
 
     def test_euclidean_squared_matches_direct_loop(self):
         rng = random.Random(47)

@@ -142,6 +142,10 @@ class TestComputeFta:
             assert {e.id for e in fta.events} == reachable
             assert {g.parent for g in fta.gates} == {i for i in reachable if i in mapping}
 
+    def test_event_lookup_of_unknown_id(self):
+        with pytest.raises(KeyError, match="nope"):
+            avp_fta().event("nope")
+
 
 class TestClassifyEvent:
     @pytest.fixture(scope="module")
@@ -219,6 +223,10 @@ class TestClassifyEvent:
                 else:
                     with pytest.raises(InconsistentChain):
                         classify_event(chain, event)
+
+    def test_edge_leaving_the_chain(self):
+        with pytest.raises(DanglingReference, match="^chain edge 'O' -> 'X' leaves the chain$"):
+            HazardChain("H", ("O",), ("C",), (ChainEdge(DependsKind.ON_OCCURRENCE, "O", "X"),))
 
 
 class TestValidateFta:

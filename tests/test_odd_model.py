@@ -361,6 +361,7 @@ class TestDiscretize:
     def test_out_of_odd(self, spec):
         assert discretize(spec, "Fog", -1.0) is OUT_OF_ODD
         assert discretize(spec, "Vehicle_lighting", 200.0) is OUT_OF_ODD
+        assert repr(OUT_OF_ODD) == "OutOfOdd"
 
     def test_unknown_class(self, spec):
         with pytest.raises(UnknownClass):

@@ -121,10 +121,11 @@ class TestAssertAll:
 
 
 def _round_trips(triple: Triple) -> bool:
-    """Whether a graph of ``triple`` alone exports text that imports as it."""
-    graph = TripleGraph(frozenset({triple}))
+    """Whether ``triple``'s exported line imports as it. The line is built
+    here, not by export_graph, which refuses the triple by the rule under test."""
     try:
-        return import_graph(export_graph(graph)) == graph
+        text = f"{format_term(triple.subject)} {triple.predicate} {format_term(triple.object)} .\n"
+        return import_graph(text) == TripleGraph(frozenset({triple}))
     except (ParseError, AttributeError, TypeError, OverflowError):
         return False
 
@@ -148,7 +149,7 @@ class TestAssertAllReadsBack:
     one line, as an equal term."""
 
     @pytest.mark.parametrize("term", [
-        "1", "x y", "", '"q', "#x", "a\u3000b",
+        "1", "x y", "", '"q', 'x"y', "#x", "a\u3000b",
         Literal(10**400), Literal(None), Literal(b"x"), Literal(2**53 + 1),
         Literal("a\rb"), Literal("a\x0bb"), Literal("a\x85b"), Literal("a\u2028b"),
     ])
@@ -489,25 +490,32 @@ class TestCheckAxiomsMatchesReference:
         ]
         assert found == oracles.check_axioms(g)
 
-    @pytest.mark.parametrize("triples", [
+    @pytest.mark.parametrize("triples, unreadable", [
         # Literal(0.0) and Literal(-0.0) are one dict key but export apart
-        [Triple(Literal(0.0), "dependsOn", "a"), Triple("a", "dependsOn", Literal(-0.0)),
-         Triple(Literal(-0.0), RDF_TYPE, "Node"), Triple(Literal(-0.5), "dependsOn", Literal(0)),
-         Triple("b", "hasACP", Literal(-0.0)), Triple("c", "hasACP", Literal(0.0)),
-         Triple("a", RDF_TYPE, "ObjNode")],
-        # distinct triples with one sort key: an int past 2**53 and its float
-        [Triple("a", "dependsOn", Literal(2**53 + 1)), Triple("a", "dependsOn", Literal(2.0**53)),
-         Triple("a", "hasACP", Literal(2**53 + 1)), Triple("a", "hasACP", Literal(2.0**53))],
+        ([Triple(Literal(0.0), "dependsOn", "a"), Triple("a", "dependsOn", Literal(-0.0)),
+          Triple(Literal(-0.0), RDF_TYPE, "Node"), Triple(Literal(-0.5), "dependsOn", Literal(0)),
+          Triple("b", "hasACP", Literal(-0.0)), Triple("c", "hasACP", Literal(0.0)),
+          Triple("a", RDF_TYPE, "ObjNode")], None),
+        # distinct triples with one sort key: an int past 2**53 and its float;
+        # the int exports as the float, so export_graph refuses the graph
+        ([Triple("a", "dependsOn", Literal(2**53 + 1)), Triple("a", "dependsOn", Literal(2.0**53)),
+          Triple("a", "hasACP", Literal(2**53 + 1)), Triple("a", "hasACP", Literal(2.0**53))],
+         Triple("a", "dependsOn", Literal(2**53 + 1))),
     ], ids=["signed-zero", "shared-key"])
-    def test_terms_that_are_equal_or_export_alike(self, triples):
+    def test_terms_that_are_equal_or_export_alike(self, triples, unreadable):
         g = TripleGraph(frozenset(triples))
         assert check_axioms(g) == oracles.check_axioms(g)
         terms = {t.subject for t in triples} | {t.object for t in triples} | {None}
         for s, o in itertools.product(terms, terms):
             assert query(g, s, None, o) == oracles.query(g, s, None, o)
-        lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} .\n"
-                 for t in oracles.query(g)]
-        assert export_graph(g) == "".join(lines)
+        if unreadable is None:
+            lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} .\n"
+                     for t in oracles.query(g)]
+            assert export_graph(g) == "".join(lines)
+        else:
+            message = f"object of {unreadable} does not read back"
+            with pytest.raises(OntologyError, match=re.escape(message)):
+                export_graph(g)
 
     def test_thousand_triples(self):
         g = _renamed_avp_copies(14)
@@ -593,6 +601,45 @@ class TestClassifyGoals:
 class TestLineFormat:
     def test_empty_graph_exports_empty(self):
         assert export_graph(TripleGraph()) == ""
+
+    @pytest.mark.parametrize("triple, side", [
+        (Triple("n", "hasACP", Literal(10**400)), "object"),  # past float range
+        (Triple("#x", "dependsOn", "b"), "subject"),  # its line would read as a comment
+    ])
+    def test_graph_built_directly_with_unreadable_term_is_refused(self, triple, side, tmp_path):
+        g = TripleGraph(frozenset({Triple("a", "dependsOn", "b"), triple}))
+        message = f"{side} of {triple} does not read back from its token"
+        with pytest.raises(OntologyError, match=f"^{re.escape(message)}$"):
+            export_graph(g)
+        path = tmp_path / "g.nt"
+        with pytest.raises(OntologyError, match=f"^{re.escape(message)}$"):
+            safety_ontology.save_graph(g, path)
+        assert not path.exists()
+
+    def test_int_literal_too_long_to_print_is_named_in_hex(self, tmp_path):
+        triple = Triple("n", "hasACP", Literal(10**5000))
+        try:
+            shown = repr(triple)
+        except ValueError:  # past sys.get_int_max_str_digits
+            shown = f"Triple(subject='n', predicate='hasACP', object=Literal(value={hex(10**5000)}))"
+        message = f"object of {shown} does not read back from its token"
+        with pytest.raises(OntologyError, match=f"^{re.escape(message)}$"):
+            export_graph(TripleGraph(frozenset({triple})))
+        with pytest.raises(OntologyError, match=f"^{re.escape(message)}$"):
+            assert_all(TripleGraph(), [triple])
+
+    def test_refused_graph_names_the_same_triple_in_any_order(self):
+        unreadable = [Triple(f"#{i}", "dependsOn", "b") for i in range(30)]
+        unreadable += [Triple("n", "hasACP", Literal(10**400)), Triple("#1", "trigger", "#2")]
+        messages = set()
+        for seed in range(8):
+            shuffled = unreadable + [Triple(f"a{i}", "dependsOn", "b") for i in range(30)]
+            random.Random(seed).shuffle(shuffled)
+            with pytest.raises(OntologyError) as err:
+                export_graph(TripleGraph(frozenset(shuffled)))
+            messages.add(str(err.value))
+        # "object of ..." sorts before every "subject of ..."
+        assert messages == {f"object of {unreadable[30]} does not read back from its token"}
 
     def test_roundtrip_avp(self):
         g = avp_ontology()
