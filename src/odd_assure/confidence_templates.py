@@ -318,12 +318,18 @@ def metric_to_state(
     """Discretize a metric value into half-open, lower-inclusive bins.
 
     A value equal to a threshold belongs to the bin above it, matching the
-    bracket convention of the ODD interval grammar.
+    bracket convention of the ODD interval grammar. A NaN or infinite
+    threshold raises BadThresholds, and such a value a TemplateError, as
+    ``odd_model.discretize`` refuses such a reading.
     """
     if len(states) != len(thresholds) + 1:
         raise BadThresholds(f"{len(states)} states need {len(states) - 1} thresholds")
+    if not all(map(math.isfinite, thresholds)):
+        raise BadThresholds(f"thresholds must be finite, not {list(thresholds)!r}")
     if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
         raise BadThresholds("thresholds must be strictly increasing")
+    if not math.isfinite(value):
+        raise TemplateError(f"metric value {value!r} is not finite")
     for i, t in enumerate(thresholds):
         if value < t:
             return states[i]

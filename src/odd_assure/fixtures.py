@@ -13,6 +13,7 @@ placeholders for project-calibrated tables.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -22,10 +23,9 @@ import numpy as np
 from . import bayes_core, hara_fta, safety_ontology
 from .bayes_core import BnNode, Cpt, build_net
 from .confidence_templates import AcpBinding
-from .hara_fta import GateOp
 from .odd_model import OddSpec, parse_odd_spec
 from .runtime_monitor import ModelBundle, make_bundle
-from .safety_ontology import Literal, Triple, TripleGraph, assert_all
+from .safety_ontology import RDF_TYPE, Literal, Triple, TripleGraph, assert_all
 
 HAZARD_ID = "Failure_to_detect_object"
 
@@ -289,44 +289,37 @@ def avp_fta() -> hara_fta.Fta:
     return hara_fta.compute_fta(events[hazards[0]], events.values(), relation)
 
 
+AVP_BINDINGS = {"Fog": "Fog", "Rain": "Rain", "Ego_speed": "Ego_speed"}
+AVP_STATE_VALUES = {"occurs": 0.0, "not_occurs": 1.0}
+AVP_SOLUTION_ID = "Sn8.1"
+
 # Risk weight of each observable state, scaled into failure probabilities by
 # the event CPT builders below. Index order matches the node state order.
-_FOG_STATES = ("Fog_Severity_1", "Fog_Severity_2", "Fog_Severity_3", "Fog_Severity_4", "Fog_Severity_5")
-_RAIN_STATES = ("Rain_light", "Rain_Moderate", "Rain_Heavy")
-_SPEED_STATES = ("Speed_High", "Speed_Medium", "Speed_Low")
 _FOG_RISK = (0.0, 0.25, 0.5, 0.75, 1.0)
 _RAIN_RISK = (0.0, 0.5, 1.0)
 _SPEED_RISK = (1.0, 0.5, 0.0)
 
 
-def avp_monitor_bn() -> bayes_core.BayesNet:
-    """Confidence network for the monitor bundle.
+def _attribute_names(odd_class: str) -> tuple[str, ...]:
+    """The attribute names of an ODD class, in AVP_ODD_DOCUMENT order."""
+    (cls,) = (c for c in AVP_ODD_DOCUMENT["classes"] if c["name"] == odd_class)
+    return tuple(a["name"] for a in cls["attributes"])
 
-    The compiled hazard tree keeps its OR gate, but the observable events
-    gain the ODD condition nodes as parents so that live readings shift the
-    failure probabilities: fog, rain, and speed feed the detection event, and
-    speed alone feeds braking and collision.
-    """
-    nodes = [
-        BnNode("Fog", _FOG_STATES),
-        BnNode("Rain", _RAIN_STATES),
-        BnNode("Ego_speed", _SPEED_STATES),
-        BnNode("Presence_of_object", bayes_core.EVENT_STATES),
-        BnNode("Detection_of_object", bayes_core.EVENT_STATES),
-        BnNode("Brake_execution", bayes_core.EVENT_STATES),
-        BnNode("Forward_collision", bayes_core.EVENT_STATES),
-        BnNode(HAZARD_ID, bayes_core.EVENT_STATES),
-    ]
+
+def avp_monitor_bn() -> bayes_core.BayesNet:
+    """Confidence network for the monitor bundle: the compiled hazard tree
+    plus a node per bound ODD class over its attributes, the parent of each
+    atomic event whose operating conditions name it. So live readings shift
+    the failure probabilities: fog, rain, and speed feed the detection event,
+    and speed alone feeds braking and collision."""
+    fta = avp_fta()
+    tree = bayes_core.compile_fta_to_bn(fta, AVP_LEAF_PRIORS)
+    conditions = [BnNode(node, _attribute_names(cls)) for cls, node in AVP_BINDINGS.items()]
     edges = [
-        ("Fog", "Detection_of_object"),
-        ("Rain", "Detection_of_object"),
-        ("Ego_speed", "Detection_of_object"),
-        ("Ego_speed", "Brake_execution"),
-        ("Ego_speed", "Forward_collision"),
-        ("Presence_of_object", HAZARD_ID),
-        ("Detection_of_object", HAZARD_ID),
-        ("Brake_execution", HAZARD_ID),
-        ("Forward_collision", HAZARD_ID),
+        (node, event.id)
+        for event in fta.atomic_events()
+        for cls, node in AVP_BINDINGS.items()
+        if any(cls in pair for pair in event.oper_conditions)
     ]
 
     def failure_rows(weights, base, spans):
@@ -337,11 +330,12 @@ def avp_monitor_bn() -> bayes_core.BayesNet:
         p_occurs = (base + sum(terms)).ravel()
         return np.column_stack((p_occurs, 1.0 - p_occurs))
 
+    # save_bn writes the tables in this order
     cpts = [
         Cpt("Fog", (), ((0.3, 0.25, 0.2, 0.15, 0.1),)),
         Cpt("Rain", (), ((0.6, 0.3, 0.1),)),
         Cpt("Ego_speed", (), ((0.2, 0.5, 0.3),)),
-        Cpt("Presence_of_object", (), ((0.5, 0.5),)),
+        tree.cpts["Presence_of_object"],
         Cpt(
             "Detection_of_object",
             ("Fog", "Rain", "Ego_speed"),
@@ -349,18 +343,9 @@ def avp_monitor_bn() -> bayes_core.BayesNet:
         ),
         Cpt("Brake_execution", ("Ego_speed",), failure_rows((_SPEED_RISK,), 0.05, (0.3,))),
         Cpt("Forward_collision", ("Ego_speed",), failure_rows((_SPEED_RISK,), 0.02, (0.25,))),
-        Cpt(
-            HAZARD_ID,
-            ("Presence_of_object", "Detection_of_object", "Brake_execution", "Forward_collision"),
-            bayes_core.gate_cpt(GateOp.OR, 4),
-        ),
+        tree.cpts[HAZARD_ID],
     ]
-    return build_net(nodes, edges, cpts, objective=HAZARD_ID)
-
-
-AVP_BINDINGS = {"Fog": "Fog", "Rain": "Rain", "Ego_speed": "Ego_speed"}
-AVP_STATE_VALUES = {"occurs": 0.0, "not_occurs": 1.0}
-AVP_SOLUTION_ID = "Sn8.1"
+    return build_net([*conditions, *tree.nodes.values()], [*edges, *tree.edges], cpts, HAZARD_ID)
 
 
 def avp_acp() -> AcpBinding:
@@ -390,34 +375,23 @@ def write_avp_bundle(directory) -> Path:
     manifest path. The directory is created if needed."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / "avp_odd.json").write_text(
-        json.dumps(AVP_ODD_DOCUMENT, indent=2) + "\n", encoding="utf-8"
-    )
-    (directory / "avp_hara.json").write_text(
-        json.dumps(AVP_HARA_DOCUMENT, indent=2) + "\n", encoding="utf-8"
-    )
-    (directory / "avp_priors.json").write_text(
-        json.dumps(AVP_LEAF_PRIORS, indent=2) + "\n", encoding="utf-8"
-    )
-    bayes_core.save_bn(avp_monitor_bn(), directory / "avp_confidence_bn.json")
     manifest = {
         "odd": "avp_odd.json",
         "net": "avp_confidence_bn.json",
         "bindings": AVP_BINDINGS,
-        "acp": {
-            "solution_id": AVP_SOLUTION_ID,
-            "objective": HAZARD_ID,
-            "state_values": AVP_STATE_VALUES,
-        },
+        "acp": dataclasses.asdict(avp_acp()),
         "oodd_policy": "drop",
         "worst_states": {},
     }
-    (directory / "avp_bundle.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
-    (directory / "fog_ramp.json").write_text(
-        json.dumps(fog_ramp_script(), indent=2) + "\n", encoding="utf-8"
-    )
+    for name, document in (
+        ("avp_odd.json", AVP_ODD_DOCUMENT),
+        ("avp_hara.json", AVP_HARA_DOCUMENT),
+        ("avp_priors.json", AVP_LEAF_PRIORS),
+        ("avp_bundle.json", manifest),
+        ("fog_ramp.json", fog_ramp_script()),
+    ):
+        (directory / name).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+    bayes_core.save_bn(avp_monitor_bn(), directory / "avp_confidence_bn.json")
     safety_ontology.save_graph(avp_ontology(), directory / "avp_ontology.nt")
     (directory / "avp_trace.csv").write_text(example_trace_csv(), encoding="utf-8")
     (directory / "avp_states.csv").write_text(example_states_csv(), encoding="utf-8")
@@ -440,8 +414,7 @@ def example_trace_csv() -> str:
 def example_states_csv() -> str:
     """Attribute-state dataset of 500 rows for coverage queries over Rain and Fog."""
     rng = random.Random(21)
-    rain = ("Rain_light", "Rain_Moderate", "Rain_Heavy")
-    fog = ("Fog_Severity_1", "Fog_Severity_2", "Fog_Severity_3", "Fog_Severity_4", "Fog_Severity_5")
+    rain, fog = _attribute_names("Rain"), _attribute_names("Fog")
     lines = ["Rain,Fog"]
     for _ in range(500):
         lines.append(f"{rng.choice(rain)},{rng.choice(fog)}")
@@ -454,28 +427,24 @@ def example_states_csv() -> str:
 
 def avp_ontology() -> TripleGraph:
     """ODD taxonomy, hazard events, GSN argument, and network metadata as one
-    consistent graph (zero axiom violations)."""
-    g = TripleGraph()
+    consistent graph (zero axiom violations). The weather branch of the class
+    tree comes from the ODD document, the event types and the chain edges
+    from the HARA document."""
+    parent = {c["name"]: c["parent"] for c in AVP_ODD_DOCUMENT["classes"]}
+    # Weather_conditions' subclasses, then Weather_conditions up to the root
+    branch = [name for name, up in parent.items() if up == "Weather_conditions"]
+    name = "Weather_conditions"
+    while name is not None:
+        branch.append(name)
+        name = parent[name]
+    events = AVP_HARA_DOCUMENT["events"]
+    (chain,) = AVP_HARA_DOCUMENT["chains"]
     typed: list[tuple[str, str]] = [
-        ("ODD", "OddClass"),
-        ("Environment_conditions", "OddClass"),
-        ("Weather_conditions", "OddClass"),
-        ("Rain", "OddClass"),
-        ("Fog", "OddClass"),
-        ("Snow", "OddClass"),
+        *((name, "OddClass") for name in branch),
         ("Rain_light", "OddAttribute"),
         ("Rain_Moderate", "OddAttribute"),
         ("Rain_heavy", "OddAttribute"),
-        (HAZARD_ID, "Event"),
-        (HAZARD_ID, "HazardousEvent"),
-        ("Presence_of_object", "Event"),
-        ("Presence_of_object", "OccurrenceEvent"),
-        ("Detection_of_object", "Event"),
-        ("Detection_of_object", "OccurrenceEvent"),
-        ("Brake_execution", "Event"),
-        ("Brake_execution", "ConsequenceEvent"),
-        ("Forward_collision", "Event"),
-        ("Forward_collision", "ConsequenceEvent"),
+        *((e["id"], kind) for e in events for kind in ("Event", e["role"].capitalize() + "Event")),
         ("G1", "Goal"),
         ("G1", "TopLevelGoal"),
         ("S1", "Strategy"),
@@ -497,28 +466,17 @@ def avp_ontology() -> TripleGraph:
         ("DataComp", "ObjNode"),
         ("DataComp_cpt", "CptTable"),
     ]
-    g = assert_all(g, (Triple(ind, safety_ontology.RDF_TYPE, cls) for ind, cls in typed))
+    g = assert_all(TripleGraph(), (Triple(ind, RDF_TYPE, cls) for ind, cls in typed))
     g = assert_all(
         g,
         [
-            Triple("Weather_conditions", "subClassOf", "Environment_conditions"),
-            Triple("Environment_conditions", "subClassOf", "ODD"),
-            Triple("Rain", "subClassOf", "Weather_conditions"),
-            Triple("Fog", "subClassOf", "Weather_conditions"),
-            Triple("Snow", "subClassOf", "Weather_conditions"),
+            *(Triple(name, "subClassOf", parent[name]) for name in branch if parent[name]),
             Triple("Rain", "hasAttribute", "Rain_heavy"),
             Triple("Rain", "hasAttribute", "Rain_light"),
             Triple("Rain", "hasAttribute", "Rain_Moderate"),
             Triple("Rain_heavy", "hasDomain", Literal("cm/h")),
             Triple("Rain_heavy", "hasDomain", Literal("≥0.77")),
-            # hazard-cause-effect structure
-            Triple("Presence_of_object", "trigger", HAZARD_ID),
-            Triple("Detection_of_object", "trigger", HAZARD_ID),
-            Triple("Detection_of_object", "dependsOnOccurrence", "Presence_of_object"),
-            Triple(HAZARD_ID, "dependsOnOccurrence", "Detection_of_object"),
-            Triple("Brake_execution", "dependsOnHazardous", HAZARD_ID),
-            Triple("Forward_collision", "dependsOnHazardous", HAZARD_ID),
-            Triple("Forward_collision", "dependsOnConsequence", "Brake_execution"),
+            *(Triple(e["from"], e["kind"], e["to"]) for e in chain["edges"]),
             Triple("Detection_of_object", "hasOperCond", "Rain_heavy"),
             # GSN argument
             Triple("G1", "relatedTo", HAZARD_ID),
@@ -539,8 +497,8 @@ def avp_ontology() -> TripleGraph:
     g = assert_all(
         g,
         [
-            Triple(Literal("cm/h"), safety_ontology.RDF_TYPE, "Unit"),
-            Triple(Literal("≥0.77"), safety_ontology.RDF_TYPE, "Constraint"),
+            Triple(Literal("cm/h"), RDF_TYPE, "Unit"),
+            Triple(Literal("≥0.77"), RDF_TYPE, "Constraint"),
         ],
     )
     return g

@@ -223,12 +223,14 @@ def _expand(top: str, causes: Mapping[str, Iterable[str]]) -> dict[str, None]:
     return expanded
 
 
-def _cause_edges(event_ids: Iterable[str], gates: Iterable[Gate]) -> dict[str, set[str]]:
-    """Event -> cause events, the direction of the compiled network's edges."""
-    causes: dict[str, set[str]] = {eid: set() for eid in event_ids}
+def _cause_edges(event_ids: Iterable[str], gates: Iterable[Gate]) -> dict[str, dict[str, None]]:
+    """Event -> cause events, the direction of the compiled network's edges.
+    The causes are dict keys in gate order, not a set, so the cycle
+    ``_base.dag_order`` names does not follow string hash order."""
+    causes: dict[str, dict[str, None]] = {eid: {} for eid in event_ids}
     for gate in gates:
         if gate.parent in causes:
-            causes[gate.parent].update(c for c in gate.children if c in causes)
+            causes[gate.parent].update(dict.fromkeys(c for c in gate.children if c in causes))
     return causes
 
 

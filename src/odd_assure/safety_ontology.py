@@ -230,7 +230,11 @@ class _GraphIndex:
 
     def __init__(self, triples: frozenset[Triple]):
         self.triples = triples
-        self.ordered = tuple(sorted(triples, key=_sort_key))
+        try:
+            self.ordered = tuple(sorted(triples, key=_sort_key))
+        except (AttributeError, TypeError, OverflowError):  # a term that does not read back
+            _refuse_unreadable(triples)
+            raise
         self.buckets = by_subject, by_predicate, by_object = {}, {}, {}
         self.types: dict[Term, set[str]] = {}
         for t in self.ordered:
@@ -401,6 +405,15 @@ def _unreadable(triple: Triple, readable: set[tuple]) -> str | None:
     return None
 
 
+def _refuse_unreadable(triples: Iterable[Triple]) -> None:
+    """Raise OntologyError for the triple with a term that does not read back
+    whose message sorts first, if any; each distinct term is read once."""
+    readable: set[tuple] = set()
+    unreadable = [m for m in (_unreadable(t, readable) for t in triples) if m]
+    if unreadable:
+        raise OntologyError(min(unreadable))
+
+
 def _triple_text(triple: Triple) -> str:
     """``repr(triple)``; where an int literal has more digits than str may
     print (``sys.get_int_max_str_digits``), its literals' ints print in hex."""
@@ -426,10 +439,7 @@ def export_graph(graph: TripleGraph) -> str:
     back once, before the sort, and a term that does not read back raises its
     OntologyError for the triple whose message sorts first, so every export
     names the same triple."""
-    readable: set[tuple] = set()
-    unreadable = [m for m in (_unreadable(t, readable) for t in graph.triples) if m]
-    if unreadable:
-        raise OntologyError(min(unreadable))
+    _refuse_unreadable(graph.triples)
     lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} ."
              for t in graph._index.ordered]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -1179,6 +1179,23 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def test_avp_bundle_bytes_are_pinned(tmp_path):
+    # sha256 of every file write_avp_bundle writes, so a fixture that derives
+    # a fact from another document cannot change a byte of the example
+    write_avp_bundle(tmp_path)
+    assert {path.name: _sha256(path.read_bytes()) for path in tmp_path.iterdir()} == {
+        "avp_bundle.json": "4ed1276b3ecc8be34878b2fe208613ec1bc91249fb1e63ef454acf33fab8848f",
+        "avp_confidence_bn.json": "cd2411a3a485c29a3b153987a819d0c23d03cfcb8bc386e12a58f43992042cf3",
+        "avp_hara.json": "6f0ed973d422d45408d7dd3b20daf15d1cb2e4a45c2a12d5389df638a85c8eec",
+        "avp_odd.json": "e86f46d7dc9de827aa7970bdd69ef48283d1f6850af197884d27565dc2dbf019",
+        "avp_ontology.nt": "27fe47ca14b058f051527dafe922240ea1c296aa111c0a6a48b1e7ba7fea4cfe",
+        "avp_priors.json": "047494542d597a9e26296c2cc94e185f78c0e86a24984d84edc7a6729559345e",
+        "avp_states.csv": "77ed0eb3bcaae8d5d251db7a5281e00e2fd47b53c9cec8ccc818c8b64c626278",
+        "avp_trace.csv": "5391b867f382d22222499b2a54ce03c3337817f9d06b47a7d0a793c265f8e431",
+        "fog_ramp.json": "0ca224a078e7ca119b0e2018ccf24ccae80c56e8808b4ddc3b9ef808bf400924",
+    }
+
+
 class TestFrozenStartUpHeap:
     """``main`` freezes the heap its command starts with; each command still
     ends as it did before: same bytes out, same exit code, files complete."""

@@ -223,6 +223,17 @@ class TestMetricToState:
         with pytest.raises(BadThresholds):
             metric_to_state(0.5, (0.3,), ("Low", "Med", "High"))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_refused(self, value):
+        # discretize refuses the same reading with NonFiniteReading
+        with pytest.raises(ct.TemplateError, match=f"^metric value {value!r} is not finite$"):
+            metric_to_state(value, (0.3, 0.6), ("Low", "Medium", "High"))
+
+    @pytest.mark.parametrize("thresholds", [(math.nan, 0.6), (0.6, math.nan), (0.3, math.inf)])
+    def test_non_finite_threshold_is_refused(self, thresholds):
+        with pytest.raises(BadThresholds, match="^thresholds must be finite"):
+            metric_to_state(0.5, thresholds, ("Low", "Medium", "High"))
+
     def test_agrees_with_discretize_bins(self):
         # the same bins spelled as an ODD class must discretize identically
         doc = {

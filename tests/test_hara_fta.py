@@ -1,6 +1,10 @@
 import copy
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +92,31 @@ class TestComputeFta:
         )
         with pytest.raises(CyclicCausality, match="^a -> b -> a$"):
             compute_fta(events[0], events, rel)
+
+    def test_cycle_message_does_not_follow_hash_order(self):
+        # h -> a, a -> (b..f) and each of b..f -> a: five cycles through a,
+        # so the one named depends on the order a's causes are read in, which
+        # must be the gate's, not string hash order
+        script = (
+            "from odd_assure.hara_fta import CausalEntry as C, CausalRelation, "
+            "CyclicCausality, Event, GateOp, compute_fta\n"
+            "events = [Event(i, i, False) for i in 'habcdef']\n"
+            "gates = {'h': C(('a',), GateOp.OR), 'a': C(tuple('bcdef'), GateOp.OR)}\n"
+            "gates.update({c: C(('a',), GateOp.OR) for c in 'bcdef'})\n"
+            "try:\n"
+            "    compute_fta(events[0], events, CausalRelation(gates))\n"
+            "except CyclicCausality as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(hara_fta.__file__).resolve().parents[1])
+        messages = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=str(seed))
+            result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                    text=True, env=env, timeout=120)
+            assert result.returncode == 0, result.stderr
+            messages.add(result.stdout)
+        assert messages == {"a -> b -> a\n"}
 
     def test_dangling_reference(self):
         events = _events("top")

@@ -562,6 +562,19 @@ class TestCheckAxiomsMatchesReference:
         assert query(g, predicate=RDF_TYPE) == oracles.query(g, predicate=RDF_TYPE)
         assert builds == [g.triples]  # one index, built on first use and kept on the graph
 
+    @pytest.mark.parametrize("triple, side", [
+        (Triple("n", "hasACP", Literal(10**400)), "object"),  # format_term: OverflowError
+        (Triple("n", "hasText", Literal(None)), "object"),  # format_term: AttributeError
+        (Triple(5, "dependsOn", "b"), "subject"),  # 5 < "a": TypeError
+    ], ids=["int-past-float-range", "none-literal", "int-identifier"])
+    def test_readers_refuse_a_term_the_canonical_sort_cannot_take(self, triple, side):
+        # a graph built directly, not through assert_all, is read as given
+        message = f"{side} of {triple} does not read back from its token"
+        for read in (check_axioms, query, classify_goals):
+            g = TripleGraph(frozenset({Triple("a", "dependsOn", "b"), triple}))
+            with pytest.raises(OntologyError, match=f"^{re.escape(message)}$"):
+                read(g)
+
 
 class TestClassifyGoals:
     def test_support_goal(self):
