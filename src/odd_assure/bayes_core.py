@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -188,6 +188,16 @@ def _read_table(node, rows) -> np.ndarray:
         total = reduce(add, rows[int(np.argmax(drift > PROB_TOL))].tolist(), 0.0)
         raise BadCpt(f"cpt row for {node!r} sums to {total!r}, not 1 within {PROB_TOL}")
     return rows
+
+
+def _grid_rows(weights: Sequence[Sequence[float]],
+               p_first: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """A two-state node's rows in Cpt row order from one weight per parent
+    state: ``(p, 1 - p)`` with ``p = p_first(total)``, ``total`` the row's
+    parent weights added in parent order from 0, as a per-row sum adds them."""
+    # One axis per parent, first parent outermost: the grid flattens in Cpt row order.
+    p = p_first(sum(np.ix_(*map(np.asarray, weights)))).ravel()
+    return np.column_stack((p, 1.0 - p))
 
 
 @dataclass(frozen=True)

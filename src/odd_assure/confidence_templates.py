@@ -110,8 +110,8 @@ DATA_OBJECTIVE = "DataComp"
 MODEL_OBJECTIVE = "ModelUnc"
 TEST_OBJECTIVE = "TestUnc"
 
-# (states, goodness per state) for every non-feature template node. Binary
-# nodes put their "good" state first; three-valued evidence nodes grade it.
+# (states, goodness per state) of each template node; a feature node reads the
+# hub's. Binary nodes put their "good" state first; three-valued ones grade it.
 _NODE_PRESETS: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {
     FEATURE_HUB: (("adequate", "inadequate"), (1.0, 0.0)),
     "ObjFun": (("satisfied", "unsatisfied"), (1.0, 0.0)),
@@ -124,7 +124,17 @@ _NODE_PRESETS: dict[str, tuple[tuple[str, ...], tuple[float, ...]]] = {
     "TestDist": (("Low", "Medium", "High"), (1.0, 0.5, 0.0)),
     TEST_OBJECTIVE: (("adequate", "inadequate"), (1.0, 0.0)),
 }
-_FEATURE_STATES = ("adequate", "inadequate")
+# (nodes, edges) of the layers above the feature layer, bottom up: data, model
+# and test. A template stacks the first k; each layer's last node is its objective.
+_LAYERS: tuple[tuple[tuple[str, ...], tuple[tuple[str, str], ...]], ...] = (
+    (("ObjFun", "OddFC", "OddSuff", "DataMetric", DATA_OBJECTIVE),
+     (("ObjFun", "OddSuff"), ("OddFC", "OddSuff"), ("OddSuff", DATA_OBJECTIVE),
+      ("DataMetric", DATA_OBJECTIVE))),
+    (("BnModelUnc", MODEL_OBJECTIVE),
+     ((DATA_OBJECTIVE, MODEL_OBJECTIVE), ("BnModelUnc", MODEL_OBJECTIVE))),
+    (("TestDist", TEST_OBJECTIVE),
+     ((MODEL_OBJECTIVE, TEST_OBJECTIVE), ("TestDist", TEST_OBJECTIVE))),
+)
 _ROOT_PRIORS: dict[str, tuple[float, ...]] = {
     "OddFC": (0.8, 0.2),
     "DataMetric": (0.2, 0.5, 0.3),
@@ -165,67 +175,47 @@ class TemplateConfig(NamedTuple):
         return TemplateConfig(_base.json_array(names, "feature_names"), cpts)
 
 
-def _preset_rows(node: str, parents: Sequence[str]) -> Sequence[Sequence[float]]:
-    """Fixture CPT: P(good) = 0.05 + 0.9 * mean parent goodness. Every
-    template node with parents is binary."""
-    if not parents:
-        return (_ROOT_PRIORS.get(node, _FEATURE_PRIOR),)
-    # One axis per parent, first parent outermost: the grid flattens in
-    # Cpt row order. Summing in parent order matches a per-row sum exactly.
-    grids = np.ix_(*(np.asarray(_node_states_goodness(p)[1]) for p in parents))
-    p_good = (0.05 + 0.9 * (sum(grids) / len(parents))).ravel()
-    return np.column_stack((p_good, 1.0 - p_good))
-
-
-def _node_states_goodness(node: str) -> tuple[tuple[str, ...], tuple[float, ...]]:
-    if node in _NODE_PRESETS:
-        return _NODE_PRESETS[node]
-    return _FEATURE_STATES, (1.0, 0.0)
-
-
-def _template_net(config: TemplateConfig, extra_nodes: Sequence[str],
-                  extra_edges: Sequence[tuple[str, str]], objective: str) -> BayesNet:
+def _template_net(config: TemplateConfig, layers: int) -> BayesNet:
+    """The feature layer, then the first ``layers`` rows of _LAYERS; the
+    objective is the last node added."""
     if not config.feature_names:
         raise InvalidConfig("at least one feature node is required")
     if len(set(config.feature_names)) != len(config.feature_names):
         raise InvalidConfig("feature names repeat")
 
     features = list(config.feature_names)
-    node_ids = list(features)
-    edges: list[tuple[str, str]] = []
     if len(features) == 1:
         # Degenerate layer: the single feature feeds the objective function
         # directly, no aggregation hub.
-        edges.append((features[0], "ObjFun"))
+        node_ids, edges = features, [(features[0], "ObjFun")]
     else:
-        node_ids.append(FEATURE_HUB)
-        edges.extend((f, FEATURE_HUB) for f in features)
-        edges.append((FEATURE_HUB, "ObjFun"))
-    node_ids += ["ObjFun", "OddFC", "OddSuff", "DataMetric", DATA_OBJECTIVE]
-    edges += [
-        ("ObjFun", "OddSuff"),
-        ("OddFC", "OddSuff"),
-        ("OddSuff", DATA_OBJECTIVE),
-        ("DataMetric", DATA_OBJECTIVE),
-    ]
-    node_ids += list(extra_nodes)
-    edges += list(extra_edges)
+        node_ids = [*features, FEATURE_HUB]
+        edges = [*((f, FEATURE_HUB) for f in features), (FEATURE_HUB, "ObjFun")]
+    for layer_nodes, layer_edges in _LAYERS[:layers]:
+        node_ids += layer_nodes
+        edges += layer_edges
 
     for name in config.cpts:
         if name not in node_ids:
             raise InvalidConfig(f"cpt override for unknown node {name!r}")
 
-    nodes = []
-    for nid in node_ids:
-        states, _ = _node_states_goodness(nid)
-        nodes.append(BnNode(nid, states))
+    presets = {nid: _NODE_PRESETS.get(nid, _NODE_PRESETS[FEATURE_HUB]) for nid in node_ids}
+    nodes = [BnNode(nid, presets[nid][0]) for nid in node_ids]
     tables = []
     for nid in node_ids:
         parents = tuple(src for src, dst in edges if dst == nid)
-        rows = config.cpts[nid] if nid in config.cpts else _preset_rows(nid, parents)
+        if nid in config.cpts:
+            rows = config.cpts[nid]
+        elif not parents:
+            rows = (_ROOT_PRIORS.get(nid, _FEATURE_PRIOR),)
+        else:
+            # Fixture CPT: P(good) = 0.05 + 0.9 * mean parent goodness. Every
+            # template node with parents is binary.
+            rows = bayes_core._grid_rows([presets[p][1] for p in parents],
+                                         lambda total: 0.05 + 0.9 * (total / len(parents)))
         tables.append((nid, parents, rows))
     try:
-        return build_net(nodes, edges, Cpt._many(tables), objective=objective)
+        return build_net(nodes, edges, Cpt._many(tables), objective=node_ids[-1])
     except bayes_core.BayesError as exc:
         raise InvalidConfig(str(exc)) from exc
 
@@ -237,34 +227,19 @@ def build_data_appropriateness_bn(config: TemplateConfig | None = None) -> Bayes
     coverage and the objective function feed ODD sufficiency, which combines
     with the scenario-coverage metric into the DataComp objective.
     """
-    return _template_net(config or TemplateConfig(), (), (), DATA_OBJECTIVE)
+    return _template_net(config or TemplateConfig(), 1)
 
 
 def build_model_robustness_bn(config: TemplateConfig | None = None) -> BayesNet:
     """Data-appropriateness network extended with the sampled model
     uncertainty node; objective is ModelUnc."""
-    return _template_net(
-        config or TemplateConfig(),
-        ("BnModelUnc", MODEL_OBJECTIVE),
-        ((DATA_OBJECTIVE, MODEL_OBJECTIVE), ("BnModelUnc", MODEL_OBJECTIVE)),
-        MODEL_OBJECTIVE,
-    )
+    return _template_net(config or TemplateConfig(), 2)
 
 
 def build_testing_adequacy_bn(config: TemplateConfig | None = None) -> BayesNet:
     """Model-robustness network extended with the test-distance node;
     objective is TestUnc."""
-    return _template_net(
-        config or TemplateConfig(),
-        ("BnModelUnc", MODEL_OBJECTIVE, "TestDist", TEST_OBJECTIVE),
-        (
-            (DATA_OBJECTIVE, MODEL_OBJECTIVE),
-            ("BnModelUnc", MODEL_OBJECTIVE),
-            (MODEL_OBJECTIVE, TEST_OBJECTIVE),
-            ("TestDist", TEST_OBJECTIVE),
-        ),
-        TEST_OBJECTIVE,
-    )
+    return _template_net(config or TemplateConfig(), 3)
 
 
 TEMPLATE_BUILDERS = {

@@ -323,12 +323,9 @@ def avp_monitor_bn() -> bayes_core.BayesNet:
     ]
 
     def failure_rows(weights, base, spans):
-        # One axis per parent, first parent outermost, so the grid flattens
-        # in Cpt row order; P(occurs) = base + sum(span * risk of that
-        # parent state), summed in parent order as a per-row sum would be.
-        terms = np.ix_(*(s * np.asarray(w) for s, w in zip(spans, weights)))
-        p_occurs = (base + sum(terms)).ravel()
-        return np.column_stack((p_occurs, 1.0 - p_occurs))
+        # P(occurs) = base + sum(span * risk of that parent state)
+        return bayes_core._grid_rows([s * np.asarray(w) for s, w in zip(spans, weights)],
+                                     lambda total: base + total)
 
     # save_bn writes the tables in this order
     cpts = [
@@ -430,20 +427,22 @@ def avp_ontology() -> TripleGraph:
     consistent graph (zero axiom violations). The weather branch of the class
     tree comes from the ODD document, the event types and the chain edges
     from the HARA document."""
-    parent = {c["name"]: c["parent"] for c in AVP_ODD_DOCUMENT["classes"]}
+    classes = {c["name"]: c for c in AVP_ODD_DOCUMENT["classes"]}
+    parent = {name: c["parent"] for name, c in classes.items()}
     # Weather_conditions' subclasses, then Weather_conditions up to the root
     branch = [name for name, up in parent.items() if up == "Weather_conditions"]
     name = "Weather_conditions"
     while name is not None:
         branch.append(name)
         name = parent[name]
+    # the last Rain attribute is the heavy rain the constraint ≥0.77 bounds
+    rain = _attribute_names("Rain")
+    (unit,) = {Literal(a["unit"]) for a in classes["Rain"]["attributes"]}
     events = AVP_HARA_DOCUMENT["events"]
     (chain,) = AVP_HARA_DOCUMENT["chains"]
     typed: list[tuple[str, str]] = [
         *((name, "OddClass") for name in branch),
-        ("Rain_light", "OddAttribute"),
-        ("Rain_Moderate", "OddAttribute"),
-        ("Rain_heavy", "OddAttribute"),
+        *((name, "OddAttribute") for name in rain),
         *((e["id"], kind) for e in events for kind in ("Event", e["role"].capitalize() + "Event")),
         ("G1", "Goal"),
         ("G1", "TopLevelGoal"),
@@ -471,13 +470,11 @@ def avp_ontology() -> TripleGraph:
         g,
         [
             *(Triple(name, "subClassOf", parent[name]) for name in branch if parent[name]),
-            Triple("Rain", "hasAttribute", "Rain_heavy"),
-            Triple("Rain", "hasAttribute", "Rain_light"),
-            Triple("Rain", "hasAttribute", "Rain_Moderate"),
-            Triple("Rain_heavy", "hasDomain", Literal("cm/h")),
-            Triple("Rain_heavy", "hasDomain", Literal("≥0.77")),
+            *(Triple("Rain", "hasAttribute", name) for name in rain),
+            Triple(rain[-1], "hasDomain", unit),
+            Triple(rain[-1], "hasDomain", Literal("≥0.77")),
             *(Triple(e["from"], e["kind"], e["to"]) for e in chain["edges"]),
-            Triple("Detection_of_object", "hasOperCond", "Rain_heavy"),
+            Triple("Detection_of_object", "hasOperCond", rain[-1]),
             # GSN argument
             Triple("G1", "relatedTo", HAZARD_ID),
             Triple("G1", "hasText", Literal("The object detector performs adequately within the ODD")),
@@ -497,7 +494,7 @@ def avp_ontology() -> TripleGraph:
     g = assert_all(
         g,
         [
-            Triple(Literal("cm/h"), RDF_TYPE, "Unit"),
+            Triple(unit, RDF_TYPE, "Unit"),
             Triple(Literal("≥0.77"), RDF_TYPE, "Constraint"),
         ],
     )

@@ -486,22 +486,6 @@ REPORT_CSV_COLUMNS = (
 )
 
 
-def report_to_csv_row(report: ConfidenceReport) -> list[str]:
-    post = report.posterior
-    return [
-        repr(report.time),
-        str(report.in_odd).lower(),
-        "" if report.mean is None else f"{report.mean:.6f}",
-        "" if report.variance is None else f"{report.variance:.6f}",
-        str(report.degenerate).lower(),
-        ";".join(f"{k}={v}" for k, v in sorted(report.evidence.items())),
-        ";".join(report.dropped_readings),
-        "" if post is None else ";".join(
-            f"{s}={p:.6f}" for s, p in zip(post.states, post.probs)
-        ),
-    ]
-
-
 def _csv_field(text: str) -> str:
     """``text`` as ``csv.writer`` writes it in a row of several fields."""
     if text.isprintable() and "," not in text and '"' not in text:
@@ -513,23 +497,25 @@ def _csv_field(text: str) -> str:
 
 def _csv_part(record: _MemoRecord) -> tuple[str, str, str]:
     """The quoted ``mean,variance``, ``evidence`` and ``posterior`` fields of
-    ``report_to_csv_row`` for the record."""
-    # time, in_odd and dropped readings are placeholders these fields do not show
-    row = report_to_csv_row(ConfidenceReport(0.0, dict(record.key), record.posterior,
-                                             record.mean, record.variance, True, ()))
-    return f"{_csv_field(row[2])},{_csv_field(row[3])}", _csv_field(row[5]), _csv_field(row[7])
+    a CSV row for the record: numbers to six places, ``node=state`` items
+    sorted, ``state=p`` items in state order, each list joined by ``;``."""
+    moments = ",".join("" if v is None else f"{v:.6f}" for v in (record.mean, record.variance))
+    evidence = ";".join(f"{node}={state}" for node, state in sorted(record.key))
+    post = record.posterior
+    post = "" if post is None else ";".join(f"{s}={p:.6f}" for s, p in zip(post.states, post.probs))
+    return moments, _csv_field(evidence), _csv_field(post)
 
 
 def report_to_csv_line(bundle: ModelBundle, report: ConfidenceReport) -> str:
-    """What ``csv.writer`` writes for ``report_to_csv_row(report)``, for a
-    report that ``step`` made from ``bundle``.
+    """The ``REPORT_CSV_COLUMNS`` row ``csv.writer`` writes for a report that
+    ``step`` made from ``bundle``: ``t`` as its repr, booleans in lower case,
+    numbers to six places, dropped class names joined by ``;``.
 
     The ``mean``, ``variance``, ``evidence`` and ``posterior`` fields follow
-    from the evidence alone. They are taken from ``report_to_csv_row`` of the
-    memo record's own evidence once per record and kept in it, quoted, so a
-    later row formats only ``t``, ``in_odd``, ``degenerate`` and
-    ``dropped_readings``. A row whose record has been evicted is formatted
-    the same way and not kept.
+    from the evidence alone. They are formatted from the memo record's own
+    fields once per record and kept in it, quoted, so a later row formats
+    only ``t``, ``in_odd``, ``degenerate`` and ``dropped_readings``. A row
+    whose record has been evicted is formatted the same way and not kept.
     """
     record = _record(bundle._ticks, report)
     if record.csv is None:

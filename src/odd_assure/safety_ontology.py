@@ -226,13 +226,14 @@ _DOMAIN_RULES: dict[str, tuple[str, frozenset[str]]] = {
 class _GraphIndex:
     """A graph's ``triples``, and them ``ordered`` canonically; ``buckets``
     maps each subject, predicate and object to its triples in that order,
-    and ``types`` each subject to its identifier classes."""
+    and ``types`` each subject to its identifier classes. Triples that
+    ``export_graph`` refuses raise its OntologyError."""
 
     def __init__(self, triples: frozenset[Triple]):
         self.triples = triples
         try:
             self.ordered = tuple(sorted(triples, key=_sort_key))
-        except (AttributeError, TypeError, OverflowError):  # a term that does not read back
+        except (AttributeError, TypeError, OverflowError):  # a term or predicate it refuses
             _refuse_unreadable(triples)
             raise
         self.buckets = by_subject, by_predicate, by_object = {}, {}, {}
@@ -243,6 +244,8 @@ class _GraphIndex:
             by_object.setdefault(t.object, []).append(t)
             if t.predicate == RDF_TYPE and isinstance(t.object, str):
                 self.types.setdefault(t.subject, set()).add(t.object)
+        if not by_predicate.keys() <= VOCABULARY:
+            _refuse_unreadable(triples)
 
     def members(self, cls: str) -> list[Term]:
         """The individuals of ``cls``, in the order of the violation list."""
@@ -393,9 +396,12 @@ def _reads_back(term: Term) -> bool:
 
 
 def _unreadable(triple: Triple, readable: set[tuple]) -> str | None:
-    """Why ``triple`` cannot be exported, naming its first term whose token
-    does not read back; None if both read back. ``readable`` caches the keys
-    (term, type of its value) that do, as equal terms of one type read alike."""
+    """Why ``triple`` cannot be exported: a predicate outside the vocabulary,
+    or its first term whose token does not read back; None if it can.
+    ``readable`` caches the keys (term, type of its value) that read back, as
+    equal terms of one type read alike."""
+    if triple.predicate not in VOCABULARY:
+        return f"predicate of {_triple_text(triple)} is not in the vocabulary"
     for side, term in (("subject", triple.subject), ("object", triple.object)):
         key = (term, type(term.value) if isinstance(term, Literal) else type(term))
         if key not in readable:
@@ -406,7 +412,7 @@ def _unreadable(triple: Triple, readable: set[tuple]) -> str | None:
 
 
 def _refuse_unreadable(triples: Iterable[Triple]) -> None:
-    """Raise OntologyError for the triple with a term that does not read back
+    """Raise OntologyError for the unexportable triple (see ``_unreadable``)
     whose message sorts first, if any; each distinct term is read once."""
     readable: set[tuple] = set()
     unreadable = [m for m in (_unreadable(t, readable) for t in triples) if m]
@@ -435,10 +441,11 @@ def parse_term(token: str) -> Term:
 def export_graph(graph: TripleGraph) -> str:
     """Canonical serialization: one sorted `subject predicate object .` line
     per triple. Equal triple sets export byte-identical text. A graph built
-    without :func:`assert_all` is held to its rule: each distinct term is read
-    back once, before the sort, and a term that does not read back raises its
-    OntologyError for the triple whose message sorts first, so every export
-    names the same triple."""
+    without :func:`assert_all` is held to its rule: before the sort, each
+    predicate is looked up in the vocabulary and each distinct term is read
+    back once, and a predicate outside it or a term that does not read back
+    raises its OntologyError for the triple whose message sorts first, so
+    every export names the same triple."""
     _refuse_unreadable(graph.triples)
     lines = [f"{format_term(t.subject)} {t.predicate} {format_term(t.object)} ."
              for t in graph._index.ordered]

@@ -238,12 +238,12 @@ def test_criterion_6_boundary_refinement():
 # Each mutation is one added triple expected to produce exactly one violation
 # of the named axiom on top of the otherwise clean fixture graph.
 MUTATIONS = [
-    ("A4", Triple("Rain_heavy", "hasAttribute", "Rain_light")),
+    ("A4", Triple("Rain_Heavy", "hasAttribute", "Rain_light")),
     ("A4", Triple("G1", "hasAttribute", "Rain_light")),
     ("A4", Triple("Sn8.1", "hasAttribute", "Rain_Moderate")),
-    ("A4", Triple("DataComp", "hasAttribute", "Rain_heavy")),
-    ("A5", Triple("Rain_heavy", "hasDomain", Literal("5 km"))),
-    ("A5", Triple("Rain_heavy", "hasDomain", "Rain")),
+    ("A4", Triple("DataComp", "hasAttribute", "Rain_Heavy")),
+    ("A5", Triple("Rain_Heavy", "hasDomain", Literal("5 km"))),
+    ("A5", Triple("Rain_Heavy", "hasDomain", "Rain")),
     ("A5", Triple("Rain_light", "hasDomain", Literal("mm"))),
     ("A5", Triple("Rain_Moderate", "hasDomain", "G1")),
     ("A26", Triple("G8", "supportedBy", "DataComp")),

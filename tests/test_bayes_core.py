@@ -7,7 +7,7 @@ import random
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from itertools import chain
+from itertools import chain, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -966,6 +966,36 @@ class TestNormalized:
     def test_a_directly_built_posterior_must_normalize(self, probs):
         with pytest.raises(BayesError, match=r"^posterior over 'n' does not normalize$"):
             Posterior("n", ("a", "b", "c")[:len(probs)], probs)
+
+
+class TestGridRows:
+    """_grid_rows lays out a two-state node's rows for every template and the
+    AVP network; each must equal a per-row formula over the parent states,
+    bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), mean_form=st.booleans(),
+           base=st.floats(0.0, 0.1))
+    def test_matches_the_per_row_formula_bit_for_bit(self, data, n, mean_form, base):
+        weights = [data.draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=3))
+                   for _ in range(n)]
+        if mean_form:  # the templates' P(good) from mean parent goodness
+            def p_first(total):
+                return 0.05 + 0.9 * (total / n)
+        else:  # the AVP network's P(occurs) from a base rate and weighted risks
+            def p_first(total):
+                return base + total
+        expected = []
+        # first parent most significant, as in the Cpt row layout
+        for combo in product(*weights):
+            total = 0
+            for w in combo:  # plain adds in parent order, not 3.12's compensated sum
+                total += w
+            p = p_first(total)
+            expected.append((p, 1.0 - p))
+        rows = bayes_core._grid_rows(weights, p_first)
+        assert rows.shape == (len(expected), 2)
+        assert [_hexes(row) for row in rows.tolist()] == [_hexes(row) for row in expected]
 
 
 class TestMeanVariance:

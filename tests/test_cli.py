@@ -1146,7 +1146,7 @@ class TestOnto:
     def test_check_violation_exits_one(self, bundle_dir, tmp_path, capsys):
         graph_file = tmp_path / "graph.nt"
         text = (bundle_dir / "avp_ontology.nt").read_text(encoding="utf-8")
-        text += "Rain_heavy hasAttribute Rain_light .\n"
+        text += "Rain_Heavy hasAttribute Rain_light .\n"
         graph_file.write_text(text, encoding="utf-8")
         assert run_cli("onto", "check", graph_file) == 1
         assert "A4" in capsys.readouterr().out
@@ -1188,7 +1188,7 @@ def test_avp_bundle_bytes_are_pinned(tmp_path):
         "avp_confidence_bn.json": "cd2411a3a485c29a3b153987a819d0c23d03cfcb8bc386e12a58f43992042cf3",
         "avp_hara.json": "6f0ed973d422d45408d7dd3b20daf15d1cb2e4a45c2a12d5389df638a85c8eec",
         "avp_odd.json": "e86f46d7dc9de827aa7970bdd69ef48283d1f6850af197884d27565dc2dbf019",
-        "avp_ontology.nt": "27fe47ca14b058f051527dafe922240ea1c296aa111c0a6a48b1e7ba7fea4cfe",
+        "avp_ontology.nt": "54cd5355209a91e51d4e839ec1d49b2268afa2d8a4bf0168d785bd08c4683409",
         "avp_priors.json": "047494542d597a9e26296c2cc94e185f78c0e86a24984d84edc7a6729559345e",
         "avp_states.csv": "77ed0eb3bcaae8d5d251db7a5281e00e2fd47b53c9cec8ccc818c8b64c626278",
         "avp_trace.csv": "5391b867f382d22222499b2a54ce03c3337817f9d06b47a7d0a793c265f8e431",

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odd_assure import safety_ontology
-from odd_assure.fixtures import avp_ontology
+from odd_assure.fixtures import AVP_HARA_DOCUMENT, AVP_ODD_DOCUMENT, avp_ontology
 from odd_assure.safety_ontology import (
     RDF_TYPE,
     VOCABULARY,
@@ -290,7 +290,7 @@ class TestQueryMatchesReference:
         assert g == avp_ontology()  # the mutators left their input graph as it was
 
     def test_racing_first_readers_see_a_complete_index(self):
-        g = assert_all(avp_ontology(), [Triple("Rain_heavy", "hasAttribute", "Rain_light")])
+        g = assert_all(avp_ontology(), [Triple("Rain_Heavy", "hasAttribute", "Rain_light")])
         expected = (check_axioms(g), export_graph(g), query(g, predicate=RDF_TYPE))
         assert expected[0]
         start = threading.Barrier(8, timeout=30)
@@ -315,18 +315,33 @@ class TestCheckAxioms:
     def test_avp_fixture_clean(self):
         assert check_axioms(avp_ontology()) == []
 
+    def test_avp_fixture_names_odd_and_hara_terms(self):
+        # the ontology describes the example's ODD and HARA, so each class,
+        # attribute and event it types is one those documents declare
+        classes = AVP_ODD_DOCUMENT["classes"]
+        declared = {
+            "OddClass": {c["name"] for c in classes},
+            "OddAttribute": {a["name"] for c in classes for a in c["attributes"]},
+            "Event": {e["id"] for e in AVP_HARA_DOCUMENT["events"]},
+        }
+        typed = {cls: {t.subject for t in query(avp_ontology(), None, RDF_TYPE, cls)}
+                 for cls in declared}
+        assert all(typed.values())
+        assert {cls: names - declared[cls] for cls, names in typed.items()} == {
+            cls: set() for cls in declared}
+
     def test_rain_abox_clean(self):
         g = TripleGraph()
         g = assert_all(
             g,
             [
                 Triple("Rain", RDF_TYPE, "OddClass"),
-                Triple("Rain_heavy", RDF_TYPE, "OddAttribute"),
+                Triple("Rain_Heavy", RDF_TYPE, "OddAttribute"),
                 Triple(Literal("cm/h"), RDF_TYPE, "Unit"),
                 Triple(Literal("≥0.77"), RDF_TYPE, "Constraint"),
-                Triple("Rain", "hasAttribute", "Rain_heavy"),
-                Triple("Rain_heavy", "hasDomain", Literal("cm/h")),
-                Triple("Rain_heavy", "hasDomain", Literal("≥0.77")),
+                Triple("Rain", "hasAttribute", "Rain_Heavy"),
+                Triple("Rain_Heavy", "hasDomain", Literal("cm/h")),
+                Triple("Rain_Heavy", "hasDomain", Literal("≥0.77")),
             ],
         )
         assert check_axioms(g) == []
@@ -336,8 +351,8 @@ class TestCheckAxioms:
         g = assert_all(
             g,
             [
-                Triple("Rain_heavy", RDF_TYPE, "OddAttribute"),
-                Triple("Mystery", "hasAttribute", "Rain_heavy"),
+                Triple("Rain_Heavy", RDF_TYPE, "OddAttribute"),
+                Triple("Mystery", "hasAttribute", "Rain_Heavy"),
             ],
         )
         violations = check_axioms(g)
@@ -380,7 +395,7 @@ class TestCheckAxioms:
 
     def test_violations_vanish_with_offending_triple(self):
         g = avp_ontology()
-        bad = Triple("Rain_heavy", "hasAttribute", "Rain_light")
+        bad = Triple("Rain_Heavy", "hasAttribute", "Rain_light")
         g_bad = assert_all(g, [bad])
         assert [v.axiom for v in check_axioms(g_bad)] == ["A4"]
         assert check_axioms(retract_triple(g_bad, bad)) == []
@@ -526,7 +541,7 @@ class TestCheckAxiomsMatchesReference:
         text = export_graph(g)
         assert import_graph(text) == oracles.import_graph(text) == g
         for pattern in ((None, RDF_TYPE, "Goal"), ("G1_3", None, None), (None, "supports", None),
-                        (None, None, Literal("cm/h")), ("Rain_heavy_5", "hasAttribute", None)):
+                        (None, None, Literal("cm/h")), ("Rain_Heavy_5", "hasAttribute", None)):
             assert query(g, *pattern) == oracles.query(g, *pattern)
 
     def test_class_names_as_plain_objects(self):
@@ -544,7 +559,7 @@ class TestCheckAxiomsMatchesReference:
     def test_check_does_not_scan_the_graph(self, monkeypatch):
         g = assert_all(
             avp_ontology(),
-            [Triple("Rain_heavy", "hasAttribute", "Rain_light"), Triple("x", RDF_TYPE, "ObjNode")],
+            [Triple("Rain_Heavy", "hasAttribute", "Rain_light"), Triple("x", RDF_TYPE, "ObjNode")],
         )
         expected = oracles.check_axioms(g)
         goals = classify_goals(TripleGraph(g.triples))  # an equal graph with its own index
@@ -574,6 +589,17 @@ class TestCheckAxiomsMatchesReference:
             g = TripleGraph(frozenset({Triple("a", "dependsOn", "b"), triple}))
             with pytest.raises(OntologyError, match=f"^{re.escape(message)}$"):
                 read(g)
+
+    @pytest.mark.parametrize("triples", [
+        [Triple("a", "nope", "b")],  # sorts, and exports a line import_graph refuses
+        [Triple("a", 5, "b"), Triple("a", "dependsOn", "b")],  # 5 < "dependsOn": TypeError
+    ], ids=["unknown-name", "int-beside-a-name"])
+    def test_readers_refuse_a_predicate_outside_the_vocabulary(self, triples):
+        # a graph built directly, not through assert_all, is read as given
+        message = f"predicate of {triples[0]} is not in the vocabulary"
+        for read in (export_graph, check_axioms, query, classify_goals):
+            with pytest.raises(OntologyError, match=f"^{re.escape(message)}$"):
+                read(TripleGraph(frozenset(triples)))
 
 
 class TestClassifyGoals:
@@ -876,7 +902,7 @@ def _renamed_avp_copies(copies: int) -> TripleGraph:
         triples |= {
             Triple(rename("n"), "hasACP", Literal(k / 4)),
             Triple(rename("G1"), "hasText", Literal(float(k))),
-            Triple(rename("Rain_heavy"), "hasAttribute", rename("Rain_light")),
+            Triple(rename("Rain_Heavy"), "hasAttribute", rename("Rain_light")),
             Triple(rename("x"), RDF_TYPE, "ObjNode"),
         }
     return TripleGraph(frozenset(triples))
@@ -891,7 +917,7 @@ def _damaged_avp_ontology() -> TripleGraph:
         Triple("G1", "hasText", Literal(3.0)),
         Triple(Literal("x"), "supportedBy", "S1"),
         Triple("n", "hasACP", Literal(1.5)),
-        Triple("Rain_heavy", "hasAttribute", "Rain_light"),
+        Triple("Rain_Heavy", "hasAttribute", "Rain_light"),
         Triple("x", RDF_TYPE, "ObjNode"),
         Triple("q", "hasEvidence", Literal(0.25)),
     })
@@ -903,15 +929,16 @@ def _sha256(text: str) -> str:
 
 class TestRecords:
     """Literal, Triple and AxiomViolation are named tuples. The digests were
-    taken when they were frozen dataclasses: the export text and the
-    violation list, each record in its repr, must not change."""
+    taken when they were frozen dataclasses, and taken again when the AVP
+    ontology's heavy-rain attribute took the ODD's name: the export text and
+    the violation list, each record in its repr, must not change."""
 
     @pytest.mark.parametrize("make, violations, export_digest, violation_digest", [
-        (avp_ontology, 0, "27fe47ca14b058f051527dafe922240ea1c296aa111c0a6a48b1e7ba7fea4cfe",
+        (avp_ontology, 0, "54cd5355209a91e51d4e839ec1d49b2268afa2d8a4bf0168d785bd08c4683409",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        (_damaged_avp_ontology, 15,
-         "5eeeaa94d9e0620fd9d74ea0f26409e1a2f9d23a1ef7c18f4f1f261dcd94afc0",
-         "7eda29c524655eff23f3ce040003358abd3be7caf264b44a2c8af3b6a5fe3c22"),
+        (_damaged_avp_ontology, 19,
+         "a92beed36e05cff0749ec034714c2417201a303dcba2842a9ada4d8736f85d52",
+         "e08c64270912b32e2ba8fcf31c1092d4dd3aaa607d37c8f5619d1dba18e2b333"),
     ])
     def test_export_and_violations_unchanged(self, make, violations, export_digest,
                                              violation_digest):
