@@ -23,7 +23,7 @@ import numpy as np
 from . import bayes_core, hara_fta, safety_ontology
 from .bayes_core import BnNode, Cpt, build_net
 from .confidence_templates import AcpBinding
-from .odd_model import OddSpec, parse_odd_spec
+from .odd_model import OddSpec, parse_interval, parse_odd_spec
 from .runtime_monitor import ModelBundle, make_bundle
 from .safety_ontology import RDF_TYPE, Literal, Triple, TripleGraph, assert_all
 
@@ -435,9 +435,11 @@ def avp_ontology() -> TripleGraph:
     while name is not None:
         branch.append(name)
         name = parent[name]
-    # the last Rain attribute is the heavy rain the constraint ≥0.77 bounds
+    # the last Rain attribute is the heavy rain its interval's lower bound constrains
     rain = _attribute_names("Rain")
     (unit,) = {Literal(a["unit"]) for a in classes["Rain"]["attributes"]}
+    heavy = parse_interval(classes["Rain"]["attributes"][-1]["interval"])
+    constraint = Literal(f"{'≥' if heavy.lo_inclusive else '>'}{heavy.lo!r}")
     events = AVP_HARA_DOCUMENT["events"]
     (chain,) = AVP_HARA_DOCUMENT["chains"]
     typed: list[tuple[str, str]] = [
@@ -472,7 +474,7 @@ def avp_ontology() -> TripleGraph:
             *(Triple(name, "subClassOf", parent[name]) for name in branch if parent[name]),
             *(Triple("Rain", "hasAttribute", name) for name in rain),
             Triple(rain[-1], "hasDomain", unit),
-            Triple(rain[-1], "hasDomain", Literal("≥0.77")),
+            Triple(rain[-1], "hasDomain", constraint),
             *(Triple(e["from"], e["kind"], e["to"]) for e in chain["edges"]),
             Triple("Detection_of_object", "hasOperCond", rain[-1]),
             # GSN argument
@@ -495,7 +497,7 @@ def avp_ontology() -> TripleGraph:
         g,
         [
             Triple(unit, RDF_TYPE, "Unit"),
-            Triple(Literal("≥0.77"), RDF_TYPE, "Constraint"),
+            Triple(constraint, RDF_TYPE, "Constraint"),
         ],
     )
     return g

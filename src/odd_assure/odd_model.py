@@ -16,7 +16,9 @@ interval endpoints followed by ``+inf``, and ``labels[i]`` is the pair
 A label is an attribute name, OUT_OF_ODD, or the tuple of names whose
 intervals overlap there. Discretizing a finite reading is one bisection and
 one comparison; parsing, ``validate_odd``, ``discretize`` and the runtime
-monitor's ``step`` read the same table.
+monitor's ``step`` read the same table. For a class no network node is bound
+to, ``step`` reads ``_verdict_table`` of it instead: the same layout cut
+down to in the ODD, out of it, or ambiguous, which is all a tick needs of it.
 """
 
 from __future__ import annotations
@@ -364,6 +366,29 @@ def _compile_class(cls: OddClass) -> tuple[tuple[float, ...], tuple[tuple, ...]]
                        _label(cls, [b.contains(point) for b in bounds])))
         below = point
     return points, tuple(labels)
+
+
+#: A verdict table's label for a value that one attribute holds.
+_IN_ODD = object()
+
+
+def _verdict_table(table: tuple) -> tuple[tuple[float, ...], tuple[tuple, ...]]:
+    """The class table in the same layout with every attribute name replaced
+    by ``_IN_ODD`` (ambiguous tuples and OUT_OF_ODD kept), and every finite
+    point dropped whose gap below, the point itself and the gap above carry
+    one verdict: in the ODD, out of it, or ambiguous. A merged gap keeps the
+    label of its lowest part."""
+    points, labels = table
+    labels = [tuple(_IN_ODD if type(label) is str else label for label in pair)
+              for pair in labels]
+    kept, below = [], labels[0][0]
+    for point, (_, at), (above, _) in zip(points, labels, labels[1:]):
+        # every tuple label has the one verdict "ambiguous"
+        if len({tuple if type(label) is tuple else label for label in (below, at, above)}) > 1:
+            kept.append((point, (below, at)))
+            below = above
+    kept.append((points[-1], (below, labels[-1][1])))
+    return tuple(point for point, _ in kept), tuple(pair for _, pair in kept)
 
 
 def _label(cls: OddClass, hits: list[bool]):

@@ -9,8 +9,10 @@ state is carried between observations, so a shared bundle may serve many
 threads. A tick leaves only its (evidence dict, memo record) pair for the
 renderers, stored and read whole, so no thread sees a torn pair.
 
-A tick bisects each reading into the ODD spec's class tables, the ones
-``odd_model.discretize`` reads.
+A tick bisects each reading of a bound class into the ODD spec's class
+table, the one ``odd_model.discretize`` reads, and each reading of an
+unbound class into that table's verdict table (in the ODD, out of it, or
+ambiguous), since such a reading is only ever dropped or flagged.
 Only the bound nodes ever carry evidence, so the network is reduced once per
 bundle to the joint table P(objective, bound nodes). A tick indexes the
 observed axes, sums the others out and normalizes; a bounded memo keyed by
@@ -43,7 +45,7 @@ import numpy as np
 from . import _base, bayes_core, odd_model
 from .bayes_core import BayesNet, EvidenceSet, Posterior
 from .confidence_templates import AcpBinding
-from .odd_model import Observation, OddSpec, OUT_OF_ODD
+from .odd_model import Observation, OddSpec, OUT_OF_ODD, _IN_ODD
 
 DROP = "drop"
 WORST_CASE = "worst-case"
@@ -108,7 +110,9 @@ class ModelBundle:
         joint = bayes_core._joint_table(net, (*nodes, objective))
         if joint is not None:
             joint = np.moveaxis(joint, -1, 0)
-        readers = {name: (*table, self.bindings.get(name))
+        bindings = self.bindings
+        readers = {name: (*table, bindings[name]) if name in bindings
+                   else (*odd_model._verdict_table(table), None)
                    for name, table in self.odd._tables.items()}
         evidence_json = {(node, state): f"{json.dumps(node)}: {json.dumps(state)}"
                          for node in nodes for state in net.node(node).states}
@@ -237,8 +241,9 @@ class _TickTable(NamedTuple):
     their indices, and None (no evidence on the node) to all of them, so a
     tick's index takes one lookup per node. ``readers`` maps each ODD class
     with attributes to (points, labels, bound node or None), where (points,
-    labels) is the spec's table for the class (see ``odd_model``), so a
-    finite reading costs one bisection and one comparison.
+    labels) is the spec's table for a bound class (see ``odd_model``) and
+    ``odd_model._verdict_table`` of it for an unbound one, so a finite
+    reading costs one bisection and one comparison.
     ``evidence_json`` maps each (bound node, state) to its JSON text
     ``"node": "state"``, ``state_json`` each objective state to
     ``"state": `` and ``class_json`` each ODD class name to its JSON string.
@@ -321,6 +326,8 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
         points, labels, node_id = reader
         i = bisect_left(points, value)
         state = labels[i][points[i] == value]
+        if state is _IN_ODD:
+            continue
         if type(state) is tuple:
             dropped.append(class_name)
         elif state is OUT_OF_ODD:
@@ -329,15 +336,16 @@ def step(bundle: ModelBundle, obs: Observation) -> ConfidenceReport:
                 evidence[node_id] = bundle.worst_states[class_name]
             else:
                 dropped.append(class_name)
-        elif node_id is not None:
+        else:  # an attribute name: only a bound class's table holds them
             evidence[node_id] = state
 
     key = tuple(evidence.items())
     record = ticks.memo.get(key) or _outcome(bundle, ticks, evidence, key)
     ticks.last[0] = (evidence, record)
     post = record.posterior
-    return ConfidenceReport(obs.time, evidence, post, record.mean, record.variance, in_odd,
-                            tuple(dropped), post is None)
+    # every field given, so ConfidenceReport.__new__'s frame is skipped
+    return tuple.__new__(ConfidenceReport, (obs.time, evidence, post, record.mean,
+                                            record.variance, in_odd, tuple(dropped), post is None))
 
 
 def run(
@@ -392,7 +400,7 @@ def parse_observation(doc) -> Observation:
     else:
         readings = {k: v if type(v) is float else _base.number(v, f"reading {k!r}")
                     for k, v in readings.items()}
-    return Observation(time, x, y, readings)
+    return tuple.__new__(Observation, (time, x, y, readings))  # skips Observation.__new__'s frame
 
 
 def observation_to_line(obs: Observation) -> str:

@@ -3,12 +3,13 @@ import json
 import math
 import random
 import re
+from bisect import bisect_left
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from odd_assure import odd_model
-from odd_assure.fixtures import AVP_ODD_DOCUMENT, avp_odd_spec
+from odd_assure.fixtures import AVP_BINDINGS, AVP_ODD_DOCUMENT, avp_odd_spec
 from odd_assure.odd_model import (
     OUT_OF_ODD,
     AmbiguousState,
@@ -505,6 +506,76 @@ class TestCompiledDiscretize:
         assert tables["Rain"] == ((0.0, 0.25, 0.77, math.inf), (
             (OUT_OF_ODD, "Rain_light"), ("Rain_light", "Rain_Moderate"),
             ("Rain_Moderate", "Rain_Heavy"), ("Rain_Heavy", OUT_OF_ODD)))
+
+
+def _verdict(spec, name, value):
+    """"in", "out" or "ambiguous": what ``discretize`` gives the value."""
+    try:
+        state = discretize(spec, name, value)
+    except AmbiguousState:
+        return "ambiguous"
+    return "out" if state is OUT_OF_ODD else "in"
+
+
+def _table_verdict(table, value):
+    """The verdict a bisection of the verdict table gives the value."""
+    points, labels = table
+    i = bisect_left(points, value)
+    label = labels[i][points[i] == value]
+    if type(label) is tuple:
+        return "ambiguous"
+    return "out" if label is OUT_OF_ODD else "in" if label is odd_model._IN_ODD else label
+
+
+# overlapping (C and B at 0, G inside F), point (B, E) and unbounded (A, F) intervals
+MIXED_CLASS = odd_model.OddClass("C", "ODD", tuple(
+    odd_model.OddAttribute(name, "u", parse_interval(text)) for name, text in (
+        ("A", "]-, 0["), ("B", "[0, 0]"), ("C", "[0, 5]"), ("D", "]5, 10["), ("E", "[10, 10]"),
+        ("F", "[20, +["), ("G", "[30, 40]"))))
+
+
+class TestVerdictTable:
+    """An unbound class's runtime table keeps only what step reads of it: in
+    the ODD, out of it, or ambiguous."""
+
+    @staticmethod
+    def check(cls):
+        spec = odd_model.OddSpec("ODD", {"ODD": odd_model.OddClass("ODD", None, ()), cls.name: cls})
+        table = spec._tables[cls.name]
+        verdicts = odd_model._verdict_table(table)
+        points, labels = verdicts
+        assert len(points) == len(labels) and points[-1] == math.inf
+        assert set(points) <= set(table[0]) and list(points) == sorted(points)
+        assert not any(type(label) is str for pair in labels for label in pair)
+        finite = table[0][:-1]
+        values = [v for v in _probes(finite) if math.isfinite(v)]
+        values += [odd_model._inside(lo, hi) for lo, hi in zip((-math.inf, *finite), table[0])]
+        for value in values:
+            assert _table_verdict(verdicts, value) == _verdict(spec, cls.name, value), value
+        for point in points[:-1]:
+            below, above = math.nextafter(point, -math.inf), math.nextafter(point, math.inf)
+            if below in finite or above in finite:
+                continue  # a gap no float lies in has no verdict
+            assert len({_verdict(spec, cls.name, v) for v in (below, point, above)}) > 1, point
+        return verdicts
+
+    def test_avp_unbound_classes(self, spec):
+        sizes = {name: len(self.check(spec.classes[name])[0])
+                 for name in spec._tables if name not in AVP_BINDINGS}
+        assert len(sizes) == 10 and set(sizes.values()) == {2, 3}
+        assert sizes["Env_lighting"] == 2 and len(spec._tables["Env_lighting"][0]) == 6
+
+    def test_overlapping_point_and_unbounded_intervals(self):
+        points, labels = self.check(MIXED_CLASS)
+        # ]-inf, 10] in, ]10, 20[ out, [20, 30[ in, [30, 40] ambiguous, above in;
+        # 0 is ambiguous (B and C)
+        assert points == (0.0, 10.0, 20.0, 30.0, 40.0, math.inf)
+        assert labels[0][1] == ("B", "C") and labels[3][1] == ("F", "G")
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=odd_classes())
+    def test_drawn_classes(self, drawn):
+        self.check(drawn[0])
 
 
 class TestInterpret:

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from odd_assure import safety_ontology
 from odd_assure.fixtures import AVP_HARA_DOCUMENT, AVP_ODD_DOCUMENT, avp_ontology
+from odd_assure.odd_model import parse_interval
 from odd_assure.safety_ontology import (
     RDF_TYPE,
     VOCABULARY,
@@ -329,6 +330,17 @@ class TestCheckAxioms:
         assert all(typed.values())
         assert {cls: names - declared[cls] for cls, names in typed.items()} == {
             cls: set() for cls in declared}
+
+    def test_avp_fixture_constraint_is_the_odd_bound(self):
+        # Rain_Heavy's constraint is the lower bound of its ODD interval
+        (rain,) = (c for c in AVP_ODD_DOCUMENT["classes"] if c["name"] == "Rain")
+        heavy = rain["attributes"][-1]
+        bounds = parse_interval(heavy["interval"])
+        graph = avp_ontology()
+        (constraint,) = (t.subject for t in query(graph, None, RDF_TYPE, "Constraint"))
+        assert Triple(heavy["name"], "hasDomain", constraint) in graph.triples
+        assert bounds.lo_inclusive and constraint.value[0] == "≥"
+        assert float(constraint.value[1:]) == bounds.lo == 0.77
 
     def test_rain_abox_clean(self):
         g = TripleGraph()
