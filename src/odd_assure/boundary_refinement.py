@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import io
 import math
-import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
@@ -362,8 +361,8 @@ def parse_trace(text: str) -> Trace:
     """Parse a delimited trace, a header of feature names plus a `label`
     column holding Yes/No, into columns. The table is read by
     ``_base.csv_table``, so a row is named by the line it ends on. A feature
-    cell is read with ``float`` but must not hold what :data:`_FORGIVEN`
-    matches, so its finite numbers are those of ``_base.NUMBER_TEXT``."""
+    cell is read by ``_base.number_text``, so ``nan``, ``1e999``, ``1_0`` and
+    a padded cell are bad numeric values; the first bad row names the error."""
     try:
         header, rows, ends = _base.csv_table(io.StringIO(text))
     except ValueError as exc:
@@ -377,12 +376,12 @@ def parse_trace(text: str) -> Trace:
         raise TooFewRecords("trace has no data rows")
     column = {name: i for i, name in enumerate(header)}
     names = sorted(features)
-    # One screen of the body (not the header) spares checking each cell: text
-    # without these characters has no cell _FORGIVEN matches. A quote can wrap
-    # a line break.
+    # One screen of the body (not the header) spares checking each cell: on
+    # text without these characters, float's finite values are number_text's.
+    # A quote can wrap a line break.
     body = text.partition("\n")[2]
     plain = body.isascii() and not any(c in body for c in '_ \t\f\v"')
-    to_float = float if plain else _cell_number
+    to_float = float if plain else _base.number_text
     labels = list(map(itemgetter(column["label"]), rows))
     try:
         x = np.column_stack([np.fromiter(map(to_float, map(itemgetter(column[n]), rows)), float,
@@ -392,25 +391,12 @@ def parse_trace(text: str) -> Trace:
     if x is None or not np.isfinite(x).all() or not set(labels) <= {YES, NO}:
         for cells, end in zip(rows, ends):  # the first bad row names the error
             try:
-                values = [_cell_number(cells[column[n]]) for n in features]
+                for n in features:
+                    _base.number_text(cells[column[n]])
             except ValueError as exc:
                 raise DocumentError(f"row {end}: bad numeric value ({exc})") from exc
-            if not all(map(math.isfinite, values)):
-                raise DocumentError(f"row {end}: feature values must be finite")
             TraceRecord({}, cells[column["label"]])  # raises on a label but Yes or No
     return Trace(tuple(names), x, labels)
-
-
-#: What ``float`` forgives in a number and the JSON number grammar does not:
-#: padding whitespace, digit-group underscores and non-ASCII digits.
-_FORGIVEN = re.compile(r"[\s_]|[^\x00-\x7f]")
-
-
-def _cell_number(cell: str) -> float:
-    """``float(cell)``, but a ValueError if the cell holds what :data:`_FORGIVEN` matches."""
-    if _FORGIVEN.search(cell):
-        raise ValueError(f"{cell!r} is not a number")
-    return float(cell)
 
 
 def load_trace(path) -> Trace:

@@ -133,7 +133,7 @@ class ChainEdge(NamedTuple):
 @dataclass(frozen=True)
 class HazardChain:
     """Occurrence events feeding a hazardous event feeding consequence events,
-    with typed dependency edges between them."""
+    with typed dependency edges between them. Each event is listed once."""
 
     hazardous_event: str
     occurrence_events: tuple[str, ...] = ()
@@ -141,7 +141,12 @@ class HazardChain:
     edges: tuple[ChainEdge, ...] = ()
 
     def __post_init__(self) -> None:
-        members = set(self.members())
+        listed = self.members()
+        members = set(listed)
+        if len(members) < len(listed):
+            twice = next(e for i, e in enumerate(listed) if e in listed[:i])
+            raise InconsistentChain(f"event {twice!r} is listed twice in chain "
+                                    f"{self.hazardous_event!r}")
         for edge in self.edges:
             if edge.src not in members or edge.dst not in members:
                 raise DanglingReference(
@@ -375,7 +380,8 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     JSON array, each operating condition one of two items, and ``atomic`` a
     JSON boolean, and every event id, in ``events`` or named outside it (a
     hazard, a causal parent or child, a chain member, an edge end), a JSON
-    string, else the document is malformed.
+    string, else the document is malformed. A hazard or chain member that
+    ``events`` does not declare raises DanglingReference.
     """
     array, scalar = _base.json_array, _base.json_scalar
     events: dict[str, Event] = {}
@@ -410,20 +416,22 @@ def parse_hara(document) -> tuple[list[str], dict[str, Event], CausalRelation, l
     for entry in array(document.get("chains", []), "chains"):
         hazardous = scalar(entry["hazardous"], "chain hazardous")
         where = f"of chain {hazardous!r}"
-        chains.append(
-            HazardChain(
-                hazardous_event=hazardous,
-                occurrence_events=tuple(scalar(e, f"an occurrence entry {where}")
-                                        for e in array(entry.get("occurrence", []), "occurrence")),
-                consequence_events=tuple(scalar(e, f"a consequence entry {where}")
-                                         for e in array(entry.get("consequence", []), "consequence")),
-                edges=tuple(
-                    ChainEdge(DependsKind(e["kind"]), scalar(e["from"], f"edge from {where}"),
-                              scalar(e["to"], f"edge to {where}"))
-                    for e in array(entry.get("edges", []), "edges")
-                ),
-            )
+        chain = HazardChain(
+            hazardous_event=hazardous,
+            occurrence_events=tuple(scalar(e, f"an occurrence entry {where}")
+                                    for e in array(entry.get("occurrence", []), "occurrence")),
+            consequence_events=tuple(scalar(e, f"a consequence entry {where}")
+                                     for e in array(entry.get("consequence", []), "consequence")),
+            edges=tuple(
+                ChainEdge(DependsKind(e["kind"]), scalar(e["from"], f"edge from {where}"),
+                          scalar(e["to"], f"edge to {where}"))
+                for e in array(entry.get("edges", []), "edges")
+            ),
         )
+        for member in chain.members():
+            if member not in events:
+                raise DanglingReference(f"event {member!r} {where} not declared in events")
+        chains.append(chain)
     return hazards, events, relation, chains
 
 

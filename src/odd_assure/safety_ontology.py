@@ -342,7 +342,7 @@ def classify_goals(graph: TripleGraph) -> dict[Term, str]:
 # ---------------------------------------------------------------------------
 # Line format
 
-_IDENT_FORBIDDEN = set(' \t\n"')
+_IDENT = re.compile(r'[^\s"#][^\s"]*')
 # A quoted literal, a lone quote (a literal nothing closes) or a run of
 # non-whitespace; \S is the complement of str.isspace, as str.split uses.
 _TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|"|\S+', re.DOTALL)
@@ -359,6 +359,11 @@ def format_term(term: Term) -> str:
 
 
 def _parse_term(token: str, line_no: int | None) -> Term:
+    """The one token rule: a quoted string literal, a number as
+    ``_base.number_text`` reads it (numbers round-trip unquoted), or else an
+    identifier, which ``_IDENT`` fully matches: no whitespace or quote, and
+    no leading ``#``, which starts a comment line. Other text is a
+    ParseError naming the token."""
     if token.startswith('"'):
         if not token.endswith('"') or len(token) < 2:
             raise ParseError(f"unterminated literal {token!r}", line_no, token)
@@ -366,32 +371,25 @@ def _parse_term(token: str, line_no: int | None) -> Term:
         if (len(body) - len(body.rstrip("\\"))) % 2:
             raise ParseError(f"dangling escape in {token!r}", line_no, token)
         return Literal(_ESCAPE.sub(lambda m: "\n" if m[1] == "n" else m[1], body))
-    # Identifiers must not look like numbers; numeric tokens round-trip unquoted.
     if _base.NUMBER_TEXT.fullmatch(token):
         try:
             return Literal(_base.number_text(token))
         except ValueError as exc:  # exported as `inf`, it would re-import as an identifier
             raise ParseError(str(exc), line_no, token) from None
-    if not _IDENT_FORBIDDEN.isdisjoint(token):
+    if not _IDENT.fullmatch(token):
         raise ParseError(f"bad identifier {token!r}", line_no, token)
     return token
 
 
 def _reads_back(term: Term) -> bool:
-    """Whether ``term``'s exported token, alone at the start of a line, reads
-    back as an equal term. That is where a token is read strictest (``#``
-    starts a comment there), so a triple of such terms exports one line that
-    imports as the triple."""
+    """Whether ``term``'s exported token is one line that ``_parse_term``
+    reads back as an equal term, so a triple of such terms exports one line
+    that imports as the triple. A term with no token (None, bytes, an int
+    past float range) does not read back."""
     try:
         token = format_term(term)
-    except (AttributeError, TypeError, OverflowError):  # None, bytes, an int past float range
-        return False
-    if not (isinstance(token, str) and token.splitlines() == [token]
-            and _TOKEN.findall(token) == [token] and token[0] != "#"):
-        return False
-    try:
-        return _parse_term(token, None) == term
-    except ParseError:
+        return token.splitlines() == [token] and _parse_term(token, None) == term
+    except (AttributeError, TypeError, OverflowError, ParseError):
         return False
 
 

@@ -347,13 +347,15 @@ def odd_hierarchy_error(parents: dict) -> type | None:
 
 
 def trace_cell(cell: str) -> float:
-    """``float(cell)`` for a cell with no whitespace, ``_`` or non-ASCII
-    character, which ``float`` would forgive."""
-    if not cell.isascii() or any(c.isspace() or c == "_" for c in cell):
+    """A number as text: ``_NUMBER`` matches all of it and a float holds it."""
+    if not re.fullmatch(_NUMBER, cell, re.ASCII):
         raise ValueError(f"{cell!r} is not a number")
+    if math.isinf(float(cell)):
+        raise ValueError(f"number {cell!r} overflows a float")
     return float(cell)
 
 
+_NUMBER = r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?"  # a trace cell or ontology number
 # DictReader's markers: the key of a row's extra cells, the value of a missing cell
 _EXTRA, _MISSING = object(), object()
 
@@ -389,8 +391,6 @@ def parse_trace(text: str) -> list:
             values = {n: trace_cell(row[n]) for n in features}
         except ValueError as exc:
             raise RefinementDocumentError(f"row {line}: bad numeric value ({exc})") from exc
-        if not all(map(math.isfinite, values.values())):
-            raise RefinementDocumentError(f"row {line}: feature values must be finite")
         records.append(TraceRecord(values, row["label"]))
     if not records:
         raise TooFewRecords("trace has no data rows")
@@ -524,11 +524,11 @@ def _parse_term(token: str, line_no: int):
                 out.append(ch)
                 i += 1
         return so.Literal("".join(out))
-    if re.fullmatch(r"[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?", token, re.ASCII):
+    if re.fullmatch(_NUMBER, token, re.ASCII):
         if math.isinf(float(token)):
             raise so.ParseError(f"number {token!r} overflows a float", line_no)
         return so.Literal(float(token))
-    if any(c in ' \t\n"' for c in token):
+    if token.startswith("#") or any(c in ' \t\n"' for c in token):
         raise so.ParseError(f"bad identifier {token!r}", line_no)
     return token
 

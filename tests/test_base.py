@@ -1,8 +1,12 @@
-"""The JSON value rules and the CSV table rule every document reader shares."""
+"""The JSON value rules, the number-text rule and the CSV table rule every
+document reader shares."""
+
+import argparse
+import re
 
 import pytest
 
-from odd_assure import _base
+from odd_assure import _base, boundary_refinement, cli, odd_model
 
 
 class TestDecode:
@@ -42,6 +46,28 @@ class TestNumber:
 
     def test_ints_and_floats_read_as_floats(self):
         assert [_base.number(v, "x") for v in (3, 0.5)] == [3.0, 0.5]
+
+
+class TestNumberText:
+    """Trace cells, ODD interval bounds and ``--values`` numbers are read by
+    one grammar, ``number_text``: each refuses what it refuses, and a trace
+    or an interval quotes its message."""
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-Infinity", "1e400", "1_0", "\u0663", "0x10"])
+    def test_every_reader_refuses_what_number_text_refuses(self, text):
+        with pytest.raises(ValueError) as grammar:
+            _base.number_text(text)
+        message = re.escape(str(grammar.value))
+        with pytest.raises(boundary_refinement.DocumentError,
+                           match=rf"^row 2: bad numeric value \({message}\)$"):
+            boundary_refinement.parse_trace(f"a,label\n{text},Yes\n")
+        interval = f"[0, {text}]"
+        with pytest.raises(odd_model.MalformedInterval,
+                           match=f"^bad bound in {re.escape(repr(interval))}: {message}$"):
+            odd_model.parse_interval(interval)
+        usage = f"expected STATE=NUMBER, got {'s=' + text!r}"
+        with pytest.raises(argparse.ArgumentTypeError, match=f"^{re.escape(usage)}$"):
+            cli._value_assignment(f"s={text}")
 
 
 class TestJsonArray:

@@ -427,6 +427,22 @@ class TestValidate:
             "subclass of 'Rain'",
         ]
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda chain: chain["occurrence"].append("Ghost_event"),
+         f"event 'Ghost_event' of chain {HAZARD_ID!r} not declared in events"),
+        (lambda chain: chain["consequence"].append("Presence_of_object"),
+         f"event 'Presence_of_object' is listed twice in chain {HAZARD_ID!r}"),
+        (lambda chain: chain["occurrence"].append(HAZARD_ID),
+         f"event {HAZARD_ID!r} is listed twice in chain {HAZARD_ID!r}"),
+    ], ids=["undeclared_member", "occurrence_and_consequence", "hazardous_and_occurrence"])
+    def test_chain_members_are_declared_once(self, bundle_dir, tmp_path, capsys, caplog,
+                                             edit, message):
+        hara = tmp_path / "hara.json"
+        hara.write_bytes(_hara(lambda doc: edit(doc["chains"][0])))
+        assert run_cli("validate", bundle_dir / "avp_odd.json", "--hara", hara) == 1
+        assert capsys.readouterr().out == ""
+        assert error_text(caplog) == f"{hara}: {message}"
+
     @pytest.mark.parametrize(
         "malformed", ["unknown_role", "chain_without_hazardous", "unknown_edge_kind"]
     )

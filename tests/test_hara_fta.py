@@ -257,6 +257,17 @@ class TestClassifyEvent:
         with pytest.raises(DanglingReference, match="^chain edge 'O' -> 'X' leaves the chain$"):
             HazardChain("H", ("O",), ("C",), (ChainEdge(DependsKind.ON_OCCURRENCE, "O", "X"),))
 
+    @pytest.mark.parametrize("occurrence, consequence, twice", [
+        (("O", "O"), ("C",), "O"),
+        (("O",), ("C", "O"), "O"),
+        (("O", "H"), (), "H"),
+        ((), ("H",), "H"),
+    ])
+    def test_event_listed_twice(self, occurrence, consequence, twice):
+        message = f"^event {twice!r} is listed twice in chain 'H'$"
+        with pytest.raises(InconsistentChain, match=message):
+            HazardChain("H", occurrence, consequence)
+
 
 class TestValidateFta:
     def test_avp_tree_clean(self):
@@ -459,6 +470,14 @@ class TestHaraDocument:
         doc = copy.deepcopy(AVP_HARA_DOCUMENT)
         doc["hazards"].append("Ghost")
         with pytest.raises(DanglingReference, match="^hazard 'Ghost' not declared in events$"):
+            parse_hara(doc)
+
+    @pytest.mark.parametrize("section", ["occurrence", "consequence"])
+    def test_undeclared_chain_member(self, section):
+        doc = copy.deepcopy(AVP_HARA_DOCUMENT)
+        doc["chains"][0][section].append("Ghost")
+        message = f"^event 'Ghost' of chain {HAZARD_ID!r} not declared in events$"
+        with pytest.raises(DanglingReference, match=message):
             parse_hara(doc)
 
 

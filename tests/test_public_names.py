@@ -7,6 +7,9 @@ weight: README says why it stays, or it goes.
 
 ``fixtures`` is exempt: it exists to feed the tests, the README examples and
 the benchmark, none of which is package code.
+
+Every module also uses each name it imports: no linter runs offline, so an
+import a change leaves behind is caught here.
 """
 
 import ast
@@ -50,3 +53,16 @@ def test_every_public_name_is_reached_or_documented():
                     and not re.search(rf"\b{node.name}\b", readme)):
                 unreached.append(f"{module}.{node.name}")
     assert unreached == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"):
+                unused += [f"{path.stem}: {alias.asname or alias.name}" for alias in node.names
+                           if (alias.asname or alias.name).partition(".")[0] not in read]
+    assert unused == []

@@ -851,6 +851,24 @@ class TestImportMatchesReference:
     def test_fuzzed_text(self, text):
         assert self.outcome(import_graph, text) == self.outcome(oracles.import_graph, text)
 
+    @settings(max_examples=400, deadline=None)
+    @given(text=ontology_text())
+    def test_accepted_text_exports_and_reads_back(self, text):
+        # one token rule reads and writes every term, so nothing import_graph
+        # accepts is refused by export_graph; the lines it accepts one at a
+        # time make a text it accepts
+        accepted = "\n".join(line for line in text.splitlines()
+                             if self.outcome(import_graph, line)[0] == "graph")
+        graph = import_graph(accepted)
+        assert import_graph(export_graph(graph)) == graph
+
+    def test_identifier_never_starts_with_a_hash(self):
+        with pytest.raises(ParseError, match="^line 1: bad identifier '#c'$") as err:
+            import_graph("a dependsOn #c .\n")
+        assert err.value.line_no == 1
+        with pytest.raises(ParseError, match="^term '#x': bad identifier '#x'$"):
+            safety_ontology.parse_term("#x")
+
     @pytest.mark.parametrize("text, line_no", [
         ('a hasText "dangling\\" .\n', 1),
         ("a dependsOn b .\n# c\nc sparkles 1 .\n", 3),
