@@ -597,12 +597,18 @@ def _joint_table(net: BayesNet, keep: tuple[str, ...]) -> np.ndarray | None:
 # Fault-tree compilation
 
 
-def gate_cpt(op: GateOp, n_parents: int) -> tuple[tuple[float, ...], ...]:
+def gate_cpt(op: GateOp | str, n_parents: int) -> tuple[tuple[float, ...], ...]:
     """Deterministic CPT rows for a binary gate node over binary parents.
 
     Rows are in row-major parent order with state index 0 = occurs. AND: the
     child occurs iff every parent occurs; OR: iff at least one parent does.
+    ``op`` is read with GateOp, so ``"AND"`` is AND; any other value raises
+    BayesError naming it.
     """
+    try:
+        op = GateOp(op)
+    except ValueError:
+        raise BayesError(f"unknown gate operator {op!r}") from None
     if n_parents < 1:
         raise BayesError("a gate needs at least one parent")
     # Row 0 is every parent occurring and the last row is none occurring, so

@@ -15,6 +15,7 @@ lower-inclusive bins.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -305,10 +306,7 @@ def metric_to_state(
         raise BadThresholds("thresholds must be strictly increasing")
     if not math.isfinite(value):
         raise TemplateError(f"metric value {value!r} is not finite")
-    for i, t in enumerate(thresholds):
-        if value < t:
-            return states[i]
-    return states[-1]
+    return states[bisect_right(thresholds, value)]
 
 
 def test_distance(pred, truth, metric: str) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bayes_core, hara_fta, safety_ontology
 from .bayes_core import BnNode, Cpt, build_net
-from .confidence_templates import AcpBinding
+from .confidence_templates import DATA_OBJECTIVE, _LAYERS, AcpBinding
 from .odd_model import OddSpec, parse_interval, parse_odd_spec
 from .runtime_monitor import ModelBundle, make_bundle
 from .safety_ontology import RDF_TYPE, Literal, Triple, TripleGraph, assert_all
@@ -426,7 +426,8 @@ def avp_ontology() -> TripleGraph:
     """ODD taxonomy, hazard events, GSN argument, and network metadata as one
     consistent graph (zero axiom violations). The weather branch of the class
     tree comes from the ODD document, the event types and the chain edges
-    from the HARA document."""
+    from the HARA document, and the network metadata from the data template's
+    edges into its objective."""
     classes = {c["name"]: c for c in AVP_ODD_DOCUMENT["classes"]}
     parent = {name: c["parent"] for name, c in classes.items()}
     # Weather_conditions' subclasses, then Weather_conditions up to the root
@@ -442,35 +443,31 @@ def avp_ontology() -> TripleGraph:
     constraint = Literal(f"{'≥' if heavy.lo_inclusive else '>'}{heavy.lo!r}")
     events = AVP_HARA_DOCUMENT["events"]
     (chain,) = AVP_HARA_DOCUMENT["chains"]
-    typed: list[tuple[str, str]] = [
+    # GSN goal -> the solution evidencing it; the monitor's ACP attaches to G8's
+    solutions = {"G8": AVP_SOLUTION_ID, "G9": "Sn9.1", "G11": "Sn11.1"}
+    # the data template's objective and the nodes with an edge into it
+    _, data_edges = _LAYERS[0]
+    into_objective = [src for src, dst in data_edges if dst == DATA_OBJECTIVE]
+    cpt = f"{DATA_OBJECTIVE}_cpt"
+    typed = [
         *((name, "OddClass") for name in branch),
         *((name, "OddAttribute") for name in rain),
+        (unit, "Unit"),
+        (constraint, "Constraint"),
         *((e["id"], kind) for e in events for kind in ("Event", e["role"].capitalize() + "Event")),
         ("G1", "Goal"),
         ("G1", "TopLevelGoal"),
         ("S1", "Strategy"),
-        ("G8", "Goal"),
-        ("G9", "Goal"),
-        ("G11", "Goal"),
-        ("Sn8.1", "Goal"),
-        ("Sn8.1", "Solution"),
-        ("Sn8.1", "Evidence"),
-        ("Sn9.1", "Goal"),
-        ("Sn9.1", "Solution"),
-        ("Sn9.1", "Evidence"),
-        ("Sn11.1", "Goal"),
-        ("Sn11.1", "Solution"),
-        ("Sn11.1", "Evidence"),
-        ("OddSuff", "Node"),
-        ("DataMetric", "Node"),
-        ("DataComp", "Node"),
-        ("DataComp", "ObjNode"),
-        ("DataComp_cpt", "CptTable"),
+        *((goal, "Goal") for goal in solutions),
+        *((sn, kind) for sn in solutions.values() for kind in ("Goal", "Solution", "Evidence")),
+        *((node, "Node") for node in (*into_objective, DATA_OBJECTIVE)),
+        (DATA_OBJECTIVE, "ObjNode"),
+        (cpt, "CptTable"),
     ]
-    g = assert_all(TripleGraph(), (Triple(ind, RDF_TYPE, cls) for ind, cls in typed))
-    g = assert_all(
-        g,
+    return assert_all(
+        TripleGraph(),
         [
+            *(Triple(ind, RDF_TYPE, cls) for ind, cls in typed),
             *(Triple(name, "subClassOf", parent[name]) for name in branch if parent[name]),
             *(Triple("Rain", "hasAttribute", name) for name in rain),
             Triple(rain[-1], "hasDomain", unit),
@@ -481,23 +478,10 @@ def avp_ontology() -> TripleGraph:
             Triple("G1", "relatedTo", HAZARD_ID),
             Triple("G1", "hasText", Literal("The object detector performs adequately within the ODD")),
             Triple("G1", "supportedBy", "S1"),
-            Triple("S1", "supportedBy", "G8"),
-            Triple("S1", "supportedBy", "G9"),
-            Triple("S1", "supportedBy", "G11"),
-            Triple("G8", "hasEvidence", "Sn8.1"),
-            Triple("G9", "hasEvidence", "Sn9.1"),
-            Triple("G11", "hasEvidence", "Sn11.1"),
+            *(Triple("S1", "supportedBy", goal) for goal in solutions),
+            *(Triple(goal, "hasEvidence", sn) for goal, sn in solutions.items()),
             # confidence network metadata
-            Triple("OddSuff", "dependsOn", "DataComp"),
-            Triple("DataMetric", "dependsOn", "DataComp"),
-            Triple("DataComp", "hasCPT", "DataComp_cpt"),
+            *(Triple(node, "dependsOn", DATA_OBJECTIVE) for node in into_objective),
+            Triple(DATA_OBJECTIVE, "hasCPT", cpt),
         ],
     )
-    g = assert_all(
-        g,
-        [
-            Triple(unit, RDF_TYPE, "Unit"),
-            Triple(constraint, RDF_TYPE, "Constraint"),
-        ],
-    )
-    return g

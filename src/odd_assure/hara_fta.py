@@ -303,6 +303,12 @@ def validate_fta(fta: Fta) -> list[FtaDefect]:
                 )
         if gate.parent in gate.children:
             defects.append(FtaDefect("SelfLoop", (gate.parent,), "gate feeds its own parent"))
+        try:
+            GateOp(gate.op)
+        except ValueError:
+            defects.append(
+                FtaDefect("UnknownGateOp", (gate.parent,), f"gate operator {gate.op!r} is not AND or OR")
+            )
 
     for event in fta.events:
         n_gates = len(gates_by_parent.get(event.id, []))

@@ -55,32 +55,6 @@ class Literal(NamedTuple):
 
 RDF_TYPE = "rdf_type"
 
-VOCABULARY = frozenset(
-    {
-        "subClassOf",
-        "hasAttribute",
-        "hasDomain",
-        "hasOperCond",
-        "hasOccurrenceEvent",
-        "hasConsequenceEvent",
-        "trigger",
-        "dependsOnOccurrence",
-        "dependsOnHazardous",
-        "dependsOnConsequence",
-        "relatedTo",
-        "supportedBy",
-        "supports",
-        "hasInference",
-        "hasEvidence",
-        "hasConfidence",
-        "hasText",
-        "dependsOn",
-        "hasCPT",
-        "hasACP",
-        RDF_TYPE,
-    }
-)
-
 
 class Triple(NamedTuple):
     """One fact; a record that equals the plain tuple of its fields."""
@@ -319,6 +293,10 @@ _OWN_AXIOMS = {
     "hasEvidence": ("A35", "hasEvidence fact lacks its supportedBy fact",
                     lambda t, index: (t.subject, "supportedBy", t.object) not in index.triples),
 }
+
+# The language is the predicates the rules read, plus supports (the inverse
+# of supportedBy that A28 asks for) and rdf_type.
+VOCABULARY = frozenset({*_RANGE_RULES, *_DOMAIN_RULES, *_OWN_AXIOMS, "supports", RDF_TYPE})
 
 
 # class -> (axiom, the EventRole a member's outgoing predicates must allow)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -46,7 +47,7 @@ from odd_assure.fixtures import (
     avp_fta,
     avp_monitor_bn,
 )
-from odd_assure.hara_fta import CausalEntry, CausalRelation, Event, GateOp, compute_fta
+from odd_assure.hara_fta import CausalEntry, CausalRelation, Event, Fta, Gate, GateOp, compute_fta
 
 from . import oracles
 from .oracles import (
@@ -796,6 +797,16 @@ class TestGateCpt:
             expected = all(bits) if op is GateOp.AND else any(bits)
             assert row == ((1.0, 0.0) if expected else (0.0, 1.0))
 
+    @pytest.mark.parametrize("op", [GateOp.AND, GateOp.OR])
+    def test_operator_is_read_by_value(self, op):
+        # GateOp is a str enum, so a hand-built gate may hold the plain string
+        assert gate_cpt(op.value, 3) == gate_cpt(op, 3)
+
+    @pytest.mark.parametrize("op", ["XOR", "and", None, ["AND"]])
+    def test_unknown_operator_is_named(self, op):
+        with pytest.raises(bayes_core.BayesError, match=re.escape(f"unknown gate operator {op!r}")):
+            gate_cpt(op, 2)
+
 
 class TestCompileFta:
     def test_or_gate_two_leaves(self):
@@ -815,6 +826,21 @@ class TestCompileFta:
         net = compile_fta_to_bn(fta, {"a": 0.5, "b": 0.5})
         assert posterior(net, "top").as_dict()["occurs"] == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("op, p_top", [("AND", 0.25), ("OR", 0.75)])
+    def test_hand_built_gate_with_a_string_operator(self, op, p_top):
+        events = (Event("top", "top", atomic=False), Event("a", "a", atomic=True), Event("b", "b", atomic=True))
+        fta = Fta("top", events, (Gate("top", ("a", "b"), op),))
+        net = compile_fta_to_bn(fta, {"a": 0.5, "b": 0.5})
+        assert posterior(net, "top").as_dict()["occurs"] == pytest.approx(p_top, abs=1e-12)
+
+    @pytest.mark.parametrize("op", ["XOR", ["AND"]])
+    def test_unknown_operator_is_a_defect(self, op):
+        events = (Event("top", "top", atomic=False), Event("a", "a", atomic=True), Event("b", "b", atomic=True))
+        fta = Fta("top", events, (Gate("top", ("a", "b"), op),))
+        with pytest.raises(InvalidFta) as err:
+            compile_fta_to_bn(fta, {"a": 0.5, "b": 0.5})
+        assert [d.kind for d in err.value.defects] == ["UnknownGateOp"]
+
     def test_missing_prior(self):
         with pytest.raises(MissingPrior):
             compile_fta_to_bn(avp_fta(), {"Presence_of_object": 0.5})
@@ -830,8 +856,6 @@ class TestCompileFta:
             compile_fta_to_bn(avp_fta(), priors)
 
     def test_invalid_fta_defects_propagate(self):
-        from odd_assure.hara_fta import Fta
-
         fta = Fta(top="top", events=(Event("top", "top", atomic=False),), gates=())
         with pytest.raises(InvalidFta) as err:
             compile_fta_to_bn(fta, {})

@@ -311,6 +311,13 @@ class TestValidateFta:
                   gates=tuple(Gate(p, children, GateOp.OR) for p, children in gates))
         assert kind in {d.kind for d in validate_fta(fta)}
 
+    @pytest.mark.parametrize("op", ["XOR", "and", None, ["AND"]])
+    def test_unknown_operator_is_a_defect(self, op):
+        # an unhashable operator too is a defect, not a TypeError
+        fta = Fta("top", tuple(_events("top", "a", atomic=("a",))), (Gate("top", ("a",), op),))
+        assert validate_fta(fta) == [
+            hara_fta.FtaDefect("UnknownGateOp", ("top",), f"gate operator {op!r} is not AND or OR")]
+
     def test_fuzzed_trees_agree_with_independent_checker(self):
         rng = random.Random(23)
         for _ in range(300):

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from odd_assure import safety_ontology
-from odd_assure.fixtures import AVP_HARA_DOCUMENT, AVP_ODD_DOCUMENT, avp_ontology
+from odd_assure.confidence_templates import DATA_OBJECTIVE, build_data_appropriateness_bn
+from odd_assure.fixtures import (
+    AVP_HARA_DOCUMENT,
+    AVP_ODD_DOCUMENT,
+    AVP_SOLUTION_ID,
+    avp_ontology,
+)
 from odd_assure.odd_model import parse_interval
 from odd_assure.safety_ontology import (
     RDF_TYPE,
@@ -203,6 +209,24 @@ class TestAssertAllReadsBack:
         assert export_graph(import_graph(text)) == text
 
 
+class TestVocabulary:
+    # pinned, so an edit to a rule table shows up here as a change of language
+    PREDICATES = [
+        "dependsOn", "dependsOnConsequence", "dependsOnHazardous", "dependsOnOccurrence",
+        "hasACP", "hasAttribute", "hasCPT", "hasConfidence", "hasConsequenceEvent", "hasDomain",
+        "hasEvidence", "hasInference", "hasOccurrenceEvent", "hasOperCond", "hasText",
+        "rdf_type", "relatedTo", "subClassOf", "supportedBy", "supports", "trigger",
+    ]
+
+    def test_pinned(self):
+        assert sorted(VOCABULARY) == self.PREDICATES
+
+    def test_every_rule_reads_a_predicate_of_the_vocabulary(self):
+        for rules in (safety_ontology._RANGE_RULES, safety_ontology._DOMAIN_RULES,
+                      safety_ontology._OWN_AXIOMS):
+            assert rules.keys() <= VOCABULARY
+
+
 class TestQuery:
     @pytest.fixture(scope="module")
     def graph(self):
@@ -341,6 +365,19 @@ class TestCheckAxioms:
         assert Triple(heavy["name"], "hasDomain", constraint) in graph.triples
         assert bounds.lo_inclusive and constraint.value[0] == "≥"
         assert float(constraint.value[1:]) == bounds.lo == 0.77
+
+    def test_avp_fixture_network_is_the_data_template(self):
+        # the dependsOn edges are the built data template's edges into its
+        # objective, and that objective is the one ObjNode
+        template = build_data_appropriateness_bn()
+        graph = avp_ontology()
+        into_objective = {(src, dst) for src, dst in template.edges if dst == DATA_OBJECTIVE}
+        assert {(t.subject, t.object) for t in query(graph, None, "dependsOn")} == into_objective
+        assert [t.subject for t in query(graph, None, RDF_TYPE, "ObjNode")] == [DATA_OBJECTIVE]
+
+    def test_avp_fixture_evidences_the_monitor_solution(self):
+        pairs = {(t.subject, t.object) for t in query(avp_ontology(), None, "hasEvidence")}
+        assert ("G8", AVP_SOLUTION_ID) in pairs
 
     def test_rain_abox_clean(self):
         g = TripleGraph()
@@ -846,20 +883,27 @@ class TestImportMatchesReference:
             return ("error", str(exc), exc.line_no)
         return ("graph", g)
 
+    @classmethod
+    def accepted_lines(cls, text):
+        """The lines of ``text`` that import_graph accepts one at a time; they
+        make a text it accepts. A drawn text's first bad line refuses it, so
+        few whole drawn texts import."""
+        return "\n".join(line for line in text.splitlines()
+                         if cls.outcome(import_graph, line)[0] == "graph")
+
     @settings(max_examples=400, deadline=None)
     @given(text=ontology_text())
     def test_fuzzed_text(self, text):
-        assert self.outcome(import_graph, text) == self.outcome(oracles.import_graph, text)
+        # the whole text compares the refusals, its accepted lines the graphs
+        for compared in (text, self.accepted_lines(text)):
+            assert self.outcome(import_graph, compared) == self.outcome(oracles.import_graph, compared)
 
     @settings(max_examples=400, deadline=None)
     @given(text=ontology_text())
     def test_accepted_text_exports_and_reads_back(self, text):
         # one token rule reads and writes every term, so nothing import_graph
-        # accepts is refused by export_graph; the lines it accepts one at a
-        # time make a text it accepts
-        accepted = "\n".join(line for line in text.splitlines()
-                             if self.outcome(import_graph, line)[0] == "graph")
-        graph = import_graph(accepted)
+        # accepts is refused by export_graph
+        graph = import_graph(self.accepted_lines(text))
         assert import_graph(export_graph(graph)) == graph
 
     def test_identifier_never_starts_with_a_hash(self):
